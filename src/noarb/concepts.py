@@ -13,12 +13,14 @@ the library's primary regression tripwire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import InternalInconsistency
 from .market import (
     MarketModel,
     Measure,
+    Strategy,
     check_na,
     check_na1,
     check_nupbr,
@@ -37,6 +39,7 @@ class ConceptVerdicts:
     nfl_equiv: bool
     emm_exists: bool
     separator_exists: bool
+    arbitrage: Optional[Strategy] = field(default=None, compare=False)
 
     def as_dict(self) -> dict[str, bool]:
         return {
@@ -61,17 +64,19 @@ def full_verdict(model: MarketModel) -> ConceptVerdicts:
     separation route builds a strictly positive functional on the widened
     payoff cone.  The free-lunch verdict equals NA because the widened cone
     is polyhedral and therefore already closed, so no extra computation can
-    distinguish them here.
+    distinguish them here.  ``arbitrage`` carries NA's witness when NA fails;
+    it is not a verdict, so it stays out of ``as_dict`` and equality.
     """
-    na = check_na(model).holds
+    na = check_na(model)
     verdicts = ConceptVerdicts(
-        na=na,
+        na=na.holds,
         na1=check_na1(model),
         nupbr=check_nupbr(model),
-        nfl_equiv=na,
+        nfl_equiv=na.holds,
         emm_exists=find_emm(model).measure is not None,
         separator_exists=strict_separator(
             payoff_cone(model, include_neg_orthant=True)).functional is not None,
+        arbitrage=na.arbitrage,
     )
     if not verdicts.agree:
         raise InternalInconsistency(

@@ -175,11 +175,3 @@ class RandomVariable:
     def __str__(self) -> str:
         pairs = ", ".join(f"{o}: {v}" for o, v in zip(self.space.outcomes, self.values))
         return f"({pairs})"
-
-
-def sup(x: RandomVariable, y: RandomVariable) -> RandomVariable:
-    return x.sup(y)
-
-
-def inf(x: RandomVariable, y: RandomVariable) -> RandomVariable:
-    return x.inf(y)

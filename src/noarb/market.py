@@ -236,6 +236,16 @@ def _nonzero_gains(model):
     return [g for g in model.elementary_gains() if not g.vector.is_zero]
 
 
+def _verified_arbitrage(model, gains, coefficients) -> Strategy:
+    """The strategy holding ``coefficients`` on ``gains``, checked to gain ≥ 0, ≠ 0."""
+    strategy = _strategy_from_coefficients(model, gains, coefficients)
+    payoff = terminal_gain(model, strategy)
+    if not payoff.is_nonneg or payoff.is_zero:
+        raise InternalInconsistency("arbitrage witness failed re-verification",
+                                    model=model, strategy=strategy, payoff=payoff)
+    return strategy
+
+
 @dataclass(frozen=True)
 class NaResult:
     holds: bool
@@ -273,12 +283,7 @@ def check_na(model: MarketModel) -> NaResult:
                                     model=model, outcome=outcome)
     if outcome.objective_value == 0:
         return NaResult(holds=True)
-    strategy = _strategy_from_coefficients(model, gains, outcome.primal)
-    payoff = terminal_gain(model, strategy)
-    if not payoff.is_nonneg or payoff.is_zero:
-        raise InternalInconsistency("arbitrage witness failed re-verification",
-                                    model=model, strategy=strategy, payoff=payoff)
-    return NaResult(holds=False, arbitrage=strategy)
+    return NaResult(holds=False, arbitrage=_verified_arbitrage(model, gains, outcome.primal))
 
 
 @dataclass(frozen=True)
@@ -329,7 +334,11 @@ def find_emm(model: MarketModel) -> EmmResult:
 
     Strict positivity is obtained in a single solve by maximizing the
     minimum weight subject to the martingale equalities; the optimum is
-    positive exactly when an EMM exists.
+    positive exactly when an EMM exists.  Otherwise the same solve's
+    certificate is the arbitrage, read off the multipliers y of the
+    martingale rows: at optimum 0 the dual gives a payoff Σ y·gain ≥ 0 whose
+    total is ≥ 1, and when the LP is infeasible the Farkas vector gives a
+    payoff > 0 in every outcome.
     """
     n = len(model.space)
     gains = _nonzero_gains(model)
@@ -356,12 +365,8 @@ def find_emm(model: MarketModel) -> EmmResult:
             raise InternalInconsistency("martingale measure failed re-verification",
                                         model=model, measure=measure)
         return EmmResult(measure=measure)
-    na = check_na(model)
-    if na.holds:
-        raise InternalInconsistency(
-            "no equivalent martingale measure found although no arbitrage exists",
-            model=model, outcome=outcome)
-    return EmmResult(arbitrage=na.arbitrage)
+    multipliers = outcome.dual[1:1 + len(gains)]
+    return EmmResult(arbitrage=_verified_arbitrage(model, gains, multipliers))
 
 
 @dataclass(frozen=True)

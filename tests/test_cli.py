@@ -16,6 +16,7 @@ CASES = [
     ("check_na_dominance", 1, ["check", "na", str(DATA / "dominance.json")]),
     ("emm_binomial", 0, ["emm", str(DATA / "binomial.json")]),
     ("emm_trinomial", 0, ["emm", str(DATA / "trinomial.json")]),
+    ("emm_dominance", 1, ["emm", str(DATA / "dominance.json")]),
     ("price_binomial_call", 0, ["price", str(DATA / "binomial.json"), str(DATA / "call_payoff.json")]),
     ("price_binomial_zero", 0, ["price", str(DATA / "binomial.json"), str(DATA / "zero_payoff.json")]),
     ("counterexample_3", 0, ["counterexample", "--n", "3"]),
@@ -81,7 +82,7 @@ def test_first_kind_concept_routes(capsys):
         assert out["witnesses"]["arbitrage"]["payoff"] == {"u": "1", "d": "1/2"}
 
 
-def test_exit_code_taxonomy(capsys):
+def test_exit_code_taxonomy(tmp_path, capsys):
     assert main(["check", "na", str(DATA / "binomial.json")]) == 0
     assert main(["check", "na", str(DATA / "dominance.json")]) == 1
     assert main(["check", "na", str(DATA / "truncated.json")]) == 2
@@ -90,6 +91,10 @@ def test_exit_code_taxonomy(capsys):
     assert main(["verify", "--seed", "0", "--instances", "0"]) == 2
     assert main(["price", str(DATA / "binomial.json"), str(DATA / "negative_payoff.json")]) == 2
     capsys.readouterr()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"outcomes": "\xff"}')
+    assert main(["check", "na", str(latin1)]) == 2
+    assert f"{latin1}: not UTF-8" in capsys.readouterr().err
 
 
 def test_internal_disagreement_exits_3(monkeypatch, capsys):
@@ -102,6 +107,38 @@ def test_internal_disagreement_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "full_verdict", boom)
     assert main(["check", "all", str(DATA / "binomial.json")]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("concept", ["na", "all"])
+def test_check_solves_na_once(concept, monkeypatch, capsys):
+    from noarb import cli, concepts, market
+
+    check_na, calls = market.check_na, []
+
+    def counted(model):
+        calls.append(model)
+        return check_na(model)
+
+    for module in (cli, concepts, market):
+        monkeypatch.setattr(module, "check_na", counted)
+    assert main(["--json", "check", concept, str(DATA / "dominance.json")]) == 1
+    assert len(calls) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["witnesses"]["arbitrage"]["payoff"] == {"u": "1", "d": "1/2"}
+
+
+@pytest.mark.parametrize("command", [["check", "na"], ["emm"]])
+def test_corrupted_arbitrage_exits_3(command, monkeypatch, capsys):
+    """The library's own witness check stops a bad arbitrage reaching a report."""
+    from noarb import market
+
+    build = market._strategy_from_coefficients
+    monkeypatch.setattr(market, "_strategy_from_coefficients",
+                        lambda *args: build(*args).scale(-1))
+    assert main(["--json", *command, str(DATA / "dominance.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "arbitrage witness failed re-verification" in captured.err
 
 
 def test_counterexample_n1(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from noarb import market
+from noarb import lp, market
 from noarb.errors import ContractViolation, StructureError
 from noarb.lattice import SampleSpace
 from noarb.market import (
@@ -143,6 +143,27 @@ def test_emm_dominance_none_with_arbitrage(dominance):
     res = find_emm(dominance)
     assert res.measure is None
     payoff = terminal_gain(dominance, res.arbitrage)
+    assert payoff.is_nonneg and not payoff.is_zero
+
+
+@pytest.mark.parametrize("terminal,status", [
+    ([2, F(3, 2)], lp.INFEASIBLE),  # dominance: no martingale measure at all
+    ([2, 1], lp.OPTIMAL),  # optimum 0: only the non-equivalent (0, 1) is a martingale
+], ids=["infeasible", "optimum_zero"])
+def test_emm_arbitrage_from_its_own_certificate(terminal, status, monkeypatch):
+    model = one_period_model(terminal)
+    solve, outcomes = lp.solve, []
+
+    def counted(problem):
+        outcomes.append(solve(problem))
+        return outcomes[-1]
+
+    monkeypatch.setattr(lp, "solve", counted)
+    monkeypatch.setattr(market, "check_na", None)  # find_emm must not call it
+    res = find_emm(model)
+    assert [o.status for o in outcomes] == [status]
+    assert res.measure is None
+    payoff = terminal_gain(model, res.arbitrage)
     assert payoff.is_nonneg and not payoff.is_zero
 
 
