@@ -13,6 +13,7 @@ offending element.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -46,6 +47,12 @@ def parse_json(text: str, path: str = "<input>") -> Any:
     except json.JSONDecodeError as exc:
         raise StructureError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise StructureError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # Python's int/str conversion limit
+        raise StructureError(
+            f"{path}: a JSON number has more than {sys.get_int_max_str_digits()} digits"
         ) from None
 
 

@@ -24,7 +24,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .cones import SemiSolidSet, is_bounded, minkowski, semisolid_member, sup_squared_norm, zero_set_trivial
+from .cones import (SemiSolidSet, _positive_gauge, is_bounded, minkowski, semisolid_member,
+                    sup_squared_norm, zero_set_trivial)
 from .errors import StructureError
 from .lattice import RandomVariable, SampleSpace
 from .market import Asset, Filtration, MarketModel, in_budget_set
@@ -291,7 +292,7 @@ def _check_semisolid_laws(h: _Harness, rng, bset: SemiSolidSet, sabotage: bool =
 
     trivial = zero_set_trivial(bset)
     h.check("trivial-intersection",
-            trivial == all(_gauge_positive(minkowski(bset, e)) for e in space.indicators()),
+            trivial == all(_positive_gauge(minkowski(bset, e)) for e in space.indicators()),
             "scaling-intersection report disagrees with indicator gauges")
     if gauge_y not in (0, math.inf) and gauge_y > 0:
         h.check("trivial-intersection", not semisolid_member(bset, y, gauge_y / 2),
@@ -312,7 +313,3 @@ def _check_budget_scaling(h: _Harness, rng, model: MarketModel) -> None:
         level = Fraction(rng.randint(1, 6), rng.randint(1, 3))
         h.check("budget-zero-inclusion", in_budget_set(model, x, level),
                 f"zero-wealth dominated {x} escaped B_{level}")
-
-
-def _gauge_positive(value) -> bool:
-    return value == math.inf or value > 0

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, fast_rational
+from .rationals import as_fraction
 
 LE = "<="
 EQ = "=="
@@ -35,6 +35,7 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,9 @@ class _Simplex:
 
     def __init__(self, problem: LpProblem) -> None:
         self.problem = problem
-        R = fast_rational
-        one = R(1)
         n = problem.num_vars
-        sense_flip = problem.sense == MINIMIZE
-        obj = [-R(c.numerator, c.denominator) if sense_flip else R(c.numerator, c.denominator)
-               for c in problem.objective]
+        obj = ([-c for c in problem.objective] if problem.sense == MINIMIZE
+               else list(problem.objective))
 
         # augmented row list: original rows, then one row per finite upper bound
         aug_rows: list[tuple] = []
@@ -148,7 +146,7 @@ class _Simplex:
         for j, up in enumerate(problem.upper):
             if up is not None:
                 unit = [_ZERO] * n
-                unit[j] = Fraction(1)
+                unit[j] = _ONE
                 aug_rows.append((tuple(unit), LE, up))
                 self.bound_vars.append(j)
         m_aug = len(aug_rows)
@@ -166,7 +164,7 @@ class _Simplex:
         self.col_pairs = col_pairs
         n_struct = ncols
 
-        obj_split = [R(0)] * n_struct
+        obj_split = [_ZERO] * n_struct
         for j, (pc, nc) in enumerate(col_pairs):
             obj_split[pc] = obj[j]
             if nc is not None:
@@ -177,16 +175,14 @@ class _Simplex:
         b: list = []
         flipped: list[bool] = []
         slack_sign: list[int] = []          # +1 slack, -1 surplus, 0 none
-        for row, rel, rhs in aug_rows:
-            coeffs = [R(0)] * n_struct
+        for row, rel, rv in aug_rows:
+            coeffs = [_ZERO] * n_struct
             for j, (pc, nc) in enumerate(col_pairs):
                 a = row[j]
                 if a:
-                    fa = R(a.numerator, a.denominator)
-                    coeffs[pc] = fa
+                    coeffs[pc] = a
                     if nc is not None:
-                        coeffs[nc] = -fa
-            rv = R(rhs.numerator, rhs.denominator)
+                        coeffs[nc] = -a
             # also flip ≥ rows with zero rhs: as ≤ rows they start on a slack
             # basis, which keeps artificial variables out of the hot paths
             flip = rv < 0 or (rv == 0 and rel == GE)
@@ -209,11 +205,11 @@ class _Simplex:
         scol = n_struct
         acol = self.first_art
         for i, s in enumerate(slack_sign):
-            ext = [R(0)] * (total - n_struct)
+            ext = [_ZERO] * (total - n_struct)
             if s:
-                ext[scol - n_struct] = R(s)
+                ext[scol - n_struct] = _ONE if s > 0 else -_ONE
             if s <= 0:
-                ext[acol - n_struct] = one
+                ext[acol - n_struct] = _ONE
                 ident_col[i] = acol
                 acol += 1
             else:
@@ -231,9 +227,8 @@ class _Simplex:
         self.m_aug = m_aug
         self.n_struct = n_struct
         self.ncols = total
-        self.obj_split = obj_split + [R(0)] * (total - n_struct)
+        self.obj_split = obj_split + [_ZERO] * (total - n_struct)
         self.alive = list(range(m_aug))     # augmented row index per tableau row
-        self.R = R
 
     # --- pivoting ---------------------------------------------------------
 
@@ -261,7 +256,7 @@ class _Simplex:
         """Bland's rule to optimality; returns ('optimal', value) or ('unbounded', col)."""
         T, b, basis = self.T, self.b, self.basis
         z = list(costs)
-        value = self.R(0)
+        value = _ZERO
         for r, col in enumerate(basis):
             cb = costs[col]
             if cb:
@@ -295,10 +290,9 @@ class _Simplex:
 
     def _phase_one(self):
         """Feasibility phase; returns None when feasible, else Farkas data."""
-        R = self.R
         if all(col < self.first_art for col in self.basis):
             return None
-        costs = [R(0)] * self.first_art + [R(-1)] * (self.ncols - self.first_art)
+        costs = [_ZERO] * self.first_art + [-_ONE] * (self.ncols - self.first_art)
         status, value = self._run_phase(costs, self.ncols)
         assert status == OPTIMAL  # phase one is always bounded by zero
         if value < 0:
@@ -324,17 +318,16 @@ class _Simplex:
 
     def _dual_values(self, costs) -> list:
         """Multipliers for all augmented rows from the final basis inverse."""
-        R = self.R
         cb = [costs[col] for col in self.basis]
         y = []
         alive_pos = {k: r for r, k in enumerate(self.alive)}
         for k in range(self.m_aug):
             r = alive_pos.get(k)
             if r is None:
-                y.append(R(0))
+                y.append(_ZERO)
                 continue
             col = self.ident_col[k]
-            yk = R(0)
+            yk = _ZERO
             for i, c in enumerate(cb):
                 if c:
                     t = self.T[i][col]
@@ -344,28 +337,22 @@ class _Simplex:
         return y
 
     def _structural_point(self) -> list:
-        R = self.R
-        xs = [R(0)] * self.n_struct
+        xs = [_ZERO] * self.n_struct
         for r, col in enumerate(self.basis):
             if col < self.n_struct:
                 xs[col] = self.b[r]
         return xs
 
     def _to_original(self, xs) -> tuple[Fraction, ...]:
-        out = []
-        for pc, nc in self.col_pairs:
-            v = xs[pc] - (xs[nc] if nc is not None else 0)
-            out.append(Fraction(v.numerator, v.denominator))
-        return tuple(out)
+        return tuple(xs[pc] - xs[nc] if nc is not None else xs[pc]
+                     for pc, nc in self.col_pairs)
 
     def _split_duals(self, y):
         m = self.problem.num_rows
-        dual = tuple(Fraction(v.numerator, v.denominator) for v in y[:m])
         upper = [_ZERO] * self.problem.num_vars
         for k, j in enumerate(self.bound_vars):
-            v = y[m + k]
-            upper[j] = Fraction(v.numerator, v.denominator)
-        return dual, tuple(upper)
+            upper[j] = y[m + k]
+        return tuple(y[:m]), tuple(upper)
 
 
 def solve(problem: LpProblem) -> LpOutcome:
@@ -379,10 +366,9 @@ def solve(problem: LpProblem) -> LpOutcome:
     status, info = sx._run_phase(sx.obj_split, sx.first_art)
     if status == UNBOUNDED:
         enter = info
-        R = sx.R
-        d = [R(0)] * sx.n_struct
+        d = [_ZERO] * sx.n_struct
         if enter < sx.n_struct:
-            d[enter] = R(1)
+            d[enter] = _ONE
         for r, col in enumerate(sx.basis):
             if col < sx.n_struct:
                 d[col] = -sx.T[r][enter]
@@ -402,7 +388,7 @@ def solve(problem: LpProblem) -> LpOutcome:
         primal=primal,
         dual=dual,
         upper_duals=upper,
-        objective_value=Fraction(value.numerator, value.denominator),
+        objective_value=value,
     )
 
 

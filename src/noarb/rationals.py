@@ -1,23 +1,17 @@
-"""Exact rational scalars: parsing, formatting, and the solver's fast backend.
+"""Exact rational scalars: parsing, formatting and coercion.
 
-The public scalar type everywhere in this library is ``fractions.Fraction``
-(arbitrary precision, always lowest terms, positive denominator).  The
-simplex hot loop optionally runs on ``gmpy2.mpq``, which has identical
-semantics and is several times faster; results are converted back to
-``Fraction`` at the boundary.
+The scalar type everywhere in this library, the simplex tableau included, is
+``fractions.Fraction`` (arbitrary precision, always lowest terms, positive
+denominator).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import StructureError
-
-try:
-    from gmpy2 import mpq as fast_rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    fast_rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -28,12 +22,18 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     Decimal notation is rejected on purpose: floats are never exact and this
     library never rounds.
     """
+    ctx = f" at {where}" if where else ""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        ctx = f" at {where}" if where else ""
         raise StructureError(
             f"not an exact rational{ctx}: {text!r} (expected 'p' or 'p/q', no decimals)"
         )
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError:  # Python's int/str conversion limit
+        raise StructureError(
+            f"rational too large{ctx}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_rational(value) -> str:
@@ -46,7 +46,7 @@ def format_rational(value) -> str:
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and rational strings to Fraction; reject floats."""
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:  # a subclass is rebuilt below as a plain Fraction
         return value
     if isinstance(value, int):
         return Fraction(value)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import noarb
 from noarb.cli import main
 
 HERE = Path(__file__).parent
@@ -95,6 +97,23 @@ def test_exit_code_taxonomy(tmp_path, capsys):
     latin1.write_bytes(b'{"outcomes": "\xff"}')
     assert main(["check", "na", str(latin1)]) == 2
     assert f"{latin1}: not UTF-8" in capsys.readouterr().err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check", "na", str(deep)]) == 2
+    assert f"{deep}: JSON nested too deeply" in capsys.readouterr().err
+    huge = "1" * 5000
+    market = json.loads((DATA / "binomial.json").read_text())
+    market["assets"][0]["path"]["u"][1] = huge
+    huge_market = tmp_path / "huge_market.json"
+    huge_market.write_text(json.dumps(market))
+    assert main(["check", "na", str(huge_market)]) == 2
+    assert "rational too large at $.assets[0].path.u[1]" in capsys.readouterr().err
+    assert main(["separate", str(DATA / "cone_with_gen.json"), "--target", f"{huge},0"]) == 2
+    assert "rational too large at --target" in capsys.readouterr().err
+    huge_number = tmp_path / "huge_number.json"
+    huge_number.write_text(f'{{"outcomes": {huge}}}')
+    assert main(["check", "na", str(huge_number)]) == 2
+    assert f"{huge_number}: a JSON number has more than" in capsys.readouterr().err
 
 
 def test_internal_disagreement_exits_3(monkeypatch, capsys):
@@ -163,8 +182,12 @@ def test_human_output_mentions_verdict(capsys):
 
 
 def test_console_entry_point_via_module():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(noarb.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "noarb", "--json", "check", "all", str(DATA / "binomial.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "check_all_binomial.json").read_text()

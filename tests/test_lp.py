@@ -28,11 +28,25 @@ def lp_problems(draw):
                         lower=lower, upper=upper, sense=sense)
 
 
+def assert_fractions(*vectors):
+    """Every returned number is a plain ``fractions.Fraction``."""
+    for vector in vectors:
+        if vector is not None:
+            assert all(type(v) is F for v in vector), vector
+
+
+def assert_outcome_fractions(outcome):
+    assert_fractions(outcome.primal, outcome.dual, outcome.upper_duals, outcome.ray)
+    if outcome.objective_value is not None:
+        assert type(outcome.objective_value) is F
+
+
 @settings(max_examples=80, deadline=None)
 @given(problem=lp_problems())
 def test_every_outcome_certifies(problem):
     outcome = lp.solve(problem)
     assert lp.check_outcome(problem, outcome)
+    assert_outcome_fractions(outcome)
 
 
 def test_box_maximum():
@@ -42,6 +56,14 @@ def test_box_maximum():
     assert out.objective_value == 2
     assert out.primal == (F(1), F(1))
     assert lp.check_optimal(p, out)
+
+    class Sub(F):
+        pass
+
+    # a subclass on input still comes back as a plain Fraction
+    out = lp.solve(lp.LpProblem([1, 1], [[1, 0], [0, 1]], ["<=", "<="], [Sub(1), Sub(1)]))
+    assert out.primal == (F(1), F(1))
+    assert_outcome_fractions(out)
 
 
 def test_contradictory_bounds_infeasible_with_certificate():
@@ -78,9 +100,11 @@ def test_feasibility_witness():
     res = lp.feasible(p)
     assert res.feasible
     assert res.witness == (F(1, 3),)
+    assert_fractions(res.witness)
     ineq = lp.LpProblem([0], [[1]], [">="], [F(1, 3)])
     res = lp.feasible(ineq)
     assert res.feasible and lp.is_feasible_point(ineq, res.witness)
+    assert_fractions(res.witness)
 
 
 def test_feasibility_certificate():
@@ -88,6 +112,7 @@ def test_feasibility_certificate():
     res = lp.feasible(p)
     assert not res.feasible
     assert lp.check_farkas(p, res.certificate, res.upper_certificate)
+    assert_fractions(res.certificate, res.upper_certificate)
 
 
 def test_binomial_martingale_system_witness():
@@ -101,6 +126,7 @@ def test_binomial_martingale_system_witness():
     res = lp.feasible(p)
     assert res.feasible
     assert res.witness == (F(1, 3), F(2, 3))
+    assert_fractions(res.witness)
 
 
 def test_minimize_sense_duality():
@@ -209,6 +235,7 @@ def test_random_free_variable_problems_certify():
         out = lp.solve(p)
         statuses.add(out.status)
         assert lp.check_outcome(p, out)
+        assert_outcome_fractions(out)
     assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
 
 
