@@ -5,6 +5,7 @@ elimination plus exhaustive enumeration) without touching the simplex code
 path, so a bug in the solver cannot hide itself.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -152,3 +153,25 @@ def martingale_polytope_vertices(model):
         if all(sum(row[j] * q[j] for j in range(n)) == t for row, t in zip(rows, rhs)):
             vertices.add(tuple(q))
     return sorted(vertices)
+
+
+def seeded_lps(seed=2, count=500):
+    """The seeded random LPs of the LP certification criterion: 1 to 6
+    variables and rows, all three relations, some finite upper bounds."""
+    rng = random.Random(seed)
+    problems = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 6)
+        def coeff():
+            return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+        problems.append(lp.LpProblem(
+            [coeff() for _ in range(n)],
+            [[coeff() for _ in range(n)] for _ in range(m)],
+            [rng.choice(["<=", "==", ">="]) for _ in range(m)],
+            [coeff() for _ in range(m)],
+            upper=[Fraction(rng.randint(1, 6)) if rng.random() < 0.25 else None
+                   for _ in range(n)],
+            sense=rng.choice(["max", "min"]),
+        ))
+    return problems

@@ -128,22 +128,8 @@ def test_acceptance_lemma_suite(report):
 
 def test_acceptance_lp_certification(report):
     """500 random LPs: optimum equals BFS enumeration; certificates re-verify."""
-    rng = random.Random(2)
     optimal = unbounded = infeasible = 0
-    for _ in range(500):
-        n = rng.randint(1, 6)
-        m = rng.randint(1, 6)
-        def coeff():
-            return F(rng.randint(-8, 8), rng.randint(1, 4))
-        problem = lp.LpProblem(
-            [coeff() for _ in range(n)],
-            [[coeff() for _ in range(n)] for _ in range(m)],
-            [rng.choice(["<=", "==", ">="]) for _ in range(m)],
-            [coeff() for _ in range(m)],
-            upper=[F(rng.randint(1, 6)) if rng.random() < 0.25 else None
-                   for _ in range(n)],
-            sense=rng.choice(["max", "min"]),
-        )
+    for problem in oracles.seeded_lps():
         outcome = lp.solve(problem)
         assert lp.check_outcome(problem, outcome)
         if outcome.status == lp.OPTIMAL:

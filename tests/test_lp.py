@@ -1,10 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noarb import lp
+from noarb import lab, lp
+from noarb.concepts import full_verdict
 from noarb.errors import StructureError
 
 import oracles
@@ -251,3 +253,39 @@ def test_random_problems_match_vertex_enumeration():
             assert oracles.basic_feasible_points(p) == []
         else:
             assert oracles.basic_feasible_points(p) != []
+
+
+def outcome_digest(outcomes):
+    """sha256 over the repr of each outcome, in order: every field, exactly."""
+    return hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+
+
+def corpus_outcomes(monkeypatch, markets=100):
+    """Every LpOutcome and Feasibility that full_verdict obtains on the first
+    seed-0 lab.random_market markets, in call order."""
+    seen = []
+    for name in ("solve", "feasible"):
+        inner = getattr(lp, name)
+        def record(problem, inner=inner):
+            result = inner(problem)
+            seen.append(result)
+            return result
+        monkeypatch.setattr(lp, name, record)
+    rng = random.Random(0)
+    for _ in range(markets):
+        full_verdict(lab.random_market(rng))
+    return seen
+
+
+def test_pivot_path_digest(monkeypatch):
+    # Bland's rule fixes the pivot path, so the returned vertex, duals and ray
+    # are fixed too; any change of arithmetic must leave these bytes alone
+    seeded = [lp.solve(p) for p in oracles.seeded_lps()]
+    assert outcome_digest(seeded) == SEEDED_DIGEST
+    corpus = corpus_outcomes(monkeypatch)
+    assert len(corpus) == 626
+    assert outcome_digest(corpus) == CORPUS_DIGEST
+
+
+SEEDED_DIGEST = "d167e0c141fc537c005c2125d662c851e4235390aea948d687c41ac4583a8822"
+CORPUS_DIGEST = "d50ddd5ee005893dd7ddaf8809adb707cf2d1df113c7d0340496451100315135"
