@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
@@ -130,7 +131,21 @@ class Feasibility:
 
 
 class _Simplex:
-    """Two-phase tableau simplex over the standardized split/slack form."""
+    """Two-phase tableau simplex over the standardized split/slack form.
+
+    The tableau is integer: row ``r`` of ``T`` holds ``d`` times the rational
+    tableau row, rhs last, under one positive common denominator ``d``, and
+    ``z`` holds the reduced-cost row of the running phase the same way, times
+    the costs' common denominator ``cden``.  Each standardized row and its rhs
+    are first scaled to integers by the lcm of their denominators, which
+    scales that row's slack and artificial columns by ``col_scale``; the
+    phase-one costs ``-1/s_i`` undo that scaling.  A pivot is the
+    fraction-free step ``(p·a − f·q) // d`` (Edmonds 1967, Bareiss 1968),
+    exact because every entry is a minor of the integer start tableau.
+    Positive row and column scalings keep every sign Bland's rule reads and
+    every ratio order the ratio test reads, so the pivot path is that of the
+    rational tableau.  Numbers become ``Fraction``s only on the way out.
+    """
 
     def __init__(self, problem: LpProblem) -> None:
         self.problem = problem
@@ -147,7 +162,7 @@ class _Simplex:
             if up is not None:
                 unit = [_ZERO] * n
                 unit[j] = _ONE
-                aug_rows.append((tuple(unit), LE, up))
+                aug_rows.append((unit, LE, up))
                 self.bound_vars.append(j)
         m_aug = len(aug_rows)
 
@@ -170,9 +185,10 @@ class _Simplex:
             if nc is not None:
                 obj_split[nc] = -obj[j]
 
-        # normalize rows to nonnegative rhs, then attach slack and artificial columns
-        T: list[list] = []
-        b: list = []
+        # normalize rows to nonnegative rhs and scale them to integers, then
+        # attach slack and artificial columns
+        T: list[list[int]] = []
+        scales: list[int] = []
         flipped: list[bool] = []
         slack_sign: list[int] = []          # +1 slack, -1 surplus, 0 none
         for row, rel, rv in aug_rows:
@@ -190,8 +206,9 @@ class _Simplex:
                 coeffs = [-a for a in coeffs]
                 rv = -rv
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            T.append(coeffs)
-            b.append(rv)
+            ints, s = _integers(coeffs + [rv])
+            T.append(ints)
+            scales.append(s)
             flipped.append(flip)
             slack_sign.append(1 if rel == LE else (-1 if rel == GE else 0))
 
@@ -202,27 +219,31 @@ class _Simplex:
 
         ident_col: list[int] = [0] * m_aug
         basis: list[int] = [0] * m_aug
+        col_scale = [1] * total
         scol = n_struct
         acol = self.first_art
         for i, s in enumerate(slack_sign):
-            ext = [_ZERO] * (total - n_struct)
+            ext = [0] * (total - n_struct)
             if s:
-                ext[scol - n_struct] = _ONE if s > 0 else -_ONE
+                ext[scol - n_struct] = s
+                col_scale[scol] = scales[i]
             if s <= 0:
-                ext[acol - n_struct] = _ONE
+                ext[acol - n_struct] = 1
+                col_scale[acol] = scales[i]
                 ident_col[i] = acol
                 acol += 1
             else:
                 ident_col[i] = scol
             basis[i] = ident_col[i]
-            T[i] = T[i] + ext
+            T[i] = T[i][:-1] + ext + T[i][-1:]
             if s:
                 scol += 1
 
         self.T = T
-        self.b = b
+        self.d = 1
         self.basis = basis
         self.ident_col = ident_col
+        self.col_scale = col_scale
         self.flipped = flipped
         self.m_aug = m_aug
         self.n_struct = n_struct
@@ -233,70 +254,67 @@ class _Simplex:
     # --- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, j: int) -> None:
-        T, b = self.T, self.b
+        T, d = self.T, self.d
         prow = T[r]
-        piv = prow[j]
-        if piv != 1:
-            inv = 1 / piv
-            prow = [v * inv for v in prow]
-            T[r] = prow
-            b[r] = b[r] * inv
-        br = b[r]
-        for i in range(len(T)):
-            if i == r:
-                continue
-            f = T[i][j]
-            if f:
-                row = T[i]
-                T[i] = [a - f * p for a, p in zip(row, prow)]
-                b[i] = b[i] - f * br
+        p = prow[j]
+        if p < 0:
+            # the negated pivot row states the same equation and keeps d > 0
+            prow = T[r] = [-q for q in prow]
+            p = -p
+        for i, row in enumerate(T):
+            if i != r:
+                T[i] = _edmonds(row, prow, p, d, j)
+        self.z = _edmonds(self.z, prow, p, d, j)
+        self.d = p
         self.basis[r] = j
 
     def _run_phase(self, costs, entering_limit: int):
-        """Bland's rule to optimality; returns ('optimal', value) or ('unbounded', col)."""
-        T, b, basis = self.T, self.b, self.basis
-        z = list(costs)
-        value = _ZERO
+        """Bland's rule to optimality; returns ('optimal', None) or ('unbounded', col)."""
+        T, basis = self.T, self.basis
+        ints, self.cden = _integers(costs)
+        self.costs = ints
+        d = self.d
+        z = [d * c for c in ints] + [0]
         for r, col in enumerate(basis):
-            cb = costs[col]
+            cb = ints[col]
             if cb:
-                row = T[r]
-                z = [a - cb * t for a, t in zip(z, row)]
-                value += cb * b[r]
+                z = [a - cb * t for a, t in zip(z, T[r])]
+        self.z = z
         while True:
+            z = self.z
             enter = -1
             for j in range(entering_limit):
                 if z[j] > 0:
                     enter = j
                     break
             if enter < 0:
-                return OPTIMAL, value
+                return OPTIMAL, None
+            # min ratio rhs/t over t > 0, compared by cross-multiplication
             leave = -1
-            best = None
-            for r in range(len(T)):
-                t = T[r][enter]
+            for r, row in enumerate(T):
+                t = row[enter]
                 if t > 0:
-                    ratio = b[r] / t
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                        best = ratio
-                        leave = r
+                    if leave < 0:
+                        leave, bt, bb = r, t, row[-1]
+                        continue
+                    lhs, rhs = row[-1] * bt, bb * t
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                        leave, bt, bb = r, t, row[-1]
             if leave < 0:
                 return UNBOUNDED, enter
             self._pivot(leave, enter)
-            zf = z[enter]
-            prow = self.T[leave]
-            z = [a - zf * p for a, p in zip(z, prow)]
-            value += zf * self.b[leave]
 
     def _phase_one(self):
         """Feasibility phase; returns None when feasible, else Farkas data."""
         if all(col < self.first_art for col in self.basis):
             return None
-        costs = [_ZERO] * self.first_art + [-_ONE] * (self.ncols - self.first_art)
-        status, value = self._run_phase(costs, self.ncols)
+        # artificial i costs -1/s_i: its column is scaled by s_i
+        costs = ([_ZERO] * self.first_art
+                 + [Fraction(-1, s) for s in self.col_scale[self.first_art:]])
+        status, _ = self._run_phase(costs, self.ncols)
         assert status == OPTIMAL  # phase one is always bounded by zero
-        if value < 0:
-            return self._dual_values(costs)
+        if self.z[-1] > 0:  # the phase-one optimum is negative
+            return self._dual_values()
         self._drive_out_artificials()
         return None
 
@@ -309,43 +327,56 @@ class _Simplex:
                 if enter >= 0:
                     self._pivot(r, enter)
                 else:
-                    # redundant constraint: the row reads "artificial = 0"
-                    del self.T[r], self.b[r], self.basis[r], self.alive[r]
+                    # redundant constraint: the row reads "artificial = 0"; the
+                    # artificial's start column is a unit vector, so d stays
+                    # the determinant of the remaining basis
+                    del self.T[r], self.basis[r], self.alive[r]
                     continue
             r += 1
 
     # --- extraction -------------------------------------------------------
 
-    def _dual_values(self, costs) -> list:
-        """Multipliers for all augmented rows from the final basis inverse."""
-        cb = [costs[col] for col in self.basis]
+    def _objective_value(self) -> Fraction:
+        return Fraction(-self.z[-1], self.d * self.cden)
+
+    def _dual_values(self) -> list:
+        """Multipliers for all augmented rows, read off the reduced-cost row."""
+        z, d, costs = self.z, self.d, self.costs
+        alive = set(self.alive)
         y = []
-        alive_pos = {k: r for r, k in enumerate(self.alive)}
         for k in range(self.m_aug):
-            r = alive_pos.get(k)
-            if r is None:
+            if k not in alive:
                 y.append(_ZERO)
                 continue
             col = self.ident_col[k]
-            yk = _ZERO
-            for i, c in enumerate(cb):
-                if c:
-                    t = self.T[i][col]
-                    if t:
-                        yk += c * t
+            yk = Fraction(self.col_scale[col] * (d * costs[col] - z[col]), d * self.cden)
             y.append(-yk if self.flipped[k] else yk)
         return y
 
-    def _structural_point(self) -> list:
-        xs = [_ZERO] * self.n_struct
-        for r, col in enumerate(self.basis):
+    def _structural_point(self) -> list[int]:
+        """Basic structural values, times d."""
+        xs = [0] * self.n_struct
+        for row, col in zip(self.T, self.basis):
             if col < self.n_struct:
-                xs[col] = self.b[r]
+                xs[col] = row[-1]
         return xs
 
+    def _ray(self, enter: int) -> list[int]:
+        """Recession direction of the entering column, times d; a slack
+        column of a row scaled by s_k is s_k times the unscaled slack."""
+        scale = self.col_scale[enter]
+        ray = [0] * self.n_struct
+        if enter < self.n_struct:
+            ray[enter] = self.d
+        for row, col in zip(self.T, self.basis):
+            if col < self.n_struct:
+                ray[col] = -row[enter] * scale
+        return ray
+
     def _to_original(self, xs) -> tuple[Fraction, ...]:
-        return tuple(xs[pc] - xs[nc] if nc is not None else xs[pc]
-                     for pc, nc in self.col_pairs)
+        d = self.d
+        return tuple([Fraction(xs[pc] - xs[nc] if nc is not None else xs[pc], d)
+                      for pc, nc in self.col_pairs])
 
     def _split_duals(self, y):
         m = self.problem.num_rows
@@ -353,6 +384,23 @@ class _Simplex:
         for k, j in enumerate(self.bound_vars):
             upper[j] = y[m + k]
         return tuple(y[:m]), tuple(upper)
+
+
+def _integers(values) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[int]:
+    """Eliminate column j from row with pivot row prow (pivot p > 0) under
+    common denominator d; the division is exact."""
+    f = row[j]
+    if f:
+        return [(p * a - f * q) // d for a, q in zip(row, prow)]
+    if p == d:
+        return row
+    return [p * a // d for a in row]
 
 
 def solve(problem: LpProblem) -> LpOutcome:
@@ -363,22 +411,15 @@ def solve(problem: LpProblem) -> LpOutcome:
         dual, upper = sx._split_duals(farkas)
         return LpOutcome(status=INFEASIBLE, dual=dual, upper_duals=upper)
 
-    status, info = sx._run_phase(sx.obj_split, sx.first_art)
+    status, enter = sx._run_phase(sx.obj_split, sx.first_art)
     if status == UNBOUNDED:
-        enter = info
-        d = [_ZERO] * sx.n_struct
-        if enter < sx.n_struct:
-            d[enter] = _ONE
-        for r, col in enumerate(sx.basis):
-            if col < sx.n_struct:
-                d[col] = -sx.T[r][enter]
         base = sx._to_original(sx._structural_point())
-        ray = sx._to_original(d)
+        ray = sx._to_original(sx._ray(enter))
         return LpOutcome(status=UNBOUNDED, primal=base, ray=ray)
 
     primal = sx._to_original(sx._structural_point())
-    value = info
-    y = sx._dual_values(sx.obj_split)
+    value = sx._objective_value()
+    y = sx._dual_values()
     if problem.sense == MINIMIZE:
         value = -value
         y = [-v for v in y]
