@@ -91,7 +91,7 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
             for t, raw in enumerate(series):
                 where = f"$.assets[{a}].path.{o}[{t}]"
                 per_time[t].append(parse_rational(_expect(raw, str, where), where))
-        path = tuple(RandomVariable(space, vals) for vals in per_time)
+        path = tuple([RandomVariable(space, vals) for vals in per_time])
         assets.append(Asset(name, path))
     try:
         return MarketModel(filtration, assets)

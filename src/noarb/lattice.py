@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction
+from .rationals import as_fraction, as_fractions
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,8 @@ class SampleSpace:
     probabilities: tuple[Fraction, ...]
 
     def __init__(self, outcomes: Sequence[str], probabilities: Sequence) -> None:
-        outcomes = tuple(str(o) for o in outcomes)
-        probs = tuple(as_fraction(p) for p in probabilities)
+        outcomes = tuple([str(o) for o in outcomes])
+        probs = as_fractions(probabilities)
         if not outcomes:
             raise StructureError("sample space needs at least one outcome")
         if len(set(outcomes)) != len(outcomes):
@@ -82,7 +82,7 @@ class RandomVariable:
     values: tuple[Fraction, ...]
 
     def __init__(self, space: SampleSpace, values: Iterable) -> None:
-        vals = tuple(as_fraction(v) for v in values)
+        vals = as_fractions(values)
         if len(vals) != len(space):
             raise StructureError(
                 f"{len(vals)} values for a space with {len(space)} outcomes"

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction
+from .rationals import as_fraction, as_fractions
 
 LE = "<="
 EQ = "=="
@@ -59,11 +59,11 @@ class LpProblem:
     def __init__(self, objective, rows, relations, rhs, *,
                  lower=None, upper=None, sense: str = MAXIMIZE) -> None:
         set_ = object.__setattr__
-        set_(self, "objective", tuple(as_fraction(c) for c in objective))
+        set_(self, "objective", as_fractions(objective))
         n = len(self.objective)
-        set_(self, "rows", tuple(tuple(as_fraction(a) for a in row) for row in rows))
-        set_(self, "relations", tuple("==" if r == "=" else r for r in relations))
-        set_(self, "rhs", tuple(as_fraction(v) for v in rhs))
+        set_(self, "rows", tuple([as_fractions(row) for row in rows]))
+        set_(self, "relations", tuple(["==" if r == "=" else r for r in relations]))
+        set_(self, "rhs", as_fractions(rhs))
         m = len(self.rows)
         if len(self.relations) != m or len(self.rhs) != m:
             raise StructureError(
@@ -79,8 +79,8 @@ class LpProblem:
             lower = [_ZERO] * n
         if upper is None:
             upper = [None] * n
-        set_(self, "lower", tuple(None if lo is None else as_fraction(lo) for lo in lower))
-        set_(self, "upper", tuple(None if up is None else as_fraction(up) for up in upper))
+        set_(self, "lower", tuple([None if lo is None else as_fraction(lo) for lo in lower]))
+        set_(self, "upper", tuple([None if up is None else as_fraction(up) for up in upper]))
         if len(self.lower) != n or len(self.upper) != n:
             raise StructureError("bound vectors must have one entry per variable")
         for lo in self.lower:

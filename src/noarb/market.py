@@ -21,7 +21,7 @@ from . import lp
 from .cones import PolyhedralCone
 from .errors import ContractViolation, InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
-from .rationals import as_fraction
+from .rationals import as_fraction, as_fractions
 
 Price = Union[Fraction, float]  # exact, or ±inf sentinels
 
@@ -157,9 +157,8 @@ class Strategy:
     holdings: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def __init__(self, holdings) -> None:
-        frozen = tuple(
-            tuple(tuple(as_fraction(h) for h in per_asset) for per_asset in per_t)
-            for per_t in holdings)
+        frozen = tuple([tuple([as_fractions(per_asset) for per_asset in per_t])
+                        for per_t in holdings])
         object.__setattr__(self, "holdings", frozen)
 
     @classmethod
@@ -182,13 +181,13 @@ class Strategy:
 
 
 def _shape(strategy: Strategy):
-    return tuple(tuple(len(cells) for cells in per_t) for per_t in strategy.holdings)
+    return tuple([tuple([len(cells) for cells in per_t]) for per_t in strategy.holdings])
 
 
 def _check_strategy(model: MarketModel, strategy: Strategy) -> None:
-    want = tuple(
-        tuple(len(model.filtration.partitions[t - 1]) for _ in model.assets)
-        for t in range(1, model.horizon + 1))
+    want = tuple([
+        tuple([len(model.filtration.partitions[t - 1]) for _ in model.assets])
+        for t in range(1, model.horizon + 1)])
     if _shape(strategy) != want:
         raise StructureError("strategy shape does not match the model's filtration")
 
@@ -294,7 +293,7 @@ class Measure:
     weights: tuple[Fraction, ...]
 
     def __init__(self, space: SampleSpace, weights) -> None:
-        ws = tuple(as_fraction(w) for w in weights)
+        ws = as_fractions(weights)
         if len(ws) != len(space):
             raise StructureError("one weight per outcome required")
         if any(w < 0 for w in ws):
@@ -315,7 +314,7 @@ class Measure:
 
     def density(self) -> tuple[Fraction, ...]:
         """dQ/dℙ per outcome; bounded and strictly positive when equivalent."""
-        return tuple(w / p for w, p in zip(self.weights, self.space.probabilities))
+        return tuple([w / p for w, p in zip(self.weights, self.space.probabilities)])
 
 
 @dataclass(frozen=True)

@@ -58,3 +58,10 @@ def as_fraction(value) -> Fraction:
         return Fraction(value.numerator, value.denominator)
     except AttributeError:
         raise StructureError(f"not a rational value: {value!r}") from None
+
+
+def as_fractions(values) -> tuple[Fraction, ...]:
+    """``as_fraction`` of each value, as a tuple."""
+    # built from a list: tuple(<generator>) over-allocates and reallocs, and
+    # the freed tuple sits on a size-k freelist until a full collection
+    return tuple([as_fraction(v) for v in values])

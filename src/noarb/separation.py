@@ -20,7 +20,7 @@ from .cones import PolyhedralCone
 from .errors import ContractViolation, InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
 from .market import Measure
-from .rationals import as_fraction
+from .rationals import as_fractions
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -34,7 +34,7 @@ class Functional:
     coefficients: tuple[Fraction, ...]
 
     def __init__(self, space: SampleSpace, coefficients) -> None:
-        coeffs = tuple(as_fraction(c) for c in coefficients)
+        coeffs = as_fractions(coefficients)
         if len(coeffs) != len(space):
             raise StructureError("one coefficient per outcome required")
         object.__setattr__(self, "space", space)
