@@ -5,8 +5,8 @@ emits a report.  The library verifies every witness once, by direct
 substitution, before it reaches the CLI, so witnesses print as returned.  Exit
 codes are a stable contract: 0 the queried property holds (or the requested
 artifact was produced), 1 it fails (a witness is in the report), 2 the
-input was malformed, 3 two internal decision routes disagreed or a witness
-failed its check.
+input was malformed, 3 two internal decision routes disagreed, a witness
+failed its check, or anything else went wrong inside the program.
 
 ``--json`` prints the machine-readable report document; the default output
 is a short human-readable table.  JSON output is byte-stable for fixed
@@ -330,6 +330,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InternalInconsistency as exc:
         print(f"noarb: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # never a traceback with exit 1, which means "fails"
+        print(f"noarb: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -2,12 +2,13 @@
 
 This is the single decision oracle behind every set-membership and
 no-arbitrage question in the library, so it never rounds: all arithmetic is
-over exact rationals, pivoting uses Bland's anti-cycling rule (lowest
-eligible index, ties by lowest basic variable index), and every answer is
-certified: optimal outcomes carry exact duals with zero duality gap,
-infeasible outcomes carry a Farkas vector, unbounded outcomes carry a
-feasible point plus an improving recession ray.  Identical inputs always
-produce identical outcomes, including the chosen vertex.
+exact, on a fraction-free integer tableau that becomes ``Fraction``s only in
+the returned primal, duals, ray and objective value; pivoting uses Bland's
+anti-cycling rule (lowest eligible index, ties by lowest basic variable
+index), and every answer is certified: optimal outcomes carry exact duals
+with zero duality gap, infeasible outcomes carry a Farkas vector, unbounded
+outcomes carry a feasible point plus an improving recession ray.  Identical
+inputs always produce identical outcomes, including the chosen vertex.
 
 Problems are dense and desk-scale by design; there is no floating-point
 fast path and no sparse machinery.

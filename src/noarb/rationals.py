@@ -1,8 +1,9 @@
 """Exact rational scalars: parsing, formatting and coercion.
 
-The scalar type everywhere in this library, the simplex tableau included, is
-``fractions.Fraction`` (arbitrary precision, always lowest terms, positive
-denominator).
+Every number this library takes or returns is a ``fractions.Fraction``
+(arbitrary precision, always lowest terms, positive denominator).  Only the
+simplex tableau inside ``lp`` works on integers over a common denominator,
+and it converts back to ``Fraction`` on the way out.
 """
 
 from __future__ import annotations

@@ -146,6 +146,19 @@ def test_check_solves_na_once(concept, monkeypatch, capsys):
     assert out["witnesses"]["arbitrage"]["payoff"] == {"u": "1", "d": "1/2"}
 
 
+def test_unexpected_error_exits_3(monkeypatch, capsys):
+    from noarb import cli
+
+    def broken(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    assert main(["--json", "check", "na", str(DATA / "binomial.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "noarb: internal error: ValueError: boom\n"
+
+
 @pytest.mark.parametrize("command", [["check", "na"], ["emm"]])
 def test_corrupted_arbitrage_exits_3(command, monkeypatch, capsys):
     """The library's own witness check stops a bad arbitrage reaching a report."""

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from noarb import lab, lp
 from noarb.concepts import full_verdict
@@ -289,3 +289,138 @@ def test_pivot_path_digest(monkeypatch):
 
 SEEDED_DIGEST = "d167e0c141fc537c005c2125d662c851e4235390aea948d687c41ac4583a8822"
 CORPUS_DIGEST = "d50ddd5ee005893dd7ddaf8809adb707cf2d1df113c7d0340496451100315135"
+
+
+def exact_steps(monkeypatch):
+    """Wrap ``_Simplex._pivot`` so that every Edmonds step, reduced-cost row
+    included, must divide exactly; returns the pivot entries seen, in order."""
+    pivots = []
+    pivot = lp._Simplex._pivot
+
+    def checked(sx, r, j):
+        prow, d = sx.T[r], sx.d
+        p = prow[j]
+        sign = 1 if p > 0 else -1
+        assert p and d > 0
+        for row in [row for i, row in enumerate(sx.T) if i != r] + [sx.z]:
+            f = row[j]
+            assert all((abs(p) * a - f * sign * q) % d == 0 for a, q in zip(row, prow))
+        pivots.append(p)
+        pivot(sx, r, j)
+        assert sx.d == abs(p)
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", checked)
+    return pivots
+
+
+def test_every_edmonds_step_divides_exactly(monkeypatch):
+    pivots = exact_steps(monkeypatch)
+    for problem in oracles.seeded_lps():
+        lp.solve(problem)
+        lp.feasible(problem)
+    assert len(pivots) > 2000
+    assert any(p < 0 for p in pivots)
+
+
+def test_negative_pivot_driving_out_an_artificial(monkeypatch):
+    # -3x == 0 leaves its artificial basic at zero after phase one; driving it
+    # out pivots on -3, and phase two pivots again under d = 3
+    pivots = exact_steps(monkeypatch)
+    p = lp.LpProblem([0, 1], [[-3, 0], [1, 1]], ["==", "<="], [0, F(5, 2)])
+    sx = lp._Simplex(p)
+    assert sx._phase_one() is None
+    assert pivots == [-3] and sx.d == 3
+    out = lp.solve(p)
+    assert pivots[1:] == [-3, 6]  # row 2 is scaled by 2, then by d = 3
+    assert out.primal == (F(0), F(5, 2))
+    assert out.objective_value == F(5, 2)
+    assert lp.check_optimal(p, out)
+
+
+def test_redundant_row_deleted_then_pivots_continue(monkeypatch):
+    pivots = exact_steps(monkeypatch)
+    p = lp.LpProblem([1, 2], [[F(1, 2), F(1, 2)], [1, 1], [1, -1]], ["==", "==", "<="],
+                     [F(1, 2), 1, F(1, 3)])
+    sx = lp._Simplex(p)
+    assert sx._phase_one() is None
+    assert sx.alive == [0, 2]  # the duplicated row is gone
+    assert sx._run_phase(sx.obj_split, sx.first_art)[0] == lp.OPTIMAL
+    assert len(pivots) == 3  # two in phase one, one after the deletion
+    out = lp.solve(p)
+    assert out.primal == (F(0), F(1))
+    assert out.objective_value == 2
+    assert out.dual[1] == 0
+    assert lp.check_optimal(p, out)
+
+
+PRIMES = (2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 1000003, 65537)
+
+
+def test_large_coprime_denominators(monkeypatch):
+    exact_steps(monkeypatch)
+    a, b, c, d, e, f = PRIMES
+    p = lp.LpProblem(
+        [F(1, a), F(1, b), F(-1, c)],
+        [[F(1, a), F(1, b), F(1, c)], [F(1, d), F(-1, e), 0], [F(1, f), 0, F(1, a)]],
+        ["<=", ">=", "=="],
+        [F(1, e), F(-1, f), F(1, b)],
+    )
+    out = lp.solve(p)
+    assert out.status == lp.OPTIMAL
+    assert lp.check_optimal(p, out)
+    assert out.objective_value == oracles.best_vertex_value(p)
+    res = lp.feasible(p)
+    assert res.feasible and lp.is_feasible_point(p, res.witness)
+
+
+def test_unbounded_ray_through_a_scaled_slack():
+    # x >= 1/3 is scaled by 3, so its surplus column is 3 times the surplus
+    p = lp.LpProblem([1], [[1]], [">="], [F(1, 3)])
+    sx = lp._Simplex(p)
+    assert sx._phase_one() is None
+    status, enter = sx._run_phase(sx.obj_split, sx.first_art)
+    assert status == lp.UNBOUNDED
+    assert enter >= sx.n_struct and sx.col_scale[enter] == 3
+    out = lp.solve(p)
+    assert out.primal == (F(1, 3),)
+    assert out.ray == (F(1),)
+    assert lp.check_ray(p, out)
+
+
+def test_feasibility_witness_of_scaled_rows():
+    p = lp.LpProblem([0, 0], [[F(1, 3), F(1, 5)], [1, -1]], ["==", ">="],
+                     [F(7, 2), F(1, 7)])
+    res = lp.feasible(p)
+    assert res.feasible
+    assert res.witness == (F(741, 112), F(725, 112))
+    assert lp.is_feasible_point(p, res.witness)
+    assert_fractions(res.witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=lp_problems(), data=st.data())
+def test_scaling_a_slack_row_is_metamorphic(problem, data):
+    """Scaling a row and its rhs by k > 0 never changes the status.  A row that
+    starts on its slack never enters phase one's objective, so Bland's path is
+    unchanged: primal, objective and other duals stay, that row's dual is
+    divided by k, and so is a ray that enters through that row's own slack."""
+    assume(problem.num_rows)
+    i = data.draw(st.integers(0, problem.num_rows - 1))
+    k = data.draw(st.fractions(min_value=F(1, 16), max_value=16, max_denominator=16))
+    rows, rhs = list(problem.rows), list(problem.rhs)
+    rows[i] = [k * a for a in rows[i]]
+    rhs[i] = k * rhs[i]
+    scaled = lp.LpProblem(problem.objective, rows, problem.relations, rhs,
+                          lower=problem.lower, upper=problem.upper, sense=problem.sense)
+    before, after = lp.solve(problem), lp.solve(scaled)
+    assert after.status == before.status
+    rel, b = problem.relations[i], problem.rhs[i]
+    if not ((rel == lp.LE and b >= 0) or (rel == lp.GE and b <= 0)):
+        return  # its artificial's phase-one weight changes with k
+    assert after.primal == before.primal
+    assert after.objective_value == before.objective_value
+    if before.ray is not None:
+        assert after.ray in (before.ray, tuple([v / k for v in before.ray]))
+    if before.dual is not None:
+        assert after.dual == tuple([v / k if r == i else v for r, v in enumerate(before.dual)])
+        assert after.upper_duals == before.upper_duals
