@@ -186,29 +186,30 @@ class _Simplex:
             if nc is not None:
                 obj_split[nc] = -obj[j]
 
-        # normalize rows to nonnegative rhs and scale them to integers, then
+        # scale rows to integers, normalize them to nonnegative rhs, then
         # attach slack and artificial columns
         T: list[list[int]] = []
         scales: list[int] = []
         flipped: list[bool] = []
         slack_sign: list[int] = []          # +1 slack, -1 surplus, 0 none
         for row, rel, rv in aug_rows:
-            coeffs = [_ZERO] * n_struct
-            for j, (pc, nc) in enumerate(col_pairs):
-                a = row[j]
-                if a:
-                    coeffs[pc] = a
-                    if nc is not None:
-                        coeffs[nc] = -a
+            ints, s = _integers([*row, rv])
+            rv = ints[-1]
             # also flip ≥ rows with zero rhs: as ≤ rows they start on a slack
             # basis, which keeps artificial variables out of the hot paths
             flip = rv < 0 or (rv == 0 and rel == GE)
             if flip:
-                coeffs = [-a for a in coeffs]
-                rv = -rv
+                ints = [-a for a in ints]
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            ints, s = _integers(coeffs + [rv])
-            T.append(ints)
+            coeffs = [0] * n_struct
+            for j, (pc, nc) in enumerate(col_pairs):
+                a = ints[j]
+                if a:
+                    coeffs[pc] = a
+                    if nc is not None:
+                        coeffs[nc] = -a
+            coeffs.append(ints[-1])
+            T.append(coeffs)
             scales.append(s)
             flipped.append(flip)
             slack_sign.append(1 if rel == LE else (-1 if rel == GE else 0))
@@ -337,9 +338,6 @@ class _Simplex:
 
     # --- extraction -------------------------------------------------------
 
-    def _objective_value(self) -> Fraction:
-        return Fraction(-self.z[-1], self.d * self.cden)
-
     def _dual_values(self) -> list:
         """Multipliers for all augmented rows, read off the reduced-cost row."""
         z, d, costs = self.z, self.d, self.costs
@@ -389,8 +387,9 @@ class _Simplex:
 
 def _integers(values) -> tuple[list[int], int]:
     """Rationals as integers over their least common denominator."""
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[int]:
@@ -419,7 +418,7 @@ def solve(problem: LpProblem) -> LpOutcome:
         return LpOutcome(status=UNBOUNDED, primal=base, ray=ray)
 
     primal = sx._to_original(sx._structural_point())
-    value = sx._objective_value()
+    value = Fraction(-sx.z[-1], sx.d * sx.cden)
     y = sx._dual_values()
     if problem.sense == MINIMIZE:
         value = -value
