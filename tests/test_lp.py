@@ -107,6 +107,13 @@ def test_feasibility_witness():
     res = lp.feasible(ineq)
     assert res.feasible and lp.is_feasible_point(ineq, res.witness)
     assert_fractions(res.witness)
+    # rows scaled to integers by 30 and 7 inside the solver
+    scaled = lp.LpProblem([0, 0], [[F(1, 3), F(1, 5)], [1, -1]], ["==", ">="],
+                          [F(7, 2), F(1, 7)])
+    res = lp.feasible(scaled)
+    assert res.witness == (F(741, 112), F(725, 112))
+    assert lp.is_feasible_point(scaled, res.witness)
+    assert_fractions(res.witness)
 
 
 def test_feasibility_certificate():
@@ -385,16 +392,6 @@ def test_unbounded_ray_through_a_scaled_slack():
     assert out.primal == (F(1, 3),)
     assert out.ray == (F(1),)
     assert lp.check_ray(p, out)
-
-
-def test_feasibility_witness_of_scaled_rows():
-    p = lp.LpProblem([0, 0], [[F(1, 3), F(1, 5)], [1, -1]], ["==", ">="],
-                     [F(7, 2), F(1, 7)])
-    res = lp.feasible(p)
-    assert res.feasible
-    assert res.witness == (F(741, 112), F(725, 112))
-    assert lp.is_feasible_point(p, res.witness)
-    assert_fractions(res.witness)
 
 
 @settings(max_examples=80, deadline=None)
