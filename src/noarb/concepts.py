@@ -7,7 +7,9 @@ closure-strengthened condition coincides with plain NA), existence of an
 equivalent martingale measure, and existence of a strictly positive
 separating functional are all equivalent.  ``full_verdict`` computes each by
 its own route and raises if they ever disagree; that disagreement hook is
-the library's primary regression tripwire.
+the library's primary regression tripwire.  NA, NA₁ and the EMM are decided
+node by node through the information tree; NUPBR and the separator are
+whole-market LPs, so the tripwire pits two algorithms against each other.
 """
 
 from __future__ import annotations
@@ -59,12 +61,14 @@ class ConceptVerdicts:
 def full_verdict(model: MarketModel) -> ConceptVerdicts:
     """All six verdicts, each by its own decision route, asserted to agree.
 
-    NA runs the gain LP; NA₁ prices every outcome indicator; NUPBR bounds
-    the unit budget set; the martingale route builds a measure; the
-    separation route builds a strictly positive functional on the widened
-    payoff cone.  The free-lunch verdict equals NA because the widened cone
-    is polyhedral and therefore already closed, so no extra computation can
-    distinguish them here.  ``arbitrage`` carries NA's witness when NA fails;
+    NA runs the arbitrage LP at each tree node; NA₁ prices every outcome
+    indicator by backward induction through the nodes; NUPBR bounds the
+    unit budget set in one whole-market LP; the martingale route multiplies
+    one-step conditional measures along each path; the separation route
+    builds a strictly positive functional on the whole widened payoff cone.
+    The free-lunch verdict equals NA because the widened cone is polyhedral
+    and therefore already closed, so no extra computation can distinguish
+    them here.  ``arbitrage`` carries NA's witness when NA fails;
     it is not a verdict, so it stays out of ``as_dict`` and equality.
     """
     na = check_na(model)

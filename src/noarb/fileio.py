@@ -7,7 +7,8 @@ cannot silently misalign a filtration cell with a price.
 
 All loaders re-check every model invariant and raise ``StructureError``
 with a JSON-path (and, for syntax errors, line/column) pointing at the
-offending element.
+offending element.  Every object has a fixed key set: an unknown key, such
+as a misspelt optional flag, is an error rather than silently ignored.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ def _get(obj: dict, key: str, kind, path: str):
     return _expect(obj[key], kind, f"{path}.{key}")
 
 
+def _keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            _fail(f"{path}.{key}", f"unknown key (expected one of {', '.join(allowed)})")
+
+
 def parse_json(text: str, path: str = "<input>") -> Any:
     try:
         return json.loads(text)
@@ -58,6 +65,7 @@ def parse_json(text: str, path: str = "<input>") -> Any:
 
 def load_market(text: str, name: str = "<input>") -> MarketModel:
     doc = _expect(parse_json(text, name), dict, "$")
+    _keys(doc, ("outcomes", "filtration", "assets"), "$")
     space = _load_space(doc)
     cells = []
     for t, level in enumerate(_get(doc, "filtration", list, "$")):
@@ -75,6 +83,7 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
     assets = []
     for a, entry in enumerate(_get(doc, "assets", list, "$")):
         entry = _expect(entry, dict, f"$.assets[{a}]")
+        _keys(entry, ("name", "path"), f"$.assets[{a}]")
         name = _get(entry, "name", str, f"$.assets[{a}]")
         path_obj = _get(entry, "path", dict, f"$.assets[{a}]")
         unknown = set(path_obj) - set(space.outcomes)
@@ -103,6 +112,7 @@ def _load_space(doc: dict) -> SampleSpace:
     ids, probs = [], []
     for i, entry in enumerate(_get(doc, "outcomes", list, "$")):
         entry = _expect(entry, dict, f"$.outcomes[{i}]")
+        _keys(entry, ("id", "prob"), f"$.outcomes[{i}]")
         ids.append(_get(entry, "id", str, f"$.outcomes[{i}]"))
         raw = _get(entry, "prob", str, f"$.outcomes[{i}]")
         probs.append(parse_rational(raw, f"$.outcomes[{i}].prob"))
@@ -139,6 +149,7 @@ def dump_market(model: MarketModel) -> dict:
 
 def load_payoff(text: str, model: MarketModel, name: str = "<input>") -> RandomVariable:
     doc = _expect(parse_json(text, name), dict, "$")
+    _keys(doc, ("payoff",), "$")
     payoff = _get(doc, "payoff", dict, "$")
     space = model.space
     unknown = set(payoff) - set(space.outcomes)
@@ -155,6 +166,7 @@ def load_payoff(text: str, model: MarketModel, name: str = "<input>") -> RandomV
 
 def load_cone(text: str, name: str = "<input>") -> PolyhedralCone:
     doc = _expect(parse_json(text, name), dict, "$")
+    _keys(doc, ("outcomes", "generators", "includes_neg_orthant"), "$")
     space = _load_space(doc)
     generators = []
     for g, vec in enumerate(_get(doc, "generators", list, "$")):

@@ -5,9 +5,19 @@ A market is a finite filtered sample space together with nonnegative,
 adapted asset paths.  Trading strategies are predictable (holdings over
 (t−1, t] are constant on each information cell at t−1), and the zero-wealth
 payoff cone is spanned exactly by the ± elementary one-period, one-cell,
-one-asset gains.  Every decider below reduces to one exact LP, and every
+one-asset gains.  Every decider below reduces to exact LPs, and every
 witness it returns is re-verified by direct substitution before being
 handed back.
+
+NA, the EMM and the superreplication price are decided one tree node at a
+time.  A node is an information cell at t−1 with its child cells at t: a
+one-period market whose outcomes are the children.  On a finite tree NA
+holds iff no node has an arbitrage, an EMM is the product of one-step
+conditional EMMs, and the superreplication price is the backward induction
+of one-step prices (Dalang–Morton–Willinger 1990; Föllmer & Schied,
+*Stochastic Finance*, ch. 5 and 7).  A one-period model is a single node,
+so its LP is the whole market's LP, row for row.  NUPBR, budget-set
+membership and the payoff cone stay whole-market LPs.
 """
 
 from __future__ import annotations
@@ -200,12 +210,12 @@ def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
     for t in range(1, model.horizon + 1):
         cells = model.filtration.partitions[t - 1]
         for a, asset in enumerate(model.assets):
-            diff = asset.path[t] - asset.path[t - 1]
+            now, before = asset.path[t].values, asset.path[t - 1].values
             for ci, cell in enumerate(cells):
                 h = strategy.holdings[t - 1][a][ci]
                 if h:
                     for i in cell:
-                        total[i] += h * diff.values[i]
+                        total[i] += h * (now[i] - before[i])
     return RandomVariable(model.space, total)
 
 
@@ -223,11 +233,51 @@ def payoff_cone(model: MarketModel, include_neg_orthant: bool = False) -> Polyhe
     return PolyhedralCone(model.space, gens, includes_neg_orthant=include_neg_orthant)
 
 
-def _strategy_from_coefficients(model, gains, coefficients) -> Strategy:
+@dataclass(frozen=True)
+class _Node:
+    """The one-period submarket at cell ``cell`` of time t−1."""
+
+    t: int
+    cell: int
+    children: tuple[int, ...]  # indices of its child cells at t
+    assets: tuple[int, ...]  # the assets whose price moves on some child
+    columns: tuple[tuple[Fraction, ...], ...]  # per moving asset, its increment per child
+
+
+def _nodes(model: MarketModel) -> list[_Node]:
+    """Every node of the information tree, by t, then by cell.
+
+    Increments are read straight off ``asset.path``: prices are adapted, so
+    one outcome of a cell gives the cell's price.
+    """
+    parts = model.filtration.partitions
+    nodes = []
+    for t in range(1, model.horizon + 1):
+        owner = {o: k for k, cell in enumerate(parts[t - 1]) for o in cell}
+        kids: list[list[int]] = [[] for _ in parts[t - 1]]
+        for c, child in enumerate(parts[t]):
+            kids[owner[child[0]]].append(c)
+        for k, children in enumerate(kids):
+            firsts = [parts[t][c][0] for c in children]
+            assets, columns = [], []
+            for a, asset in enumerate(model.assets):
+                now, before = asset.path[t].values, asset.path[t - 1].values
+                column = tuple([now[i] - before[i] for i in firsts])
+                if any(column):
+                    assets.append(a)
+                    columns.append(column)
+            nodes.append(_Node(t, k, tuple(children), tuple(assets), tuple(columns)))
+    return nodes
+
+
+def _strategy_from_coefficients(model, placed) -> Strategy:
+    """Holdings ``coefficients`` in the moving assets of ``node``, for each
+    (node, coefficients) pair of ``placed``; zero elsewhere."""
     strategy = Strategy.zero(model)
     holdings = [[list(cells) for cells in per_t] for per_t in strategy.holdings]
-    for gain, coef in zip(gains, coefficients):
-        holdings[gain.t - 1][gain.asset][gain.cell] = as_fraction(coef)
+    for node, coefficients in placed:
+        for a, coef in zip(node.assets, coefficients):
+            holdings[node.t - 1][a][node.cell] = as_fraction(coef)
     return Strategy(holdings)
 
 
@@ -235,9 +285,9 @@ def _nonzero_gains(model):
     return [g for g in model.elementary_gains() if not g.vector.is_zero]
 
 
-def _verified_arbitrage(model, gains, coefficients) -> Strategy:
-    """The strategy holding ``coefficients`` on ``gains``, checked to gain ≥ 0, ≠ 0."""
-    strategy = _strategy_from_coefficients(model, gains, coefficients)
+def _verified_arbitrage(model, node, coefficients) -> Strategy:
+    """The strategy holding ``coefficients`` at ``node``, checked to gain ≥ 0, ≠ 0."""
+    strategy = _strategy_from_coefficients(model, [(node, coefficients)])
     payoff = terminal_gain(model, strategy)
     if not payoff.is_nonneg or payoff.is_zero:
         raise InternalInconsistency("arbitrage witness failed re-verification",
@@ -254,35 +304,36 @@ class NaResult:
 def check_na(model: MarketModel) -> NaResult:
     """No arbitrage: the payoff cone meets the nonnegative orthant only at 0.
 
-    Decided by maximizing the total payoff over strategies with payoff ≥ 0,
-    capped at 1 per outcome so the cone's scaling cannot blow up the LP: the
-    optimum is 0 exactly when NA holds.  A failing market yields an explicit
+    Decided node by node, since a market has an arbitrage iff one of its
+    nodes has.  At each node with a moving asset, the LP maximizes the total
+    payoff over holdings with payoff ≥ 0, capped at 1 per child so the
+    cone's scaling cannot blow up the LP: the optimum is 0 exactly when the
+    node has no arbitrage.  The first node that has one yields an explicit
     strategy whose payoff is re-verified to be ≥ 0 and ≠ 0.
     """
-    gains = _nonzero_gains(model)
-    if not gains:
-        return NaResult(holds=True)
-    n = len(model.space)
-    E = len(gains)
-    columns = [g.vector.values for g in gains]
-    rows, rels, rhs = [], [], []
-    for i in range(n):
-        row = [col[i] for col in columns]
-        rows.append(row)
-        rels.append(">=")
-        rhs.append(_ZERO)
-        rows.append(row)
-        rels.append("<=")
-        rhs.append(_ONE)
-    objective = [sum(col, _ZERO) for col in columns]
-    problem = lp.LpProblem(objective, rows, rels, rhs, lower=[None] * E)
-    outcome = lp.solve(problem)
-    if outcome.status != lp.OPTIMAL:
-        raise InternalInconsistency("arbitrage LP must be bounded and feasible",
-                                    model=model, outcome=outcome)
-    if outcome.objective_value == 0:
-        return NaResult(holds=True)
-    return NaResult(holds=False, arbitrage=_verified_arbitrage(model, gains, outcome.primal))
+    for node in _nodes(model):
+        if not node.columns:
+            continue
+        E = len(node.columns)
+        rows, rels, rhs = [], [], []
+        for j in range(len(node.children)):
+            row = [col[j] for col in node.columns]
+            rows.append(row)
+            rels.append(">=")
+            rhs.append(_ZERO)
+            rows.append(row)
+            rels.append("<=")
+            rhs.append(_ONE)
+        objective = [sum(col, _ZERO) for col in node.columns]
+        problem = lp.LpProblem(objective, rows, rels, rhs, lower=[None] * E)
+        outcome = lp.solve(problem)
+        if outcome.status != lp.OPTIMAL:
+            raise InternalInconsistency("arbitrage LP must be bounded and feasible",
+                                        model=model, outcome=outcome)
+        if outcome.objective_value != 0:
+            return NaResult(holds=False,
+                            arbitrage=_verified_arbitrage(model, node, outcome.primal))
+    return NaResult(holds=True)
 
 
 @dataclass(frozen=True)
@@ -324,48 +375,65 @@ class EmmResult:
 
 
 def is_martingale_measure(model: MarketModel, measure: Measure) -> bool:
-    """Exact check of every conditional martingale equality, cell by cell."""
-    return all(measure.expectation(g.vector) == 0 for g in model.elementary_gains())
+    """Exact check of every conditional martingale equality, cell by cell:
+    Σ_{i∈cell} q_i·(S_t − S_{t−1})_i = 0, read off the asset paths."""
+    if measure.space != model.space:
+        raise StructureError("measure on a different sample space")
+    q = measure.weights
+    for t in range(1, model.horizon + 1):
+        for asset in model.assets:
+            now, before = asset.path[t].values, asset.path[t - 1].values
+            for cell in model.filtration.partitions[t - 1]:
+                if sum([q[i] * (now[i] - before[i]) for i in cell], _ZERO):
+                    return False
+    return True
 
 
 def find_emm(model: MarketModel) -> EmmResult:
     """An equivalent martingale measure, or an arbitrage certifying none exists.
 
-    Strict positivity is obtained in a single solve by maximizing the
-    minimum weight subject to the martingale equalities; the optimum is
-    positive exactly when an EMM exists.  Otherwise the same solve's
-    certificate is the arbitrage, read off the multipliers y of the
-    martingale rows: at optimum 0 the dual gives a payoff Σ y·gain ≥ 0 whose
-    total is ≥ 1, and when the LP is infeasible the Farkas vector gives a
-    payoff > 0 in every outcome.
+    Each node solves for a one-step conditional EMM over its children, and
+    the measure of an outcome is the product of the node weights along its
+    path.  Strict positivity is obtained in a single solve per node by
+    maximizing the minimum weight subject to the martingale equalities; the
+    optimum is positive exactly when the node has an EMM.  Otherwise the
+    same solve's certificate is the node's arbitrage, read off the
+    multipliers y of the martingale rows: at optimum 0 the dual gives a
+    payoff Σ y·gain ≥ 0 whose total is ≥ 1, and when the LP is infeasible
+    the Farkas vector gives a payoff > 0 on every child.
     """
-    n = len(model.space)
-    gains = _nonzero_gains(model)
-    # variables: q_1..q_n, then the min-weight level m
-    rows = [[_ONE] * n + [_ZERO]]
-    rels = ["=="]
-    rhs = [_ONE]
-    for g in gains:
-        rows.append(list(g.vector.values) + [_ZERO])
-        rels.append("==")
-        rhs.append(_ZERO)
-    for i in range(n):
-        row = [_ZERO] * (n + 1)
-        row[i] = _ONE
-        row[n] = Fraction(-1)
-        rows.append(row)
-        rels.append(">=")
-        rhs.append(_ZERO)
-    objective = [_ZERO] * n + [_ONE]
-    outcome = lp.solve(lp.LpProblem(objective, rows, rels, rhs))
-    if outcome.status == lp.OPTIMAL and outcome.objective_value > 0:
-        measure = Measure(model.space, outcome.primal[:n])
-        if not measure.is_equivalent or not is_martingale_measure(model, measure):
-            raise InternalInconsistency("martingale measure failed re-verification",
-                                        model=model, measure=measure)
-        return EmmResult(measure=measure)
-    multipliers = outcome.dual[1:1 + len(gains)]
-    return EmmResult(arbitrage=_verified_arbitrage(model, gains, multipliers))
+    parts = model.filtration.partitions
+    weights = [[_ONE]] + [[_ZERO] * len(cells) for cells in parts[1:]]
+    for node in _nodes(model):
+        k = len(node.children)
+        # variables: q_1..q_k, one per child, then the min-weight level m
+        rows = [[_ONE] * k + [_ZERO]]
+        rels = ["=="]
+        rhs = [_ONE]
+        for col in node.columns:
+            rows.append(list(col) + [_ZERO])
+            rels.append("==")
+            rhs.append(_ZERO)
+        for j in range(k):
+            row = [_ZERO] * (k + 1)
+            row[j] = _ONE
+            row[k] = Fraction(-1)
+            rows.append(row)
+            rels.append(">=")
+            rhs.append(_ZERO)
+        objective = [_ZERO] * k + [_ONE]
+        outcome = lp.solve(lp.LpProblem(objective, rows, rels, rhs))
+        if outcome.status != lp.OPTIMAL or outcome.objective_value <= 0:
+            multipliers = outcome.dual[1:1 + len(node.columns)]
+            return EmmResult(arbitrage=_verified_arbitrage(model, node, multipliers))
+        above = weights[node.t - 1][node.cell]
+        for c, q in zip(node.children, outcome.primal):
+            weights[node.t][c] = above * q
+    measure = Measure(model.space, weights[-1])  # the cells at T are the outcomes, in order
+    if not measure.is_equivalent or not is_martingale_measure(model, measure):
+        raise InternalInconsistency("martingale measure failed re-verification",
+                                    model=model, measure=measure)
+    return EmmResult(measure=measure)
 
 
 @dataclass(frozen=True)
@@ -377,31 +445,58 @@ class Superreplication:
 def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superreplication:
     """Cheapest initial wealth whose terminal value dominates the payoff.
 
-    Minimizes α over (α, strategy) with α + gain ≥ payoff in every outcome.
-    Always feasible on a finite space; −inf only when the market admits a
-    strictly positive gain (arbitrage), in which case no hedge is returned.
+    Backward induction through the nodes: each node minimizes α over
+    (α, holdings) with α + holdings·increment ≥ the child's price on every
+    child.  A child priced −inf constrains nothing, and an unbounded node is
+    priced −inf.  The hedge is then built top-down from each node's primal;
+    where an unbounded node must still deliver from finite wealth w, the
+    primal moves along the LP's ray until its α is at most w.  The price is
+    −inf only when the market admits a strictly positive gain (arbitrage),
+    in which case no hedge is returned.
     """
     if payoff.space != model.space:
         raise StructureError("payoff on a different sample space")
     if not payoff.is_nonneg:
         raise ContractViolation("superreplication expects a nonnegative payoff")
-    gains = _nonzero_gains(model)
-    n = len(model.space)
-    E = len(gains)
-    rows, rhs = [], []
-    for i in range(n):
-        rows.append([_ONE] + [g.vector.values[i] for g in gains])
-        rhs.append(payoff.values[i])
-    problem = lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * n, rhs,
-                           lower=[None] * (E + 1), sense="min")
-    outcome = lp.solve(problem)
-    if outcome.status == lp.UNBOUNDED:
+    parts = model.filtration.partitions
+    prices: list[list[Price]] = [[_ZERO] * len(cells) for cells in parts]
+    prices[-1] = list(payoff.values)  # the cells at T are the outcomes, in order
+    nodes = _nodes(model)
+    outcomes = []
+    for node in reversed(nodes):
+        below = prices[node.t]
+        kept = [j for j, c in enumerate(node.children) if below[c] != -math.inf]
+        E = len(node.columns)
+        rows = [[_ONE] + [col[j] for col in node.columns] for j in kept]
+        rhs = [below[node.children[j]] for j in kept]
+        problem = lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * len(rows), rhs,
+                               lower=[None] * (E + 1), sense="min")
+        outcome = lp.solve(problem)
+        if outcome.status == lp.OPTIMAL:
+            prices[node.t - 1][node.cell] = outcome.objective_value
+        elif outcome.status == lp.UNBOUNDED:
+            prices[node.t - 1][node.cell] = -math.inf
+        else:
+            raise InternalInconsistency("superreplication LP cannot be infeasible",
+                                        model=model, payoff=payoff)
+        outcomes.append(outcome)
+    alpha = prices[0][0]
+    if alpha == -math.inf:
         return Superreplication(price=-math.inf)
-    if outcome.status != lp.OPTIMAL:
-        raise InternalInconsistency("superreplication LP cannot be infeasible",
-                                    model=model, payoff=payoff)
-    alpha = outcome.objective_value
-    hedge = _strategy_from_coefficients(model, gains, outcome.primal[1:])
+    wealth = [[alpha]] + [[_ZERO] * len(cells) for cells in parts[1:]]
+    placed = []
+    for node, outcome in zip(nodes, reversed(outcomes)):
+        w = wealth[node.t - 1][node.cell]
+        point = outcome.primal
+        if outcome.status == lp.UNBOUNDED:
+            s = max(_ZERO, (point[0] - w) / -outcome.ray[0])
+            point = [p + s * r for p, r in zip(point, outcome.ray)]
+        holdings = point[1:]
+        placed.append((node, holdings))
+        for j, c in enumerate(node.children):
+            wealth[node.t][c] = w + sum([h * col[j] for h, col in zip(holdings, node.columns)],
+                                        _ZERO)
+    hedge = _strategy_from_coefficients(model, placed)
     value = terminal_gain(model, hedge)
     if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):
         raise InternalInconsistency("superreplication hedge failed re-verification",

@@ -1,0 +1,157 @@
+"""Whole-market reference routes for NA, EMMs and superreplication.
+
+Each question is one dense LP over every elementary gain of the market at
+once, the way ``noarb.market`` decided them before it went node by node.
+On a one-period market both build the same LP row for row.  The tests run
+these against the node routes: they must agree on every verdict and price.
+Witnesses are checked here by direct substitution, as in the library.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from noarb import lp
+from noarb.concepts import ConceptVerdicts
+from noarb.errors import InternalInconsistency
+from noarb.market import (
+    EmmResult,
+    Measure,
+    NaResult,
+    Strategy,
+    Superreplication,
+    check_nupbr,
+    payoff_cone,
+    terminal_gain,
+)
+from noarb.separation import strict_separator
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _nonzero_gains(model):
+    return [g for g in model.elementary_gains() if not g.vector.is_zero]
+
+
+def _strategy_from_coefficients(model, gains, coefficients) -> Strategy:
+    strategy = Strategy.zero(model)
+    holdings = [[list(cells) for cells in per_t] for per_t in strategy.holdings]
+    for gain, coef in zip(gains, coefficients):
+        holdings[gain.t - 1][gain.asset][gain.cell] = coef
+    return Strategy(holdings)
+
+
+def _verified_arbitrage(model, gains, coefficients) -> Strategy:
+    strategy = _strategy_from_coefficients(model, gains, coefficients)
+    payoff = terminal_gain(model, strategy)
+    if not payoff.is_nonneg or payoff.is_zero:
+        raise InternalInconsistency("arbitrage witness failed re-verification",
+                                    model=model, strategy=strategy, payoff=payoff)
+    return strategy
+
+
+def is_martingale_measure(model, measure) -> bool:
+    """One expectation per elementary gain: the per-gain reference check."""
+    return all(measure.expectation(g.vector) == 0 for g in model.elementary_gains())
+
+
+def check_na(model) -> NaResult:
+    gains = _nonzero_gains(model)
+    if not gains:
+        return NaResult(holds=True)
+    n = len(model.space)
+    E = len(gains)
+    columns = [g.vector.values for g in gains]
+    rows, rels, rhs = [], [], []
+    for i in range(n):
+        row = [col[i] for col in columns]
+        rows.append(row)
+        rels.append(">=")
+        rhs.append(_ZERO)
+        rows.append(row)
+        rels.append("<=")
+        rhs.append(_ONE)
+    objective = [sum(col, _ZERO) for col in columns]
+    problem = lp.LpProblem(objective, rows, rels, rhs, lower=[None] * E)
+    outcome = lp.solve(problem)
+    if outcome.status != lp.OPTIMAL:
+        raise InternalInconsistency("arbitrage LP must be bounded and feasible",
+                                    model=model, outcome=outcome)
+    if outcome.objective_value == 0:
+        return NaResult(holds=True)
+    return NaResult(holds=False, arbitrage=_verified_arbitrage(model, gains, outcome.primal))
+
+
+def find_emm(model) -> EmmResult:
+    n = len(model.space)
+    gains = _nonzero_gains(model)
+    # variables: q_1..q_n, then the min-weight level m
+    rows = [[_ONE] * n + [_ZERO]]
+    rels = ["=="]
+    rhs = [_ONE]
+    for g in gains:
+        rows.append(list(g.vector.values) + [_ZERO])
+        rels.append("==")
+        rhs.append(_ZERO)
+    for i in range(n):
+        row = [_ZERO] * (n + 1)
+        row[i] = _ONE
+        row[n] = Fraction(-1)
+        rows.append(row)
+        rels.append(">=")
+        rhs.append(_ZERO)
+    objective = [_ZERO] * n + [_ONE]
+    outcome = lp.solve(lp.LpProblem(objective, rows, rels, rhs))
+    if outcome.status == lp.OPTIMAL and outcome.objective_value > 0:
+        measure = Measure(model.space, outcome.primal[:n])
+        if not measure.is_equivalent or not is_martingale_measure(model, measure):
+            raise InternalInconsistency("martingale measure failed re-verification",
+                                        model=model, measure=measure)
+        return EmmResult(measure=measure)
+    multipliers = outcome.dual[1:1 + len(gains)]
+    return EmmResult(arbitrage=_verified_arbitrage(model, gains, multipliers))
+
+
+def superreplication_price(model, payoff) -> Superreplication:
+    gains = _nonzero_gains(model)
+    n = len(model.space)
+    E = len(gains)
+    rows, rhs = [], []
+    for i in range(n):
+        rows.append([_ONE] + [g.vector.values[i] for g in gains])
+        rhs.append(payoff.values[i])
+    problem = lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * n, rhs,
+                           lower=[None] * (E + 1), sense="min")
+    outcome = lp.solve(problem)
+    if outcome.status == lp.UNBOUNDED:
+        return Superreplication(price=-math.inf)
+    if outcome.status != lp.OPTIMAL:
+        raise InternalInconsistency("superreplication LP cannot be infeasible",
+                                    model=model, payoff=payoff)
+    alpha = outcome.objective_value
+    hedge = _strategy_from_coefficients(model, gains, outcome.primal[1:])
+    value = terminal_gain(model, hedge)
+    if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):
+        raise InternalInconsistency("superreplication hedge failed re-verification",
+                                    model=model, payoff=payoff, hedge=hedge)
+    return Superreplication(price=alpha, hedge=hedge)
+
+
+def full_verdict(model) -> ConceptVerdicts:
+    """``concepts.full_verdict`` on the whole-market routes, in its LP order:
+    NA, indicator prices up to the first non-positive one, NUPBR, the EMM,
+    then the strict separator."""
+    na = check_na(model)
+    na1 = all(superreplication_price(model, e).price > 0 for e in model.space.indicators())
+    return ConceptVerdicts(
+        na=na.holds,
+        na1=na1,
+        nupbr=check_nupbr(model),
+        nfl_equiv=na.holds,
+        emm_exists=find_emm(model).measure is not None,
+        separator_exists=strict_separator(
+            payoff_cone(model, include_neg_orthant=True)).functional is not None,
+        arbitrage=na.arbitrage,
+    )

@@ -6,6 +6,7 @@ are no tolerances anywhere: all comparisons are over exact rationals.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from noarb.market import (
 )
 from noarb.separation import strict_separator
 
+import global_routes
 import oracles
 
 HERE = Path(__file__).parent
@@ -70,6 +72,31 @@ def test_acceptance_ftap_cross_check(report):
     report("FTAP cross-check",
             f"1000 markets, 0 disagreements ({holds} arbitrage-free, {fails} with "
             f"arbitrage), {witnesses} witnesses re-verified, {elapsed:.1f}s")
+
+
+def test_acceptance_node_and_global_routes_agree(report):
+    """1000 seeded markets: the node routes and the whole-market LPs agree on
+    NA, EMM existence and the exact price of every indicator and a payoff."""
+    rng = random.Random(0)
+    payoff_rng = random.Random(4)
+    prices = minus_inf = 0
+    for _ in range(1000):
+        model = lab.random_market(rng)
+        na = check_na(model).holds
+        assert na == global_routes.check_na(model).holds
+        assert (find_emm(model).measure is not None) == na
+        assert (global_routes.find_emm(model).measure is not None) == na
+        payoffs = model.space.indicators() + [model.space.variable(
+            [F(payoff_rng.randint(0, 12), payoff_rng.randint(1, 6))
+             for _ in model.space.outcomes])]
+        for payoff in payoffs:
+            price = superreplication_price(model, payoff).price
+            assert price == global_routes.superreplication_price(model, payoff).price
+            prices += 1
+            minus_inf += price == -math.inf
+    report("node and global routes",
+           f"1000 markets, NA and EMM verdicts equal, {prices} prices equal "
+           f"({minus_inf} of them -inf)")
 
 
 def test_acceptance_pricing_duality(report):

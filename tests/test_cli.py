@@ -114,6 +114,29 @@ def test_exit_code_taxonomy(tmp_path, capsys):
     huge_number.write_text(f'{{"outcomes": {huge}}}')
     assert main(["check", "na", str(huge_number)]) == 2
     assert f"{huge_number}: a JSON number has more than" in capsys.readouterr().err
+    # every document has a strict key set; an unknown key is named by its JSON path
+    typos = [
+        ("market_top.json", "binomial.json", lambda d: d.update(horizon="1"),
+         ["check", "na"], "$.horizon: unknown key"),
+        ("market_outcome.json", "binomial.json", lambda d: d["outcomes"][1].update(p="1/2"),
+         ["check", "na"], "$.outcomes[1].p: unknown key"),
+        ("market_asset.json", "binomial.json", lambda d: d["assets"][0].update(paths={}),
+         ["emm"], "$.assets[0].paths: unknown key"),
+        ("cone.json", "cone_with_gen.json",
+         lambda d: d.update(include_neg_orthant=False), ["separate"],
+         "$.include_neg_orthant: unknown key"),
+    ]
+    for name, source, edit, command, message in typos:
+        doc = json.loads((DATA / source).read_text())
+        edit(doc)
+        typo = tmp_path / name
+        typo.write_text(json.dumps(doc))
+        assert main([*command, str(typo)]) == 2, name
+        assert message in capsys.readouterr().err, name
+    payoff = tmp_path / "payoff.json"
+    payoff.write_text('{"payoff": {"u": "1", "d": "0"}, "strike": "1"}')
+    assert main(["price", str(DATA / "binomial.json"), str(payoff)]) == 2
+    assert "$.strike: unknown key" in capsys.readouterr().err
 
 
 def test_internal_disagreement_exits_3(monkeypatch, capsys):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from noarb import lab, lp
-from noarb.concepts import full_verdict
 from noarb.errors import StructureError
 
+import global_routes
 import oracles
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -268,8 +268,10 @@ def outcome_digest(outcomes):
 
 
 def corpus_outcomes(monkeypatch, markets=100):
-    """Every LpOutcome and Feasibility that full_verdict obtains on the first
-    seed-0 lab.random_market markets, in call order."""
+    """Every LpOutcome and Feasibility that the whole-market routes obtain on
+    the first seed-0 lab.random_market markets, in call order: global NA,
+    indicator prices up to the first non-positive one, NUPBR, the global EMM,
+    then the strict separator."""
     seen = []
     for name in ("solve", "feasible"):
         inner = getattr(lp, name)
@@ -280,7 +282,7 @@ def corpus_outcomes(monkeypatch, markets=100):
         monkeypatch.setattr(lp, name, record)
     rng = random.Random(0)
     for _ in range(markets):
-        full_verdict(lab.random_market(rng))
+        global_routes.full_verdict(lab.random_market(rng))
     return seen
 
 

@@ -1,10 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from noarb import lp, market
+from noarb import lab, lp, market
 from noarb.errors import ContractViolation, StructureError
 from noarb.lattice import SampleSpace
 from noarb.market import (
@@ -24,6 +25,7 @@ from noarb.market import (
     terminal_gain,
 )
 
+import global_routes
 import oracles
 from conftest import one_period_model
 
@@ -266,3 +268,134 @@ def test_strong_arbitrage_prices_minus_inf():
     model = one_period_model([2, F(3, 2)])
     assert superreplication_price(model, model.space.zero()).price == -math.inf \
         or superreplication_price(model, model.space.zero()).price <= 0
+
+
+# --- node route edge cases ---------------------------------------------------
+
+def test_finite_price_through_an_unbounded_subtree():
+    # node {a1, a2} has an arbitrage (S moves 1 -> 2 or 3), so its price is
+    # -inf and the root drops its row; the root still prices {b1, b2} at 1/3
+    space = SampleSpace(["a1", "a2", "b1", "b2"], [F(1, 4)] * 4)
+    filtration = Filtration(space, [
+        [["a1", "a2", "b1", "b2"]], [["a1", "a2"], ["b1", "b2"]],
+        [["a1"], ["a2"], ["b1"], ["b2"]]])
+    path = (space.constant(1), space.constant(1), space.variable([2, 3, 2, F(1, 2)]))
+    model = MarketModel(filtration, [Asset("S", path)])
+    payoff = space.variable([5, 7, 1, 0])
+    res = superreplication_price(model, payoff)
+    assert res.price == F(1, 3)
+    assert res.hedge.holdings[1][0][0] == 5  # the hedge at node {a1, a2}
+    gain = terminal_gain(model, res.hedge)
+    assert all(res.price + g >= x for g, x in zip(gain.values, payoff.values))
+    assert global_routes.superreplication_price(model, payoff).price == F(1, 3)
+
+
+def test_hedge_follows_the_ray_below_an_unbounded_node():
+    # the root hedge (price 2, 4 units) leaves node {a1, a2} with wealth
+    # 2 − 4·3/4 = −1, below its LP's primal α, so the hedge there moves along
+    # the node LP's ray until its α is at most −1
+    space = SampleSpace(["a1", "a2", "b", "c"], [F(1, 4)] * 4)
+    filtration = Filtration(space, [
+        [["a1", "a2", "b", "c"]], [["a1", "a2"], ["b"], ["c"]],
+        [["a1"], ["a2"], ["b"], ["c"]]])
+    path = (space.constant(1), space.variable([F(1, 4), F(1, 4), 2, F(1, 2)]),
+            space.variable([F(1, 2), 1, 2, F(1, 2)]))
+    model = MarketModel(filtration, [Asset("S", path)])
+    payoff = space.variable([1, 1, 6, 0])
+    res = superreplication_price(model, payoff)
+    assert res.price == 2
+    assert res.hedge.holdings[0][0][0] == 4
+    gain = terminal_gain(model, res.hedge)
+    assert all(res.price + g >= x for g, x in zip(gain.values, payoff.values))
+    assert global_routes.superreplication_price(model, payoff).price == 2
+
+
+def test_one_outcome_zero_horizon():
+    space = SampleSpace(["w"], [1])
+    model = MarketModel(Filtration(space, [[["w"]]]), [Asset("S", (space.constant(3),))])
+    payoff = space.constant(F(5, 2))
+    for route in (market, global_routes):
+        assert route.check_na(model).holds
+        assert route.find_emm(model).measure.weights == (F(1),)
+        assert route.superreplication_price(model, payoff).price == F(5, 2)
+
+
+def crr_tree(T, s0=F(1)):
+    """CRR tree, u = 2, d = 1/2: bit t of outcome k (from the top) is a down move."""
+    n = 2 ** T
+    space = SampleSpace([f"w{k}" for k in range(n)], [F(1, n)] * n)
+    partitions = [[tuple(range(c * 2 ** (T - t), (c + 1) * 2 ** (T - t)))
+                   for c in range(2 ** t)] for t in range(T + 1)]
+    ups = [[t - bin(k >> (T - t)).count("1") for k in range(n)] for t in range(T + 1)]
+    path = tuple(space.variable([s0 * F(2) ** (2 * ups[t][k] - t) for k in range(n)])
+                 for t in range(T + 1))
+    return MarketModel(Filtration(space, partitions), [Asset("S", path)]), ups[T]
+
+
+def test_crr_ten_periods_exact_and_fast():
+    T, q, strike = 10, F(1, 3), F(1)
+    model, ups = crr_tree(T)
+    call = model.space.variable([max(v - strike, 0) for v in model.assets[0].path[-1].values])
+    started = time.perf_counter()
+    na = check_na(model)
+    emm = find_emm(model)
+    price = superreplication_price(model, call)
+    elapsed = time.perf_counter() - started
+    assert na.holds
+    assert emm.measure.weights == tuple(q ** u * (1 - q) ** (T - u) for u in ups)
+    assert price.price == sum(math.comb(T, j) * q ** j * (1 - q) ** (T - j)
+                              * max(F(2) ** (2 * j - T) - strike, 0) for j in range(T + 1))
+    assert elapsed < 10  # the whole-market LPs grow about 6x per period
+
+
+def test_martingale_check_matches_per_gain_reference():
+    rng = random.Random(0)
+    verdicts = []
+    while len(verdicts) < 135:
+        model = lab.random_market(rng)
+        q = find_emm(model).measure
+        if q is None:
+            continue
+        i, j = rng.sample(range(len(model.space)), 2)
+        moved = list(q.weights)
+        moved[i] += moved[j] / 2
+        moved[j] /= 2
+        for weights in (q.weights, moved, [F(1, len(moved))] * len(moved)):
+            measure = Measure(model.space, weights)
+            verdict = market.is_martingale_measure(model, measure)
+            assert verdict == global_routes.is_martingale_measure(model, measure)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+# --- metamorphic properties: each change leaves the gain cone unchanged -------
+
+def _cone_answers(model):
+    return (check_na(model).holds,
+            [superreplication_price(model, e).price for e in model.space.indicators()])
+
+
+@pytest.mark.parametrize("change", ["permute_rename", "scale", "add_combination"])
+def test_metamorphic_asset_changes(change):
+    rng = random.Random(f"metamorphic-{change}")
+    for _ in range(100):
+        model = lab.random_market(rng)
+        assets = list(model.assets)
+        if change == "permute_rename":
+            rng.shuffle(assets)
+            changed = [Asset(f"renamed{k}", a.path) for k, a in enumerate(assets)]
+        elif change == "scale":
+            k = rng.randrange(len(assets))
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            changed = assets[:k] + [Asset(assets[k].name, tuple(x.scale(c) for x in
+                                                                assets[k].path))] + assets[k + 1:]
+        else:
+            weights = [F(rng.randint(1, 5), rng.randint(1, 5)) for _ in assets]
+            path = []
+            for t in range(model.horizon + 1):
+                total = model.space.zero()
+                for w, a in zip(weights, assets):
+                    total = total + a.path[t].scale(w)
+                path.append(total)
+            changed = assets + [Asset("combination", tuple(path))]
+        assert _cone_answers(MarketModel(model.filtration, changed)) == _cone_answers(model)
