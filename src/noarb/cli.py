@@ -6,7 +6,9 @@ substitution, before it reaches the CLI, so witnesses print as returned.  Exit
 codes are a stable contract: 0 the queried property holds (or the requested
 artifact was produced), 1 it fails (a witness is in the report), 2 the
 input was malformed, 3 two internal decision routes disagreed, a witness
-failed its check, or anything else went wrong inside the program.
+failed its check, or anything else went wrong inside the program.  When an
+exit 3 arises on a market, that market follows the message on standard
+error as a market file, so the failure can be replayed.
 
 ``--json`` prints the machine-readable report document; the default output
 is a short human-readable table.  JSON output is byte-stable for fixed
@@ -24,7 +26,7 @@ import sys
 from . import lab
 from .concepts import full_verdict
 from .errors import ContractViolation, InternalInconsistency, StructureError
-from .fileio import load_cone, load_market, load_payoff, values_by_outcome
+from .fileio import dump_market, load_cone, load_market, load_payoff, values_by_outcome
 from .lattice import RandomVariable
 from .market import (
     MarketModel,
@@ -330,6 +332,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InternalInconsistency as exc:
         print(f"noarb: internal inconsistency: {exc}", file=sys.stderr)
+        model = exc.data.get("model")
+        if isinstance(model, MarketModel):
+            print("noarb: the market it arose on, as a market file:", file=sys.stderr)
+            print(json.dumps(dump_market(model), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # never a traceback with exit 1, which means "fails"
         print(f"noarb: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

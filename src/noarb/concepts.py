@@ -10,6 +10,10 @@ its own route and raises if they ever disagree; that disagreement hook is
 the library's primary regression tripwire.  NA, NA₁ and the EMM are decided
 node by node through the information tree; NUPBR and the separator are
 whole-market LPs, so the tripwire pits two algorithms against each other.
+Each route asks its question once: NA₁ solves a node LP only for a child
+indicator that no earlier dual at that node already prices above 0, and
+the separator route separates only the outcomes no earlier separator is
+positive on.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .market import (
     find_emm,
     payoff_cone,
 )
-from .separation import strict_separator
+from .separation import strict_separator_exists
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,13 @@ class ConceptVerdicts:
 def full_verdict(model: MarketModel) -> ConceptVerdicts:
     """All six verdicts, each by its own decision route, asserted to agree.
 
-    NA runs the arbitrage LP at each tree node; NA₁ prices every outcome
-    indicator by backward induction through the nodes; NUPBR bounds the
-    unit budget set in one whole-market LP; the martingale route multiplies
+    NA runs the arbitrage LP at each tree node; NA₁ asks every node for a
+    positive one-step price of each child's indicator, whose products along
+    the paths are the outcome indicators' prices; NUPBR bounds the unit
+    budget set in one whole-market LP; the martingale route multiplies
     one-step conditional measures along each path; the separation route
-    builds a strictly positive functional on the whole widened payoff cone.
+    decides whether the whole widened payoff cone has a strictly positive
+    separating functional, by exhaustion over the outcome indicators.
     The free-lunch verdict equals NA because the widened cone is polyhedral
     and therefore already closed, so no extra computation can distinguish
     them here.  ``arbitrage`` carries NA's witness when NA fails;
@@ -78,8 +84,8 @@ def full_verdict(model: MarketModel) -> ConceptVerdicts:
         nupbr=check_nupbr(model),
         nfl_equiv=na.holds,
         emm_exists=find_emm(model).measure is not None,
-        separator_exists=strict_separator(
-            payoff_cone(model, include_neg_orthant=True)).functional is not None,
+        separator_exists=strict_separator_exists(
+            payoff_cone(model, include_neg_orthant=True)),
         arbitrage=na.arbitrage,
     )
     if not verdicts.agree:

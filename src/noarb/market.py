@@ -9,20 +9,22 @@ one-asset gains.  Every decider below reduces to exact LPs, and every
 witness it returns is re-verified by direct substitution before being
 handed back.
 
-NA, the EMM and the superreplication price are decided one tree node at a
-time.  A node is an information cell at t−1 with its child cells at t: a
-one-period market whose outcomes are the children.  On a finite tree NA
-holds iff no node has an arbitrage, an EMM is the product of one-step
-conditional EMMs, and the superreplication price is the backward induction
-of one-step prices (Dalang–Morton–Willinger 1990; Föllmer & Schied,
-*Stochastic Finance*, ch. 5 and 7).  A one-period model is a single node,
-so its LP is the whole market's LP, row for row.  NUPBR, budget-set
-membership and the payoff cone stay whole-market LPs.
+NA, NA₁, the EMM and the superreplication price are decided one tree node
+at a time.  A node is an information cell at t−1 with its child cells at t:
+a one-period market whose outcomes are the children.  On a finite tree NA
+holds iff no node has an arbitrage, NA₁ iff every node prices every child's
+indicator above 0, an EMM is the product of one-step conditional EMMs, and
+the superreplication price is the backward induction of one-step prices
+(Dalang–Morton–Willinger 1990; Föllmer & Schied, *Stochastic Finance*,
+ch. 5 and 7).  A one-period model is a single node, so its LP is the whole
+market's LP, row for row.  NUPBR, budget-set membership and the payoff cone
+stay whole-market LPs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -270,6 +272,17 @@ def _nodes(model: MarketModel) -> list[_Node]:
     return nodes
 
 
+def _one_step_problem(node: _Node, values) -> lp.LpProblem:
+    """The node's one-step superhedging LP: minimize α over (α, holdings) with
+    α + holdings·increment_j ≥ values[j] on every child j.  A child valued
+    −inf constrains nothing, so it gets no row."""
+    kept = [j for j, v in enumerate(values) if v != -math.inf]
+    E = len(node.columns)
+    rows = [[_ONE] + [col[j] for col in node.columns] for j in kept]
+    return lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * len(rows),
+                        [values[j] for j in kept], lower=[None] * (E + 1), sense="min")
+
+
 def _strategy_from_coefficients(model, placed) -> Strategy:
     """Holdings ``coefficients`` in the moving assets of ``node``, for each
     (node, coefficients) pair of ``placed``; zero elsewhere."""
@@ -465,13 +478,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     outcomes = []
     for node in reversed(nodes):
         below = prices[node.t]
-        kept = [j for j, c in enumerate(node.children) if below[c] != -math.inf]
-        E = len(node.columns)
-        rows = [[_ONE] + [col[j] for col in node.columns] for j in kept]
-        rhs = [below[node.children[j]] for j in kept]
-        problem = lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * len(rows), rhs,
-                               lower=[None] * (E + 1), sense="min")
-        outcome = lp.solve(problem)
+        outcome = lp.solve(_one_step_problem(node, [below[c] for c in node.children]))
         if outcome.status == lp.OPTIMAL:
             prices[node.t - 1][node.cell] = outcome.objective_value
         elif outcome.status == lp.UNBOUNDED:
@@ -523,12 +530,77 @@ def in_budget_set(model: MarketModel, x: RandomVariable, alpha) -> bool:
 
 def check_na1(model: MarketModel) -> bool:
     """No arbitrage of the first kind: every outcome indicator has a strictly
-    positive superreplication price (enough by monotonicity + homogeneity of
-    the price as a gauge)."""
-    for e in model.space.indicators():
-        if not superreplication_price(model, e).price > 0:
-            return False
+    positive superreplication price.
+
+    Decided from one-step prices: NA₁ holds iff every node prices the
+    indicator 1_c of each of its children c above 0.  Write π_v(b) for node
+    v's one-step price of child values b, the LP of ``superreplication_price``
+    (a child valued −inf gets no row, and an unbounded LP is −inf).  π_v is
+    monotone, since raising a value (from −inf too) only tightens or adds a
+    row, and positively homogeneous; α = max b with no holdings superhedges,
+    so π_v(b) ≤ max b.  The price of a payoff at a cell is π of its
+    children's prices, by backward induction.
+
+    * If π_v(1_c) ≤ 0 (−inf included), take an outcome ω below c.  The price
+      of 1_ω is at most 1 at c and at most 0 at every other child of v, so
+      at v it is at most π_v(1_c) ≤ 0 by monotonicity.  Every ancestor then
+      sees child prices ≤ 0, so the price stays ≤ 0 up to the root.
+    * If every π_v(1_c) > 0, each is a bounded LP whose row duals y form a
+      martingale measure on v's children with y_c > 0.  Averaged over c they
+      give a strictly positive one, ȳ, and weak duality gives
+      π_v(b) ≥ Σ_j ȳ_j b_j.  Bottom-up, the price of 0 is then exactly 0 at
+      every cell (never −inf), and homogeneity gives the price of 1_ω as the
+      product, along ω's path, of π_v(1_c) for the child c the path takes:
+      a product of positive numbers.
+
+    The LP for 1_c has rows α + holdings·increment_j ≥ 1{j=c}.  By weak
+    duality π_v(1_c′) ≥ y_c′ for every child c′ and every such dual y, so a
+    child on which an earlier dual is positive needs no LP of its own.  A
+    node with no moving asset prices every child indicator at exactly 1 and
+    needs none.  Every solve is checked by substitution: its primal must
+    superhedge, an unbounded LP's ray must lower α while superhedging 0, and
+    an optimal LP's dual must be a martingale measure whose weight at c
+    equals the optimum.
+    """
+    for node in _nodes(model):
+        if not node.columns:
+            continue
+        k = len(node.children)
+        covered = [False] * k
+        for c in range(k):
+            if covered[c]:
+                continue
+            values = [_ONE if j == c else _ZERO for j in range(k)]
+            outcome = lp.solve(_one_step_problem(node, values))
+            if not _verified_one_step(node, values, outcome):
+                raise InternalInconsistency("one-step indicator price failed re-verification",
+                                            model=model, node=node, outcome=outcome)
+            if outcome.status == lp.UNBOUNDED or outcome.objective_value <= 0:
+                return False
+            covered = [done or y > 0 for done, y in zip(covered, outcome.dual)]
     return True
+
+
+def _verified_one_step(node: _Node, values, outcome: lp.LpOutcome) -> bool:
+    """Whether ``outcome``, a node LP with a row for every child, certifies
+    its price of ``values`` in the ways ``check_na1`` lists."""
+    if outcome.status not in (lp.OPTIMAL, lp.UNBOUNDED):
+        return False
+    increments = list(zip(*node.columns))  # per child, one entry per moving asset
+
+    def superhedges(point, floors) -> bool:
+        alpha, holdings = point[0], point[1:]
+        return all(alpha + sum(map(operator.mul, holdings, increment), _ZERO) >= floor
+                   for increment, floor in zip(increments, floors))
+
+    if not superhedges(outcome.primal, values):
+        return False
+    if outcome.status == lp.UNBOUNDED:
+        return outcome.ray[0] < 0 and superhedges(outcome.ray, [_ZERO] * len(values))
+    y, price = outcome.dual, outcome.objective_value
+    return (outcome.primal[0] == price and min(y) >= 0 and sum(y, _ZERO) == 1
+            and not any(sum(map(operator.mul, y, column), _ZERO) for column in node.columns)
+            and sum(map(operator.mul, y, values), _ZERO) == price)
 
 
 def _budget_ceiling_problem(model: MarketModel, objective_weights) -> lp.LpProblem:

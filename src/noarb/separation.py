@@ -5,8 +5,9 @@ so separation becomes a small LP: find nonnegative coefficients that are
 nonpositive on every cone generator yet positive at a target.  A strictly
 positive separator is assembled the same way a countable dense family would
 be in general spaces: separate each outcome indicator, normalize, average.
-All certificates are re-verified by exact substitution before being
-returned.
+When only its existence matters, one separator that is positive at several
+outcomes stands in for all of them (exhaustion).  All certificates are
+re-verified by exact substitution before being returned.
 """
 
 from __future__ import annotations
@@ -130,27 +131,56 @@ def strict_separator(cone: PolyhedralCone) -> StrictSeparation:
     violating direction (it lies inside the cone).
     """
     _require_widened(cone)
-    space = cone.space
     parts = []
-    for e in space.indicators():
+    for e in cone.space.indicators():
         functional = separate_at(cone, e)
         if functional is None:
             return StrictSeparation(violating=e)
         parts.append(functional)
-    n = len(space)
-    avg = [_ZERO] * n
-    for f in parts:
-        norm = f.l1_norm()
-        for i, c in enumerate(f.coefficients):
-            avg[i] += c / (norm * n)
-    functional = Functional(space, avg)
-    if not functional.is_strictly_positive or not _is_separating(cone, functional):
-        raise InternalInconsistency("averaged separator failed re-verification",
-                                    cone=cone, functional=functional)
+    functional = _verified_average(cone, parts)
     report = SeparationReport(functional=functional,
                               verified_on=len(cone.generators),
                               normalization=functional.l1_norm())
     return StrictSeparation(report=report)
+
+
+def strict_separator_exists(cone: PolyhedralCone) -> bool:
+    """Whether ``strict_separator`` finds a functional, decided by exhaustion.
+
+    A separator f of one indicator that is positive at ω′ separates 1_ω′
+    too, once divided by f(1_ω′): the exhaustion step of the Halmos–Savage
+    lemma and of the Kreps–Yan theorem.  So only the outcomes on which no
+    earlier separator is positive get an LP of their own, and the average of
+    the ℓ¹-normalised separators used is checked to be strictly positive and
+    separating, as ``strict_separator`` checks its average.
+    """
+    _require_widened(cone)
+    parts: list[Functional] = []
+    for i, e in enumerate(cone.space.indicators()):
+        if any(f.coefficients[i] > 0 for f in parts):
+            continue
+        functional = separate_at(cone, e)
+        if functional is None:
+            return False
+        parts.append(functional)
+    _verified_average(cone, parts)
+    return True
+
+
+def _verified_average(cone: PolyhedralCone, parts: list[Functional]) -> Functional:
+    """The average of ``parts``, each rescaled to unit ℓ¹ norm, checked to be
+    strictly positive and nonpositive on every generator."""
+    n = len(parts)
+    avg = [_ZERO] * len(cone.space)
+    for f in parts:
+        norm = f.l1_norm()
+        for i, c in enumerate(f.coefficients):
+            avg[i] += c / (norm * n)
+    functional = Functional(cone.space, avg)
+    if not functional.is_strictly_positive or not _is_separating(cone, functional):
+        raise InternalInconsistency("averaged separator failed re-verification",
+                                    cone=cone, functional=functional)
+    return functional
 
 
 def functional_to_measure(functional: Functional) -> tuple[Measure, Fraction]:

@@ -16,6 +16,18 @@ def one_period_model(terminal_prices, probs=None, s0=1, name="S"):
     return MarketModel(filtration, [Asset(name, path)])
 
 
+def crr_tree(T, s0=F(1)):
+    """CRR tree, u = 2, d = 1/2: bit t of outcome k (from the top) is a down move."""
+    n = 2 ** T
+    space = SampleSpace([f"w{k}" for k in range(n)], [F(1, n)] * n)
+    partitions = [[tuple(range(c * 2 ** (T - t), (c + 1) * 2 ** (T - t)))
+                   for c in range(2 ** t)] for t in range(T + 1)]
+    ups = [[t - bin(k >> (T - t)).count("1") for k in range(n)] for t in range(T + 1)]
+    path = tuple(space.variable([s0 * F(2) ** (2 * ups[t][k] - t) for k in range(n)])
+                 for t in range(T + 1))
+    return MarketModel(Filtration(space, partitions), [Asset("S", path)]), ups[T]
+
+
 @pytest.fixture
 def binomial():
     """u=2, d=1/2 on S0=1: arbitrage-free, EMM q = (1/3, 2/3)."""

@@ -1,9 +1,13 @@
-"""Whole-market reference routes for NA, EMMs and superreplication.
+"""Whole-market reference routes for NA, EMMs and superreplication, and the
+per-outcome reference for NA₁.
 
 Each question is one dense LP over every elementary gain of the market at
 once, the way ``noarb.market`` decided them before it went node by node.
-On a one-period market both build the same LP row for row.  The tests run
-these against the node routes: they must agree on every verdict and price.
+On a one-period market both build the same LP row for row.  ``check_na1``
+prices every outcome indicator through the library's own
+``superreplication_price``, the way ``noarb.market`` decided NA₁ before it
+read it off one-step child-indicator prices.  The tests run these against
+the library's routes: they must agree on every verdict and price.
 Witnesses are checked here by direct substitution, as in the library.
 """
 
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from noarb import lp
+from noarb import lp, market
 from noarb.concepts import ConceptVerdicts
 from noarb.errors import InternalInconsistency
 from noarb.market import (
@@ -137,6 +141,16 @@ def superreplication_price(model, payoff) -> Superreplication:
         raise InternalInconsistency("superreplication hedge failed re-verification",
                                     model=model, payoff=payoff, hedge=hedge)
     return Superreplication(price=alpha, hedge=hedge)
+
+
+def check_na1(model) -> bool:
+    """No arbitrage of the first kind: every outcome indicator has a strictly
+    positive superreplication price (enough by monotonicity + homogeneity of
+    the price as a gauge)."""
+    for e in model.space.indicators():
+        if not market.superreplication_price(model, e).price > 0:
+            return False
+    return True
 
 
 def full_verdict(model) -> ConceptVerdicts:

@@ -17,13 +17,14 @@ from noarb.concepts import full_verdict
 from noarb.cli import main
 from noarb.market import (
     check_na,
+    check_na1,
     find_emm,
     is_martingale_measure,
     payoff_cone,
     superreplication_price,
     terminal_gain,
 )
-from noarb.separation import strict_separator
+from noarb.separation import strict_separator, strict_separator_exists
 
 import global_routes
 import oracles
@@ -97,6 +98,26 @@ def test_acceptance_node_and_global_routes_agree(report):
     report("node and global routes",
            f"1000 markets, NA and EMM verdicts equal, {prices} prices equal "
            f"({minus_inf} of them -inf)")
+
+
+def test_acceptance_na1_and_separator_routes_agree(report):
+    """1000 seeded markets: NA₁ from one-step child-indicator prices equals
+    the per-outcome indicator prices, and separator existence by exhaustion
+    equals the strict separator's answer."""
+    rng = random.Random(0)
+    na1_holds = separated = 0
+    for _ in range(1000):
+        model = lab.random_market(rng)
+        na1 = check_na1(model)
+        assert na1 == global_routes.check_na1(model)
+        cone = payoff_cone(model, include_neg_orthant=True)
+        exists = strict_separator_exists(cone)
+        assert exists == (strict_separator(cone).functional is not None)
+        na1_holds += na1
+        separated += exists
+    report("NA1 and separator routes",
+           f"1000 markets, NA1 verdicts equal ({na1_holds} hold), separator "
+           f"existence equal ({separated} exist)")
 
 
 def test_acceptance_pricing_duality(report):

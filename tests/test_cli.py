@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import noarb
 from noarb.cli import main
+from noarb.fileio import load_market
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -149,6 +151,29 @@ def test_internal_disagreement_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "full_verdict", boom)
     assert main(["check", "all", str(DATA / "binomial.json")]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("concept", ["na1", "all"])
+def test_exit_3_prints_the_market(concept, monkeypatch, capsys):
+    """The market an inconsistency arose on goes to stderr as a market file."""
+    from noarb import lp
+
+    solve = lp.solve
+
+    def corrupted(problem):
+        outcome = solve(problem)
+        return dataclasses.replace(outcome, dual=outcome.dual[::-1])
+
+    monkeypatch.setattr(lp, "solve", corrupted)
+    path = DATA / "binomial.json"
+    assert main(["--json", "check", concept, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, header, dumped = captured.err.split("\n", 2)
+    assert message == ("noarb: internal inconsistency: "
+                       "one-step indicator price failed re-verification")
+    assert header == "noarb: the market it arose on, as a market file:"
+    assert load_market(dumped) == load_market(path.read_text())
 
 
 @pytest.mark.parametrize("concept", ["na", "all"])

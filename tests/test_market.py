@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from noarb import lab, lp, market
-from noarb.errors import ContractViolation, StructureError
+from noarb.errors import ContractViolation, InternalInconsistency, StructureError
 from noarb.lattice import SampleSpace
 from noarb.market import (
     Asset,
@@ -27,7 +28,7 @@ from noarb.market import (
 
 import global_routes
 import oracles
-from conftest import one_period_model
+from conftest import crr_tree, one_period_model
 
 
 # --- filtration and model validation ---------------------------------------
@@ -236,6 +237,54 @@ def test_na1_nupbr_constant(constant_market):
     assert check_nupbr(constant_market)
 
 
+@pytest.mark.parametrize("T", [5, 6, 7])
+def test_na1_solves_one_lp_per_crr_node(T, monkeypatch):
+    # each node's one-step EMM (1/3, 2/3) is positive at both children, so
+    # the LP for the first child's indicator covers the second as well
+    model, _ = crr_tree(T)
+    solve, calls = lp.solve, []
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    assert check_na1(model)
+    assert len(calls) == 2 ** T - 1
+
+
+@pytest.mark.parametrize("part", ["dual", "primal", "ray"])
+def test_na1_rejects_a_corrupted_certificate(part, binomial, dominance, monkeypatch):
+    # binomial's node LPs are optimal, dominance's is unbounded
+    model = dominance if part == "ray" else binomial
+    solve = lp.solve
+
+    def corrupted(problem):
+        outcome = solve(problem)
+        if part == "dual":
+            return dataclasses.replace(outcome, dual=outcome.dual[::-1])
+        vector = getattr(outcome, part)
+        return dataclasses.replace(outcome, **{part: (vector[0] - 1, *vector[1:])})
+
+    monkeypatch.setattr(lp, "solve", corrupted)
+    with pytest.raises(InternalInconsistency) as caught:
+        check_na1(model)
+    assert caught.value.data["model"] == model
+
+
+def test_na1_fails_at_a_node_priced_minus_inf():
+    # node {a1, a2} has a strong arbitrage (S moves 1 -> 2 or 3), so it prices
+    # its child indicators at -inf, although the root alone is arbitrage-free
+    space = SampleSpace(["a1", "a2", "b1", "b2"], [F(1, 4)] * 4)
+    filtration = Filtration(space, [
+        [["a1", "a2", "b1", "b2"]], [["a1", "a2"], ["b1", "b2"]],
+        [["a1"], ["a2"], ["b1"], ["b2"]]])
+    path = (space.constant(1), space.constant(1), space.variable([2, 3, 2, F(1, 2)]))
+    model = MarketModel(filtration, [Asset("S", path)])
+    assert not check_na1(model)
+    assert not global_routes.check_na1(model)
+
+
 def test_budget_set_scaling(binomial):
     # membership in B_alpha matches membership of x/alpha in B_1
     rng = random.Random(13)
@@ -320,18 +369,6 @@ def test_one_outcome_zero_horizon():
         assert route.superreplication_price(model, payoff).price == F(5, 2)
 
 
-def crr_tree(T, s0=F(1)):
-    """CRR tree, u = 2, d = 1/2: bit t of outcome k (from the top) is a down move."""
-    n = 2 ** T
-    space = SampleSpace([f"w{k}" for k in range(n)], [F(1, n)] * n)
-    partitions = [[tuple(range(c * 2 ** (T - t), (c + 1) * 2 ** (T - t)))
-                   for c in range(2 ** t)] for t in range(T + 1)]
-    ups = [[t - bin(k >> (T - t)).count("1") for k in range(n)] for t in range(T + 1)]
-    path = tuple(space.variable([s0 * F(2) ** (2 * ups[t][k] - t) for k in range(n)])
-                 for t in range(T + 1))
-    return MarketModel(Filtration(space, partitions), [Asset("S", path)]), ups[T]
-
-
 def test_crr_ten_periods_exact_and_fast():
     T, q, strike = 10, F(1, 3), F(1)
     model, ups = crr_tree(T)
@@ -399,3 +436,59 @@ def test_metamorphic_asset_changes(change):
                 path.append(total)
             changed = assets + [Asset("combination", tuple(path))]
         assert _cone_answers(MarketModel(model.filtration, changed)) == _cone_answers(model)
+
+
+def _permuted(model, order):
+    """The model with its outcomes listed in ``order``, a permutation of indices."""
+    space = model.space
+    changed = SampleSpace([space.outcomes[i] for i in order],
+                          [space.probabilities[i] for i in order])
+    levels = [[[space.outcomes[i] for i in cell] for cell in level]
+              for level in model.filtration.partitions]
+    assets = [Asset(a.name, tuple(changed.variable([x.values[i] for i in order])
+                                  for x in a.path)) for a in model.assets]
+    return MarketModel(Filtration(changed, levels), assets)
+
+
+def _split(model, s):
+    """The model with outcome ``s`` replaced by two copies, which share its
+    path, halve its probability and part only at T."""
+    space = model.space
+    copies = [[o, o + "'"] if i == s else [o] for i, o in enumerate(space.outcomes)]
+    source = [i for i, names in enumerate(copies) for _ in names]
+    changed = SampleSpace([o for names in copies for o in names],
+                          [space.probabilities[i] / len(copies[i]) for i in source])
+    levels = [[[o for i in cell for o in copies[i]] for cell in level]
+              for level in model.filtration.partitions[:-1]]
+    levels.append([[o] for names in copies for o in names])
+    assets = [Asset(a.name, tuple(changed.variable([x.values[i] for i in source])
+                                  for x in a.path)) for a in model.assets]
+    return MarketModel(Filtration(changed, levels), assets)
+
+
+def _indicator_answers(model, copies):
+    """NA, NA₁ and, for each original outcome, the price of the indicator of
+    its copies in ``model``."""
+    space = model.space
+    prices = {o: superreplication_price(
+        model, space.variable([int(x in names) for x in space.outcomes])).price
+        for o, names in copies.items()}
+    return check_na(model).holds, check_na1(model), prices
+
+
+@pytest.mark.parametrize("change", ["permute_outcomes", "split_outcome"])
+def test_metamorphic_outcome_changes(change):
+    rng = random.Random(f"metamorphic-{change}")
+    for _ in range(100):
+        model = lab.random_market(rng)
+        outcomes = model.space.outcomes
+        if change == "permute_outcomes":
+            order = list(range(len(outcomes)))
+            rng.shuffle(order)
+            changed, copies = _permuted(model, order), {o: [o] for o in outcomes}
+        else:
+            s = rng.randrange(len(outcomes))
+            changed = _split(model, s)
+            copies = {o: [o, o + "'"] if i == s else [o] for i, o in enumerate(outcomes)}
+        assert (_indicator_answers(changed, copies)
+                == _indicator_answers(model, {o: [o] for o in outcomes}))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from noarb import separation
 from noarb.cones import PolyhedralCone, cone_member
 from noarb.errors import ContractViolation, StructureError
 from noarb.lattice import SampleSpace
@@ -12,7 +13,10 @@ from noarb.separation import (
     functional_to_measure,
     separate_at,
     strict_separator,
+    strict_separator_exists,
 )
+
+from conftest import crr_tree
 
 TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 THREE = SampleSpace(["a", "b", "c"], [F(1, 3)] * 3)
@@ -47,6 +51,8 @@ def test_target_inside_cone_returns_none():
 def test_separate_contract_checks():
     with pytest.raises(StructureError):
         separate_at(PolyhedralCone(TWO, []), TWO.indicator("a"))
+    with pytest.raises(StructureError):
+        strict_separator_exists(PolyhedralCone(TWO, []))
     with pytest.raises(ContractViolation):
         separate_at(orthant_cone(TWO), TWO.zero())
     with pytest.raises(ContractViolation):
@@ -69,6 +75,7 @@ def test_none_iff_cone_membership():
 def test_strict_separator_pure_orthant():
     res = strict_separator(orthant_cone(THREE))
     assert res.functional is not None
+    assert strict_separator_exists(orthant_cone(THREE))
     assert res.functional.is_strictly_positive
     assert res.report.verified_on == 0
     assert res.report.normalization == 1
@@ -79,6 +86,7 @@ def test_strict_separator_with_generator():
     res = strict_separator(orthant_cone(TWO, [g]))
     f = res.functional
     assert f is not None and f.is_strictly_positive
+    assert strict_separator_exists(orthant_cone(TWO, [g]))
     assert f(g) <= 0
     assert f.coefficients[0] <= f.coefficients[1]
 
@@ -88,6 +96,7 @@ def test_strict_separator_violating_direction():
     res = strict_separator(cone)
     assert res.functional is None
     assert res.violating == TWO.indicator("b")
+    assert not strict_separator_exists(cone)
 
 
 def test_averaging_soundness_random():
@@ -98,6 +107,7 @@ def test_averaging_soundness_random():
                 for _ in range(rng.randint(1, 4))]
         cone = orthant_cone(THREE, gens)
         res = strict_separator(cone)
+        assert strict_separator_exists(cone) == (res.functional is not None)
         if res.functional is None:
             assert cone_member(cone, res.violating)
             continue
@@ -105,6 +115,22 @@ def test_averaging_soundness_random():
         f = res.functional
         assert all(f(g) <= 0 for g in gens)
         assert all(f(e) > 0 for e in THREE.indicators())
+
+
+@pytest.mark.parametrize("T", [5, 6, 7])
+def test_exhaustion_separates_a_crr_tree_once(T, monkeypatch):
+    # the only martingale measure is strictly positive, so the first
+    # separator is positive at every outcome
+    model, _ = crr_tree(T)
+    calls = []
+
+    def counted(cone, target):
+        calls.append(target)
+        return separate_at(cone, target)
+
+    monkeypatch.setattr(separation, "separate_at", counted)
+    assert strict_separator_exists(payoff_cone(model, include_neg_orthant=True))
+    assert len(calls) == 1
 
 
 def test_functional_to_measure_examples():
