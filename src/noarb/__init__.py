@@ -32,7 +32,6 @@ from .lattice import RandomVariable, SampleSpace
 from .lp import Feasibility, LpOutcome, LpProblem, feasible, solve
 from .market import (
     Asset,
-    ElementaryGain,
     EmmResult,
     Filtration,
     MarketModel,
@@ -47,6 +46,7 @@ from .market import (
     find_emm,
     in_budget_set,
     is_martingale_measure,
+    martingale_residuals,
     payoff_cone,
     superreplication_price,
     terminal_gain,

@@ -35,6 +35,7 @@ from .market import (
     check_na1,
     check_nupbr,
     find_emm,
+    martingale_residuals,
     superreplication_price,
     terminal_gain,
 )
@@ -132,11 +133,9 @@ def cmd_emm(args) -> tuple[int, dict, list[str]]:
     if result.measure is not None:
         q = result.measure
         residuals = {}
-        for g in model.elementary_gains():
-            cell = model.filtration.partitions[g.t - 1][g.cell]
-            ids = "+".join(model.space.outcomes[i] for i in cell)
-            key = f"{model.assets[g.asset].name}/t={g.t}/{ids}"
-            residuals[key] = format_rational(q.expectation(g.vector))
+        for (t, a, ci), residual in martingale_residuals(model, q).items():
+            ids = "+".join(model.space.outcomes[i] for i in model.filtration.partitions[t - 1][ci])
+            residuals[f"{model.assets[a].name}/t={t}/{ids}"] = format_rational(residual)
         witnesses["measure"] = values_by_outcome(
             RandomVariable(model.space, q.weights))
         witnesses["density"] = {

@@ -8,7 +8,8 @@ cannot silently misalign a filtration cell with a price.
 All loaders re-check every model invariant and raise ``StructureError``
 with a JSON-path (and, for syntax errors, line/column) pointing at the
 offending element.  Every object has a fixed key set: an unknown key, such
-as a misspelt optional flag, is an error rather than silently ignored.
+as a misspelt optional flag, is an error rather than silently ignored, and
+so is a key repeated in one object, which JSON would resolve last-wins.
 """
 
 from __future__ import annotations
@@ -48,9 +49,20 @@ def _keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
             _fail(f"{path}.{key}", f"unknown key (expected one of {', '.join(allowed)})")
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise StructureError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def parse_json(text: str, path: str = "<input>") -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except StructureError as exc:  # a ValueError, so it must come first
+        raise StructureError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise StructureError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

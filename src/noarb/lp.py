@@ -448,122 +448,96 @@ def feasible(problem: LpProblem) -> Feasibility:
 # These re-derive every claim an LpOutcome makes from the problem data alone,
 # so callers can re-verify witnesses without trusting the solver's path.
 
-def is_feasible_point(problem: LpProblem, x: Sequence) -> bool:
-    x = [as_fraction(v) for v in x]
+def _dot(a: Sequence, x: Sequence) -> Fraction:
+    """Σ a_i·x_i exactly, summed as integers over one running denominator:
+    a ``Fraction`` sum would reduce by a gcd after every term."""
+    num, den = 0, 1
+    for p, q in zip(a, x):
+        if p and q:
+            (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+            num, den = num * pd * qd + pn * qn * den, den * pd * qd
+    return Fraction(num, den)
+
+
+def _satisfies(problem: LpProblem, x, rhs, upper) -> bool:
+    """Whether x meets the problem's lower bounds, the bounds ``upper`` and
+    every row against ``rhs``."""
     if len(x) != problem.num_vars:
         return False
-    for j, v in enumerate(x):
-        if problem.lower[j] is not None and v < problem.lower[j]:
+    for v, lo, up in zip(x, problem.lower, upper):
+        if (lo is not None and v < lo) or (up is not None and v > up):
             return False
-        if problem.upper[j] is not None and v > problem.upper[j]:
-            return False
-    for row, rel, rhs in zip(problem.rows, problem.relations, problem.rhs):
-        lhs = sum((a * v for a, v in zip(row, x)), _ZERO)
-        if rel == LE and lhs > rhs:
-            return False
-        if rel == GE and lhs < rhs:
-            return False
-        if rel == EQ and lhs != rhs:
+    for row, rel, b in zip(problem.rows, problem.relations, rhs):
+        lhs = _dot(row, x)
+        if (lhs > b) if rel == LE else ((lhs < b) if rel == GE else (lhs != b)):
             return False
     return True
+
+
+def is_feasible_point(problem: LpProblem, x: Sequence) -> bool:
+    return _satisfies(problem, as_fractions(x), problem.rhs, problem.upper)
 
 
 def objective_value(problem: LpProblem, x: Sequence) -> Fraction:
-    return sum((c * as_fraction(v) for c, v in zip(problem.objective, x)), _ZERO)
+    return _dot(problem.objective, as_fractions(x))
 
 
-def _dual_signs_ok(problem: LpProblem, dual, sign: int) -> bool:
-    for rel, y in zip(problem.relations, dual):
-        if rel == LE and sign * y < 0:
-            return False
-        if rel == GE and sign * y > 0:
-            return False
-    return True
+def _dual_objective(problem: LpProblem, y, w, costs, sign: int) -> Optional[Fraction]:
+    """rhs·y + Σ upper_j·w_j, when the row multipliers y and the upper-bound
+    multipliers w are dual feasible against ``costs``; None otherwise.
+
+    Dual feasible: y has ``sign``'s sign on ≤ rows and the opposite one on ≥
+    rows, w has ``sign``'s sign on finite upper bounds and is 0 elsewhere,
+    and each column's y·A_j + w_j equals costs_j on a free variable and lies
+    on ``sign``'s side of costs_j on a nonnegative one.
+    """
+    if len(y) != problem.num_rows or len(w) != problem.num_vars:
+        return None
+    for rel, yi in zip(problem.relations, y):
+        if (rel == LE and sign * yi < 0) or (rel == GE and sign * yi > 0):
+            return None
+    total = _dot(problem.rhs, y)
+    for j, (lo, up, wj, c) in enumerate(zip(problem.lower, problem.upper, w, costs)):
+        if (wj != 0) if up is None else (sign * wj < 0):
+            return None
+        slack = _dot([row[j] for row in problem.rows], y) + wj - c
+        if (slack != 0) if lo is None else (sign * slack < 0):
+            return None
+        if up is not None:
+            total += up * wj
+    return total
 
 
 def check_optimal(problem: LpProblem, outcome: LpOutcome) -> bool:
     """Primal feasibility, dual feasibility and a zero duality gap, exactly."""
-    if outcome.status != OPTIMAL:
+    if outcome.status != OPTIMAL or not is_feasible_point(problem, outcome.primal):
         return False
-    if not is_feasible_point(problem, outcome.primal):
-        return False
-    if objective_value(problem, outcome.primal) != outcome.objective_value:
-        return False
-    y, w = outcome.dual, outcome.upper_duals
+    value = outcome.objective_value
     sign = 1 if problem.sense == MAXIMIZE else -1
-    if not _dual_signs_ok(problem, y, sign):
-        return False
-    dual_obj = sum((b * v for b, v in zip(problem.rhs, y)), _ZERO)
-    for j, wj in enumerate(w):
-        if problem.upper[j] is None:
-            if wj != 0:
-                return False
-        else:
-            if sign * wj < 0:
-                return False
-            dual_obj += problem.upper[j] * wj
-    if dual_obj != outcome.objective_value:
-        return False
-    for j in range(problem.num_vars):
-        lhs = sum((problem.rows[i][j] * y[i] for i in range(problem.num_rows)), _ZERO)
-        lhs += w[j]
-        slack = sign * (lhs - problem.objective[j])
-        if problem.lower[j] is None:
-            if lhs != problem.objective[j]:
-                return False
-        elif slack < 0:
-            return False
-    return True
+    return (objective_value(problem, outcome.primal) == value
+            and _dual_objective(problem, outcome.dual, outcome.upper_duals,
+                                problem.objective, sign) == value)
 
 
 def check_farkas(problem: LpProblem, dual: Sequence, upper_duals: Sequence) -> bool:
     """Exact infeasibility proof: multipliers that no feasible point can satisfy."""
-    y = [as_fraction(v) for v in dual]
-    w = [as_fraction(v) for v in upper_duals]
-    if not _dual_signs_ok(problem, y, 1):
-        return False
-    total = sum((b * v for b, v in zip(problem.rhs, y)), _ZERO)
-    for j, wj in enumerate(w):
-        if problem.upper[j] is None:
-            if wj != 0:
-                return False
-        else:
-            if wj < 0:
-                return False
-            total += problem.upper[j] * wj
-    if total >= 0:
-        return False
-    for j in range(problem.num_vars):
-        t = sum((problem.rows[i][j] * y[i] for i in range(problem.num_rows)), _ZERO) + w[j]
-        if problem.lower[j] is None:
-            if t != 0:
-                return False
-        elif t < 0:
-            return False
-    return True
+    total = _dual_objective(problem, as_fractions(dual), as_fractions(upper_duals),
+                            [_ZERO] * problem.num_vars, 1)
+    return total is not None and total < 0
 
 
 def check_ray(problem: LpProblem, outcome: LpOutcome) -> bool:
-    """The ray is a recession direction from a feasible point, strictly improving."""
+    """The ray is a recession direction from a feasible point, strictly
+    improving: it satisfies the problem with every rhs and every finite upper
+    bound set to 0 (lower bounds are 0 already)."""
     if outcome.status != UNBOUNDED or outcome.ray is None or outcome.primal is None:
         return False
     if not is_feasible_point(problem, outcome.primal):
         return False
-    d = outcome.ray
-    for j, v in enumerate(d):
-        if problem.lower[j] is not None and v < 0:
-            return False
-        if problem.upper[j] is not None and v > 0:
-            return False
-    for row, rel in zip(problem.rows, problem.relations):
-        move = sum((a * v for a, v in zip(row, d)), _ZERO)
-        if rel == LE and move > 0:
-            return False
-        if rel == GE and move < 0:
-            return False
-        if rel == EQ and move != 0:
-            return False
-    gain = sum((c * v for c, v in zip(problem.objective, d)), _ZERO)
+    zero_upper = [None if up is None else _ZERO for up in problem.upper]
+    if not _satisfies(problem, outcome.ray, [_ZERO] * problem.num_rows, zero_upper):
+        return False
+    gain = _dot(problem.objective, outcome.ray)
     return gain > 0 if problem.sense == MAXIMIZE else gain < 0
 
 

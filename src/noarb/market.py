@@ -24,7 +24,6 @@ stay whole-market LPs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -58,6 +57,8 @@ class Filtration:
                     o if isinstance(o, int) else space.index(o) for o in cell))
                 if not idx:
                     raise StructureError(f"empty cell in partition at t={t}")
+                if len(set(idx)) != len(idx):
+                    raise StructureError(f"a cell lists an outcome twice in partition at t={t}")
                 if seen.intersection(idx):
                     raise StructureError(f"overlapping cells in partition at t={t}")
                 seen.update(idx)
@@ -136,31 +137,6 @@ class MarketModel:
     def horizon(self) -> int:
         return self.filtration.horizon
 
-    def elementary_gains(self) -> list["ElementaryGain"]:
-        """One gain per (period, asset, information cell): hold one unit of one
-        asset over one period on one cell.  These span the payoff cone."""
-        space = self.space
-        n = len(space)
-        gains = []
-        for t in range(1, self.horizon + 1):
-            cells = self.filtration.partitions[t - 1]
-            for a, asset in enumerate(self.assets):
-                diff = asset.path[t] - asset.path[t - 1]
-                for ci, cell in enumerate(cells):
-                    values = [_ZERO] * n
-                    for i in cell:
-                        values[i] = diff.values[i]
-                    gains.append(ElementaryGain(t, a, ci, RandomVariable(space, values)))
-        return gains
-
-
-@dataclass(frozen=True)
-class ElementaryGain:
-    t: int
-    asset: int
-    cell: int
-    vector: RandomVariable
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -221,6 +197,24 @@ def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
     return RandomVariable(model.space, total)
 
 
+def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...]]:
+    """Every elementary gain, zero ones included: hold one unit of one asset
+    over (t−1, t] on one cell at t−1.  Keyed (t, asset index, cell index),
+    in that order; each gain is one value per outcome.  They span the
+    payoff cone."""
+    n = len(model.space)
+    gains = {}
+    for t in range(1, model.horizon + 1):
+        for a, asset in enumerate(model.assets):
+            now, before = asset.path[t].values, asset.path[t - 1].values
+            for ci, cell in enumerate(model.filtration.partitions[t - 1]):
+                values = [_ZERO] * n
+                for i in cell:
+                    values[i] = now[i] - before[i]
+                gains[t, a, ci] = tuple(values)
+    return gains
+
+
 def payoff_cone(model: MarketModel, include_neg_orthant: bool = False) -> PolyhedralCone:
     """The zero-initial-wealth payoff cone, generated by ± elementary gains.
 
@@ -229,9 +223,9 @@ def payoff_cone(model: MarketModel, include_neg_orthant: bool = False) -> Polyhe
     to be arbitrage-free.
     """
     gens = []
-    for gain in model.elementary_gains():
-        gens.append(gain.vector)
-        gens.append(-gain.vector)
+    for values in _gains(model).values():
+        gain = RandomVariable(model.space, values)
+        gens += [gain, -gain]
     return PolyhedralCone(model.space, gens, includes_neg_orthant=include_neg_orthant)
 
 
@@ -292,10 +286,6 @@ def _strategy_from_coefficients(model, placed) -> Strategy:
         for a, coef in zip(node.assets, coefficients):
             holdings[node.t - 1][a][node.cell] = as_fraction(coef)
     return Strategy(holdings)
-
-
-def _nonzero_gains(model):
-    return [g for g in model.elementary_gains() if not g.vector.is_zero]
 
 
 def _verified_arbitrage(model, node, coefficients) -> Strategy:
@@ -387,19 +377,28 @@ class EmmResult:
     arbitrage: Optional[Strategy] = None
 
 
-def is_martingale_measure(model: MarketModel, measure: Measure) -> bool:
-    """Exact check of every conditional martingale equality, cell by cell:
-    Σ_{i∈cell} q_i·(S_t − S_{t−1})_i = 0, read off the asset paths."""
+def martingale_residuals(model: MarketModel,
+                         measure: Measure) -> dict[tuple[int, int, int], Fraction]:
+    """The expectation under ``measure`` of every elementary gain, keyed by
+    (t, asset index, cell index at t−1) like ``_gains``: the sum over the
+    cell of q_i·(S_t − S_{t−1})_i, read off the asset paths cell by cell
+    rather than off n-long gains, so a large tree costs one pass."""
     if measure.space != model.space:
         raise StructureError("measure on a different sample space")
     q = measure.weights
+    residuals = {}
     for t in range(1, model.horizon + 1):
-        for asset in model.assets:
+        for a, asset in enumerate(model.assets):
             now, before = asset.path[t].values, asset.path[t - 1].values
-            for cell in model.filtration.partitions[t - 1]:
-                if sum([q[i] * (now[i] - before[i]) for i in cell], _ZERO):
-                    return False
-    return True
+            for ci, cell in enumerate(model.filtration.partitions[t - 1]):
+                residuals[t, a, ci] = sum([q[i] * (now[i] - before[i]) for i in cell], _ZERO)
+    return residuals
+
+
+def is_martingale_measure(model: MarketModel, measure: Measure) -> bool:
+    """Exact check of every conditional martingale equality: every residual
+    of ``martingale_residuals`` is 0."""
+    return not any(martingale_residuals(model, measure).values())
 
 
 def find_emm(model: MarketModel) -> EmmResult:
@@ -520,8 +519,8 @@ def in_budget_set(model: MarketModel, x: RandomVariable, alpha) -> bool:
         raise ContractViolation("budget level must be >= 0")
     if not x.is_nonneg:
         return False
-    gains = _nonzero_gains(model)
-    rows = [[g.vector.values[i] for g in gains] for i in range(len(model.space))]
+    gains = [g for g in _gains(model).values() if any(g)]
+    rows = [[g[i] for g in gains] for i in range(len(model.space))]
     rhs = [v - alpha for v in x.values]
     problem = lp.LpProblem([_ZERO] * len(gains), rows, [">="] * len(rows), rhs,
                            lower=[None] * len(gains))
@@ -557,10 +556,12 @@ def check_na1(model: MarketModel) -> bool:
     duality π_v(1_c′) ≥ y_c′ for every child c′ and every such dual y, so a
     child on which an earlier dual is positive needs no LP of its own.  A
     node with no moving asset prices every child indicator at exactly 1 and
-    needs none.  Every solve is checked by substitution: its primal must
-    superhedge, an unbounded LP's ray must lower α while superhedging 0, and
-    an optimal LP's dual must be a martingale measure whose weight at c
-    equals the optimum.
+    needs none.  Every solve is checked by substitution with
+    ``lp.check_outcome``: its primal must superhedge, an unbounded LP's ray
+    must lower α while superhedging 0, and an optimal LP's α must equal the
+    optimum and its dual must be a martingale measure, with no weight on
+    upper bounds, whose weight at c equals the optimum.  An infeasible LP is
+    an inconsistency, since α = 1 with no holdings is always feasible.
     """
     for node in _nodes(model):
         if not node.columns:
@@ -570,9 +571,9 @@ def check_na1(model: MarketModel) -> bool:
         for c in range(k):
             if covered[c]:
                 continue
-            values = [_ONE if j == c else _ZERO for j in range(k)]
-            outcome = lp.solve(_one_step_problem(node, values))
-            if not _verified_one_step(node, values, outcome):
+            problem = _one_step_problem(node, [_ONE if j == c else _ZERO for j in range(k)])
+            outcome = lp.solve(problem)
+            if outcome.status == lp.INFEASIBLE or not lp.check_outcome(problem, outcome):
                 raise InternalInconsistency("one-step indicator price failed re-verification",
                                             model=model, node=node, outcome=outcome)
             if outcome.status == lp.UNBOUNDED or outcome.objective_value <= 0:
@@ -581,36 +582,14 @@ def check_na1(model: MarketModel) -> bool:
     return True
 
 
-def _verified_one_step(node: _Node, values, outcome: lp.LpOutcome) -> bool:
-    """Whether ``outcome``, a node LP with a row for every child, certifies
-    its price of ``values`` in the ways ``check_na1`` lists."""
-    if outcome.status not in (lp.OPTIMAL, lp.UNBOUNDED):
-        return False
-    increments = list(zip(*node.columns))  # per child, one entry per moving asset
-
-    def superhedges(point, floors) -> bool:
-        alpha, holdings = point[0], point[1:]
-        return all(alpha + sum(map(operator.mul, holdings, increment), _ZERO) >= floor
-                   for increment, floor in zip(increments, floors))
-
-    if not superhedges(outcome.primal, values):
-        return False
-    if outcome.status == lp.UNBOUNDED:
-        return outcome.ray[0] < 0 and superhedges(outcome.ray, [_ZERO] * len(values))
-    y, price = outcome.dual, outcome.objective_value
-    return (outcome.primal[0] == price and min(y) >= 0 and sum(y, _ZERO) == 1
-            and not any(sum(map(operator.mul, y, column), _ZERO) for column in node.columns)
-            and sum(map(operator.mul, y, values), _ZERO) == price)
-
-
 def _budget_ceiling_problem(model: MarketModel, objective_weights) -> lp.LpProblem:
     # variables: x_1..x_n >= 0, then free strategy coefficients
-    gains = _nonzero_gains(model)
+    gains = [g for g in _gains(model).values() if any(g)]
     n = len(model.space)
     E = len(gains)
     rows, rhs = [], []
     for i in range(n):
-        row = [_ZERO] * n + [-g.vector.values[i] for g in gains]
+        row = [_ZERO] * n + [-g[i] for g in gains]
         row[i] = _ONE
         rows.append(row)
         rhs.append(_ONE)

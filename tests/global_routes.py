@@ -3,22 +3,26 @@ per-outcome reference for NA₁.
 
 Each question is one dense LP over every elementary gain of the market at
 once, the way ``noarb.market`` decided them before it went node by node.
-On a one-period market both build the same LP row for row.  ``check_na1``
-prices every outcome indicator through the library's own
-``superreplication_price``, the way ``noarb.market`` decided NA₁ before it
-read it off one-step child-indicator prices.  The tests run these against
-the library's routes: they must agree on every verdict and price.
-Witnesses are checked here by direct substitution, as in the library.
+On a one-period market both build the same LP row for row.
+``elementary_gains`` is the reference layout of those gains, one n-long
+random variable per (t, asset, cell).  ``check_na1`` prices every outcome
+indicator through the library's own ``superreplication_price``, the way
+``noarb.market`` decided NA₁ before it read it off one-step child-indicator
+prices.  The tests run these against the library's routes: they must agree
+on every verdict and price.  Witnesses are checked here by direct
+substitution, as in the library.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from noarb import lp, market
 from noarb.concepts import ConceptVerdicts
 from noarb.errors import InternalInconsistency
+from noarb.lattice import RandomVariable
 from noarb.market import (
     EmmResult,
     Measure,
@@ -35,8 +39,32 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@dataclass(frozen=True)
+class ElementaryGain:
+    t: int
+    asset: int
+    cell: int
+    vector: RandomVariable
+
+
+def elementary_gains(model) -> list[ElementaryGain]:
+    """One gain per (period, asset, information cell): hold one unit of one
+    asset over one period on one cell.  These span the payoff cone."""
+    space = model.space
+    gains = []
+    for t in range(1, model.horizon + 1):
+        for a, asset in enumerate(model.assets):
+            diff = asset.path[t] - asset.path[t - 1]
+            for ci, cell in enumerate(model.filtration.partitions[t - 1]):
+                values = [_ZERO] * len(space)
+                for i in cell:
+                    values[i] = diff.values[i]
+                gains.append(ElementaryGain(t, a, ci, RandomVariable(space, values)))
+    return gains
+
+
 def _nonzero_gains(model):
-    return [g for g in model.elementary_gains() if not g.vector.is_zero]
+    return [g for g in elementary_gains(model) if not g.vector.is_zero]
 
 
 def _strategy_from_coefficients(model, gains, coefficients) -> Strategy:
@@ -58,7 +86,7 @@ def _verified_arbitrage(model, gains, coefficients) -> Strategy:
 
 def is_martingale_measure(model, measure) -> bool:
     """One expectation per elementary gain: the per-gain reference check."""
-    return all(measure.expectation(g.vector) == 0 for g in model.elementary_gains())
+    return all(measure.expectation(g.vector) == 0 for g in elementary_gains(model))
 
 
 def check_na(model) -> NaResult:

@@ -11,6 +11,8 @@ from itertools import combinations
 
 from noarb import lp
 
+import global_routes
+
 ZERO = Fraction(0)
 
 
@@ -133,7 +135,7 @@ def martingale_polytope_vertices(model):
     n = len(model.space)
     rows = [[Fraction(1)] * n]
     rhs = [Fraction(1)]
-    for gain in model.elementary_gains():
+    for gain in global_routes.elementary_gains(model):
         rows.append(list(gain.vector.values))
         rhs.append(ZERO)
     reduced = row_reduce(rows, rhs)

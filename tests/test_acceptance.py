@@ -61,7 +61,7 @@ def test_acceptance_ftap_cross_check(report):
             f = separator.functional
             assert f.is_strictly_positive
             assert all(f(g.vector) <= 0 and f(-g.vector) <= 0
-                       for g in model.elementary_gains())
+                       for g in global_routes.elementary_gains(model))
             witnesses += 2
         else:
             fails += 1

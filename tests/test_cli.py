@@ -127,14 +127,27 @@ def test_exit_code_taxonomy(tmp_path, capsys):
         ("cone.json", "cone_with_gen.json",
          lambda d: d.update(include_neg_orthant=False), ["separate"],
          "$.include_neg_orthant: unknown key"),
+        # JSON alone would keep the last "u" and decide the market on it
+        ("market_repeated_key.json", "binomial.json",
+         lambda d: json.dumps(d).replace('"u": ["1", "2"]', '"u": ["1", "2"], "u": ["1", "1/2"]'),
+         ["check", "na"], "repeated key 'u' in a JSON object"),
     ]
     for name, source, edit, command, message in typos:
         doc = json.loads((DATA / source).read_text())
-        edit(doc)
+        text = edit(doc)  # None for an edit in place, else the edited text
         typo = tmp_path / name
-        typo.write_text(json.dumps(doc))
+        typo.write_text(json.dumps(doc) if text is None else text)
         assert main([*command, str(typo)]) == 2, name
         assert message in capsys.readouterr().err, name
+    # a cell that lists an outcome twice: the t=0 cell counted u twice
+    market = json.loads((DATA / "binomial.json").read_text())
+    market["filtration"][0] = [["u", "u", "d"]]
+    repeated_cell = tmp_path / "repeated_cell.json"
+    repeated_cell.write_text(json.dumps(market))
+    for command in (["check", "all"], ["emm"], ["price"]):
+        extra = [str(DATA / "call_payoff.json")] if command == ["price"] else []
+        assert main([*command, str(repeated_cell), *extra]) == 2, command
+        assert "$.filtration: a cell lists an outcome twice" in capsys.readouterr().err
     payoff = tmp_path / "payoff.json"
     payoff.write_text('{"payoff": {"u": "1", "d": "0"}, "strike": "1"}')
     assert main(["price", str(DATA / "binomial.json"), str(payoff)]) == 2

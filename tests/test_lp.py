@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -81,6 +82,31 @@ def test_unbounded_with_ray():
     assert out.status == lp.UNBOUNDED
     assert out.ray == (F(1), F(1))
     assert lp.check_ray(p, out)
+
+
+def test_checks_reject_corrupted_certificates():
+    # max x + y with the row x <= 1 and the bound y <= 2: optimum 3 at (1, 2)
+    box = lp.LpProblem([1, 1], [[1, 0]], ["<="], [1], upper=[None, 2])
+    out = lp.solve(box)
+    assert (out.primal, out.dual, out.upper_duals) == ((1, 2), (1,), (0, 1))
+    assert lp.check_outcome(box, out)
+    for bad in [dict(primal=(F(2), F(2))), dict(objective_value=F(4)), dict(dual=(F(2),)),
+                dict(dual=(F(-1),)), dict(dual=()), dict(upper_duals=(F(1), F(1))),
+                dict(upper_duals=(F(0), F(2))),
+                # same dual objective 3, but y·A_1 + w_1 = 1/2 falls short of c_1 = 1
+                dict(dual=(F(2),), upper_duals=(F(0), F(1, 2)))]:
+        assert not lp.check_outcome(box, dataclasses.replace(out, **bad)), bad
+    farkas = lp.LpProblem([1], [[-1], [1]], ["<=", "<="], [-1, 0])
+    out = lp.solve(farkas)
+    assert lp.check_outcome(farkas, out)
+    for dual in [tuple(-y for y in out.dual), (F(0), F(0))]:
+        assert not lp.check_outcome(farkas, dataclasses.replace(out, dual=dual)), dual
+    # max x with x - y <= 0 over x, y >= 0: unbounded along (1, 1)
+    ray = lp.LpProblem([1, 0], [[1, -1]], ["<="], [0])
+    out = lp.solve(ray)
+    assert lp.check_outcome(ray, out)
+    for bad in [(F(1), F(0)), (F(-1), F(-1)), (F(0), F(1)), (F(1), F(1), F(0))]:
+        assert not lp.check_outcome(ray, dataclasses.replace(out, ray=bad)), bad
 
 
 def test_degenerate_duplicate_constraints_terminate():

@@ -41,6 +41,8 @@ def test_filtration_must_refine():
         Filtration(space, [[["a"], ["b", "c"]], [["a"], ["b"], ["c"]]])
     with pytest.raises(StructureError):  # final partition too coarse
         Filtration(space, [[["a", "b", "c"]], [["a", "b"], ["c"]]])
+    with pytest.raises(StructureError, match="lists an outcome twice"):
+        Filtration(space, [[["a", "a", "b", "c"]], [["a"], ["b"], ["c"]]])
 
 
 def test_model_requires_adapted_nonneg_paths():
@@ -253,7 +255,7 @@ def test_na1_solves_one_lp_per_crr_node(T, monkeypatch):
     assert len(calls) == 2 ** T - 1
 
 
-@pytest.mark.parametrize("part", ["dual", "primal", "ray"])
+@pytest.mark.parametrize("part", ["dual", "upper_duals", "primal", "ray"])
 def test_na1_rejects_a_corrupted_certificate(part, binomial, dominance, monkeypatch):
     # binomial's node LPs are optimal, dominance's is unbounded
     model = dominance if part == "ray" else binomial
@@ -263,6 +265,8 @@ def test_na1_rejects_a_corrupted_certificate(part, binomial, dominance, monkeypa
         outcome = solve(problem)
         if part == "dual":
             return dataclasses.replace(outcome, dual=outcome.dual[::-1])
+        if part == "upper_duals":  # weight on an upper bound the LP does not have
+            return dataclasses.replace(outcome, upper_duals=(F(1), *outcome.upper_duals[1:]))
         vector = getattr(outcome, part)
         return dataclasses.replace(outcome, **{part: (vector[0] - 1, *vector[1:])})
 
@@ -401,6 +405,9 @@ def test_martingale_check_matches_per_gain_reference():
             measure = Measure(model.space, weights)
             verdict = market.is_martingale_measure(model, measure)
             assert verdict == global_routes.is_martingale_measure(model, measure)
+            assert market.martingale_residuals(model, measure) == {
+                (g.t, g.asset, g.cell): measure.expectation(g.vector)
+                for g in global_routes.elementary_gains(model)}
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
@@ -466,6 +473,16 @@ def _split(model, s):
     return MarketModel(Filtration(changed, levels), assets)
 
 
+def _reweighted(model, rng):
+    """The model under other strictly positive outcome probabilities, an
+    equivalent measure."""
+    weights = [F(rng.randint(1, 9)) for _ in model.space.outcomes]
+    changed = SampleSpace(model.space.outcomes, [w / sum(weights) for w in weights])
+    assets = [Asset(a.name, tuple(changed.variable(x.values) for x in a.path))
+              for a in model.assets]
+    return MarketModel(Filtration(changed, model.filtration.partitions), assets)
+
+
 def _indicator_answers(model, copies):
     """NA, NA₁ and, for each original outcome, the price of the indicator of
     its copies in ``model``."""
@@ -476,7 +493,7 @@ def _indicator_answers(model, copies):
     return check_na(model).holds, check_na1(model), prices
 
 
-@pytest.mark.parametrize("change", ["permute_outcomes", "split_outcome"])
+@pytest.mark.parametrize("change", ["permute_outcomes", "split_outcome", "reweight"])
 def test_metamorphic_outcome_changes(change):
     rng = random.Random(f"metamorphic-{change}")
     for _ in range(100):
@@ -486,6 +503,8 @@ def test_metamorphic_outcome_changes(change):
             order = list(range(len(outcomes)))
             rng.shuffle(order)
             changed, copies = _permuted(model, order), {o: [o] for o in outcomes}
+        elif change == "reweight":
+            changed, copies = _reweighted(model, rng), {o: [o] for o in outcomes}
         else:
             s = rng.randrange(len(outcomes))
             changed = _split(model, s)
