@@ -19,6 +19,13 @@ the superreplication price is the backward induction of one-step prices
 ch. 5 and 7).  A one-period model is a single node, so its LP is the whole
 market's LP, row for row.  NUPBR, budget-set membership and the payoff cone
 stay whole-market LPs.
+
+Nodes with the same one-period market (child count and increments) share
+one solve: a recombining tree such as Cox–Ross–Rubinstein's has 2^T − 1
+nodes but only 2T − 1 distinct markets.  Their LPs are equal exactly, on
+exact rationals, so Bland's rule gives them identical outcomes: one solve
+answers for all of them, and every witness, measure, price and hedge is
+what solving each node would give.
 """
 
 from __future__ import annotations
@@ -238,16 +245,35 @@ class _Node:
     children: tuple[int, ...]  # indices of its child cells at t
     assets: tuple[int, ...]  # the assets whose price moves on some child
     columns: tuple[tuple[Fraction, ...], ...]  # per moving asset, its increment per child
+    market: int  # index of the first node with the same child count and columns
 
 
-def _nodes(model: MarketModel) -> list[_Node]:
+#: The last model ``_nodes`` was asked for, and its nodes: one slot, so a
+#: model's routes share one build without the module holding many models.
+_last_nodes: tuple = (None, ())
+
+
+def _nodes(model: MarketModel) -> tuple[_Node, ...]:
     """Every node of the information tree, by t, then by cell.
 
     Increments are read straight off ``asset.path``: prices are adapted, so
-    one outcome of a cell gives the cell's price.
+    one outcome of a cell gives the cell's price.  Nodes whose child count
+    and columns are equal pose equal LPs, so each points at the first of
+    them through ``market``; the child count matters even where no asset
+    moves.
     """
+    global _last_nodes
+    held, nodes = _last_nodes
+    if held is not model:
+        nodes = _build_nodes(model)
+        _last_nodes = (model, nodes)
+    return nodes
+
+
+def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
     parts = model.filtration.partitions
-    nodes = []
+    nodes: list[_Node] = []
+    first: dict = {}
     for t in range(1, model.horizon + 1):
         owner = {o: k for k, cell in enumerate(parts[t - 1]) for o in cell}
         kids: list[list[int]] = [[] for _ in parts[t - 1]]
@@ -262,8 +288,10 @@ def _nodes(model: MarketModel) -> list[_Node]:
                 if any(column):
                     assets.append(a)
                     columns.append(column)
-            nodes.append(_Node(t, k, tuple(children), tuple(assets), tuple(columns)))
-    return nodes
+            columns = tuple(columns)
+            market = first.setdefault((len(children), columns), len(nodes))
+            nodes.append(_Node(t, k, tuple(children), tuple(assets), columns, market))
+    return tuple(nodes)
 
 
 def _one_step_problem(node: _Node, values) -> lp.LpProblem:
@@ -312,10 +340,11 @@ def check_na(model: MarketModel) -> NaResult:
     payoff over holdings with payoff ≥ 0, capped at 1 per child so the
     cone's scaling cannot blow up the LP: the optimum is 0 exactly when the
     node has no arbitrage.  The first node that has one yields an explicit
-    strategy whose payoff is re-verified to be ≥ 0 and ≠ 0.
+    strategy whose payoff is re-verified to be ≥ 0 and ≠ 0.  A node whose
+    market an earlier node has (``node.market``) passed with it.
     """
-    for node in _nodes(model):
-        if not node.columns:
+    for i, node in enumerate(_nodes(model)):
+        if node.market != i or not node.columns:
             continue
         E = len(node.columns)
         rows, rels, rhs = [], [], []
@@ -412,11 +441,14 @@ def find_emm(model: MarketModel) -> EmmResult:
     same solve's certificate is the node's arbitrage, read off the
     multipliers y of the martingale rows: at optimum 0 the dual gives a
     payoff Σ y·gain ≥ 0 whose total is ≥ 1, and when the LP is infeasible
-    the Farkas vector gives a payoff > 0 on every child.
+    the Farkas vector gives a payoff > 0 on every child.  A node whose
+    market an earlier node has (``node.market``) takes that node's weights.
     """
-    parts = model.filtration.partitions
-    weights = [[_ONE]] + [[_ZERO] * len(cells) for cells in parts[1:]]
-    for node in _nodes(model):
+    nodes = _nodes(model)
+    steps = {}  # per distinct market, its LP's primal: q_1..q_k, then m
+    for i, node in enumerate(nodes):
+        if node.market != i:
+            continue
         k = len(node.children)
         # variables: q_1..q_k, one per child, then the min-weight level m
         rows = [[_ONE] * k + [_ZERO]]
@@ -438,8 +470,12 @@ def find_emm(model: MarketModel) -> EmmResult:
         if outcome.status != lp.OPTIMAL or outcome.objective_value <= 0:
             multipliers = outcome.dual[1:1 + len(node.columns)]
             return EmmResult(arbitrage=_verified_arbitrage(model, node, multipliers))
+        steps[i] = outcome.primal
+    parts = model.filtration.partitions
+    weights = [[_ONE]] + [[_ZERO] * len(cells) for cells in parts[1:]]
+    for node in nodes:
         above = weights[node.t - 1][node.cell]
-        for c, q in zip(node.children, outcome.primal):
+        for c, q in zip(node.children, steps[node.market]):
             weights[node.t][c] = above * q
     measure = Measure(model.space, weights[-1])  # the cells at T are the outcomes, in order
     if not measure.is_equivalent or not is_martingale_measure(model, measure):
@@ -464,7 +500,8 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     where an unbounded node must still deliver from finite wealth w, the
     primal moves along the LP's ray until its α is at most w.  The price is
     −inf only when the market admits a strictly positive gain (arbitrage),
-    in which case no hedge is returned.
+    in which case no hedge is returned.  Nodes with the same market and the
+    same child prices share one solve.
     """
     if payoff.space != model.space:
         raise StructureError("payoff on a different sample space")
@@ -474,10 +511,13 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     prices: list[list[Price]] = [[_ZERO] * len(cells) for cells in parts]
     prices[-1] = list(payoff.values)  # the cells at T are the outcomes, in order
     nodes = _nodes(model)
-    outcomes = []
+    outcomes, solved = [], {}
     for node in reversed(nodes):
         below = prices[node.t]
-        outcome = lp.solve(_one_step_problem(node, [below[c] for c in node.children]))
+        values = tuple([below[c] for c in node.children])
+        outcome = solved.get((node.market, values))
+        if outcome is None:
+            outcome = solved[node.market, values] = lp.solve(_one_step_problem(node, values))
         if outcome.status == lp.OPTIMAL:
             prices[node.t - 1][node.cell] = outcome.objective_value
         elif outcome.status == lp.UNBOUNDED:
@@ -556,15 +596,17 @@ def check_na1(model: MarketModel) -> bool:
     duality π_v(1_c′) ≥ y_c′ for every child c′ and every such dual y, so a
     child on which an earlier dual is positive needs no LP of its own.  A
     node with no moving asset prices every child indicator at exactly 1 and
-    needs none.  Every solve is checked by substitution with
-    ``lp.check_outcome``: its primal must superhedge, an unbounded LP's ray
-    must lower α while superhedging 0, and an optimal LP's α must equal the
-    optimum and its dual must be a martingale measure, with no weight on
-    upper bounds, whose weight at c equals the optimum.  An infeasible LP is
-    an inconsistency, since α = 1 with no holdings is always feasible.
+    needs none, and neither does a node whose market an earlier node has
+    (``node.market``): its LPs are that node's.  Every solve is checked by
+    substitution with ``lp.check_outcome``: its primal must superhedge, an
+    unbounded LP's ray must lower α while superhedging 0, and an optimal
+    LP's α must equal the optimum and its dual must be a martingale measure,
+    with no weight on upper bounds, whose weight at c equals the optimum.
+    An infeasible LP is an inconsistency, since α = 1 with no holdings is
+    always feasible.
     """
-    for node in _nodes(model):
-        if not node.columns:
+    for i, node in enumerate(_nodes(model)):
+        if node.market != i or not node.columns:
             continue
         k = len(node.children)
         covered = [False] * k

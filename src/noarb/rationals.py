@@ -64,5 +64,6 @@ def as_fraction(value) -> Fraction:
 def as_fractions(values) -> tuple[Fraction, ...]:
     """``as_fraction`` of each value, as a tuple."""
     # built from a list: tuple(<generator>) over-allocates and reallocs, and
-    # the freed tuple sits on a size-k freelist until a full collection
-    return tuple([as_fraction(v) for v in values])
+    # the freed tuple sits on a size-k freelist until a full collection; an
+    # exact Fraction, the common case, passes through without a call
+    return tuple([v if type(v) is Fraction else as_fraction(v) for v in values])

@@ -1,7 +1,10 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from noarb import lp
 from noarb.lattice import SampleSpace
 from noarb.market import Asset, Filtration, MarketModel
 
@@ -26,6 +29,52 @@ def crr_tree(T, s0=F(1)):
     path = tuple(space.variable([s0 * F(2) ** (2 * ups[t][k] - t) for k in range(n)])
                  for t in range(T + 1))
     return MarketModel(Filtration(space, partitions), [Asset("S", path)]), ups[T]
+
+
+def additive_tree(T):
+    """Binary tree laid out like ``crr_tree`` on which no two nodes share a
+    one-period market: S starts at T, and the node with breadth-first index
+    i moves it up by i + 1 or down by 1."""
+    n = 2 ** T
+    space = SampleSpace([f"w{k}" for k in range(n)], [F(1, n)] * n)
+    partitions = [[tuple(range(c * 2 ** (T - t), (c + 1) * 2 ** (T - t)))
+                   for c in range(2 ** t)] for t in range(T + 1)]
+    prices = [[F(T)] * n]
+    for t in range(1, T + 1):
+        moves = []
+        for k in range(n):
+            cell = k >> (T - t)  # the child cell at t; bit 0 set is a down move
+            node = 2 ** (t - 1) - 1 + (cell >> 1)
+            moves.append(-1 if cell & 1 else node + 1)
+        prices.append([s + m for s, m in zip(prices[-1], moves)])
+    path = tuple(space.variable(p) for p in prices)
+    return MarketModel(Filtration(space, partitions), [Asset("S", path)])
+
+
+def trinomial_tree(T):
+    """Recombining trinomial tree, u = 2, m = 1, d = 1/2 on S0 = 1: the
+    nodes where S is back at 1 repeat the root's one-period market."""
+    factors = {"u": F(2), "m": F(1), "d": F(1, 2)}
+    words = ["".join(w) for w in itertools.product("umd", repeat=T)]
+    space = SampleSpace(words, [F(1, len(words))] * len(words))
+    partitions = [[[w for w in words if w[:t] == prefix]
+                   for prefix in sorted({w[:t] for w in words})] for t in range(T + 1)]
+    path = tuple(space.variable([math.prod([factors[c] for c in w[:t]], start=F(1))
+                                 for w in words]) for t in range(T + 1))
+    return MarketModel(Filtration(space, partitions), [Asset("S", path)])
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The problem of every ``lp.solve`` call the test makes, in call order."""
+    solve, calls = lp.solve, []
+
+    def recorded(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    return calls
 
 
 @pytest.fixture

@@ -69,6 +69,20 @@ def test_box_maximum():
     assert_outcome_fractions(out)
 
 
+def test_problem_coerces_rows_exactly():
+    # exact Fractions pass through as they are; a subclass is rebuilt as a
+    # plain Fraction, and a float is refused wherever it sits in a row
+    class Sub(F):
+        pass
+
+    p = lp.LpProblem([1, 1], [[F(1, 2), Sub(3)], [1, "2/3"]], ["<=", "<="], [1, 1])
+    assert p.rows == ((F(1, 2), F(3)), (F(1), F(2, 3)))
+    assert all(type(v) is F for row in p.rows for v in row)
+    for bad in ([[0.5, 1]], [[F(1), 0.5]]):
+        with pytest.raises(StructureError, match="floats are not exact"):
+            lp.LpProblem([1, 1], bad, ["<="], [1])
+
+
 def test_contradictory_bounds_infeasible_with_certificate():
     p = lp.LpProblem([1], [[-1], [1]], ["<=", "<="], [-1, 0])
     out = lp.solve(p)

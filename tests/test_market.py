@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from noarb import lab, lp, market
+from noarb.concepts import full_verdict
 from noarb.errors import ContractViolation, InternalInconsistency, StructureError
 from noarb.lattice import SampleSpace
 from noarb.market import (
@@ -28,7 +29,7 @@ from noarb.market import (
 
 import global_routes
 import oracles
-from conftest import crr_tree, one_period_model
+from conftest import additive_tree, crr_tree, one_period_model, trinomial_tree
 
 
 # --- filtration and model validation ---------------------------------------
@@ -155,18 +156,12 @@ def test_emm_dominance_none_with_arbitrage(dominance):
     ([2, F(3, 2)], lp.INFEASIBLE),  # dominance: no martingale measure at all
     ([2, 1], lp.OPTIMAL),  # optimum 0: only the non-equivalent (0, 1) is a martingale
 ], ids=["infeasible", "optimum_zero"])
-def test_emm_arbitrage_from_its_own_certificate(terminal, status, monkeypatch):
+def test_emm_arbitrage_from_its_own_certificate(terminal, status, lp_calls, monkeypatch):
     model = one_period_model(terminal)
-    solve, outcomes = lp.solve, []
-
-    def counted(problem):
-        outcomes.append(solve(problem))
-        return outcomes[-1]
-
-    monkeypatch.setattr(lp, "solve", counted)
     monkeypatch.setattr(market, "check_na", None)  # find_emm must not call it
     res = find_emm(model)
-    assert [o.status for o in outcomes] == [status]
+    (problem,) = lp_calls
+    assert lp.solve(problem).status == status
     assert res.measure is None
     payoff = terminal_gain(model, res.arbitrage)
     assert payoff.is_nonneg and not payoff.is_zero
@@ -240,19 +235,117 @@ def test_na1_nupbr_constant(constant_market):
 
 
 @pytest.mark.parametrize("T", [5, 6, 7])
-def test_na1_solves_one_lp_per_crr_node(T, monkeypatch):
-    # each node's one-step EMM (1/3, 2/3) is positive at both children, so
-    # the LP for the first child's indicator covers the second as well
+def test_na1_solves_one_lp_per_distinct_market(T, lp_calls):
+    # each node's one-step EMM is positive at both children, so the LP for
+    # the first child's indicator covers the second as well; the CRR tree
+    # recombines into 2T - 1 distinct one-period markets, the additive tree
+    # has a market of its own at each of its 2^T - 1 nodes
+    assert check_na1(crr_tree(T)[0])
+    assert len(lp_calls) == 2 * T - 1
+    lp_calls.clear()
+    assert check_na1(additive_tree(T))
+    assert len(lp_calls) == 2 ** T - 1
+
+
+# --- one solve per distinct one-period market -------------------------------
+
+
+def call_on(model, strike=F(1)):
+    return model.space.variable([max(v - strike, 0) for v in model.assets[0].path[-1].values])
+
+
+def crr_call_keys(T, strike=F(1)):
+    """The distinct (node price, call price after an up move, after a down
+    move) over the nodes of ``crr_tree(T)``, from the closed-form price
+    with q = 1/3 per up move: one superhedging LP for each."""
+    q = F(1, 3)
+
+    def call(s, m):
+        return sum(math.comb(m, j) * q ** j * (1 - q) ** (m - j)
+                   * max(s * F(2) ** (2 * j - m) - strike, 0) for j in range(m + 1))
+
+    return {(s, call(2 * s, T - t), call(s / 2, T - t))
+            for t in range(1, T + 1) for s in {F(2) ** (2 * u - t + 1) for u in range(t)}}
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5, 6, 9])
+def test_crr_solves_once_per_distinct_market(T, lp_calls):
+    # node prices 2^-(T-1) .. 2^(T-1): 2T - 1 markets among 2^T - 1 nodes;
+    # the call shares solves across times too, where equal node prices see
+    # equal child prices (39 keys at T = 9, against 45 (price, time) pairs)
     model, _ = crr_tree(T)
-    solve, calls = lp.solve, []
+    assert check_na(model).holds
+    assert len(lp_calls) == 2 * T - 1
+    lp_calls.clear()
+    assert find_emm(model).measure is not None
+    assert len(lp_calls) == 2 * T - 1
+    lp_calls.clear()
+    superreplication_price(model, call_on(model))
+    assert len(lp_calls) == len(crr_call_keys(T))
 
-    def counted(problem):
-        calls.append(problem)
-        return solve(problem)
 
-    monkeypatch.setattr(lp, "solve", counted)
-    assert check_na1(model)
-    assert len(calls) == 2 ** T - 1
+def ungrouped(monkeypatch):
+    """Make every node its own market, as if no two were equal."""
+    build = market._build_nodes
+    monkeypatch.setattr(market, "_build_nodes", lambda model: tuple(
+        [dataclasses.replace(node, market=i) for i, node in enumerate(build(model))]))
+    monkeypatch.setattr(market, "_last_nodes", (None, ()))
+
+
+@pytest.mark.parametrize("build", [
+    *[pytest.param(lambda T=T: crr_tree(T)[0], id=f"crr{T}") for T in range(2, 7)],
+    pytest.param(lambda: trinomial_tree(2), id="trinomial2"),
+])
+def test_shared_solves_change_no_answer(build, lp_calls, monkeypatch):
+    model = build()
+    call = call_on(model)
+    answers = (check_na(model), check_na1(model), find_emm(model),
+               superreplication_price(model, call))
+    shared = len(lp_calls)
+    ungrouped(monkeypatch)
+    lp_calls.clear()
+    assert (check_na(model), check_na1(model), find_emm(model),
+            superreplication_price(model, call)) == answers
+    assert shared <= len(lp_calls)  # equal at T = 2: its three nodes are three markets
+    na, na1, emm, price = answers
+    assert na.holds and na1
+    assert global_routes.check_na(model).holds
+    assert global_routes.superreplication_price(model, call).price == price.price
+    reference = global_routes.find_emm(model).measure
+    if len(model.space) == 2 ** model.horizon:  # the CRR EMM is unique
+        assert reference.weights == emm.measure.weights
+    else:  # the trinomial's is not, and the whole-market LP picks another
+        assert global_routes.is_martingale_measure(model, emm.measure)
+        assert market.is_martingale_measure(model, reference)
+
+
+def test_static_nodes_with_different_child_counts(lp_calls):
+    # no asset moves: the root and node a have 2 children, node b has 3, so b
+    # must not take the root's weights although both have no columns
+    space = SampleSpace(["a1", "a2", "b1", "b2", "b3"], [F(1, 5)] * 5)
+    filtration = Filtration(space, [
+        [["a1", "a2", "b1", "b2", "b3"]], [["a1", "a2"], ["b1", "b2", "b3"]],
+        [[o] for o in space.outcomes]])
+    model = MarketModel(filtration, [Asset("S", (space.constant(1),) * 3)])
+    measure = find_emm(model).measure
+    assert measure.weights == (F(1, 4), F(1, 4), F(1, 6), F(1, 6), F(1, 6))
+    assert len(lp_calls) == 2
+
+
+def test_full_verdict_builds_the_tree_once(monkeypatch):
+    build, built = market._build_nodes, []
+
+    def counted(model):
+        built.append(model)
+        return build(model)
+
+    monkeypatch.setattr(market, "_build_nodes", counted)
+    rng = random.Random(0)
+    models = [lab.random_market(rng) for _ in range(30)]
+    for model in models:
+        full_verdict(model)
+    assert len(built) == len(models)
+    assert all(a is b for a, b in zip(built, models))
 
 
 @pytest.mark.parametrize("part", ["dual", "upper_duals", "primal", "ray"])
