@@ -39,7 +39,15 @@ def test_golden_reports_byte_stable(name, expected_exit, argv, capsys):
     assert code == expected_exit
     golden = (GOLDEN / f"{name}.json").read_text()
     assert out == golden
-    json.loads(out)  # the report is well-formed JSON
+    report = json.loads(out)  # the report is well-formed JSON
+    assert code == (0 if all(report["verdicts"].values()) else 1)
+
+
+@pytest.mark.parametrize("name,expected_exit,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_text_byte_stable(name, expected_exit, argv, capsys):
+    """The human-readable output of every golden case, pinned byte for byte."""
+    assert main(argv) == expected_exit
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_golden_semantics():
