@@ -1,14 +1,16 @@
 """Command-line front door.
 
 Every command loads exact-rational JSON inputs, drives the library, and
-emits a report.  The library verifies every witness once, by direct
+emits a report: its ``verdicts``, the ``witnesses`` behind them, and the
+command's own keys.  The library verifies every witness once, by direct
 substitution, before it reaches the CLI, so witnesses print as returned.  Exit
-codes are a stable contract: 0 the queried property holds (or the requested
-artifact was produced), 1 it fails (a witness is in the report), 2 the
-input was malformed, 3 two internal decision routes disagreed, a witness
-failed its check, or anything else went wrong inside the program.  When an
-exit 3 arises on a market, that market follows the message on standard
-error as a market file, so the failure can be replayed.
+codes are a stable contract: 0 every verdict in the report holds (``price``
+reports ``priced``, which holds whenever a price was produced), 1 some
+verdict fails (a witness is in the report), 2 the input was malformed or a
+size argument exceeds its declared cap, 3 two internal decision routes
+disagreed, a witness failed its check, or anything else went wrong inside
+the program.  When an exit 3 arises on a market, that market follows the
+message on standard error as a market file, so the failure can be replayed.
 
 ``--json`` prints the machine-readable report document; the default output
 is a short human-readable table.  JSON output is byte-stable for fixed
@@ -46,6 +48,10 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+#: Declared caps on the size arguments; larger values exit 2 before any work.
+MAX_TRUNCATION = 200  # counterexample --n
+MAX_INSTANCES = 2000  # verify --instances
 
 
 def _format_map(mapping: dict) -> str:
@@ -96,9 +102,23 @@ def _read(path: str) -> str:
 
 # --- commands ----------------------------------------------------------------
 
-def cmd_check(args) -> tuple[int, dict, list[str]]:
+def _report(command: str, verdicts: dict, witnesses: dict, **fields) -> dict:
+    """The envelope every report shares, plus the command's own keys."""
+    return {"command": command, "verdicts": verdicts, "witnesses": witnesses,
+            "exact": True, **fields}
+
+
+def _count(value: int, option: str, cap: int) -> int:
+    """A size argument, checked against its declared cap before any work."""
+    if value < 1:
+        raise StructureError(f"{option} must be a positive integer")
+    if value > cap:
+        raise StructureError(f"{option} must be at most {cap}, its declared cap")
+    return value
+
+
+def cmd_check(args) -> tuple[dict, list[str]]:
     model = load_market(_read(args.market), args.market)
-    witnesses: dict = {}
     if args.concept == "all":
         result = full_verdict(model)  # raises on disagreement
         verdicts, arbitrage = result.as_dict(), result.arbitrage
@@ -109,173 +129,108 @@ def cmd_check(args) -> tuple[int, dict, list[str]]:
         route = {"na1": check_na1, "nupbr": check_nupbr}[args.concept]
         verdicts = {args.concept: route(model)}
         arbitrage = None if verdicts[args.concept] else check_na(model).arbitrage
-    holds = all(verdicts.values())
-    if arbitrage is not None:
-        witnesses["arbitrage"] = _arbitrage_json(model, arbitrage)
-    report = {
-        "command": f"check {args.concept}",
-        "market": os.path.basename(args.market),
-        "verdicts": verdicts,
-        "witnesses": witnesses,
-        "exact": True,
-    }
+    witnesses: dict = {}
     lines = [f"{name}: {'holds' if value else 'FAILS'}"
              for name, value in sorted(verdicts.items())]
-    if "arbitrage" in witnesses:
+    if arbitrage is not None:
+        witnesses["arbitrage"] = _arbitrage_json(model, arbitrage)
         lines.append(f"arbitrage payoff: {_format_map(witnesses['arbitrage']['payoff'])}")
-    return (EXIT_HOLDS if holds else EXIT_FAILS), report, lines
+    return _report(f"check {args.concept}", verdicts, witnesses,
+                   market=os.path.basename(args.market)), lines
 
 
-def cmd_emm(args) -> tuple[int, dict, list[str]]:
+def cmd_emm(args) -> tuple[dict, list[str]]:
     model = load_market(_read(args.market), args.market)
     result = find_emm(model)
-    witnesses: dict = {}
-    if result.measure is not None:
-        q = result.measure
-        residuals = {}
+    q = result.measure
+    fields: dict = {"market": os.path.basename(args.market)}
+    if q is None:
+        witnesses = {"arbitrage": _arbitrage_json(model, result.arbitrage)}
+        lines = ["emm: none (market admits arbitrage)",
+                 f"arbitrage payoff: {_format_map(witnesses['arbitrage']['payoff'])}"]
+    else:
+        witnesses = {
+            "measure": values_by_outcome(RandomVariable(model.space, q.weights)),
+            "density": {o: format_rational(d)
+                        for o, d in zip(model.space.outcomes, q.density())},
+        }
+        residuals = fields["martingale_residuals"] = {}
         for (t, a, ci), residual in martingale_residuals(model, q).items():
             ids = "+".join(model.space.outcomes[i] for i in model.filtration.partitions[t - 1][ci])
             residuals[f"{model.assets[a].name}/t={t}/{ids}"] = format_rational(residual)
-        witnesses["measure"] = values_by_outcome(
-            RandomVariable(model.space, q.weights))
-        witnesses["density"] = {
-            o: format_rational(d)
-            for o, d in zip(model.space.outcomes, q.density())
-        }
-        report = {
-            "command": "emm",
-            "market": os.path.basename(args.market),
-            "verdicts": {"emm_exists": True},
-            "witnesses": witnesses,
-            "martingale_residuals": residuals,
-            "exact": True,
-        }
         lines = [f"emm: {_format_map(witnesses['measure'])}",
                  f"density dQ/dP: {_format_map(witnesses['density'])}"]
-        return EXIT_HOLDS, report, lines
-    witnesses["arbitrage"] = _arbitrage_json(model, result.arbitrage)
-    report = {
-        "command": "emm",
-        "market": os.path.basename(args.market),
-        "verdicts": {"emm_exists": False},
-        "witnesses": witnesses,
-        "exact": True,
-    }
-    return EXIT_FAILS, report, ["emm: none (market admits arbitrage)",
-                                f"arbitrage payoff: {_format_map(witnesses['arbitrage']['payoff'])}"]
+    return _report("emm", {"emm_exists": q is not None}, witnesses, **fields), lines
 
 
-def cmd_price(args) -> tuple[int, dict, list[str]]:
+def cmd_price(args) -> tuple[dict, list[str]]:
     model = load_market(_read(args.market), args.market)
     payoff = load_payoff(_read(args.payoff), model, args.payoff)
     if not payoff.is_nonneg:
         raise StructureError("$.payoff: entries must be nonnegative")
     result = superreplication_price(model, payoff)
-    na_holds = check_na(model).holds
-    witnesses: dict = {}
-    if result.hedge is not None:
-        witnesses["hedge"] = _strategy_json(model, result.hedge)
-    report = {
-        "command": "price",
-        "market": os.path.basename(args.market),
-        "payoff": values_by_outcome(payoff),
-        "price": _format_price(result.price),
-        "na_holds": na_holds,
-        "verdicts": {"priced": True},
-        "witnesses": witnesses,
-        "exact": True,
-    }
-    lines = [f"superreplication price: {report['price']}"]
+    na_holds = check_na(model).holds  # a finite price does not prove NA
+    witnesses = {} if result.hedge is None else {"hedge": _strategy_json(model, result.hedge)}
+    price = _format_price(result.price)
+    lines = [f"superreplication price: {price}"]
     if not na_holds:
         lines.append("warning: market admits arbitrage; the price is degenerate")
-    return EXIT_HOLDS, report, lines
+    return _report("price", {"priced": True}, witnesses, market=os.path.basename(args.market),
+                   payoff=values_by_outcome(payoff), price=price, na_holds=na_holds), lines
 
 
-def cmd_counterexample(args) -> tuple[int, dict, list[str]]:
-    if args.n < 1:
-        raise StructureError("--n must be a positive integer")
-    data = lab.counterexample_report(args.n).as_dict()
-    report = {
-        "command": "counterexample",
-        "verdicts": {"zero_set_trivial": data["zero_set_trivial"]},
-        "witnesses": {},
-        "exact": True,
-        **data,
-    }
+def cmd_counterexample(args) -> tuple[dict, list[str]]:
+    n = _count(args.n, "--n", MAX_TRUNCATION)
+    data = lab.counterexample_report(n).as_dict()
     lines = [
-        f"truncation N = {args.n}",
+        f"truncation N = {n}",
         f"sup of squared l2 norm over B: {data['sup_squared_l2']}",
         f"sup norm (l-infinity) bound:   {data['sup_norm_linf']}",
         f"min indicator gauge:           {data['min_indicator_gauge']}",
         f"intersection of scaled copies trivial: {data['zero_set_trivial']}",
     ]
-    return EXIT_HOLDS, report, lines
+    return _report("counterexample", {"zero_set_trivial": data["zero_set_trivial"]}, {},
+                   **data), lines
 
 
-def cmd_verify(args) -> tuple[int, dict, list[str]]:
-    if args.instances < 1:
-        raise StructureError("--instances must be a positive integer")
-    result = lab.verify_lemma_suite(args.seed, args.instances, self_test=args.self_test)
-    report = {
-        "command": "verify",
-        "verdicts": {"zero_violations": result.passed},
-        "witnesses": {},
-        "exact": True,
-        **result.as_dict(),
-    }
-    return (EXIT_HOLDS if result.passed else EXIT_FAILS), report, result.summary().splitlines()
+def cmd_verify(args) -> tuple[dict, list[str]]:
+    instances = _count(args.instances, "--instances", MAX_INSTANCES)
+    result = lab.verify_lemma_suite(args.seed, instances, self_test=args.self_test)
+    return (_report("verify", {"zero_violations": result.passed}, {}, **result.as_dict()),
+            result.summary().splitlines())
 
 
-def cmd_separate(args) -> tuple[int, dict, list[str]]:
+def cmd_separate(args) -> tuple[dict, list[str]]:
     cone = load_cone(_read(args.cone), args.cone)
+    fields: dict = {"cone": os.path.basename(args.cone)}
     witnesses: dict = {}
-    if args.target is not None:
+    if args.target is None:
+        result = strict_separator(cone)
+        functional, label = result.functional, "strictly positive separating functional"
+        if functional is None:
+            witnesses["violating_direction"] = values_by_outcome(result.violating)
+            miss = ("no strict separator; violating direction: "
+                    f"{_format_map(witnesses['violating_direction'])}")
+        else:
+            fields["verified_on"] = result.report.verified_on
+            fields["normalization"] = format_rational(result.report.normalization)
+    else:
         parts = [p.strip() for p in args.target.split(",")]
         if len(parts) != len(cone.space):
             raise StructureError(
                 f"--target needs {len(cone.space)} comma-separated rationals")
         target = RandomVariable(cone.space, [parse_rational(p, "--target") for p in parts])
-        functional = separate_at(cone, target)
-        found = functional is not None
-        if found:
-            witnesses["functional"] = values_by_outcome(
-                RandomVariable(cone.space, functional.coefficients))
-        report = {
-            "command": "separate",
-            "cone": os.path.basename(args.cone),
-            "target": values_by_outcome(target),
-            "verdicts": {"separator_exists": found},
-            "witnesses": witnesses,
-            "exact": True,
-        }
-        lines = ([f"separating functional: {_format_map(witnesses['functional'])}"] if found
-                 else ["no separator: target lies inside the cone"])
-        return (EXIT_HOLDS if found else EXIT_FAILS), report, lines
-    result = strict_separator(cone)
-    found = result.functional is not None
-    if found:
-        witnesses["functional"] = values_by_outcome(
-            RandomVariable(cone.space, result.functional.coefficients))
-        extra = {
-            "verified_on": result.report.verified_on,
-            "normalization": format_rational(result.report.normalization),
-        }
-        lines = [f"strictly positive separating functional: "
-                 f"{_format_map(witnesses['functional'])}"]
+        fields["target"] = values_by_outcome(target)
+        functional, label = separate_at(cone, target), "separating functional"
+        miss = "no separator: target lies inside the cone"
+    if functional is None:
+        lines = [miss]
     else:
-        witnesses["violating_direction"] = values_by_outcome(result.violating)
-        extra = {}
-        lines = [f"no strict separator; violating direction: "
-                 f"{_format_map(witnesses['violating_direction'])}"]
-    report = {
-        "command": "separate",
-        "cone": os.path.basename(args.cone),
-        "verdicts": {"separator_exists": found},
-        "witnesses": witnesses,
-        "exact": True,
-        **extra,
-    }
-    return (EXIT_HOLDS if found else EXIT_FAILS), report, lines
+        witnesses["functional"] = values_by_outcome(
+            RandomVariable(cone.space, functional.coefficients))
+        lines = [f"{label}: {_format_map(witnesses['functional'])}"]
+    return _report("separate", {"separator_exists": functional is not None}, witnesses,
+                   **fields), lines
 
 
 # --- entry point ---------------------------------------------------------------
@@ -325,7 +280,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, report, lines = args.handler(args)
+        report, lines = args.handler(args)
     except (StructureError, ContractViolation) as exc:
         print(f"noarb: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -344,7 +299,7 @@ def main(argv=None) -> int:
     else:
         for line in lines:
             print(line)
-    return code
+    return EXIT_HOLDS if all(report["verdicts"].values()) else EXIT_FAILS
 
 
 if __name__ == "__main__":

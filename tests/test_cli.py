@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -240,6 +242,45 @@ def test_corrupted_arbitrage_exits_3(command, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "arbitrage witness failed re-verification" in captured.err
+
+
+def test_price_prints_answers_beyond_the_int_str_limit(tmp_path, capsys):
+    """An exact answer longer than Python's int-to-str limit still prints."""
+    E = 10 ** 2200
+    u, d = Fraction(E + 7, E + 3), Fraction(E - 11, E + 13)
+    market = json.loads((DATA / "binomial.json").read_text())
+    market["assets"][0]["path"] = {"u": ["1", f"{u.numerator}/{u.denominator}"],
+                                   "d": ["1", f"{d.numerator}/{d.denominator}"]}
+    path = tmp_path / "long_digits.json"
+    path.write_text(json.dumps(market))
+    assert main(["--json", "price", str(path), str(DATA / "call_payoff.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    def exact(text):  # int(Decimal(...)) is not bound by the int-to-str limit
+        return Fraction(*(int(Decimal(part)) for part in text.split("/")))
+
+    assert exact(report["price"]) == (1 - d) / (u - d)  # the call's risk-neutral price
+    (hedge,) = report["witnesses"]["hedge"]
+    assert exact(hedge["units"]) == 1 / (u - d)  # more than 4300 digits on top
+    assert len(hedge["units"].split("/")[0]) > 4300
+
+
+def test_size_caps_exit_2_before_any_work(monkeypatch, capsys):
+    from noarb import cli, lab
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a capped size argument reached the library")
+
+    monkeypatch.setattr(lab, "counterexample_report", no_work)
+    monkeypatch.setattr(lab, "verify_lemma_suite", no_work)
+    assert main(["counterexample", "--n", str(cli.MAX_TRUNCATION + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"noarb: input error: --n must be at most {cli.MAX_TRUNCATION}, its declared cap\n")
+    argv = ["verify", "--seed", "0", "--instances", str(cli.MAX_INSTANCES + 1)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"noarb: input error: --instances must be at most {cli.MAX_INSTANCES}, "
+        "its declared cap\n")
 
 
 def test_counterexample_n1(capsys):
