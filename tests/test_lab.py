@@ -82,3 +82,25 @@ def test_lemma_suite_detects_injected_violation():
 def test_lemma_suite_rejects_zero_instances():
     with pytest.raises(StructureError):
         lab.verify_lemma_suite(seed=0, instances=0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_counterexample_solves_each_indicator_gauge_once(n, lp_calls):
+    report = lab.counterexample_report(n)
+    assert report.zero_set_trivial
+    assert len(lp_calls) == n
+
+
+def test_trivial_intersection_check_catches_a_zero_indicator_gauge(monkeypatch):
+    """A gauge route that returns 0 at an indicator contradicts boundedness."""
+    from noarb import cones
+
+    def broken(bset, x):
+        if sorted(x.values) == [0] * (len(x.values) - 1) + [1]:
+            return F(0)
+        return minkowski(bset, x)
+
+    for module in (cones, lab):
+        monkeypatch.setattr(module, "minkowski", broken)
+    report = lab.verify_lemma_suite(seed=0, instances=5)
+    assert "trivial-intersection" in {v.lemma for v in report.violations}
