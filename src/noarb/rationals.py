@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import StructureError
@@ -38,11 +39,16 @@ def parse_rational(text: str, where: str = "") -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Render a rational as ``"p"`` or ``"p/q"``, the inverse of parse_rational."""
+    """Render a rational as ``"p"`` or ``"p/q"``, the inverse of parse_rational.
+
+    Integers are written through ``Decimal``, which is exact at any length and,
+    unlike ``str(int)``, not bound by Python's limit on int-to-str digits, so
+    an exact answer of any size prints.
+    """
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def as_fraction(value) -> Fraction:
