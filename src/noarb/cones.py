@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence, Union
 from . import lp
 from .errors import StructureError
 from .lattice import RandomVariable, SampleSpace
-from .rationals import as_fraction
+from .rationals import as_fraction, dot
 
 Gauge = Union[Fraction, float]  # exact value, or math.inf when nothing dominates x
 
@@ -154,7 +154,7 @@ def sup_squared_norm(bset: SemiSolidSet) -> Fraction:
     """
     best = _ZERO
     for g in bset.generators:
-        best = max(best, sum((v * v for v in g.values), _ZERO))
+        best = max(best, dot(g.values, g.values))
     return best
 
 

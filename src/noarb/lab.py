@@ -29,7 +29,7 @@ from .cones import (SemiSolidSet, _positive_gauge, is_bounded, minkowski, semiso
 from .errors import StructureError
 from .lattice import RandomVariable, SampleSpace
 from .market import Asset, Filtration, MarketModel, in_budget_set
-from .rationals import format_rational
+from .rationals import dot, format_rational
 
 _ZERO = Fraction(0)
 
@@ -118,13 +118,11 @@ def random_member(rng: random.Random, bset: SemiSolidSet) -> RandomVariable:
         total = sum(raw) or Fraction(1)
         budget = Fraction(rng.randint(0, 4), 4)
         lam = [w / total * budget for w in raw]
-        top = space.zero()
-        for coef, g in zip(lam, bset.generators):
-            top = top + g.scale(coef)
+        top = [dot(lam, column) for column in zip(*[g.values for g in bset.generators])]
     else:
-        top = space.zero()
+        top = space.zero().values
     shrink = [Fraction(rng.randint(0, 4), 4) for _ in space.outcomes]
-    return RandomVariable(space, [s * v for s, v in zip(shrink, top.values)])
+    return RandomVariable(space, [s * v for s, v in zip(shrink, top)])
 
 
 def random_market(rng: random.Random, max_outcomes: int = 8, max_periods: int = 3,

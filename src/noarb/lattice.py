@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, as_fractions
+from .rationals import as_fraction, as_fractions, dot
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ class RandomVariable:
         weights = [as_fraction(w) for w in weights]
         if len(weights) != len(self.values):
             raise StructureError("weight vector has the wrong length")
-        return sum((w * v for w, v in zip(weights, self.values)), Fraction(0))
+        return dot(weights, self.values)
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.values)

@@ -22,7 +22,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, as_fractions
+from .rationals import as_fraction, as_fractions, dot
 
 LE = "<="
 EQ = "=="
@@ -447,17 +447,7 @@ def feasible(problem: LpProblem) -> Feasibility:
 #
 # These re-derive every claim an LpOutcome makes from the problem data alone,
 # so callers can re-verify witnesses without trusting the solver's path.
-
-def _dot(a: Sequence, x: Sequence) -> Fraction:
-    """Σ a_i·x_i exactly, summed as integers over one running denominator:
-    a ``Fraction`` sum would reduce by a gcd after every term."""
-    num, den = 0, 1
-    for p, q in zip(a, x):
-        if p and q:
-            (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
-            num, den = num * pd * qd + pn * qn * den, den * pd * qd
-    return Fraction(num, den)
-
+# Every row, objective and dual value is one ``rationals.dot``.
 
 def _satisfies(problem: LpProblem, x, rhs, upper) -> bool:
     """Whether x meets the problem's lower bounds, the bounds ``upper`` and
@@ -468,7 +458,7 @@ def _satisfies(problem: LpProblem, x, rhs, upper) -> bool:
         if (lo is not None and v < lo) or (up is not None and v > up):
             return False
     for row, rel, b in zip(problem.rows, problem.relations, rhs):
-        lhs = _dot(row, x)
+        lhs = dot(row, x)
         if (lhs > b) if rel == LE else ((lhs < b) if rel == GE else (lhs != b)):
             return False
     return True
@@ -479,7 +469,7 @@ def is_feasible_point(problem: LpProblem, x: Sequence) -> bool:
 
 
 def objective_value(problem: LpProblem, x: Sequence) -> Fraction:
-    return _dot(problem.objective, as_fractions(x))
+    return dot(problem.objective, as_fractions(x))
 
 
 def _dual_objective(problem: LpProblem, y, w, costs, sign: int) -> Optional[Fraction]:
@@ -496,16 +486,14 @@ def _dual_objective(problem: LpProblem, y, w, costs, sign: int) -> Optional[Frac
     for rel, yi in zip(problem.relations, y):
         if (rel == LE and sign * yi < 0) or (rel == GE and sign * yi > 0):
             return None
-    total = _dot(problem.rhs, y)
     for j, (lo, up, wj, c) in enumerate(zip(problem.lower, problem.upper, w, costs)):
         if (wj != 0) if up is None else (sign * wj < 0):
             return None
-        slack = _dot([row[j] for row in problem.rows], y) + wj - c
+        slack = dot([row[j] for row in problem.rows], y) + wj - c
         if (slack != 0) if lo is None else (sign * slack < 0):
             return None
-        if up is not None:
-            total += up * wj
-    return total
+    # w is 0 wherever there is no upper bound
+    return dot(problem.rhs, y) + dot([up or _ZERO for up in problem.upper], w)
 
 
 def check_optimal(problem: LpProblem, outcome: LpOutcome) -> bool:
@@ -537,7 +525,7 @@ def check_ray(problem: LpProblem, outcome: LpOutcome) -> bool:
     zero_upper = [None if up is None else _ZERO for up in problem.upper]
     if not _satisfies(problem, outcome.ray, [_ZERO] * problem.num_rows, zero_upper):
         return False
-    gain = _dot(problem.objective, outcome.ray)
+    gain = dot(problem.objective, outcome.ray)
     return gain > 0 if problem.sense == MAXIMIZE else gain < 0
 
 

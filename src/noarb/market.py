@@ -39,7 +39,7 @@ from . import lp
 from .cones import PolyhedralCone
 from .errors import ContractViolation, InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
-from .rationals import as_fraction, as_fractions
+from .rationals import as_fraction, as_fractions, dot
 
 Price = Union[Fraction, float]  # exact, or ±inf sentinels
 
@@ -191,7 +191,8 @@ def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
     """Pathwise Σ_t holdings·(X_t − X_{t−1}); linear in the strategy."""
     _check_strategy(model, strategy)
     n = len(model.space)
-    total = [_ZERO] * n
+    held: list[list[Fraction]] = [[] for _ in range(n)]
+    moved: list[list[Fraction]] = [[] for _ in range(n)]
     for t in range(1, model.horizon + 1):
         cells = model.filtration.partitions[t - 1]
         for a, asset in enumerate(model.assets):
@@ -200,8 +201,9 @@ def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
                 h = strategy.holdings[t - 1][a][ci]
                 if h:
                     for i in cell:
-                        total[i] += h * (now[i] - before[i])
-    return RandomVariable(model.space, total)
+                        held[i].append(h)
+                        moved[i].append(now[i] - before[i])
+    return RandomVariable(model.space, [dot(h, m) for h, m in zip(held, moved)])
 
 
 def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...]]:
@@ -393,7 +395,7 @@ class Measure:
     def expectation(self, x: RandomVariable) -> Fraction:
         if x.space != self.space:
             raise StructureError("random variable on a different space")
-        return sum((w * v for w, v in zip(self.weights, x.values)), _ZERO)
+        return dot(self.weights, x.values)
 
     def density(self) -> tuple[Fraction, ...]:
         """dQ/dℙ per outcome; bounded and strictly positive when equivalent."""
@@ -420,7 +422,8 @@ def martingale_residuals(model: MarketModel,
         for a, asset in enumerate(model.assets):
             now, before = asset.path[t].values, asset.path[t - 1].values
             for ci, cell in enumerate(model.filtration.partitions[t - 1]):
-                residuals[t, a, ci] = sum([q[i] * (now[i] - before[i]) for i in cell], _ZERO)
+                residuals[t, a, ci] = dot([q[i] for i in cell],
+                                          [now[i] - before[i] for i in cell])
     return residuals
 
 
@@ -501,7 +504,8 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     primal moves along the LP's ray until its α is at most w.  The price is
     −inf only when the market admits a strictly positive gain (arbitrage),
     in which case no hedge is returned.  Nodes with the same market and the
-    same child prices share one solve.
+    same child prices share one solve, and so do nodes with all children
+    priced −inf and equally many moving assets: that LP has no rows.
     """
     if payoff.space != model.space:
         raise StructureError("payoff on a different sample space")
@@ -515,9 +519,10 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     for node in reversed(nodes):
         below = prices[node.t]
         values = tuple([below[c] for c in node.children])
-        outcome = solved.get((node.market, values))
+        key = (node.market, values) if max(values) != -math.inf else len(node.columns)
+        outcome = solved.get(key)
         if outcome is None:
-            outcome = solved[node.market, values] = lp.solve(_one_step_problem(node, values))
+            outcome = solved[key] = lp.solve(_one_step_problem(node, values))
         if outcome.status == lp.OPTIMAL:
             prices[node.t - 1][node.cell] = outcome.objective_value
         elif outcome.status == lp.UNBOUNDED:
@@ -540,8 +545,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         holdings = point[1:]
         placed.append((node, holdings))
         for j, c in enumerate(node.children):
-            wealth[node.t][c] = w + sum([h * col[j] for h, col in zip(holdings, node.columns)],
-                                        _ZERO)
+            wealth[node.t][c] = w + dot(holdings, [col[j] for col in node.columns])
     hedge = _strategy_from_coefficients(model, placed)
     value = terminal_gain(model, hedge)
     if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):

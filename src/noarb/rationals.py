@@ -1,9 +1,10 @@
-"""Exact rational scalars: parsing, formatting and coercion.
+"""Exact rational scalars: parsing, formatting, coercion and the dot product.
 
-Every number this library takes or returns is a ``fractions.Fraction``
-(arbitrary precision, always lowest terms, positive denominator).  Only the
-simplex tableau inside ``lp`` works on integers over a common denominator,
-and it converts back to ``Fraction`` on the way out.
+This module owns the library's exact-number policy.  Every number the
+library takes or returns is a ``fractions.Fraction`` (arbitrary precision,
+always lowest terms, positive denominator), and every sum of rational
+products in it is one ``dot``.  Only ``dot`` and the simplex tableau inside
+``lp`` work on integers over a common denominator; both return ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import StructureError
 
@@ -73,3 +75,14 @@ def as_fractions(values) -> tuple[Fraction, ...]:
     # the freed tuple sits on a size-k freelist until a full collection; an
     # exact Fraction, the common case, passes through without a call
     return tuple([v if type(v) is Fraction else as_fraction(v) for v in values])
+
+
+def dot(a: Sequence, x: Sequence) -> Fraction:
+    """Σ a_i·x_i exactly, summed as integers over one running denominator (a
+    ``Fraction`` sum reduces by a gcd per term); unequal lengths raise."""
+    num, den = 0, 1
+    for p, q in zip(a, x, strict=True):
+        if p and q:
+            (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+            num, den = num * pd * qd + pn * qn * den, den * pd * qd
+    return Fraction(num, den)

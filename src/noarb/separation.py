@@ -21,7 +21,7 @@ from .cones import PolyhedralCone
 from .errors import ContractViolation, InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
 from .market import Measure
-from .rationals import as_fractions
+from .rationals import as_fractions, dot
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,7 +44,7 @@ class Functional:
     def __call__(self, x: RandomVariable) -> Fraction:
         if x.space != self.space:
             raise StructureError("argument on a different sample space")
-        return sum((c * v for c, v in zip(self.coefficients, x.values)), _ZERO)
+        return dot(self.coefficients, x.values)
 
     @property
     def is_positive(self) -> bool:
@@ -170,12 +170,8 @@ def strict_separator_exists(cone: PolyhedralCone) -> bool:
 def _verified_average(cone: PolyhedralCone, parts: list[Functional]) -> Functional:
     """The average of ``parts``, each rescaled to unit ℓ¹ norm, checked to be
     strictly positive and nonpositive on every generator."""
-    n = len(parts)
-    avg = [_ZERO] * len(cone.space)
-    for f in parts:
-        norm = f.l1_norm()
-        for i, c in enumerate(f.coefficients):
-            avg[i] += c / (norm * n)
+    weights = [_ONE / (f.l1_norm() * len(parts)) for f in parts]
+    avg = [dot(weights, column) for column in zip(*[f.coefficients for f in parts])]
     functional = Functional(cone.space, avg)
     if not functional.is_strictly_positive or not _is_separating(cone, functional):
         raise InternalInconsistency("averaged separator failed re-verification",

@@ -284,6 +284,26 @@ def test_crr_solves_once_per_distinct_market(T, lp_calls):
     assert len(lp_calls) == len(crr_call_keys(T))
 
 
+def test_row_free_one_step_lp_is_solved_once(lp_calls):
+    # a binary tree over 8 outcomes whose price rises on both children of
+    # every node at t = 2: each such node is unbounded, so both nodes at
+    # t = 1 and the root see only -inf children; those three nodes are
+    # distinct markets (up moves 3, 1 and 2, each down move 1)
+    space = SampleSpace.uniform(8)
+    partitions = [[tuple(range(c * 2 ** (3 - t), (c + 1) * 2 ** (3 - t)))
+                   for c in range(2 ** t)] for t in range(4)]
+    after_t2 = [14, 14, 12, 12, 11, 11, 8, 8]
+    prices = [[10] * 8, [13] * 4 + [9] * 4, after_t2,
+              [s + 1 + k % 2 for k, s in enumerate(after_t2)]]
+    model = MarketModel(Filtration(space, partitions),
+                        [Asset("S", tuple(space.variable(p) for p in prices))])
+    nodes = market._nodes(model)
+    assert len({node.market for node in nodes if node.t <= 2}) == 3
+    result = superreplication_price(model, space.variable(range(8)))
+    assert result.price == -math.inf and result.hedge is None
+    assert sum(1 for problem in lp_calls if problem.num_rows == 0) == 1
+
+
 def ungrouped(monkeypatch):
     """Make every node its own market, as if no two were equal."""
     build = market._build_nodes
@@ -503,6 +523,18 @@ def test_martingale_check_matches_per_gain_reference():
                 for g in global_routes.elementary_gains(model)}
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def test_terminal_gain_matches_per_gain_reference():
+    rng = random.Random(0)
+    for _ in range(135):
+        model = lab.random_market(rng)
+        gains = global_routes.elementary_gains(model)
+        coefficients = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gains]
+        strategy = global_routes._strategy_from_coefficients(model, gains, coefficients)
+        expected = [sum([c * g.vector.values[i] for c, g in zip(coefficients, gains)], F(0))
+                    for i in range(len(model.space))]
+        assert terminal_gain(model, strategy).values == tuple(expected)
 
 
 # --- metamorphic properties: each change leaves the gain cone unchanged -------
