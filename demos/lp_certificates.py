@@ -6,7 +6,9 @@ Every answer from the solver carries a proof that survives re-substitution:
 optimal points come with dual multipliers closing the duality gap to zero,
 infeasible systems come with a Farkas vector, unbounded problems come with
 an explicit improving ray.  All arithmetic is exact, so "equals" means
-equals.
+equals.  An LP is rows Ax {<=, ==, >=} b over variables that are nonnegative
+or free, so a bound such as x <= 1 is a row and every certificate holds one
+multiplier per row.
 """
 
 from fractions import Fraction as F
@@ -27,7 +29,7 @@ impossible = LpProblem([1], [[-1], [1]], ["<=", "<="], [-1, 0])
 out = solve(impossible)
 print("\nstatus:", out.status)
 print("Farkas multipliers:", tuple(map(str, out.dual)))
-print("certificate verifies:", check_farkas(impossible, out.dual, out.upper_duals))
+print("certificate verifies:", check_farkas(impossible, out.dual))
 
 # pushing x1 = x2 upward never violates x1 - x2 <= 0: unbounded, with a ray
 unbounded = LpProblem([1, 0], [[1, -1]], ["<="], [0])

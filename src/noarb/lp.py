@@ -10,8 +10,10 @@ with zero duality gap, infeasible outcomes carry a Farkas vector, unbounded
 outcomes carry a feasible point plus an improving recession ray.  Identical
 inputs always produce identical outcomes, including the chosen vertex.
 
-Problems are dense and desk-scale by design; there is no floating-point
-fast path and no sparse machinery.
+There is one LP form: maximize or minimize c·x subject to rows Ax {≤,=,≥} b,
+with each variable nonnegative or free.  A bound x_j ≤ u is a row like any
+other.  Problems are dense and desk-scale by design; there is no
+floating-point fast path and no sparse machinery.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """A dense exact LP: optimize c·x subject to Ax {≤,=,≥} b and bounds.
+    """A dense exact LP: optimize c·x subject to Ax {≤,=,≥} b.
 
-    Per-variable bounds are restricted to lower ∈ {0, −∞} (``None`` means
-    free) and upper ∈ {+∞, finite} (``None`` means no upper bound).
+    Relations are ``"<="``, ``"=="`` or ``">="``.  Each variable is
+    nonnegative (lower bound 0, the default) or free (``None``).
     Immutable after construction; solving shares no state between calls.
     """
 
@@ -54,16 +55,15 @@ class LpProblem:
     relations: tuple[str, ...]
     rhs: tuple[Fraction, ...]
     lower: tuple[Optional[Fraction], ...]
-    upper: tuple[Optional[Fraction], ...]
     sense: str
 
     def __init__(self, objective, rows, relations, rhs, *,
-                 lower=None, upper=None, sense: str = MAXIMIZE) -> None:
+                 lower=None, sense: str = MAXIMIZE) -> None:
         set_ = object.__setattr__
         set_(self, "objective", as_fractions(objective))
         n = len(self.objective)
         set_(self, "rows", tuple([as_fractions(row) for row in rows]))
-        set_(self, "relations", tuple(["==" if r == "=" else r for r in relations]))
+        set_(self, "relations", tuple(relations))
         set_(self, "rhs", as_fractions(rhs))
         m = len(self.rows)
         if len(self.relations) != m or len(self.rhs) != m:
@@ -78,12 +78,9 @@ class LpProblem:
                 raise StructureError(f"unknown relation {rel!r}")
         if lower is None:
             lower = [_ZERO] * n
-        if upper is None:
-            upper = [None] * n
         set_(self, "lower", tuple([None if lo is None else as_fraction(lo) for lo in lower]))
-        set_(self, "upper", tuple([None if up is None else as_fraction(up) for up in upper]))
-        if len(self.lower) != n or len(self.upper) != n:
-            raise StructureError("bound vectors must have one entry per variable")
+        if len(self.lower) != n:
+            raise StructureError("the lower bounds must have one entry per variable")
         for lo in self.lower:
             if lo is not None and lo != 0:
                 raise StructureError("lower bounds are restricted to 0 or None (free)")
@@ -105,18 +102,15 @@ class LpOutcome:
     """Certified result of an exact solve.
 
     * ``OPTIMAL``: ``primal`` and ``objective_value`` are set; ``dual`` holds
-      one multiplier per constraint row and ``upper_duals`` one per variable
-      (nonzero only where a finite upper bound is active), with
-      ``objective_value == rhs·dual + Σ upper_j·upper_duals_j`` exactly.
+      one multiplier per row, with ``objective_value == rhs·dual`` exactly.
     * ``UNBOUNDED``: ``primal`` is a feasible point and ``ray`` an exact
       recession direction with strictly improving objective.
-    * ``INFEASIBLE``: ``dual``/``upper_duals`` form a Farkas certificate.
+    * ``INFEASIBLE``: ``dual`` is a Farkas certificate, one multiplier per row.
     """
 
     status: str
     primal: Optional[tuple[Fraction, ...]] = None
     dual: Optional[tuple[Fraction, ...]] = None
-    upper_duals: Optional[tuple[Fraction, ...]] = None
     objective_value: Optional[Fraction] = None
     ray: Optional[tuple[Fraction, ...]] = None
 
@@ -128,7 +122,6 @@ class Feasibility:
     feasible: bool
     witness: Optional[tuple[Fraction, ...]] = None
     certificate: Optional[tuple[Fraction, ...]] = None
-    upper_certificate: Optional[tuple[Fraction, ...]] = None
 
 
 class _Simplex:
@@ -149,23 +142,9 @@ class _Simplex:
     """
 
     def __init__(self, problem: LpProblem) -> None:
-        self.problem = problem
-        n = problem.num_vars
+        n, m = problem.num_vars, problem.num_rows
         obj = ([-c for c in problem.objective] if problem.sense == MINIMIZE
                else list(problem.objective))
-
-        # augmented row list: original rows, then one row per finite upper bound
-        aug_rows: list[tuple] = []
-        for row, rel, rhs in zip(problem.rows, problem.relations, problem.rhs):
-            aug_rows.append((row, rel, rhs))
-        self.bound_vars: list[int] = []
-        for j, up in enumerate(problem.upper):
-            if up is not None:
-                unit = [_ZERO] * n
-                unit[j] = _ONE
-                aug_rows.append((unit, LE, up))
-                self.bound_vars.append(j)
-        m_aug = len(aug_rows)
 
         # split free variables into differences of nonnegative columns
         col_pairs: list[tuple[int, Optional[int]]] = []
@@ -192,7 +171,7 @@ class _Simplex:
         scales: list[int] = []
         flipped: list[bool] = []
         slack_sign: list[int] = []          # +1 slack, -1 surplus, 0 none
-        for row, rel, rv in aug_rows:
+        for row, rel, rv in zip(problem.rows, problem.relations, problem.rhs):
             ints, s = _integers([*row, rv])
             rv = ints[-1]
             # also flip ≥ rows with zero rhs: as ≤ rows they start on a slack
@@ -219,8 +198,8 @@ class _Simplex:
         n_art = sum(1 for s in slack_sign if s <= 0)
         total = self.first_art + n_art
 
-        ident_col: list[int] = [0] * m_aug
-        basis: list[int] = [0] * m_aug
+        ident_col: list[int] = [0] * m
+        basis: list[int] = [0] * m
         col_scale = [1] * total
         scol = n_struct
         acol = self.first_art
@@ -247,11 +226,11 @@ class _Simplex:
         self.ident_col = ident_col
         self.col_scale = col_scale
         self.flipped = flipped
-        self.m_aug = m_aug
+        self.m = m
         self.n_struct = n_struct
         self.ncols = total
         self.obj_split = obj_split + [_ZERO] * (total - n_struct)
-        self.alive = list(range(m_aug))     # augmented row index per tableau row
+        self.alive = list(range(m))         # problem row index per tableau row
 
     # --- pivoting ---------------------------------------------------------
 
@@ -338,19 +317,19 @@ class _Simplex:
 
     # --- extraction -------------------------------------------------------
 
-    def _dual_values(self) -> list:
-        """Multipliers for all augmented rows, read off the reduced-cost row."""
+    def _dual_values(self) -> tuple[Fraction, ...]:
+        """Multipliers for all problem rows, read off the reduced-cost row."""
         z, d, costs = self.z, self.d, self.costs
         alive = set(self.alive)
         y = []
-        for k in range(self.m_aug):
+        for k in range(self.m):
             if k not in alive:
                 y.append(_ZERO)
                 continue
             col = self.ident_col[k]
             yk = Fraction(self.col_scale[col] * (d * costs[col] - z[col]), d * self.cden)
             y.append(-yk if self.flipped[k] else yk)
-        return y
+        return tuple(y)
 
     def _structural_point(self) -> list[int]:
         """Basic structural values, times d."""
@@ -377,13 +356,6 @@ class _Simplex:
         return tuple([Fraction(xs[pc] - xs[nc] if nc is not None else xs[pc], d)
                       for pc, nc in self.col_pairs])
 
-    def _split_duals(self, y):
-        m = self.problem.num_rows
-        upper = [_ZERO] * self.problem.num_vars
-        for k, j in enumerate(self.bound_vars):
-            upper[j] = y[m + k]
-        return tuple(y[:m]), tuple(upper)
-
 
 def _integers(values) -> tuple[list[int], int]:
     """Rationals as integers over their least common denominator."""
@@ -408,8 +380,7 @@ def solve(problem: LpProblem) -> LpOutcome:
     sx = _Simplex(problem)
     farkas = sx._phase_one()
     if farkas is not None:
-        dual, upper = sx._split_duals(farkas)
-        return LpOutcome(status=INFEASIBLE, dual=dual, upper_duals=upper)
+        return LpOutcome(status=INFEASIBLE, dual=farkas)
 
     status, enter = sx._run_phase(sx.obj_split, sx.first_art)
     if status == UNBOUNDED:
@@ -422,15 +393,8 @@ def solve(problem: LpProblem) -> LpOutcome:
     y = sx._dual_values()
     if problem.sense == MINIMIZE:
         value = -value
-        y = [-v for v in y]
-    dual, upper = sx._split_duals(y)
-    return LpOutcome(
-        status=OPTIMAL,
-        primal=primal,
-        dual=dual,
-        upper_duals=upper,
-        objective_value=value,
-    )
+        y = tuple([-v for v in y])
+    return LpOutcome(status=OPTIMAL, primal=primal, dual=y, objective_value=value)
 
 
 def feasible(problem: LpProblem) -> Feasibility:
@@ -438,8 +402,7 @@ def feasible(problem: LpProblem) -> Feasibility:
     sx = _Simplex(problem)
     farkas = sx._phase_one()
     if farkas is not None:
-        dual, upper = sx._split_duals(farkas)
-        return Feasibility(feasible=False, certificate=dual, upper_certificate=upper)
+        return Feasibility(feasible=False, certificate=farkas)
     return Feasibility(feasible=True, witness=sx._to_original(sx._structural_point()))
 
 
@@ -449,13 +412,12 @@ def feasible(problem: LpProblem) -> Feasibility:
 # so callers can re-verify witnesses without trusting the solver's path.
 # Every row, objective and dual value is one ``rationals.dot``.
 
-def _satisfies(problem: LpProblem, x, rhs, upper) -> bool:
-    """Whether x meets the problem's lower bounds, the bounds ``upper`` and
-    every row against ``rhs``."""
+def _satisfies(problem: LpProblem, x, rhs) -> bool:
+    """Whether x meets the problem's lower bounds and every row against ``rhs``."""
     if len(x) != problem.num_vars:
         return False
-    for v, lo, up in zip(x, problem.lower, upper):
-        if (lo is not None and v < lo) or (up is not None and v > up):
+    for v, lo in zip(x, problem.lower):
+        if lo is not None and v < lo:
             return False
     for row, rel, b in zip(problem.rows, problem.relations, rhs):
         lhs = dot(row, x)
@@ -465,35 +427,31 @@ def _satisfies(problem: LpProblem, x, rhs, upper) -> bool:
 
 
 def is_feasible_point(problem: LpProblem, x: Sequence) -> bool:
-    return _satisfies(problem, as_fractions(x), problem.rhs, problem.upper)
+    return _satisfies(problem, as_fractions(x), problem.rhs)
 
 
 def objective_value(problem: LpProblem, x: Sequence) -> Fraction:
     return dot(problem.objective, as_fractions(x))
 
 
-def _dual_objective(problem: LpProblem, y, w, costs, sign: int) -> Optional[Fraction]:
-    """rhs·y + Σ upper_j·w_j, when the row multipliers y and the upper-bound
-    multipliers w are dual feasible against ``costs``; None otherwise.
+def _dual_objective(problem: LpProblem, y, costs, sign: int) -> Optional[Fraction]:
+    """rhs·y, when the row multipliers y are dual feasible against ``costs``;
+    None otherwise.
 
     Dual feasible: y has ``sign``'s sign on ≤ rows and the opposite one on ≥
-    rows, w has ``sign``'s sign on finite upper bounds and is 0 elsewhere,
-    and each column's y·A_j + w_j equals costs_j on a free variable and lies
+    rows, and each column's y·A_j equals costs_j on a free variable and lies
     on ``sign``'s side of costs_j on a nonnegative one.
     """
-    if len(y) != problem.num_rows or len(w) != problem.num_vars:
+    if len(y) != problem.num_rows:
         return None
     for rel, yi in zip(problem.relations, y):
         if (rel == LE and sign * yi < 0) or (rel == GE and sign * yi > 0):
             return None
-    for j, (lo, up, wj, c) in enumerate(zip(problem.lower, problem.upper, w, costs)):
-        if (wj != 0) if up is None else (sign * wj < 0):
-            return None
-        slack = dot([row[j] for row in problem.rows], y) + wj - c
+    for j, (lo, c) in enumerate(zip(problem.lower, costs)):
+        slack = dot([row[j] for row in problem.rows], y) - c
         if (slack != 0) if lo is None else (sign * slack < 0):
             return None
-    # w is 0 wherever there is no upper bound
-    return dot(problem.rhs, y) + dot([up or _ZERO for up in problem.upper], w)
+    return dot(problem.rhs, y)
 
 
 def check_optimal(problem: LpProblem, outcome: LpOutcome) -> bool:
@@ -503,27 +461,24 @@ def check_optimal(problem: LpProblem, outcome: LpOutcome) -> bool:
     value = outcome.objective_value
     sign = 1 if problem.sense == MAXIMIZE else -1
     return (objective_value(problem, outcome.primal) == value
-            and _dual_objective(problem, outcome.dual, outcome.upper_duals,
-                                problem.objective, sign) == value)
+            and _dual_objective(problem, outcome.dual, problem.objective, sign) == value)
 
 
-def check_farkas(problem: LpProblem, dual: Sequence, upper_duals: Sequence) -> bool:
+def check_farkas(problem: LpProblem, dual: Sequence) -> bool:
     """Exact infeasibility proof: multipliers that no feasible point can satisfy."""
-    total = _dual_objective(problem, as_fractions(dual), as_fractions(upper_duals),
-                            [_ZERO] * problem.num_vars, 1)
+    total = _dual_objective(problem, as_fractions(dual), [_ZERO] * problem.num_vars, 1)
     return total is not None and total < 0
 
 
 def check_ray(problem: LpProblem, outcome: LpOutcome) -> bool:
     """The ray is a recession direction from a feasible point, strictly
-    improving: it satisfies the problem with every rhs and every finite upper
-    bound set to 0 (lower bounds are 0 already)."""
+    improving: it satisfies the problem with every rhs set to 0 (lower
+    bounds are 0 already)."""
     if outcome.status != UNBOUNDED or outcome.ray is None or outcome.primal is None:
         return False
     if not is_feasible_point(problem, outcome.primal):
         return False
-    zero_upper = [None if up is None else _ZERO for up in problem.upper]
-    if not _satisfies(problem, outcome.ray, [_ZERO] * problem.num_rows, zero_upper):
+    if not _satisfies(problem, outcome.ray, [_ZERO] * problem.num_rows):
         return False
     gain = dot(problem.objective, outcome.ray)
     return gain > 0 if problem.sense == MAXIMIZE else gain < 0
@@ -536,5 +491,5 @@ def check_outcome(problem: LpProblem, outcome: LpOutcome) -> bool:
     if outcome.status == UNBOUNDED:
         return check_ray(problem, outcome)
     if outcome.status == INFEASIBLE:
-        return check_farkas(problem, outcome.dual, outcome.upper_duals)
+        return check_farkas(problem, outcome.dual)
     return False

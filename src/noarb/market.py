@@ -604,8 +604,8 @@ def check_na1(model: MarketModel) -> bool:
     (``node.market``): its LPs are that node's.  Every solve is checked by
     substitution with ``lp.check_outcome``: its primal must superhedge, an
     unbounded LP's ray must lower α while superhedging 0, and an optimal
-    LP's α must equal the optimum and its dual must be a martingale measure,
-    with no weight on upper bounds, whose weight at c equals the optimum.
+    LP's α must equal the optimum and its dual must be a martingale measure
+    whose weight at c equals the optimum.
     An infeasible LP is an inconsistency, since α = 1 with no holdings is
     always feasible.
     """

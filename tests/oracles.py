@@ -63,18 +63,9 @@ def row_reduce(A, b):
 
 
 def slack_form(problem):
-    """Independent conversion to A z = b over z >= 0 (bounds become rows)."""
+    """Independent conversion to A z = b over z >= 0."""
     assert all(lo == 0 for lo in problem.lower), "oracle handles x >= 0 problems"
-    rows = [list(r) for r in problem.rows]
-    rels = list(problem.relations)
-    rhs = list(problem.rhs)
-    for j, up in enumerate(problem.upper):
-        if up is not None:
-            unit = [ZERO] * problem.num_vars
-            unit[j] = Fraction(1)
-            rows.append(unit)
-            rels.append(lp.LE)
-            rhs.append(up)
+    rows, rels, rhs = problem.rows, problem.relations, problem.rhs
     slack_of = {i: k for k, i in enumerate(i for i, rel in enumerate(rels) if rel != lp.EQ)}
     n = problem.num_vars
     width = n + len(slack_of)
@@ -157,9 +148,20 @@ def martingale_polytope_vertices(model):
     return sorted(vertices)
 
 
+def add_caps(rows, rels, rhs, caps):
+    """The rows, relations and rhs with one unit row x_j <= caps[j] appended,
+    in order, for each j whose cap is not None."""
+    n = len(caps)
+    capped = [j for j, cap in enumerate(caps) if cap is not None]
+    return ([*rows, *[[Fraction(1) if i == j else ZERO for i in range(n)] for j in capped]],
+            [*rels, *[lp.LE] * len(capped)],
+            [*rhs, *[caps[j] for j in capped]])
+
+
 def seeded_lps(seed=2, count=500):
     """The seeded random LPs of the LP certification criterion: 1 to 6
-    variables and rows, all three relations, some finite upper bounds."""
+    variables, 1 to 6 rows, all three relations, then a unit <= row for
+    some variables."""
     rng = random.Random(seed)
     problems = []
     for _ in range(count):
@@ -167,13 +169,12 @@ def seeded_lps(seed=2, count=500):
         m = rng.randint(1, 6)
         def coeff():
             return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-        problems.append(lp.LpProblem(
-            [coeff() for _ in range(n)],
-            [[coeff() for _ in range(n)] for _ in range(m)],
-            [rng.choice(["<=", "==", ">="]) for _ in range(m)],
-            [coeff() for _ in range(m)],
-            upper=[Fraction(rng.randint(1, 6)) if rng.random() < 0.25 else None
-                   for _ in range(n)],
-            sense=rng.choice(["max", "min"]),
-        ))
+        objective = [coeff() for _ in range(n)]
+        rows = [[coeff() for _ in range(n)] for _ in range(m)]
+        rels = [rng.choice(["<=", "==", ">="]) for _ in range(m)]
+        rhs = [coeff() for _ in range(m)]
+        caps = [Fraction(rng.randint(1, 6)) if rng.random() < 0.25 else None
+                for _ in range(n)]
+        problems.append(lp.LpProblem(objective, *add_caps(rows, rels, rhs, caps),
+                                     sense=rng.choice(["max", "min"])))
     return problems

@@ -21,6 +21,8 @@ scalars = st.one_of(
 @example(pairs=[])
 @example(pairs=[(0, F(1, 3)), (F(-2, 5), 0), (0, 0)])
 @example(pairs=[(F(1, _MERSENNE_61), F(-1, 2 ** 31 - 1)), (F(-3, 2 ** 31 - 1), F(5, 7))])
+# a CRR root cell: every weight over 3^10, so every term shares one denominator
+@example(pairs=[(F(2 ** i, 3 ** 10), F((-1) ** i * (i + 1))) for i in range(12)])
 def test_dot_is_the_fraction_sum(pairs):
     a, x = [p for p, _ in pairs], [q for _, q in pairs]
     got = dot(a, x)
