@@ -79,18 +79,10 @@ def as_fractions(values) -> tuple[Fraction, ...]:
 
 def dot(a: Sequence, x: Sequence) -> Fraction:
     """Σ a_i·x_i exactly, summed as integers over one running denominator (a
-    ``Fraction`` sum reduces by a gcd per term); unequal lengths raise.
-
-    A term whose denominator already divides the running one is added over
-    it, so terms sharing a denominator (weights over 3^T on a CRR tree) keep
-    it at that size instead of multiplying it up term by term."""
+    ``Fraction`` sum reduces by a gcd per term); unequal lengths raise."""
     num, den = 0, 1
     for p, q in zip(a, x, strict=True):
         if p and q:
             (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
-            pq = pd * qd
-            if den % pq:
-                num, den = num * pq + pn * qn * den, den * pq
-            else:
-                num += pn * qn * (den // pq)
+            num, den = num * pd * qd + pn * qn * den, den * pd * qd
     return Fraction(num, den)
