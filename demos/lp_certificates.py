@@ -29,7 +29,7 @@ impossible = LpProblem([1], [[-1], [1]], ["<=", "<="], [-1, 0])
 out = solve(impossible)
 print("\nstatus:", out.status)
 print("Farkas multipliers:", tuple(map(str, out.dual)))
-print("certificate verifies:", check_farkas(impossible, out.dual))
+print("certificate verifies:", check_farkas(impossible, out))
 
 # pushing x1 = x2 upward never violates x1 - x2 <= 0: unbounded, with a ray
 unbounded = LpProblem([1, 0], [[1, -1]], ["<="], [0])
@@ -38,7 +38,9 @@ print("\nstatus:", out.status)
 print("feasible base point:", tuple(map(str, out.primal)), "improving ray:", tuple(map(str, out.ray)))
 print("ray verifies:", check_ray(unbounded, out))
 
-# a feasibility-only question: exact martingale weights for a binomial move
+# a feasibility-only question: exact martingale weights for a binomial move;
+# feasible() answers yes or no, and solve() with the zero objective returns
+# the witness point
 system = LpProblem([0, 0], [[2, F(1, 2)], [1, 1]], ["==", "=="], [1, 1])
-res = feasible(system)
-print("\nmartingale weights exist:", res.feasible, "witness:", tuple(map(str, res.witness)))
+res = solve(system)
+print("\nmartingale weights exist:", feasible(system), "witness:", tuple(map(str, res.primal)))

@@ -29,7 +29,7 @@ from .lab import (
     verify_lemma_suite,
 )
 from .lattice import RandomVariable, SampleSpace
-from .lp import Feasibility, LpOutcome, LpProblem, feasible, solve
+from .lp import LpOutcome, LpProblem, feasible, solve
 from .market import (
     Asset,
     EmmResult,

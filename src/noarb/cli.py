@@ -129,6 +129,9 @@ def cmd_check(args) -> tuple[dict, list[str]]:
         route = {"na1": check_na1, "nupbr": check_nupbr}[args.concept]
         verdicts = {args.concept: route(model)}
         arbitrage = None if verdicts[args.concept] else check_na(model).arbitrage
+        if not verdicts[args.concept] and arbitrage is None:
+            # on a finite market NA, NA1 and NUPBR coincide
+            raise InternalInconsistency(f"{args.concept} fails but NA holds", model=model)
     witnesses: dict = {}
     lines = [f"{name}: {'holds' if value else 'FAILS'}"
              for name, value in sorted(verdicts.items())]

@@ -96,7 +96,7 @@ def cone_member(cone: PolyhedralCone, x: RandomVariable) -> bool:
             row += [Fraction(-1) if k == i else _ZERO for k in range(n)]
         rows.append(row)
     problem = lp.LpProblem([0] * cols, rows, ["=="] * n, list(x.values))
-    return lp.feasible(problem).feasible
+    return lp.feasible(problem)
 
 
 def semisolid_member(bset: SemiSolidSet, x: RandomVariable, scale=1) -> bool:
@@ -114,7 +114,7 @@ def semisolid_member(bset: SemiSolidSet, x: RandomVariable, scale=1) -> bool:
     rels = [">="] * n + ["<="]
     rhs = list(x.values) + [scale]
     problem = lp.LpProblem([0] * len(gens), rows, rels, rhs)
-    return lp.feasible(problem).feasible
+    return lp.feasible(problem)
 
 
 def minkowski(bset: SemiSolidSet, x: RandomVariable) -> Gauge:

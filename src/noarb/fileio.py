@@ -98,14 +98,9 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
         _keys(entry, ("name", "path"), f"$.assets[{a}]")
         name = _get(entry, "name", str, f"$.assets[{a}]")
         path_obj = _get(entry, "path", dict, f"$.assets[{a}]")
-        unknown = set(path_obj) - set(space.outcomes)
-        if unknown:
-            _fail(f"$.assets[{a}].path", f"unknown outcome ids {sorted(unknown)}")
         per_time: list[list[Fraction]] = [[] for _ in range(horizon + 1)]
-        for o in space.outcomes:
-            if o not in path_obj:
-                _fail(f"$.assets[{a}].path", f"missing outcome {o!r}")
-            series = _expect(path_obj[o], list, f"$.assets[{a}].path.{o}")
+        for o, series in _by_outcome(path_obj, space, f"$.assets[{a}].path"):
+            series = _expect(series, list, f"$.assets[{a}].path.{o}")
             if len(series) != horizon + 1:
                 _fail(f"$.assets[{a}].path.{o}",
                       f"expected {horizon + 1} prices, got {len(series)}")
@@ -118,6 +113,18 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
         return MarketModel(filtration, assets)
     except StructureError as exc:
         _fail("$.assets", str(exc))
+
+
+def _by_outcome(obj: dict, space: SampleSpace, path: str) -> list[tuple[str, Any]]:
+    """An object keyed by outcome id, as (id, value) pairs in the space's
+    order; every outcome must appear, and no other key."""
+    unknown = set(obj) - set(space.outcomes)
+    if unknown:
+        _fail(path, f"unknown outcome ids {sorted(unknown)}")
+    for o in space.outcomes:
+        if o not in obj:
+            _fail(path, f"missing outcome {o!r}")
+    return [(o, obj[o]) for o in space.outcomes]
 
 
 def _load_space(doc: dict) -> SampleSpace:
@@ -163,17 +170,9 @@ def load_payoff(text: str, model: MarketModel, name: str = "<input>") -> RandomV
     doc = _expect(parse_json(text, name), dict, "$")
     _keys(doc, ("payoff",), "$")
     payoff = _get(doc, "payoff", dict, "$")
-    space = model.space
-    unknown = set(payoff) - set(space.outcomes)
-    if unknown:
-        _fail("$.payoff", f"unknown outcome ids {sorted(unknown)}")
-    values = []
-    for o in space.outcomes:
-        if o not in payoff:
-            _fail("$.payoff", f"missing outcome {o!r}")
-        where = f"$.payoff.{o}"
-        values.append(parse_rational(_expect(payoff[o], str, where), where))
-    return RandomVariable(space, values)
+    values = [parse_rational(_expect(raw, str, f"$.payoff.{o}"), f"$.payoff.{o}")
+              for o, raw in _by_outcome(payoff, model.space, "$.payoff")]
+    return RandomVariable(model.space, values)
 
 
 def load_cone(text: str, name: str = "<input>") -> PolyhedralCone:

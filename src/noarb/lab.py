@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .cones import (SemiSolidSet, _positive_gauge, is_bounded, minkowski, semisolid_member,
                     sup_squared_norm, zero_set_trivial)
-from .errors import StructureError
+from .errors import InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
 from .market import Asset, Filtration, MarketModel, in_budget_set
 from .rationals import dot, format_rational
@@ -80,7 +80,7 @@ def counterexample_report(truncation: int) -> CounterexampleReport:
     bset = build_counterexample(truncation)
     gauges = [minkowski(bset, e) for e in bset.space.indicators()]
     if any(g == math.inf for g in gauges):
-        raise StructureError("counterexample gauges must be finite")
+        raise InternalInconsistency("counterexample gauges must be finite")
     return CounterexampleReport(
         truncation=truncation,
         sup_squared_l2=sup_squared_norm(bset),

@@ -9,6 +9,10 @@ index), and every answer is certified: optimal outcomes carry exact duals
 with zero duality gap, infeasible outcomes carry a Farkas vector, unbounded
 outcomes carry a feasible point plus an improving recession ray.  Identical
 inputs always produce identical outcomes, including the chosen vertex.
+``solve`` returns the one outcome type, ``LpOutcome``.  ``feasible`` is the
+bare phase-one predicate; a membership witness or Farkas vector comes from
+``solve`` on the same problem with a zero objective, where phase two enters
+no column and so returns what phase one found.
 
 There is one LP form: maximize or minimize c·x subject to rows Ax {≤,=,≥} b,
 with each variable nonnegative or free.  A bound x_j ≤ u is a row like any
@@ -113,15 +117,6 @@ class LpOutcome:
     dual: Optional[tuple[Fraction, ...]] = None
     objective_value: Optional[Fraction] = None
     ray: Optional[tuple[Fraction, ...]] = None
-
-
-@dataclass(frozen=True)
-class Feasibility:
-    """Phase-one verdict: an exact witness or an exact Farkas certificate."""
-
-    feasible: bool
-    witness: Optional[tuple[Fraction, ...]] = None
-    certificate: Optional[tuple[Fraction, ...]] = None
 
 
 class _Simplex:
@@ -397,13 +392,9 @@ def solve(problem: LpProblem) -> LpOutcome:
     return LpOutcome(status=OPTIMAL, primal=primal, dual=y, objective_value=value)
 
 
-def feasible(problem: LpProblem) -> Feasibility:
-    """Phase-one only: an exact witness, or a Farkas certificate of emptiness."""
-    sx = _Simplex(problem)
-    farkas = sx._phase_one()
-    if farkas is not None:
-        return Feasibility(feasible=False, certificate=farkas)
-    return Feasibility(feasible=True, witness=sx._to_original(sx._structural_point()))
+def feasible(problem: LpProblem) -> bool:
+    """Phase one alone: whether some point satisfies every row."""
+    return _Simplex(problem)._phase_one() is None
 
 
 # --- direct-substitution checks -------------------------------------------
@@ -464,9 +455,11 @@ def check_optimal(problem: LpProblem, outcome: LpOutcome) -> bool:
             and _dual_objective(problem, outcome.dual, problem.objective, sign) == value)
 
 
-def check_farkas(problem: LpProblem, dual: Sequence) -> bool:
-    """Exact infeasibility proof: multipliers that no feasible point can satisfy."""
-    total = _dual_objective(problem, as_fractions(dual), [_ZERO] * problem.num_vars, 1)
+def check_farkas(problem: LpProblem, outcome: LpOutcome) -> bool:
+    """Exact infeasibility proof: row multipliers no feasible point can satisfy."""
+    if outcome.status != INFEASIBLE:
+        return False
+    total = _dual_objective(problem, outcome.dual, [_ZERO] * problem.num_vars, 1)
     return total is not None and total < 0
 
 
@@ -484,12 +477,10 @@ def check_ray(problem: LpProblem, outcome: LpOutcome) -> bool:
     return gain > 0 if problem.sense == MAXIMIZE else gain < 0
 
 
+_CHECKS = {OPTIMAL: check_optimal, UNBOUNDED: check_ray, INFEASIBLE: check_farkas}
+
+
 def check_outcome(problem: LpProblem, outcome: LpOutcome) -> bool:
-    """Dispatch to the exact re-substitution check for the outcome's status."""
-    if outcome.status == OPTIMAL:
-        return check_optimal(problem, outcome)
-    if outcome.status == UNBOUNDED:
-        return check_ray(problem, outcome)
-    if outcome.status == INFEASIBLE:
-        return check_farkas(problem, outcome.dual)
-    return False
+    """The exact re-substitution check for the outcome's status."""
+    check = _CHECKS.get(outcome.status)
+    return check is not None and check(problem, outcome)

@@ -568,7 +568,7 @@ def in_budget_set(model: MarketModel, x: RandomVariable, alpha) -> bool:
     rhs = [v - alpha for v in x.values]
     problem = lp.LpProblem([_ZERO] * len(gains), rows, [">="] * len(rows), rhs,
                            lower=[None] * len(gains))
-    return lp.feasible(problem).feasible
+    return lp.feasible(problem)
 
 
 def check_na1(model: MarketModel) -> bool:

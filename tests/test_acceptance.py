@@ -180,6 +180,7 @@ def test_acceptance_lp_certification(report):
     for problem in oracles.seeded_lps():
         outcome = lp.solve(problem)
         assert lp.check_outcome(problem, outcome)
+        assert lp.feasible(problem) == (outcome.status != lp.INFEASIBLE)
         if outcome.status == lp.OPTIMAL:
             optimal += 1
             assert outcome.objective_value == oracles.best_vertex_value(problem)

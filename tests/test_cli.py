@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +198,37 @@ def test_exit_3_prints_the_market(concept, monkeypatch, capsys):
                        "one-step indicator price failed re-verification")
     assert header == "noarb: the market it arose on, as a market file:"
     assert load_market(dumped) == load_market(path.read_text())
+
+
+@pytest.mark.parametrize("concept", ["na1", "nupbr"])
+def test_failing_route_without_arbitrage_exits_3(concept, monkeypatch, capsys):
+    """On a finite market NA, NA1 and NUPBR coincide, so a failing route on a
+    market where NA holds is two routes disagreeing: exit 3 with the market,
+    never exit 1 without a witness."""
+    from noarb import cli
+
+    monkeypatch.setattr(cli, f"check_{concept}", lambda model: False)
+    path = DATA / "binomial.json"
+    assert main(["--json", "check", concept, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, header, dumped = captured.err.split("\n", 2)
+    assert message == f"noarb: internal inconsistency: {concept} fails but NA holds"
+    assert header == "noarb: the market it arose on, as a market file:"
+    assert load_market(dumped) == load_market(path.read_text())
+
+
+def test_infinite_counterexample_gauge_exits_3(monkeypatch, capsys):
+    """--n is validated before any work, so an infinite gauge is an internal
+    fault (exit 3), not malformed input (exit 2)."""
+    from noarb import lab
+
+    monkeypatch.setattr(lab, "minkowski", lambda bset, x: math.inf)
+    assert main(["--json", "counterexample", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("noarb: internal inconsistency: "
+                            "counterexample gauges must be finite\n")
 
 
 @pytest.mark.parametrize("concept", ["na", "all"])

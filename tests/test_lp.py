@@ -88,7 +88,7 @@ def test_contradictory_bounds_infeasible_with_certificate():
     p = lp.LpProblem([1], [[-1], [1]], ["<=", "<="], [-1, 0])
     out = lp.solve(p)
     assert out.status == lp.INFEASIBLE
-    assert lp.check_farkas(p, out.dual)
+    assert lp.check_farkas(p, out)
 
 
 def test_unbounded_with_ray():
@@ -123,6 +123,17 @@ def test_checks_reject_corrupted_certificates():
     assert lp.check_outcome(ray, out)
     for bad in [(F(1), F(0)), (F(-1), F(-1)), (F(0), F(1)), (F(1), F(1), F(0))]:
         assert not lp.check_outcome(ray, dataclasses.replace(out, ray=bad)), bad
+    assert not lp.check_outcome(ray, dataclasses.replace(out, status="bounded"))
+
+
+def test_each_check_accepts_only_its_own_status():
+    checks = (lp.check_optimal, lp.check_ray, lp.check_farkas)
+    problems = (lp.LpProblem([1, 1], [[1, 0], [0, 1]], ["<=", "<="], [1, 2]),
+                lp.LpProblem([1, 0], [[1, -1]], ["<="], [0]),
+                lp.LpProblem([1], [[-1], [1]], ["<=", "<="], [-1, 0]))
+    for k, problem in enumerate(problems):
+        out = lp.solve(problem)
+        assert [check(problem, out) for check in checks] == [i == k for i in range(3)]
 
 
 def test_degenerate_duplicate_constraints_terminate():
@@ -139,31 +150,34 @@ def test_degenerate_duplicate_constraints_terminate():
     assert lp.check_optimal(p, out)
 
 
+def feasibility_witness(problem):
+    """The point that phase one found: with a zero objective, phase two
+    enters no column, so ``solve`` returns it unchanged."""
+    out = lp.solve(problem)
+    assert lp.feasible(problem) is True
+    assert out.status == lp.OPTIMAL and out.objective_value == 0
+    assert lp.is_feasible_point(problem, out.primal)
+    assert_fractions(out.primal)
+    return out.primal
+
+
 def test_feasibility_witness():
     p = lp.LpProblem([0], [[1]], ["=="], [F(1, 3)])
-    res = lp.feasible(p)
-    assert res.feasible
-    assert res.witness == (F(1, 3),)
-    assert_fractions(res.witness)
-    ineq = lp.LpProblem([0], [[1]], [">="], [F(1, 3)])
-    res = lp.feasible(ineq)
-    assert res.feasible and lp.is_feasible_point(ineq, res.witness)
-    assert_fractions(res.witness)
+    assert feasibility_witness(p) == (F(1, 3),)
+    feasibility_witness(lp.LpProblem([0], [[1]], [">="], [F(1, 3)]))
     # rows scaled to integers by 30 and 7 inside the solver
     scaled = lp.LpProblem([0, 0], [[F(1, 3), F(1, 5)], [1, -1]], ["==", ">="],
                           [F(7, 2), F(1, 7)])
-    res = lp.feasible(scaled)
-    assert res.witness == (F(741, 112), F(725, 112))
-    assert lp.is_feasible_point(scaled, res.witness)
-    assert_fractions(res.witness)
+    assert feasibility_witness(scaled) == (F(741, 112), F(725, 112))
 
 
 def test_feasibility_certificate():
     p = lp.LpProblem([0], [[1], [1]], [">=", "<="], [1, 0])
-    res = lp.feasible(p)
-    assert not res.feasible
-    assert lp.check_farkas(p, res.certificate)
-    assert_fractions(res.certificate)
+    assert lp.feasible(p) is False
+    out = lp.solve(p)
+    assert out.status == lp.INFEASIBLE
+    assert lp.check_farkas(p, out)
+    assert_fractions(out.dual)
 
 
 def test_binomial_martingale_system_witness():
@@ -174,10 +188,7 @@ def test_binomial_martingale_system_witness():
         ["==", "=="],
         [1, 1],
     )
-    res = lp.feasible(p)
-    assert res.feasible
-    assert res.witness == (F(1, 3), F(2, 3))
-    assert_fractions(res.witness)
+    assert feasibility_witness(p) == (F(1, 3), F(2, 3))
 
 
 def test_minimize_sense_duality():
@@ -295,8 +306,6 @@ def test_random_problems_match_vertex_enumeration():
 
 def outcome_fields(outcome):
     """What an outcome states, independent of how its class lays out fields."""
-    if isinstance(outcome, lp.Feasibility):
-        return (outcome.feasible, outcome.witness, outcome.certificate)
     return (outcome.status, outcome.primal, outcome.dual, outcome.objective_value, outcome.ray)
 
 
@@ -307,18 +316,17 @@ def outcome_digest(outcomes):
 
 
 def corpus_outcomes(monkeypatch, markets=100):
-    """Every LpOutcome and Feasibility that the whole-market routes obtain on
+    """Every LpOutcome that the whole-market routes obtain on
     the first seed-0 lab.random_market markets, in call order: global NA,
     indicator prices up to the first non-positive one, NUPBR, the global EMM,
     then the strict separator."""
-    seen = []
-    for name in ("solve", "feasible"):
-        inner = getattr(lp, name)
-        def record(problem, inner=inner):
-            result = inner(problem)
-            seen.append(result)
-            return result
-        monkeypatch.setattr(lp, name, record)
+    seen, solve = [], lp.solve
+
+    def record(problem):
+        seen.append(solve(problem))
+        return seen[-1]
+
+    monkeypatch.setattr(lp, "solve", record)
     rng = random.Random(0)
     for _ in range(markets):
         global_routes.full_verdict(lab.random_market(rng))
@@ -417,8 +425,8 @@ def test_large_coprime_denominators(monkeypatch):
     assert out.status == lp.OPTIMAL
     assert lp.check_optimal(p, out)
     assert out.objective_value == oracles.best_vertex_value(p)
-    res = lp.feasible(p)
-    assert res.feasible and lp.is_feasible_point(p, res.witness)
+    assert lp.is_feasible_point(p, feasibility_witness(
+        lp.LpProblem([0] * 3, p.rows, p.relations, p.rhs)))
 
 
 def test_unbounded_ray_through_a_scaled_slack():
