@@ -11,6 +11,8 @@ size argument exceeds its declared cap, 3 two internal decision routes
 disagreed, a witness failed its check, or anything else went wrong inside
 the program.  When an exit 3 arises on a market, that market follows the
 message on standard error as a market file, so the failure can be replayed.
+``main(argv)`` returns the exit code for every input, usage errors (2) and
+``--help`` (0) included, so it can be called in-process.
 
 ``--json`` prints the machine-readable report document; the default output
 is a short human-readable table.  JSON output is byte-stable for fixed
@@ -20,6 +22,7 @@ inputs: keys are sorted and all numbers are exact rational strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,6 +241,7 @@ def cmd_separate(args) -> tuple[dict, list[str]]:
 
 # --- entry point ---------------------------------------------------------------
 
+@functools.cache  # one parser per process, built by the first call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noarb",
@@ -249,41 +253,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide a no-arbitrage property")
     p.add_argument("concept", choices=["na", "na1", "nupbr", "all"])
     p.add_argument("market", help="market JSON file")
-    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("emm", help="compute an equivalent martingale measure")
     p.add_argument("market")
-    p.set_defaults(handler=cmd_emm)
 
     p = sub.add_parser("price", help="superreplication price of a payoff")
     p.add_argument("market")
     p.add_argument("payoff", help="payoff JSON file")
-    p.set_defaults(handler=cmd_price)
 
     p = sub.add_parser("counterexample",
                        help="norm-growth vs gauge report for the scaled unit-vector family")
     p.add_argument("--n", type=int, required=True, help="truncation dimension")
-    p.set_defaults(handler=cmd_counterexample)
 
     p = sub.add_parser("verify", help="run the randomized lemma suite")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--instances", type=int, required=True)
     p.add_argument("--self-test", action="store_true",
                    help="inject one violation to confirm the harness detects it")
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("separate", help="separating functionals for a cone file")
     p.add_argument("cone", help="cone JSON file")
     p.add_argument("--target", help="comma-separated rational vector to separate")
-    p.set_defaults(handler=cmd_separate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        report, lines = args.handler(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
+    try:  # the command function is looked up per call, not held by the parser
+        report, lines = globals()[f"cmd_{args.command}"](args)
     except (StructureError, ContractViolation) as exc:
         print(f"noarb: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -210,7 +210,7 @@ def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...
     """Every elementary gain, zero ones included: hold one unit of one asset
     over (t−1, t] on one cell at t−1.  Keyed (t, asset index, cell index),
     in that order; each gain is one value per outcome.  They span the
-    payoff cone."""
+    payoff cone.  Routes read them through ``_built``."""
     n = len(model.space)
     gains = {}
     for t in range(1, model.horizon + 1):
@@ -232,7 +232,7 @@ def payoff_cone(model: MarketModel, include_neg_orthant: bool = False) -> Polyhe
     to be arbitrage-free.
     """
     gens = []
-    for values in _gains(model).values():
+    for values in _built(model, _gains).values():
         gain = RandomVariable(model.space, values)
         gens += [gain, -gain]
     return PolyhedralCone(model.space, gens, includes_neg_orthant=include_neg_orthant)
@@ -250,9 +250,19 @@ class _Node:
     market: int  # index of the first node with the same child count and columns
 
 
-#: The last model ``_nodes`` was asked for, and its nodes: one slot, so a
-#: model's routes share one build without the module holding many models.
-_last_nodes: tuple = (None, ())
+#: The last model a route asked about and its builds (nodes, gains) by builder:
+#: one slot, so a model's routes share each build without holding many models.
+_last_model: tuple = (None, {})
+
+
+def _built(model: MarketModel, build):
+    global _last_model
+    if _last_model[0] is not model:
+        _last_model = (model, {})
+    cache = _last_model[1]
+    if build not in cache:
+        cache[build] = build(model)
+    return cache[build]
 
 
 def _nodes(model: MarketModel) -> tuple[_Node, ...]:
@@ -264,12 +274,7 @@ def _nodes(model: MarketModel) -> tuple[_Node, ...]:
     them through ``market``; the child count matters even where no asset
     moves.
     """
-    global _last_nodes
-    held, nodes = _last_nodes
-    if held is not model:
-        nodes = _build_nodes(model)
-        _last_nodes = (model, nodes)
-    return nodes
+    return _built(model, _build_nodes)
 
 
 def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
@@ -563,7 +568,7 @@ def in_budget_set(model: MarketModel, x: RandomVariable, alpha) -> bool:
         raise ContractViolation("budget level must be >= 0")
     if not x.is_nonneg:
         return False
-    gains = [g for g in _gains(model).values() if any(g)]
+    gains = [g for g in _built(model, _gains).values() if any(g)]
     rows = [[g[i] for g in gains] for i in range(len(model.space))]
     rhs = [v - alpha for v in x.values]
     problem = lp.LpProblem([_ZERO] * len(gains), rows, [">="] * len(rows), rhs,
@@ -630,7 +635,7 @@ def check_na1(model: MarketModel) -> bool:
 
 def _budget_ceiling_problem(model: MarketModel, objective_weights) -> lp.LpProblem:
     # variables: x_1..x_n >= 0, then free strategy coefficients
-    gains = [g for g in _gains(model).values() if any(g)]
+    gains = [g for g in _built(model, _gains).values() if any(g)]
     n = len(model.space)
     E = len(gains)
     rows, rhs = [], []

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import StructureError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def parse_rational(text: str, where: str = "") -> Fraction:
@@ -27,12 +27,12 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     library never rounds.
     """
     ctx = f" at {where}" if where else ""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    if not isinstance(text, str) or not (match := _RATIONAL_RE.fullmatch(text.strip())):
         raise StructureError(
             f"not an exact rational{ctx}: {text!r} (expected 'p' or 'p/q', no decimals)"
         )
-    try:
-        return Fraction(text.strip())
+    try:  # from the matched integers: Fraction(str) would parse the text again
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ValueError:  # Python's int/str conversion limit
         raise StructureError(
             f"rational too large{ctx}: an integer has more than "

@@ -53,6 +53,47 @@ def test_golden_text_byte_stable(name, expected_exit, argv, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
+def test_usage_error_returns_2_and_the_parser_is_reused(capsys):
+    """argparse's exits come back as return values, and an error leaves the
+    one parser of the process fit for the next call."""
+    assert main(["check", "bogus", str(DATA / "binomial.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: noarb check")
+    assert "invalid choice: 'bogus'" in captured.err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: noarb")
+    name, expected_exit, argv = CASES[0]
+    assert main(["--json", *argv]) == expected_exit
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name,expected_exit,argv", CASES[:3], ids=[c[0] for c in CASES[:3]])
+def test_repeated_in_process_calls_are_identical(name, expected_exit, argv, capsys):
+    runs = []
+    for _ in range(3):
+        code = main(["--json", *argv])
+        runs.append((code, capsys.readouterr().out))
+    assert runs == [(expected_exit, (GOLDEN / f"{name}.json").read_text())] * 3
+
+
+def test_patching_a_command_after_a_first_call_takes_effect(monkeypatch, capsys):
+    """The parser is built once per process but holds no command function, so
+    a command patched after the parser exists still runs."""
+    from noarb import cli
+
+    argv = ["--json", "check", "na", str(DATA / "binomial.json")]
+    assert main(argv) == 0  # the parser exists from here on
+    capsys.readouterr()
+
+    def broken(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "noarb: internal error: ValueError: boom\n"
+
+
 def test_golden_semantics():
     check = json.loads((GOLDEN / "check_all_binomial.json").read_text())
     assert check["verdicts"] == {k: True for k in check["verdicts"]}

@@ -309,7 +309,7 @@ def ungrouped(monkeypatch):
     build = market._build_nodes
     monkeypatch.setattr(market, "_build_nodes", lambda model: tuple(
         [dataclasses.replace(node, market=i) for i, node in enumerate(build(model))]))
-    monkeypatch.setattr(market, "_last_nodes", (None, ()))
+    monkeypatch.setattr(market, "_last_model", (None, {}))
 
 
 @pytest.mark.parametrize("build", [
@@ -360,6 +360,24 @@ def test_full_verdict_builds_the_tree_once(monkeypatch):
         return build(model)
 
     monkeypatch.setattr(market, "_build_nodes", counted)
+    rng = random.Random(0)
+    models = [lab.random_market(rng) for _ in range(30)]
+    for model in models:
+        full_verdict(model)
+    assert len(built) == len(models)
+    assert all(a is b for a, b in zip(built, models))
+
+
+def test_full_verdict_builds_the_gains_once(monkeypatch):
+    """The separator route (``payoff_cone``) and NUPBR (the budget LP) share
+    one build of the elementary gains per market."""
+    build, built = market._gains, []
+
+    def counted(model):
+        built.append(model)
+        return build(model)
+
+    monkeypatch.setattr(market, "_gains", counted)
     rng = random.Random(0)
     models = [lab.random_market(rng) for _ in range(30)]
     for model in models:

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from noarb.rationals import dot
+from noarb.errors import StructureError
+from noarb.rationals import dot, parse_rational
 
 _MERSENNE_61 = 2 ** 61 - 1
 
@@ -42,3 +44,34 @@ def test_dot_of_coprime_denominators():
 def test_dot_rejects_unequal_lengths(a, x):
     with pytest.raises(ValueError):
         dot(a, x)
+
+
+_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", " \t\n "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead=_spaces, sign=st.sampled_from(["", "+", "-"]),
+       numerator=st.from_regex(r"[0-9]{1,40}", fullmatch=True),
+       denominator=st.one_of(st.none(), st.integers(1, 10 ** 40)), trail=_spaces)
+@example(lead="", sign="-", numerator="000", denominator=7, trail="")
+@example(lead=" ", sign="+", numerator="0012", denominator=18, trail="\n")
+def test_parse_rational_is_fractions_parse_on_its_grammar(lead, sign, numerator,
+                                                          denominator, trail):
+    text = f"{lead}{sign}{numerator}" + ("" if denominator is None else f"/{denominator}") + trail
+    got = parse_rational(text)
+    assert type(got) is F
+    assert got == F(text.strip())
+
+
+@pytest.mark.parametrize("text", ["1/0", "1.5", "1e3", "1_000", "3/", "/3", "3 / 4", "",
+                                  "1/-2", "1/02", "--1", "0x10"])
+def test_parse_rational_rejects_text_outside_its_grammar(text):
+    with pytest.raises(StructureError, match="not an exact rational"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}/3"])
+def test_parse_rational_maps_the_int_str_limit_to_structure_error(template):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(StructureError, match="rational too large at \\$.x"):
+        parse_rational(template.format(digits), "$.x")
