@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, as_fractions, dot
+from .rationals import as_fraction, as_fractions, dot, to_integers
 
 LE = "<="
 EQ = "=="
@@ -167,7 +166,7 @@ class _Simplex:
         flipped: list[bool] = []
         slack_sign: list[int] = []          # +1 slack, -1 surplus, 0 none
         for row, rel, rv in zip(problem.rows, problem.relations, problem.rhs):
-            ints, s = _integers([*row, rv])
+            ints, s = to_integers([*row, rv])
             rv = ints[-1]
             # also flip ≥ rows with zero rhs: as ≤ rows they start on a slack
             # basis, which keeps artificial variables out of the hot paths
@@ -247,7 +246,7 @@ class _Simplex:
     def _run_phase(self, costs, entering_limit: int):
         """Bland's rule to optimality; returns ('optimal', None) or ('unbounded', col)."""
         T, basis = self.T, self.basis
-        ints, self.cden = _integers(costs)
+        ints, self.cden = to_integers(costs)
         self.costs = ints
         d = self.d
         z = [d * c for c in ints] + [0]
@@ -350,13 +349,6 @@ class _Simplex:
         d = self.d
         return tuple([Fraction(xs[pc] - xs[nc] if nc is not None else xs[pc], d)
                       for pc, nc in self.col_pairs])
-
-
-def _integers(values) -> tuple[list[int], int]:
-    """Rationals as integers over their least common denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*[q for _, q in ratios])
-    return [p * (den // q) for p, q in ratios], den
 
 
 def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[int]:

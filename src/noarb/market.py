@@ -20,12 +20,20 @@ ch. 5 and 7).  A one-period model is a single node, so its LP is the whole
 market's LP, row for row.  NUPBR, budget-set membership and the payoff cone
 stay whole-market LPs.
 
-Nodes with the same one-period market (child count and increments) share
-one solve: a recombining tree such as Cox–Ross–Rubinstein's has 2^T − 1
-nodes but only 2T − 1 distinct markets.  Their LPs are equal exactly, on
-exact rationals, so Bland's rule gives them identical outcomes: one solve
-answers for all of them, and every witness, measure, price and hedge is
-what solving each node would give.
+A node's answers depend only on its cone of one-step gains, and scaling an
+asset's increments by a positive factor leaves that cone unchanged.  So
+nodes with the same child count whose increment columns are positive
+multiples of each other, asset by asset, share one solve, posed on the
+columns of the first of them, their representative: every node of a
+Cox–Ross–Rubinstein tree moves its price by (S, −S/2), so all 2^T − 1 of
+them share one.  A positive column scaling keeps every sign and ratio that
+Bland's rule reads, so a member's own holdings LP would take the
+representative's pivots: the same status, objective and duals, with each
+asset's holdings divided by the member's ``ratio``.  Every witness, price
+and hedge is therefore what solving each node would give.  The member's
+martingale rows are the representative's scaled by positive factors, so
+the representative's conditional EMM is one of the member's, re-verified
+with the whole measure.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from . import lp
 from .cones import PolyhedralCone
 from .errors import ContractViolation, InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
-from .rationals import as_fraction, as_fractions, dot
+from .rationals import as_fraction, as_fractions, dot, to_integers
 
 Price = Union[Fraction, float]  # exact, or ±inf sentinels
 
@@ -247,7 +255,10 @@ class _Node:
     children: tuple[int, ...]  # indices of its child cells at t
     assets: tuple[int, ...]  # the assets whose price moves on some child
     columns: tuple[tuple[Fraction, ...], ...]  # per moving asset, its increment per child
-    market: int  # index of the first node with the same child count and columns
+    # index of the node's representative: the first node with as many
+    # children whose columns are positive multiples of these, column by column
+    market: int
+    ratio: tuple[Fraction, ...]  # per moving asset, this column over the representative's
 
 
 #: The last model a route asked about and its builds (nodes, gains) by builder:
@@ -269,10 +280,12 @@ def _nodes(model: MarketModel) -> tuple[_Node, ...]:
     """Every node of the information tree, by t, then by cell.
 
     Increments are read straight off ``asset.path``: prices are adapted, so
-    one outcome of a cell gives the cell's price.  Nodes whose child count
-    and columns are equal pose equal LPs, so each points at the first of
-    them through ``market``; the child count matters even where no asset
-    moves.
+    one outcome of a cell gives the cell's price.  Nodes with the same child
+    count and the same primitive integer vector for each column (the column
+    over the lcm of its denominators, then divided by the gcd of its
+    entries, sign kept) have positively proportional columns, so each
+    points at the first of them through ``market``; the child count matters
+    even where no asset moves.
     """
     return _built(model, _build_nodes)
 
@@ -288,16 +301,22 @@ def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
             kids[owner[child[0]]].append(c)
         for k, children in enumerate(kids):
             firsts = [parts[t][c][0] for c in children]
-            assets, columns = [], []
+            assets, columns, key, scales = [], [], [len(children)], []
             for a, asset in enumerate(model.assets):
                 now, before = asset.path[t].values, asset.path[t - 1].values
                 column = tuple([now[i] - before[i] for i in firsts])
                 if any(column):
+                    ints, den = to_integers(column)
+                    g = math.gcd(*ints)
                     assets.append(a)
                     columns.append(column)
-            columns = tuple(columns)
-            market = first.setdefault((len(children), columns), len(nodes))
-            nodes.append(_Node(t, k, tuple(children), tuple(assets), columns, market))
+                    key.append(tuple([v // g for v in ints]))
+                    scales.append((g, den))  # the column is g/den times its key
+            market, rep = first.setdefault(tuple(key), (len(nodes), scales))
+            ratio = (_ONE,) * len(scales) if market == len(nodes) else tuple(
+                [Fraction(g * rd, den * rg) for (g, den), (rg, rd) in zip(scales, rep)])
+            nodes.append(_Node(t, k, tuple(children), tuple(assets), tuple(columns),
+                               market, ratio))
     return tuple(nodes)
 
 
@@ -347,8 +366,10 @@ def check_na(model: MarketModel) -> NaResult:
     payoff over holdings with payoff ≥ 0, capped at 1 per child so the
     cone's scaling cannot blow up the LP: the optimum is 0 exactly when the
     node has no arbitrage.  The first node that has one yields an explicit
-    strategy whose payoff is re-verified to be ≥ 0 and ≠ 0.  A node whose
-    market an earlier node has (``node.market``) passed with it.
+    strategy whose payoff is re-verified to be ≥ 0 and ≠ 0.  A node passes
+    with its representative (``node.market``): positively proportional
+    columns span the same cone, so the first node with an arbitrage is
+    always a representative.
     """
     for i, node in enumerate(_nodes(model)):
         if node.market != i or not node.columns:
@@ -449,11 +470,17 @@ def find_emm(model: MarketModel) -> EmmResult:
     same solve's certificate is the node's arbitrage, read off the
     multipliers y of the martingale rows: at optimum 0 the dual gives a
     payoff Σ y·gain ≥ 0 whose total is ≥ 1, and when the LP is infeasible
-    the Farkas vector gives a payoff > 0 on every child.  A node whose
-    market an earlier node has (``node.market``) takes that node's weights.
+    the Farkas vector gives a payoff > 0 on every child.  A node takes the
+    weights of its representative (``node.market``), whose martingale rows
+    are its own scaled by positive factors, so they solve its equations.
+    They are the weights its own LP would give wherever that LP has a single
+    optimum, as at every node of a CRR or trinomial tree.  Where it has
+    several, its own solve could end at another: phase one weights each
+    row's artificial variable by that row's scale, and the two nodes' rows
+    differ in scale.
     """
     nodes = _nodes(model)
-    steps = {}  # per distinct market, its LP's primal: q_1..q_k, then m
+    steps = {}  # per representative, its LP's primal: q_1..q_k, then m
     for i, node in enumerate(nodes):
         if node.market != i:
             continue
@@ -508,9 +535,12 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     where an unbounded node must still deliver from finite wealth w, the
     primal moves along the LP's ray until its α is at most w.  The price is
     −inf only when the market admits a strictly positive gain (arbitrage),
-    in which case no hedge is returned.  Nodes with the same market and the
-    same child prices share one solve, and so do nodes with all children
-    priced −inf and equally many moving assets: that LP has no rows.
+    in which case no hedge is returned.  Nodes with the same representative
+    (``node.market``) and the same child prices share one solve, posed on
+    the representative's columns; a node holds the solve's holdings, after
+    the ray step, divided by its ``ratio``, which is what its own LP would
+    return.  Nodes with all children priced −inf and equally many moving
+    assets share one solve too: that LP has no rows.
     """
     if payoff.space != model.space:
         raise StructureError("payoff on a different sample space")
@@ -527,7 +557,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         key = (node.market, values) if max(values) != -math.inf else len(node.columns)
         outcome = solved.get(key)
         if outcome is None:
-            outcome = solved[key] = lp.solve(_one_step_problem(node, values))
+            outcome = solved[key] = lp.solve(_one_step_problem(nodes[node.market], values))
         if outcome.status == lp.OPTIMAL:
             prices[node.t - 1][node.cell] = outcome.objective_value
         elif outcome.status == lp.UNBOUNDED:
@@ -547,7 +577,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         if outcome.status == lp.UNBOUNDED:
             s = max(_ZERO, (point[0] - w) / -outcome.ray[0])
             point = [p + s * r for p, r in zip(point, outcome.ray)]
-        holdings = point[1:]
+        holdings = [h / r for h, r in zip(point[1:], node.ratio)]
         placed.append((node, holdings))
         for j, c in enumerate(node.children):
             wealth[node.t][c] = w + dot(holdings, [col[j] for col in node.columns])
@@ -605,12 +635,13 @@ def check_na1(model: MarketModel) -> bool:
     duality π_v(1_c′) ≥ y_c′ for every child c′ and every such dual y, so a
     child on which an earlier dual is positive needs no LP of its own.  A
     node with no moving asset prices every child indicator at exactly 1 and
-    needs none, and neither does a node whose market an earlier node has
-    (``node.market``): its LPs are that node's.  Every solve is checked by
-    substitution with ``lp.check_outcome``: its primal must superhedge, an
-    unbounded LP's ray must lower α while superhedging 0, and an optimal
-    LP's α must equal the optimum and its dual must be a martingale measure
-    whose weight at c equals the optimum.
+    needs none, and neither does a node that is not its own representative
+    (``node.market``): its indicator prices are the representative's, since
+    rescaling holdings by ``ratio`` maps one's hedges onto the other's.
+    Every solve is checked by substitution with ``lp.check_outcome``: its
+    primal must superhedge, an unbounded LP's ray must lower α while
+    superhedging 0, and an optimal LP's α must equal the optimum and its
+    dual must be a martingale measure whose weight at c equals the optimum.
     An infeasible LP is an inconsistency, since α = 1 with no holdings is
     always feasible.
     """

@@ -3,8 +3,10 @@
 This module owns the library's exact-number policy.  Every number the
 library takes or returns is a ``fractions.Fraction`` (arbitrary precision,
 always lowest terms, positive denominator), and every sum of rational
-products in it is one ``dot``.  Only ``dot`` and the simplex tableau inside
-``lp`` work on integers over a common denominator; both return ``Fraction``s.
+products in it is one ``dot``.  Only ``dot``, the simplex tableau inside
+``lp`` and the node key in ``market`` work on integers over a common
+denominator (``to_integers``); all three return ``Fraction``s.  A rational
+is written in ASCII digits only.
 """
 
 from __future__ import annotations
@@ -13,15 +15,16 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import StructureError
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def parse_rational(text: str, where: str = "") -> Fraction:
-    """Parse an exact rational string ``"p"`` or ``"p/q"``.
+    """Parse an exact rational string ``"p"`` or ``"p/q"`` in ASCII digits.
 
     Decimal notation is rejected on purpose: floats are never exact and this
     library never rounds.
@@ -75,6 +78,13 @@ def as_fractions(values) -> tuple[Fraction, ...]:
     # the freed tuple sits on a size-k freelist until a full collection; an
     # exact Fraction, the common case, passes through without a call
     return tuple([v if type(v) is Fraction else as_fraction(v) for v in values])
+
+
+def to_integers(values) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
 
 
 def dot(a: Sequence, x: Sequence) -> Fraction:

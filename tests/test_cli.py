@@ -200,6 +200,13 @@ def test_exit_code_taxonomy(tmp_path, capsys):
         extra = [str(DATA / "call_payoff.json")] if command == ["price"] else []
         assert main([*command, str(repeated_cell), *extra]) == 2, command
         assert "$.filtration: a cell lists an outcome twice" in capsys.readouterr().err
+    # rationals are ASCII: a fullwidth "２" is not read as 2
+    market = json.loads((DATA / "binomial.json").read_text())
+    market["assets"][0]["path"]["u"][1] = "\uff12"
+    fullwidth = tmp_path / "fullwidth.json"
+    fullwidth.write_text(json.dumps(market, ensure_ascii=False), encoding="utf-8")
+    assert main(["check", "na", str(fullwidth)]) == 2
+    assert "not an exact rational at $.assets[0].path.u[1]" in capsys.readouterr().err
     payoff = tmp_path / "payoff.json"
     payoff.write_text('{"payoff": {"u": "1", "d": "0"}, "strike": "1"}')
     assert main(["price", str(DATA / "binomial.json"), str(payoff)]) == 2

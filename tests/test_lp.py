@@ -469,3 +469,41 @@ def test_scaling_a_slack_row_is_metamorphic(problem, data):
         assert after.ray in (before.ray, tuple([v / k for v in before.ray]))
     if before.dual is not None:
         assert after.dual == tuple([v / k if r == i else v for r, v in enumerate(before.dual)])
+
+
+#: Positive column scales for ``test_scaling_columns_is_metamorphic``.
+COLUMN_SCALES = [F(3, 2), F(5), F(1, 7), F(2, 9), F(11, 4), F(1), F(6, 5)]
+
+
+def test_scaling_columns_is_metamorphic():
+    """Scaling each variable's column (its objective and row coefficients)
+    by c_j > 0 keeps every sign Bland's rule reads and every ratio order its
+    ratio test compares, and leaves the artificial columns alone, so the
+    pivot path is the same: status, objective, duals and feasibility match,
+    the primal is divided by c column by column, and the ray matches that
+    up to a positive factor (it is normalised on its entering column).
+    The node LPs in ``market`` rely on this to share one solve among
+    positively proportional nodes.  Each seeded LP is solved as drawn and
+    with every other variable free."""
+    rng = random.Random(14)
+    for problem in oracles.seeded_lps():
+        n = problem.num_vars
+        for lower in (problem.lower, [None if j % 2 else F(0) for j in range(n)]):
+            c = [rng.choice(COLUMN_SCALES) for _ in range(n)]
+            given = lp.LpProblem(problem.objective, problem.rows, problem.relations,
+                                 problem.rhs, lower=lower, sense=problem.sense)
+            scaled = lp.LpProblem([o * k for o, k in zip(problem.objective, c)],
+                                  [[a * k for a, k in zip(row, c)] for row in problem.rows],
+                                  problem.relations, problem.rhs, lower=lower,
+                                  sense=problem.sense)
+            before, after = lp.solve(given), lp.solve(scaled)
+            assert after.status == before.status
+            assert after.objective_value == before.objective_value
+            assert after.dual == before.dual
+            assert lp.feasible(scaled) == lp.feasible(given)
+            if before.primal is not None:
+                assert after.primal == tuple([x / k for x, k in zip(before.primal, c)])
+            if before.ray is not None:
+                ray = [r / k for r, k in zip(before.ray, c)]
+                factor = next(a / r for a, r in zip(after.ray, ray) if r)
+                assert factor > 0 and after.ray == tuple([factor * r for r in ray])

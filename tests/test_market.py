@@ -237,11 +237,12 @@ def test_na1_nupbr_constant(constant_market):
 @pytest.mark.parametrize("T", [5, 6, 7])
 def test_na1_solves_one_lp_per_distinct_market(T, lp_calls):
     # each node's one-step EMM is positive at both children, so the LP for
-    # the first child's indicator covers the second as well; the CRR tree
-    # recombines into 2T - 1 distinct one-period markets, the additive tree
-    # has a market of its own at each of its 2^T - 1 nodes
+    # the first child's indicator covers the second as well; every CRR node
+    # moves S by (S, -S/2), a positive multiple of the root's (1, -1/2), so
+    # the whole tree is one market; the additive tree's node i moves by
+    # (i + 1, -1), so each of its 2^T - 1 nodes is a market of its own
     assert check_na1(crr_tree(T)[0])
-    assert len(lp_calls) == 2 * T - 1
+    assert len(lp_calls) == 1
     lp_calls.clear()
     assert check_na1(additive_tree(T))
     assert len(lp_calls) == 2 ** T - 1
@@ -255,30 +256,31 @@ def call_on(model, strike=F(1)):
 
 
 def crr_call_keys(T, strike=F(1)):
-    """The distinct (node price, call price after an up move, after a down
-    move) over the nodes of ``crr_tree(T)``, from the closed-form price
-    with q = 1/3 per up move: one superhedging LP for each."""
+    """The distinct (call price after an up move, after a down move) over
+    the nodes of ``crr_tree(T)``, from the closed-form price with q = 1/3
+    per up move: the nodes are one market, so one superhedging LP for each."""
     q = F(1, 3)
 
     def call(s, m):
         return sum(math.comb(m, j) * q ** j * (1 - q) ** (m - j)
                    * max(s * F(2) ** (2 * j - m) - strike, 0) for j in range(m + 1))
 
-    return {(s, call(2 * s, T - t), call(s / 2, T - t))
+    return {(call(2 * s, T - t), call(s / 2, T - t))
             for t in range(1, T + 1) for s in {F(2) ** (2 * u - t + 1) for u in range(t)}}
 
 
 @pytest.mark.parametrize("T", [2, 3, 4, 5, 6, 9])
 def test_crr_solves_once_per_distinct_market(T, lp_calls):
-    # node prices 2^-(T-1) .. 2^(T-1): 2T - 1 markets among 2^T - 1 nodes;
-    # the call shares solves across times too, where equal node prices see
-    # equal child prices (39 keys at T = 9, against 45 (price, time) pairs)
+    # the 2^T - 1 nodes are one market, so NA and the EMM take one LP each;
+    # the call takes one per distinct pair of child prices, shared across
+    # node prices and times (13, 15 and 22 pairs at T = 5, 6 and 7, and 33
+    # at T = 9 against 45 (node price, time) pairs)
     model, _ = crr_tree(T)
     assert check_na(model).holds
-    assert len(lp_calls) == 2 * T - 1
+    assert len(lp_calls) == 1
     lp_calls.clear()
     assert find_emm(model).measure is not None
-    assert len(lp_calls) == 2 * T - 1
+    assert len(lp_calls) == 1
     lp_calls.clear()
     superreplication_price(model, call_on(model))
     assert len(lp_calls) == len(crr_call_keys(T))
@@ -305,38 +307,77 @@ def test_row_free_one_step_lp_is_solved_once(lp_calls):
 
 
 def ungrouped(monkeypatch):
-    """Make every node its own market, as if no two were equal."""
+    """Make every node its own market, as if no two were proportional."""
     build = market._build_nodes
     monkeypatch.setattr(market, "_build_nodes", lambda model: tuple(
-        [dataclasses.replace(node, market=i) for i, node in enumerate(build(model))]))
+        [dataclasses.replace(node, market=i, ratio=(F(1),) * len(node.columns))
+         for i, node in enumerate(build(model))]))
     monkeypatch.setattr(market, "_last_model", (None, {}))
 
 
-@pytest.mark.parametrize("build", [
-    *[pytest.param(lambda T=T: crr_tree(T)[0], id=f"crr{T}") for T in range(2, 7)],
-    pytest.param(lambda: trinomial_tree(2), id="trinomial2"),
+def seed0_markets(count):
+    rng = random.Random(0)
+    return [lab.random_market(rng) for _ in range(count)]
+
+
+def node_answers(model):
+    """Every node route's answer, witnesses and hedge included."""
+    return (check_na(model), check_na1(model), find_emm(model),
+            superreplication_price(model, call_on(model)))
+
+
+@pytest.mark.parametrize("build, unique_emm", [
+    *[pytest.param(lambda T=T: [crr_tree(T)[0]], True, id=f"crr{T}") for T in range(2, 7)],
+    pytest.param(lambda: [trinomial_tree(2)], False, id="trinomial2"),
+    # 66 of them have nodes whose columns are proportional but not equal
+    pytest.param(lambda: seed0_markets(200), False, id="random200"),
 ])
-def test_shared_solves_change_no_answer(build, lp_calls, monkeypatch):
-    model = build()
-    call = call_on(model)
-    answers = (check_na(model), check_na1(model), find_emm(model),
-               superreplication_price(model, call))
+def test_shared_solves_change_no_answer(build, unique_emm, lp_calls, monkeypatch):
+    models = build()
+    answers = [node_answers(model) for model in models]
     shared = len(lp_calls)
     ungrouped(monkeypatch)
     lp_calls.clear()
-    assert (check_na(model), check_na1(model), find_emm(model),
-            superreplication_price(model, call)) == answers
-    assert shared <= len(lp_calls)  # equal at T = 2: its three nodes are three markets
-    na, na1, emm, price = answers
-    assert na.holds and na1
-    assert global_routes.check_na(model).holds
-    assert global_routes.superreplication_price(model, call).price == price.price
-    reference = global_routes.find_emm(model).measure
-    if len(model.space) == 2 ** model.horizon:  # the CRR EMM is unique
-        assert reference.weights == emm.measure.weights
-    else:  # the trinomial's is not, and the whole-market LP picks another
-        assert global_routes.is_martingale_measure(model, emm.measure)
-        assert market.is_martingale_measure(model, reference)
+    assert [node_answers(model) for model in models] == answers
+    assert shared < len(lp_calls)
+    assert any(na.holds for na, *_ in answers)
+    for model, (na, na1, emm, price) in zip(models, answers):
+        assert global_routes.check_na(model).holds == na.holds == na1
+        assert global_routes.superreplication_price(model, call_on(model)).price == price.price
+        if emm.measure is None:
+            continue
+        reference = global_routes.find_emm(model).measure
+        if unique_emm:
+            assert reference.weights == emm.measure.weights
+        else:  # the whole-market LP may pick another measure
+            assert global_routes.is_martingale_measure(model, emm.measure)
+            assert market.is_martingale_measure(model, reference)
+
+
+@pytest.mark.parametrize("down, markets, na", [
+    pytest.param((F(2), F(1)), 3, False, id="mirrored"),
+    pytest.param((F(4), F(-2)), 2, True, id="doubled"),
+])
+def test_only_positive_multiples_share_a_solve(down, markets, na, lp_calls):
+    # S moves by (2, -1) at the root and by (-2, 1), a negative multiple, at
+    # the up node: another market.  The down node moves by (2, 1), an
+    # arbitrage that only the sign of the key tells from the root's market,
+    # or by (4, -2), twice the root's move: the root's market, ratio 2
+    space = SampleSpace.uniform(4)
+    partitions = [[(0, 1, 2, 3)], [(0, 1), (2, 3)], [(0,), (1,), (2,), (3,)]]
+    prices = [[4] * 4, [6, 6, 3, 3], [4, 7, 3 + down[0], 3 + down[1]]]
+    model = MarketModel(Filtration(space, partitions),
+                        [Asset("S", tuple(space.variable(p) for p in prices))])
+    nodes = market._nodes(model)
+    assert len({node.market for node in nodes}) == markets
+    assert check_na(model).holds == na
+    assert len(lp_calls) == markets
+    assert global_routes.check_na(model).holds == na
+    if na:
+        assert nodes[2].market == 0 and nodes[2].ratio == (F(2),)
+    payoff = space.variable([3, 0, 1, 2])
+    assert (superreplication_price(model, payoff).price
+            == global_routes.superreplication_price(model, payoff).price)
 
 
 def test_static_nodes_with_different_child_counts(lp_calls):
@@ -584,6 +625,44 @@ def test_metamorphic_asset_changes(change):
                 path.append(total)
             changed = assets + [Asset("combination", tuple(path))]
         assert _cone_answers(MarketModel(model.filtration, changed)) == _cone_answers(model)
+
+
+def _divided(strategy, k, c):
+    """``strategy`` with asset k's holdings divided by c."""
+    if strategy is None:
+        return None
+    return Strategy([[[h / c for h in cells] if a == k else cells
+                      for a, cells in enumerate(per_t)] for per_t in strategy.holdings])
+
+
+def test_scaling_an_asset_divides_its_holdings():
+    # multiplying asset k's whole path by c > 0 scales its increment column
+    # at every node by c, so every node LP is the same LP with that column
+    # scaled: each verdict and price stays, and asset k's holdings in the
+    # arbitrage and in every hedge are divided by c exactly
+    rng = random.Random("metamorphic-scale-holdings")
+    hedges = 0
+    for _ in range(100):
+        model = lab.random_market(rng)
+        k = rng.randrange(len(model.assets))
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        assets = list(model.assets)
+        assets[k] = Asset(assets[k].name, tuple(x.scale(c) for x in assets[k].path))
+        changed = MarketModel(model.filtration, assets)
+        before, after = full_verdict(model), full_verdict(changed)
+        assert after.as_dict() == before.as_dict()
+        assert check_na1(changed) == check_na1(model)
+        assert after.arbitrage == _divided(before.arbitrage, k, c)
+        for payoff in (call_on(model), *model.space.indicators()):
+            price, scaled = (superreplication_price(m, payoff) for m in (model, changed))
+            assert scaled.price == price.price
+            assert scaled.hedge == _divided(price.hedge, k, c)
+            hedges += price.hedge is not None
+        measure = find_emm(changed).measure
+        assert (measure is None) == (find_emm(model).measure is None)
+        assert measure is None or (measure.is_equivalent
+                                   and market.is_martingale_measure(changed, measure))
+    assert hedges > 50  # 88 finite prices, each with its hedge
 
 
 def _permuted(model, order):

@@ -75,3 +75,21 @@ def test_parse_rational_maps_the_int_str_limit_to_structure_error(template):
     digits = "1" * (sys.get_int_max_str_digits() + 1)
     with pytest.raises(StructureError, match="rational too large at \\$.x"):
         parse_rational(template.format(digits), "$.x")
+
+
+_non_ascii_digits = st.characters(categories=["Nd"]).filter(lambda ch: not ch.isascii())
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit=_non_ascii_digits, head=st.from_regex(r"[0-9]{0,5}", fullmatch=True),
+       tail=st.from_regex(r"[0-9]{0,5}", fullmatch=True),
+       sign=st.sampled_from(["", "+", "-"]), in_denominator=st.booleans())
+@example(digit="２", head="", tail="", sign="", in_denominator=False)
+@example(digit="٣", head="", tail="", sign="", in_denominator=False)
+def test_parse_rational_rejects_non_ascii_digits(digit, head, tail, sign, in_denominator):
+    # int() and Fraction() read any Unicode decimal digit; the grammar is ASCII
+    number = f"{head}{digit}{tail}"
+    text = f"{sign}3/1{number}" if in_denominator else f"{sign}{number}"
+    assert F(text) is not None
+    with pytest.raises(StructureError, match="not an exact rational"):
+        parse_rational(text)
