@@ -32,6 +32,10 @@ CASES = [
     ("separate_gen", 0, ["separate", str(DATA / "cone_with_gen.json")]),
     ("separate_e2", 1, ["separate", str(DATA / "cone_with_e2.json")]),
     ("separate_target", 0, ["separate", str(DATA / "cone_with_gen.json"), "--target", "1,1"]),
+    # two periods, two assets: strategies with entries at several (t, asset, cell)
+    ("price_two_period_basket", 0,
+     ["price", str(DATA / "two_period.json"), str(DATA / "basket_payoff.json")]),
+    ("check_na_two_period", 1, ["check", "na", str(DATA / "two_period_arbitrage.json")]),
 ]
 
 
