@@ -31,7 +31,7 @@ bad = MarketModel(
 na = check_na(bad)
 print("dominated market satisfies NA:", na.holds)
 payoff = terminal_gain(bad, na.arbitrage)
-print("arbitrage holdings:", [str(h) for h in na.arbitrage.holdings[0][0]])
+print("arbitrage holdings:", [str(h) for _, h in na.arbitrage.holdings])
 print("its payoff:", {o: str(v) for o, v in zip(space.outcomes, payoff.values)}, "(free money)")
 print("EMM search:", find_emm(bad).measure)
 

@@ -38,7 +38,7 @@ print("density dQ/dP:     ", show(q.density()))
 call = space.variable([1, 0])
 priced = superreplication_price(market, call)
 print("call price:        ", priced.price)
-print("hedge holdings:    ", priced.hedge.holdings[0][0][0], "units of S")
+print("hedge holdings:    ", dict(priced.hedge.holdings)[1, 0, 0], "units of S")
 
 # the hedge replicates: initial wealth + trading gain dominates the payoff
 gain = terminal_gain(market, priced.hedge)

@@ -71,21 +71,10 @@ def _format_price(value) -> str:
 
 def _strategy_json(model: MarketModel, strategy: Strategy) -> list:
     """Sparse, self-describing holdings: period, asset name, cell outcomes."""
-    space = model.space
-    entries = []
-    for t in range(1, model.horizon + 1):
-        cells = model.filtration.partitions[t - 1]
-        for a, asset in enumerate(model.assets):
-            for ci, cell in enumerate(cells):
-                units = strategy.holdings[t - 1][a][ci]
-                if units:
-                    entries.append({
-                        "t": t,
-                        "asset": asset.name,
-                        "cell": [space.outcomes[i] for i in cell],
-                        "units": format_rational(units),
-                    })
-    return entries
+    outcomes, parts = model.space.outcomes, model.filtration.partitions
+    return [{"t": t, "asset": model.assets[a].name,
+             "cell": [outcomes[i] for i in parts[t - 1][c]], "units": format_rational(units)}
+            for (t, a, c), units in strategy.holdings]
 
 
 def _arbitrage_json(model: MarketModel, strategy: Strategy) -> dict:
@@ -221,7 +210,7 @@ def cmd_separate(args) -> tuple[dict, list[str]]:
             fields["verified_on"] = result.report.verified_on
             fields["normalization"] = format_rational(result.report.normalization)
     else:
-        parts = [p.strip() for p in args.target.split(",")]
+        parts = args.target.split(",")
         if len(parts) != len(cone.space):
             raise StructureError(
                 f"--target needs {len(cone.space)} comma-separated rationals")

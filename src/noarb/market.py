@@ -155,62 +155,45 @@ class MarketModel:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Predictable holdings: one value per (period, asset, cell at t−1)."""
+    """Predictable holdings: ``((t, asset index, cell index at t−1), units)``
+    pairs, keyed like ``martingale_residuals``, in key order, with zero
+    holdings left out.  Built from a mapping or from such pairs;
+    ``Strategy()`` holds nothing."""
 
-    holdings: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    holdings: tuple[tuple[tuple[int, int, int], Fraction], ...]
 
-    def __init__(self, holdings) -> None:
-        frozen = tuple([tuple([as_fractions(per_asset) for per_asset in per_t])
-                        for per_t in holdings])
-        object.__setattr__(self, "holdings", frozen)
-
-    @classmethod
-    def zero(cls, model: MarketModel) -> "Strategy":
-        return cls([
-            [[0] * len(model.filtration.partitions[t - 1]) for _ in model.assets]
-            for t in range(1, model.horizon + 1)])
+    def __init__(self, holdings=()) -> None:
+        units = {key: as_fraction(h) for key, h in dict(holdings).items()}
+        object.__setattr__(self, "holdings",
+                           tuple(sorted([(key, h) for key, h in units.items() if h])))
 
     def scale(self, factor) -> "Strategy":
         f = as_fraction(factor)
-        return Strategy([[[f * h for h in cells] for cells in per_t]
-                         for per_t in self.holdings])
+        return Strategy({key: f * h for key, h in self.holdings})
 
     def __add__(self, other: "Strategy") -> "Strategy":
-        if _shape(self) != _shape(other):
-            raise StructureError("strategies have different shapes")
-        return Strategy([
-            [[a + b for a, b in zip(ca, cb)] for ca, cb in zip(pa, pb)]
-            for pa, pb in zip(self.holdings, other.holdings)])
-
-
-def _shape(strategy: Strategy):
-    return tuple([tuple([len(cells) for cells in per_t]) for per_t in strategy.holdings])
-
-
-def _check_strategy(model: MarketModel, strategy: Strategy) -> None:
-    want = tuple([
-        tuple([len(model.filtration.partitions[t - 1]) for _ in model.assets])
-        for t in range(1, model.horizon + 1)])
-    if _shape(strategy) != want:
-        raise StructureError("strategy shape does not match the model's filtration")
+        total = dict(self.holdings)
+        for key, h in other.holdings:
+            total[key] = total.get(key, _ZERO) + h
+        return Strategy(total)
 
 
 def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
-    """Pathwise Σ_t holdings·(X_t − X_{t−1}); linear in the strategy."""
-    _check_strategy(model, strategy)
+    """Pathwise Σ_t holdings·(X_t − X_{t−1}); linear in the strategy.  The one
+    check of a strategy against a model: a key that names no (t, asset, cell
+    at t−1) of the model raises ``StructureError``."""
+    parts, assets = model.filtration.partitions, model.assets
     n = len(model.space)
     held: list[list[Fraction]] = [[] for _ in range(n)]
     moved: list[list[Fraction]] = [[] for _ in range(n)]
-    for t in range(1, model.horizon + 1):
-        cells = model.filtration.partitions[t - 1]
-        for a, asset in enumerate(model.assets):
-            now, before = asset.path[t].values, asset.path[t - 1].values
-            for ci, cell in enumerate(cells):
-                h = strategy.holdings[t - 1][a][ci]
-                if h:
-                    for i in cell:
-                        held[i].append(h)
-                        moved[i].append(now[i] - before[i])
+    for (t, a, c), h in strategy.holdings:
+        if not (0 < t < len(parts) and 0 <= a < len(assets) and 0 <= c < len(parts[t - 1])):
+            raise StructureError(
+                f"strategy key {(t, a, c)} names no (t, asset, cell) of the model")
+        now, before = assets[a].path[t].values, assets[a].path[t - 1].values
+        for i in parts[t - 1][c]:
+            held[i].append(h)
+            moved[i].append(now[i] - before[i])
     return RandomVariable(model.space, [dot(h, m) for h, m in zip(held, moved)])
 
 
@@ -331,20 +314,16 @@ def _one_step_problem(node: _Node, values) -> lp.LpProblem:
                         [values[j] for j in kept], lower=[None] * (E + 1), sense="min")
 
 
-def _strategy_from_coefficients(model, placed) -> Strategy:
+def _strategy_from_coefficients(placed) -> Strategy:
     """Holdings ``coefficients`` in the moving assets of ``node``, for each
-    (node, coefficients) pair of ``placed``; zero elsewhere."""
-    strategy = Strategy.zero(model)
-    holdings = [[list(cells) for cells in per_t] for per_t in strategy.holdings]
-    for node, coefficients in placed:
-        for a, coef in zip(node.assets, coefficients):
-            holdings[node.t - 1][a][node.cell] = as_fraction(coef)
-    return Strategy(holdings)
+    (node, coefficients) pair of ``placed``."""
+    return Strategy({(node.t, a, node.cell): coef for node, coefficients in placed
+                     for a, coef in zip(node.assets, coefficients)})
 
 
 def _verified_arbitrage(model, node, coefficients) -> Strategy:
     """The strategy holding ``coefficients`` at ``node``, checked to gain ≥ 0, ≠ 0."""
-    strategy = _strategy_from_coefficients(model, [(node, coefficients)])
+    strategy = _strategy_from_coefficients([(node, coefficients)])
     payoff = terminal_gain(model, strategy)
     if not payoff.is_nonneg or payoff.is_zero:
         raise InternalInconsistency("arbitrage witness failed re-verification",
@@ -581,7 +560,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         placed.append((node, holdings))
         for j, c in enumerate(node.children):
             wealth[node.t][c] = w + dot(holdings, [col[j] for col in node.columns])
-    hedge = _strategy_from_coefficients(model, placed)
+    hedge = _strategy_from_coefficients(placed)
     value = terminal_gain(model, hedge)
     if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):
         raise InternalInconsistency("superreplication hedge failed re-verification",

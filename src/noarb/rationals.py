@@ -24,13 +24,16 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def parse_rational(text: str, where: str = "") -> Fraction:
-    """Parse an exact rational string ``"p"`` or ``"p/q"`` in ASCII digits.
+    """Parse an exact rational string ``"p"`` or ``"p/q"`` in ASCII digits,
+    ignoring surrounding ASCII whitespace (and no other: ``str.strip()``
+    would also take a no-break or an ideographic space).
 
     Decimal notation is rejected on purpose: floats are never exact and this
     library never rounds.
     """
     ctx = f" at {where}" if where else ""
-    if not isinstance(text, str) or not (match := _RATIONAL_RE.fullmatch(text.strip())):
+    if not isinstance(text, str) or not (
+            match := _RATIONAL_RE.fullmatch(text.strip(" \t\n\r\f\v"))):
         raise StructureError(
             f"not an exact rational{ctx}: {text!r} (expected 'p' or 'p/q', no decimals)"
         )

@@ -67,16 +67,12 @@ def _nonzero_gains(model):
     return [g for g in elementary_gains(model) if not g.vector.is_zero]
 
 
-def _strategy_from_coefficients(model, gains, coefficients) -> Strategy:
-    strategy = Strategy.zero(model)
-    holdings = [[list(cells) for cells in per_t] for per_t in strategy.holdings]
-    for gain, coef in zip(gains, coefficients):
-        holdings[gain.t - 1][gain.asset][gain.cell] = coef
-    return Strategy(holdings)
+def _strategy_from_coefficients(gains, coefficients) -> Strategy:
+    return Strategy({(g.t, g.asset, g.cell): coef for g, coef in zip(gains, coefficients)})
 
 
 def _verified_arbitrage(model, gains, coefficients) -> Strategy:
-    strategy = _strategy_from_coefficients(model, gains, coefficients)
+    strategy = _strategy_from_coefficients(gains, coefficients)
     payoff = terminal_gain(model, strategy)
     if not payoff.is_nonneg or payoff.is_zero:
         raise InternalInconsistency("arbitrage witness failed re-verification",
@@ -163,7 +159,7 @@ def superreplication_price(model, payoff) -> Superreplication:
         raise InternalInconsistency("superreplication LP cannot be infeasible",
                                     model=model, payoff=payoff)
     alpha = outcome.objective_value
-    hedge = _strategy_from_coefficients(model, gains, outcome.primal[1:])
+    hedge = _strategy_from_coefficients(gains, outcome.primal[1:])
     value = terminal_gain(model, hedge)
     if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):
         raise InternalInconsistency("superreplication hedge failed re-verification",

@@ -168,6 +168,10 @@ def test_exit_code_taxonomy(tmp_path, capsys):
     assert "rational too large at $.assets[0].path.u[1]" in capsys.readouterr().err
     assert main(["separate", str(DATA / "cone_with_gen.json"), "--target", f"{huge},0"]) == 2
     assert "rational too large at --target" in capsys.readouterr().err
+    # each --target part follows parse_rational's rule: ASCII whitespace only
+    assert main(["separate", str(DATA / "cone_with_gen.json"), "--target", "1, 1"]) == 0
+    assert main(["separate", str(DATA / "cone_with_gen.json"), "--target", "1,\u00a01"]) == 2
+    assert "not an exact rational at --target" in capsys.readouterr().err
     huge_number = tmp_path / "huge_number.json"
     huge_number.write_text(f'{{"outcomes": {huge}}}')
     assert main(["check", "na", str(huge_number)]) == 2

@@ -58,21 +58,32 @@ def test_model_requires_adapted_nonneg_paths():
 # --- terminal gain ----------------------------------------------------------
 
 def test_zero_strategy_zero_payoff(binomial):
-    assert terminal_gain(binomial, Strategy.zero(binomial)).is_zero
+    assert Strategy().holdings == ()
+    assert terminal_gain(binomial, Strategy()).is_zero
 
 
 def test_binomial_one_unit_gain(binomial):
-    hold_one = Strategy([[[1]]])
+    hold_one = Strategy({(1, 0, 0): 1})
     assert terminal_gain(binomial, hold_one).values == (F(1), F(-1, 2))
+
+
+def test_strategy_equality_ignores_zeros_and_order():
+    keyed = Strategy({(2, 0, 1): F(1, 2), (1, 1, 0): -3, (1, 0, 0): 0})
+    assert keyed.holdings == (((1, 1, 0), F(-3)), ((2, 0, 1), F(1, 2)))
+    same = Strategy([((2, 0, 1), "1/2"), ((2, 1, 0), 0), ((1, 1, 0), F(-3))])
+    assert same == keyed and hash(same) == hash(keyed)
+    assert keyed + keyed.scale(-1) == Strategy() == keyed.scale(0)
+    assert keyed != Strategy({(1, 1, 0): -3})
 
 
 def test_terminal_gain_linearity(two_period):
     rng = random.Random(3)
-    def random_strategy():
-        return Strategy([
-            [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in cells]
-             for cells in per_t]
-            for per_t in Strategy.zero(two_period).holdings])
+    parts = two_period.filtration.partitions
+    keys = [(t, a, c) for t in range(1, two_period.horizon + 1)
+            for a in range(len(two_period.assets)) for c in range(len(parts[t - 1]))]
+    def random_strategy():  # a random subset of the keys, some held at 0
+        return Strategy({key: F(rng.randint(-4, 4), rng.randint(1, 3))
+                         for key in keys if rng.random() < 0.7})
     for _ in range(10):
         xi, theta = random_strategy(), random_strategy()
         a, b = F(rng.randint(-3, 3)), F(rng.randint(-3, 3))
@@ -82,9 +93,11 @@ def test_terminal_gain_linearity(two_period):
         assert lhs == rhs
 
 
-def test_strategy_shape_checked(binomial, two_period):
-    with pytest.raises(StructureError):
-        terminal_gain(binomial, Strategy.zero(two_period))
+def test_strategy_keys_checked_against_the_model(binomial):
+    # the binomial market has one period, one asset and one cell at t=0
+    for key in [(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1), (1, 0, -1)]:
+        with pytest.raises(StructureError, match="no \\(t, asset, cell\\) of the model"):
+            terminal_gain(binomial, Strategy({(1, 0, 0): 1, key: 1}))
 
 
 # --- payoff cone ------------------------------------------------------------
@@ -188,7 +201,7 @@ def test_call_price_binomial(binomial):
     call = binomial.space.variable([1, 0])  # (S_T - 1)^+
     res = superreplication_price(binomial, call)
     assert res.price == F(1, 3)
-    assert res.hedge.holdings[0][0][0] == F(2, 3)
+    assert dict(res.hedge.holdings)[1, 0, 0] == F(2, 3)
 
 
 def test_zero_payoff_prices_at_zero(binomial):
@@ -507,7 +520,7 @@ def test_finite_price_through_an_unbounded_subtree():
     payoff = space.variable([5, 7, 1, 0])
     res = superreplication_price(model, payoff)
     assert res.price == F(1, 3)
-    assert res.hedge.holdings[1][0][0] == 5  # the hedge at node {a1, a2}
+    assert dict(res.hedge.holdings)[2, 0, 0] == 5  # the hedge at node {a1, a2}
     gain = terminal_gain(model, res.hedge)
     assert all(res.price + g >= x for g, x in zip(gain.values, payoff.values))
     assert global_routes.superreplication_price(model, payoff).price == F(1, 3)
@@ -527,7 +540,7 @@ def test_hedge_follows_the_ray_below_an_unbounded_node():
     payoff = space.variable([1, 1, 6, 0])
     res = superreplication_price(model, payoff)
     assert res.price == 2
-    assert res.hedge.holdings[0][0][0] == 4
+    assert dict(res.hedge.holdings)[1, 0, 0] == 4
     gain = terminal_gain(model, res.hedge)
     assert all(res.price + g >= x for g, x in zip(gain.values, payoff.values))
     assert global_routes.superreplication_price(model, payoff).price == 2
@@ -588,7 +601,7 @@ def test_terminal_gain_matches_per_gain_reference():
         model = lab.random_market(rng)
         gains = global_routes.elementary_gains(model)
         coefficients = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gains]
-        strategy = global_routes._strategy_from_coefficients(model, gains, coefficients)
+        strategy = global_routes._strategy_from_coefficients(gains, coefficients)
         expected = [sum([c * g.vector.values[i] for c, g in zip(coefficients, gains)], F(0))
                     for i in range(len(model.space))]
         assert terminal_gain(model, strategy).values == tuple(expected)
@@ -631,8 +644,8 @@ def _divided(strategy, k, c):
     """``strategy`` with asset k's holdings divided by c."""
     if strategy is None:
         return None
-    return Strategy([[[h / c for h in cells] if a == k else cells
-                      for a, cells in enumerate(per_t)] for per_t in strategy.holdings])
+    return Strategy({(t, a, cell): h / c if a == k else h
+                     for (t, a, cell), h in strategy.holdings})
 
 
 def test_scaling_an_asset_divides_its_holdings():

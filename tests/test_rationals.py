@@ -70,6 +70,14 @@ def test_parse_rational_rejects_text_outside_its_grammar(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["\u00a01", "1\u3000", "\u20031/2"])
+def test_parse_rational_strips_ascii_whitespace_only(text):
+    # str.strip() takes these Unicode spaces too; the grammar is ASCII
+    assert F(text) is not None
+    with pytest.raises(StructureError, match="not an exact rational"):
+        parse_rational(text)
+
+
 @pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}/3"])
 def test_parse_rational_maps_the_int_str_limit_to_structure_error(template):
     digits = "1" * (sys.get_int_max_str_digits() + 1)
