@@ -13,9 +13,9 @@ from fractions import Fraction as F
 from noarb import (
     SampleSpace,
     SemiSolidSet,
-    is_bounded,
     minkowski,
     semisolid_member,
+    sup_norm,
     zero_set_trivial,
 )
 
@@ -26,7 +26,7 @@ B = SemiSolidSet(space, [
 ])
 
 print("generators:", [[str(v) for v in g.values] for g in B.generators])
-print("sup-norm bound:", is_bounded(B).sup_norm)
+print("sup-norm bound:", sup_norm(B))
 print("only 0 survives every shrinking:", zero_set_trivial(B))
 
 # membership at different budget levels: level alpha scales the whole set

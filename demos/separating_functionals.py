@@ -51,7 +51,7 @@ market = MarketModel(
     Filtration.single_period(space),
     [Asset("S", (space.constant(1), space.variable([2, F(1, 2)])))],
 )
-sep = strict_separator(payoff_cone(market, include_neg_orthant=True))
+sep = strict_separator(payoff_cone(market, includes_neg_orthant=True))
 q_sep, _ = functional_to_measure(sep.functional)
 print("\nmeasure from separation:", tuple(map(str, q_sep.weights)))
 print("is a martingale measure:", is_martingale_measure(market, q_sep))

@@ -6,15 +6,14 @@ and makes the gauge machinery of convex semi-solid sets executable in finite
 dimensions.  No floating point is used anywhere on a decision path.
 """
 
-from .concepts import ConceptVerdicts, emm_budget_check, full_verdict
+from .concepts import ConceptVerdicts, full_verdict
 from .cones import (
-    BoundReport,
     PolyhedralCone,
     SemiSolidSet,
     cone_member,
-    is_bounded,
     minkowski,
     semisolid_member,
+    sup_norm,
     sup_squared_norm,
     zero_set_trivial,
 )
@@ -53,7 +52,6 @@ from .market import (
 )
 from .separation import (
     Functional,
-    SeparationReport,
     StrictSeparation,
     functional_to_measure,
     separate_at,

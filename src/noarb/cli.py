@@ -207,8 +207,8 @@ def cmd_separate(args) -> tuple[dict, list[str]]:
             miss = ("no strict separator; violating direction: "
                     f"{_format_map(witnesses['violating_direction'])}")
         else:
-            fields["verified_on"] = result.report.verified_on
-            fields["normalization"] = format_rational(result.report.normalization)
+            fields["verified_on"] = len(cone.generators)
+            fields["normalization"] = format_rational(functional.l1_norm())
     else:
         parts = args.target.split(",")
         if len(parts) != len(cone.space):

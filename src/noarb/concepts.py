@@ -18,19 +18,16 @@ positive on.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import InternalInconsistency
 from .market import (
     MarketModel,
-    Measure,
     Strategy,
     check_na,
     check_na1,
     check_nupbr,
-    emm_budget,
     find_emm,
     payoff_cone,
 )
@@ -48,14 +45,8 @@ class ConceptVerdicts:
     arbitrage: Optional[Strategy] = field(default=None, compare=False)
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "na": self.na,
-            "na1": self.na1,
-            "nupbr": self.nupbr,
-            "nfl_equiv": self.nfl_equiv,
-            "emm_exists": self.emm_exists,
-            "separator_exists": self.separator_exists,
-        }
+        """The verdicts by name, in field order: the fields that equality compares."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
     @property
     def agree(self) -> bool:
@@ -85,7 +76,7 @@ def full_verdict(model: MarketModel) -> ConceptVerdicts:
         nfl_equiv=na.holds,
         emm_exists=find_emm(model).measure is not None,
         separator_exists=strict_separator_exists(
-            payoff_cone(model, include_neg_orthant=True)),
+            payoff_cone(model, includes_neg_orthant=True)),
         arbitrage=na.arbitrage,
     )
     if not verdicts.agree:
@@ -93,9 +84,3 @@ def full_verdict(model: MarketModel) -> ConceptVerdicts:
             f"concept routes disagree: {verdicts.as_dict()}",
             verdicts=verdicts, model=model)
     return verdicts
-
-
-def emm_budget_check(model: MarketModel, measure: Measure) -> bool:
-    """True iff the unit budget set has finite Q-expected value (it equals 1
-    exactly when Q is a martingale measure)."""
-    return emm_budget(model, measure) != math.inf

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from . import lp
 from .errors import StructureError
@@ -71,11 +71,6 @@ class SemiSolidSet:
                 raise StructureError("semi-solid sets require nonnegative generators")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "generators", gens)
-
-
-class BoundReport(NamedTuple):
-    bounded: bool
-    sup_norm: Fraction
 
 
 def _check_space(container, x: RandomVariable) -> None:
@@ -137,12 +132,10 @@ def minkowski(bset: SemiSolidSet, x: RandomVariable) -> Gauge:
     return outcome.objective_value
 
 
-def is_bounded(bset: SemiSolidSet) -> BoundReport:
-    """Finite generator sets are always bounded; returns the exact sup-norm bound."""
-    best = _ZERO
-    for g in bset.generators:
-        best = max(best, max(g.values, default=_ZERO))
-    return BoundReport(True, best)
+def sup_norm(bset: SemiSolidSet) -> Fraction:
+    """Exact sup of the ℓ∞ norm over B, attained at a generator (see
+    ``sup_squared_norm``); finitely many generators always bound B."""
+    return max((max(g.values, default=_ZERO) for g in bset.generators), default=_ZERO)
 
 
 def sup_squared_norm(bset: SemiSolidSet) -> Fraction:

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .cones import (SemiSolidSet, _positive_gauge, is_bounded, minkowski, semisolid_member,
+from .cones import (SemiSolidSet, _positive_gauge, minkowski, semisolid_member, sup_norm,
                     sup_squared_norm, zero_set_trivial)
 from .errors import InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
@@ -84,7 +84,7 @@ def counterexample_report(truncation: int) -> CounterexampleReport:
     return CounterexampleReport(
         truncation=truncation,
         sup_squared_l2=sup_squared_norm(bset),
-        sup_norm_linf=is_bounded(bset).sup_norm,
+        sup_norm_linf=sup_norm(bset),
         min_indicator_gauge=min(gauges),
         zero_set_trivial=all(_positive_gauge(g) for g in gauges),  # = zero_set_trivial(bset)
     )

@@ -215,10 +215,10 @@ def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...
     return gains
 
 
-def payoff_cone(model: MarketModel, include_neg_orthant: bool = False) -> PolyhedralCone:
+def payoff_cone(model: MarketModel, includes_neg_orthant: bool = False) -> PolyhedralCone:
     """The zero-initial-wealth payoff cone, generated by ± elementary gains.
 
-    With ``include_neg_orthant`` the cone is widened to "payoff or anything
+    With ``includes_neg_orthant`` the cone is widened to "payoff or anything
     below it", the set whose intersection with V₊ must be {0} for the market
     to be arbitrage-free.
     """
@@ -226,7 +226,7 @@ def payoff_cone(model: MarketModel, include_neg_orthant: bool = False) -> Polyhe
     for values in _built(model, _gains).values():
         gain = RandomVariable(model.space, values)
         gens += [gain, -gain]
-    return PolyhedralCone(model.space, gens, includes_neg_orthant=include_neg_orthant)
+    return PolyhedralCone(model.space, gens, includes_neg_orthant=includes_neg_orthant)
 
 
 @dataclass(frozen=True)
@@ -251,9 +251,10 @@ _last_model: tuple = (None, {})
 
 def _built(model: MarketModel, build):
     global _last_model
-    if _last_model[0] is not model:
-        _last_model = (model, {})
-    cache = _last_model[1]
+    slot = _last_model  # read once: another thread may replace it at any time
+    if slot[0] is not model:
+        slot = _last_model = (model, {})
+    cache = slot[1]
     if build not in cache:
         cache[build] = build(model)
     return cache[build]
@@ -333,8 +334,13 @@ def _verified_arbitrage(model, node, coefficients) -> Strategy:
 
 @dataclass(frozen=True)
 class NaResult:
-    holds: bool
+    """NA's answer: it holds exactly when no arbitrage was found."""
+
     arbitrage: Optional[Strategy] = None
+
+    @property
+    def holds(self) -> bool:
+        return self.arbitrage is None
 
 
 def check_na(model: MarketModel) -> NaResult:
@@ -370,9 +376,8 @@ def check_na(model: MarketModel) -> NaResult:
             raise InternalInconsistency("arbitrage LP must be bounded and feasible",
                                         model=model, outcome=outcome)
         if outcome.objective_value != 0:
-            return NaResult(holds=False,
-                            arbitrage=_verified_arbitrage(model, node, outcome.primal))
-    return NaResult(holds=True)
+            return NaResult(_verified_arbitrage(model, node, outcome.primal))
+    return NaResult()
 
 
 @dataclass(frozen=True)

@@ -59,20 +59,11 @@ class Functional:
 
 
 @dataclass(frozen=True)
-class SeparationReport:
-    functional: Functional
-    verified_on: int
-    normalization: Fraction
-
-
-@dataclass(frozen=True)
 class StrictSeparation:
-    report: Optional[SeparationReport] = None
-    violating: Optional[RandomVariable] = None
+    """A strictly positive separator, or else an indicator inside the cone."""
 
-    @property
-    def functional(self) -> Optional[Functional]:
-        return self.report.functional if self.report else None
+    functional: Optional[Functional] = None
+    violating: Optional[RandomVariable] = None
 
 
 def _require_widened(cone: PolyhedralCone) -> None:
@@ -137,11 +128,7 @@ def strict_separator(cone: PolyhedralCone) -> StrictSeparation:
         if functional is None:
             return StrictSeparation(violating=e)
         parts.append(functional)
-    functional = _verified_average(cone, parts)
-    report = SeparationReport(functional=functional,
-                              verified_on=len(cone.generators),
-                              normalization=functional.l1_norm())
-    return StrictSeparation(report=report)
+    return StrictSeparation(functional=_verified_average(cone, parts))
 
 
 def strict_separator_exists(cone: PolyhedralCone) -> bool:

@@ -88,7 +88,7 @@ def is_martingale_measure(model, measure) -> bool:
 def check_na(model) -> NaResult:
     gains = _nonzero_gains(model)
     if not gains:
-        return NaResult(holds=True)
+        return NaResult()
     n = len(model.space)
     E = len(gains)
     columns = [g.vector.values for g in gains]
@@ -108,8 +108,8 @@ def check_na(model) -> NaResult:
         raise InternalInconsistency("arbitrage LP must be bounded and feasible",
                                     model=model, outcome=outcome)
     if outcome.objective_value == 0:
-        return NaResult(holds=True)
-    return NaResult(holds=False, arbitrage=_verified_arbitrage(model, gains, outcome.primal))
+        return NaResult()
+    return NaResult(_verified_arbitrage(model, gains, outcome.primal))
 
 
 def find_emm(model) -> EmmResult:
@@ -190,6 +190,6 @@ def full_verdict(model) -> ConceptVerdicts:
         nfl_equiv=na.holds,
         emm_exists=find_emm(model).measure is not None,
         separator_exists=strict_separator(
-            payoff_cone(model, include_neg_orthant=True)).functional is not None,
+            payoff_cone(model, includes_neg_orthant=True)).functional is not None,
         arbitrage=na.arbitrage,
     )

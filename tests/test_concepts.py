@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
 
 from noarb import lab
-from noarb.concepts import emm_budget_check, full_verdict
-from noarb.market import Measure, find_emm, in_budget_set, superreplication_price
+from noarb.concepts import ConceptVerdicts, full_verdict
+from noarb.market import (Measure, emm_budget, find_emm, in_budget_set,
+                          superreplication_price)
 
 
 def test_binomial_all_true(binomial):
@@ -27,15 +29,23 @@ def test_two_period_agreement(two_period):
     assert full_verdict(two_period).agree
 
 
-def test_emm_budget_check(binomial):
+def test_as_dict_lists_the_compared_fields_in_order(dominance):
+    v = full_verdict(dominance)
+    compared = [f.name for f in dataclasses.fields(ConceptVerdicts) if f.compare]
+    assert list(v.as_dict()) == compared == [
+        "na", "na1", "nupbr", "nfl_equiv", "emm_exists", "separator_exists"]
+    assert v.arbitrage is not None and "arbitrage" not in v.as_dict()
+
+
+def test_emm_budget_finite_on_an_arbitrage_free_market(binomial):
     q = find_emm(binomial).measure
-    assert emm_budget_check(binomial, q)
-    assert emm_budget_check(binomial, Measure(binomial.space, [F(1, 2), F(1, 2)]))
+    assert emm_budget(binomial, q) == 1
+    assert emm_budget(binomial, Measure(binomial.space, [F(1, 2), F(1, 2)])) != math.inf
 
 
-def test_emm_budget_check_unbounded(dominance):
+def test_emm_budget_infinite_under_arbitrage(dominance):
     q = Measure(dominance.space, [F(1, 2), F(1, 2)])
-    assert not emm_budget_check(dominance, q)
+    assert emm_budget(dominance, q) == math.inf
 
 
 def test_zero_gauge_set_equals_all_levels_intersection():

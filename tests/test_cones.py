@@ -9,9 +9,9 @@ from noarb.cones import (
     PolyhedralCone,
     SemiSolidSet,
     cone_member,
-    is_bounded,
     minkowski,
     semisolid_member,
+    sup_norm,
     sup_squared_norm,
     zero_set_trivial,
 )
@@ -67,12 +67,11 @@ def test_minkowski_infinite_off_support():
     assert zero_set_trivial(B)
 
 
-def test_bound_report():
-    assert is_bounded(SemiSolidSet(TWO, [TWO.variable([1, 1])])).sup_norm == 1
-    assert is_bounded(SemiSolidSet(TWO, [])).sup_norm == 0
+def test_sup_norm():
+    assert sup_norm(SemiSolidSet(TWO, [TWO.variable([1, 1])])) == 1
+    assert sup_norm(SemiSolidSet(TWO, [])) == 0
     _, B100 = counterexample_set(100)
-    report = is_bounded(B100)
-    assert report.bounded and report.sup_norm == 100
+    assert sup_norm(B100) == 100
     assert sup_squared_norm(B100) == 10000
 
 

@@ -15,6 +15,7 @@ from noarb.market import (
     Filtration,
     MarketModel,
     Measure,
+    NaResult,
     Strategy,
     check_na,
     check_na1,
@@ -130,6 +131,14 @@ def test_na_dominance_fails_with_witness(dominance):
     assert not res.holds
     payoff = terminal_gain(dominance, res.arbitrage)
     assert payoff.is_nonneg and not payoff.is_zero
+
+
+def test_na_result_holds_iff_it_carries_no_arbitrage(dominance):
+    arbitrage = check_na(dominance).arbitrage
+    assert NaResult().holds and NaResult().arbitrage is None
+    assert not NaResult(arbitrage).holds
+    assert NaResult(arbitrage) == NaResult(arbitrage) != NaResult(arbitrage.scale(2))
+    assert NaResult(arbitrage) != NaResult()
 
 
 def test_na_constant_asset(constant_market):
@@ -420,6 +429,25 @@ def test_full_verdict_builds_the_tree_once(monkeypatch):
         full_verdict(model)
     assert len(built) == len(models)
     assert all(a is b for a, b in zip(built, models))
+
+
+def test_build_slot_is_read_once(monkeypatch):
+    # the slot holds model A's builds, and reading its model runs a build for
+    # model B, as another thread could between two reads of the slot: A must
+    # still get its own nodes, not those B left in the slot
+    model, (other, _) = additive_tree(3), crr_tree(2)
+
+    class Racing(tuple):
+        raced = False
+
+        def __getitem__(self, i):
+            if i == 0 and not self.raced:
+                self.raced = True
+                market._built(other, market._build_nodes)
+            return tuple.__getitem__(self, i)
+
+    monkeypatch.setattr(market, "_last_model", Racing((model, {})))
+    assert market._nodes(model) == market._build_nodes(model)
 
 
 def test_full_verdict_builds_the_gains_once(monkeypatch):

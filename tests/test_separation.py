@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -77,8 +78,7 @@ def test_strict_separator_pure_orthant():
     assert res.functional is not None
     assert strict_separator_exists(orthant_cone(THREE))
     assert res.functional.is_strictly_positive
-    assert res.report.verified_on == 0
-    assert res.report.normalization == 1
+    assert res.functional.l1_norm() == 1
 
 
 def test_strict_separator_with_generator():
@@ -89,6 +89,12 @@ def test_strict_separator_with_generator():
     assert strict_separator_exists(orthant_cone(TWO, [g]))
     assert f(g) <= 0
     assert f.coefficients[0] <= f.coefficients[1]
+
+
+def test_strict_separation_holds_only_its_functional_or_direction():
+    res = strict_separator(orthant_cone(TWO, [TWO.variable([1, -1])]))
+    assert [f.name for f in dataclasses.fields(res)] == ["functional", "violating"]
+    assert not hasattr(res, "report") and res.violating is None
 
 
 def test_strict_separator_violating_direction():
@@ -129,7 +135,7 @@ def test_exhaustion_separates_a_crr_tree_once(T, monkeypatch):
         return separate_at(cone, target)
 
     monkeypatch.setattr(separation, "separate_at", counted)
-    assert strict_separator_exists(payoff_cone(model, include_neg_orthant=True))
+    assert strict_separator_exists(payoff_cone(model, includes_neg_orthant=True))
     assert len(calls) == 1
 
 
@@ -157,12 +163,12 @@ def test_identity_on_random_variables():
 
 def test_market_separator_yields_emm(binomial, trinomial, dominance):
     for model in (binomial, trinomial):
-        res = strict_separator(payoff_cone(model, include_neg_orthant=True))
+        res = strict_separator(payoff_cone(model, includes_neg_orthant=True))
         assert res.functional is not None
         q, _ = functional_to_measure(res.functional)
         assert is_martingale_measure(model, q)
         assert q.is_equivalent
         assert find_emm(model).measure is not None
-    res = strict_separator(payoff_cone(dominance, include_neg_orthant=True))
+    res = strict_separator(payoff_cone(dominance, includes_neg_orthant=True))
     assert res.functional is None
     assert find_emm(dominance).measure is None
