@@ -10,6 +10,8 @@ with a JSON-path (and, for syntax errors, line/column) pointing at the
 offending element.  Every object has a fixed key set: an unknown key, such
 as a misspelt optional flag, is an error rather than silently ignored, and
 so is a key repeated in one object, which JSON would resolve last-wins.
+Every object a loader reads passes through ``_expect(..., dict, ...)``,
+which rejects a repeated key there, under the object's path.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ def _fail(path: str, message: str):
 def _expect(value, kind, path: str):
     names = {dict: "object", list: "array", str: "string"}
     if not isinstance(value, kind):
-        _fail(path, f"expected {names.get(kind, kind.__name__)}, got {type(value).__name__}")
+        got = "dict" if isinstance(value, dict) else type(value).__name__
+        _fail(path, f"expected {names.get(kind, kind.__name__)}, got {got}")
+    if type(value) is _Repeated:
+        _fail(path, f"repeated key {value.key!r} in a JSON object")
     return value
 
 
@@ -49,20 +54,28 @@ def _keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
             _fail(f"{path}.{key}", f"unknown key (expected one of {', '.join(allowed)})")
 
 
-def _unique_keys(pairs) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise StructureError(f"repeated key {key!r} in a JSON object")
-        obj[key] = value
-    return obj
+class _Repeated(dict):
+    """A JSON object that repeats its ``key``; ``_expect`` rejects it with
+    its JSON path, which the parser does not know."""
+
+    key: str
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    marked, seen = _Repeated(obj), set()
+    for key, _ in pairs:
+        if key in seen:
+            marked.key = key
+            return marked
+        seen.add(key)
 
 
 def parse_json(text: str, path: str = "<input>") -> Any:
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except StructureError as exc:  # a ValueError, so it must come first
-        raise StructureError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise StructureError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

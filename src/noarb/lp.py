@@ -2,8 +2,10 @@
 
 This is the single decision oracle behind every set-membership and
 no-arbitrage question in the library, so it never rounds: all arithmetic is
-exact, on a fraction-free integer tableau that becomes ``Fraction``s only in
-the returned primal, duals, ray and objective value; pivoting uses Bland's
+exact, on a fraction-free integer tableau.  A problem's rows become integers
+once per problem, the phase costs and the ``min`` and row-flip signs stay
+integers, and each returned primal entry, dual, ray entry and objective value
+is built as one ``Fraction`` on the way out.  Pivoting uses Bland's
 anti-cycling rule (lowest eligible index, ties by lowest basic variable
 index), and every answer is certified: optimal outcomes carry exact duals
 with zero duality gap, infeasible outcomes carry a Farkas vector, unbounded
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
@@ -91,6 +95,16 @@ class LpProblem:
             raise StructureError(f"sense must be {MAXIMIZE!r} or {MINIMIZE!r}")
         set_(self, "sense", sense)
 
+    @cached_property
+    def _int_rows(self) -> tuple[tuple[list[int], int], ...]:
+        """Per row, (its entries and rhs as integers over s, s): s is the lcm
+        of their denominators.  Built once per problem, on first solve."""
+        return tuple([to_integers([*row, b]) for row, b in zip(self.rows, self.rhs)])
+
+    @cached_property
+    def _int_objective(self) -> tuple[list[int], int]:
+        return to_integers(self.objective)
+
     @property
     def num_vars(self) -> int:
         return len(self.objective)
@@ -124,21 +138,24 @@ class _Simplex:
     The tableau is integer: row ``r`` of ``T`` holds ``d`` times the rational
     tableau row, rhs last, under one positive common denominator ``d``, and
     ``z`` holds the reduced-cost row of the running phase the same way, times
-    the costs' common denominator ``cden``.  Each standardized row and its rhs
-    are first scaled to integers by the lcm of their denominators, which
-    scales that row's slack and artificial columns by ``col_scale``; the
-    phase-one costs ``-1/s_i`` undo that scaling.  A pivot is the
-    fraction-free step ``(p·a − f·q) // d`` (Edmonds 1967, Bareiss 1968),
-    exact because every entry is a minor of the integer start tableau.
-    Positive row and column scalings keep every sign Bland's rule reads and
-    every ratio order the ratio test reads, so the pivot path is that of the
-    rational tableau.  Numbers become ``Fraction``s only on the way out.
+    the costs' common denominator ``cden``.  Each tableau row starts as the
+    problem row's integers, built once per problem (``LpProblem._int_rows``:
+    the row and its rhs over the lcm ``s`` of their denominators), which
+    scales that row's slack and artificial columns by ``col_scale``; phase
+    one's costs ``-1/s_i`` undo that scaling as ``-(L // s_i)`` over
+    ``L = lcm(s)``, and phase two's are the objective's integers, negated
+    for ``min``.  A pivot is the fraction-free step ``(p·a − f·q) // d``
+    (Edmonds 1967, Bareiss 1968), exact because every entry is a minor of
+    the integer start tableau.  Positive row and column scalings keep every
+    sign Bland's rule reads and every ratio order the ratio test reads, so
+    the pivot path is that of the rational tableau.  The ``min`` and
+    row-flip signs fold into integer numerators, and each returned number
+    is built as one ``Fraction`` on the way out.
     """
 
     def __init__(self, problem: LpProblem) -> None:
         n, m = problem.num_vars, problem.num_rows
-        obj = ([-c for c in problem.objective] if problem.sense == MINIMIZE
-               else list(problem.objective))
+        int_rows = problem._int_rows
 
         # split free variables into differences of nonnegative columns
         col_pairs: list[tuple[int, Optional[int]]] = []
@@ -153,78 +170,72 @@ class _Simplex:
         self.col_pairs = col_pairs
         n_struct = ncols
 
-        obj_split = [_ZERO] * n_struct
-        for j, (pc, nc) in enumerate(col_pairs):
-            obj_split[pc] = obj[j]
-            if nc is not None:
-                obj_split[nc] = -obj[j]
-
-        # scale rows to integers, normalize them to nonnegative rhs, then
-        # attach slack and artificial columns
-        T: list[list[int]] = []
-        scales: list[int] = []
-        flipped: list[bool] = []
-        slack_sign: list[int] = []          # +1 slack, -1 surplus, 0 none
-        for row, rel, rv in zip(problem.rows, problem.relations, problem.rhs):
-            ints, s = to_integers([*row, rv])
-            rv = ints[-1]
-            # also flip ≥ rows with zero rhs: as ≤ rows they start on a slack
-            # basis, which keeps artificial variables out of the hot paths
-            flip = rv < 0 or (rv == 0 and rel == GE)
-            if flip:
-                ints = [-a for a in ints]
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            coeffs = [0] * n_struct
-            for j, (pc, nc) in enumerate(col_pairs):
-                a = ints[j]
-                if a:
-                    coeffs[pc] = a
-                    if nc is not None:
-                        coeffs[nc] = -a
-            coeffs.append(ints[-1])
-            T.append(coeffs)
-            scales.append(s)
-            flipped.append(flip)
-            slack_sign.append(1 if rel == LE else (-1 if rel == GE else 0))
-
-        n_slack = sum(1 for s in slack_sign if s)
+        # normalize rows to nonnegative rhs; also flip ≥ rows with zero rhs:
+        # as ≤ rows they start on a slack basis, which keeps artificial
+        # variables out of the hot paths
+        flipped = [ints[-1] < 0 or (ints[-1] == 0 and rel == GE)
+                   for (ints, _), rel in zip(int_rows, problem.relations)]
+        # +1 slack, -1 surplus, 0 none
+        slack_sign = [0 if rel == EQ else (1 if (rel == LE) != flip else -1)
+                      for rel, flip in zip(problem.relations, flipped)]
+        n_slack = m - slack_sign.count(0)
         self.first_art = n_struct + n_slack
-        n_art = sum(1 for s in slack_sign if s <= 0)
-        total = self.first_art + n_art
+        total = self.first_art + m - slack_sign.count(1)
 
-        ident_col: list[int] = [0] * m
-        basis: list[int] = [0] * m
+        # each row's integers, a zero pad, its rhs; then the slack and
+        # artificial entries, each in a column scaled by the row's scale
+        pad = [0] * (total - n_struct)
+        T: list[list[int]] = []
+        ident_col: list[int] = []
         col_scale = [1] * total
-        scol = n_struct
-        acol = self.first_art
-        for i, s in enumerate(slack_sign):
-            ext = [0] * (total - n_struct)
-            if s:
-                ext[scol - n_struct] = s
-                col_scale[scol] = scales[i]
-            if s <= 0:
-                ext[acol - n_struct] = 1
-                col_scale[acol] = scales[i]
-                ident_col[i] = acol
-                acol += 1
+        scol, acol = n_struct, self.first_art
+        for (ints, s), sign, flip in zip(int_rows, slack_sign, flipped):
+            if n_struct == n:
+                row = ints[:-1] + pad + ints[-1:]
             else:
-                ident_col[i] = scol
-            basis[i] = ident_col[i]
-            T[i] = T[i][:-1] + ext + T[i][-1:]
-            if s:
+                row = [0] * n_struct
+                for j, (pc, nc) in enumerate(col_pairs):
+                    a = ints[j]
+                    if a:
+                        row[pc] = a
+                        if nc is not None:
+                            row[nc] = -a
+                row += pad + ints[-1:]
+            if flip:
+                row = [-a for a in row]
+            if sign:
+                row[scol] = sign
+                col_scale[scol] = s
                 scol += 1
+            if sign <= 0:
+                row[acol] = 1
+                col_scale[acol] = s
+                acol += 1
+            ident_col.append(acol - 1 if sign <= 0 else scol - 1)
+            T.append(row)
 
         self.T = T
         self.d = 1
-        self.basis = basis
+        self.basis = list(ident_col)
         self.ident_col = ident_col
         self.col_scale = col_scale
         self.flipped = flipped
         self.m = m
         self.n_struct = n_struct
         self.ncols = total
-        self.obj_split = obj_split + [_ZERO] * (total - n_struct)
         self.alive = list(range(m))         # problem row index per tableau row
+
+    def _objective_costs(self, problem: LpProblem) -> tuple[list[int], int]:
+        """Phase two's (integer costs per column, denominator)."""
+        ints, den = problem._int_objective
+        if problem.sense == MINIMIZE:
+            ints = [-c for c in ints]
+        costs = [0] * self.ncols
+        for c, (pc, nc) in zip(ints, self.col_pairs):
+            costs[pc] = c
+            if nc is not None:
+                costs[nc] = -c
+        return costs, den
 
     # --- pivoting ---------------------------------------------------------
 
@@ -243,10 +254,11 @@ class _Simplex:
         self.d = p
         self.basis[r] = j
 
-    def _run_phase(self, costs, entering_limit: int):
-        """Bland's rule to optimality; returns ('optimal', None) or ('unbounded', col)."""
+    def _run_phase(self, costs: tuple[list[int], int], entering_limit: int):
+        """Bland's rule to optimality on costs given as (integers,
+        denominator); returns ('optimal', None) or ('unbounded', col)."""
         T, basis = self.T, self.basis
-        ints, self.cden = to_integers(costs)
+        ints, self.cden = costs
         self.costs = ints
         d = self.d
         z = [d * c for c in ints] + [0]
@@ -284,12 +296,13 @@ class _Simplex:
         if all(col < self.first_art for col in self.basis):
             return None
         # artificial i costs -1/s_i: its column is scaled by s_i
-        costs = ([_ZERO] * self.first_art
-                 + [Fraction(-1, s) for s in self.col_scale[self.first_art:]])
-        status, _ = self._run_phase(costs, self.ncols)
+        scales = self.col_scale[self.first_art:]
+        den = lcm(*scales)
+        costs = [0] * self.first_art + [-(den // s) for s in scales]
+        status, _ = self._run_phase((costs, den), self.ncols)
         assert status == OPTIMAL  # phase one is always bounded by zero
         if self.z[-1] > 0:  # the phase-one optimum is negative
-            return self._dual_values()
+            return self._dual_values(False)
         self._drive_out_artificials()
         return None
 
@@ -311,9 +324,11 @@ class _Simplex:
 
     # --- extraction -------------------------------------------------------
 
-    def _dual_values(self) -> tuple[Fraction, ...]:
-        """Multipliers for all problem rows, read off the reduced-cost row."""
+    def _dual_values(self, negate: bool) -> tuple[Fraction, ...]:
+        """Multipliers for all problem rows, read off the reduced-cost row;
+        ``negate`` (a ``min`` objective) and a flipped row each negate one."""
         z, d, costs = self.z, self.d, self.costs
+        den = d * self.cden
         alive = set(self.alive)
         y = []
         for k in range(self.m):
@@ -321,8 +336,8 @@ class _Simplex:
                 y.append(_ZERO)
                 continue
             col = self.ident_col[k]
-            yk = Fraction(self.col_scale[col] * (d * costs[col] - z[col]), d * self.cden)
-            y.append(-yk if self.flipped[k] else yk)
+            yk = self.col_scale[col] * (d * costs[col] - z[col])
+            y.append(Fraction(-yk if self.flipped[k] != negate else yk, den))
         return tuple(y)
 
     def _structural_point(self) -> list[int]:
@@ -356,9 +371,13 @@ def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[in
     common denominator d; the division is exact."""
     f = row[j]
     if f:
+        if d == 1:
+            return [p * a - f * q for a, q in zip(row, prow)]
         return [(p * a - f * q) // d for a, q in zip(row, prow)]
     if p == d:
         return row
+    if d == 1:
+        return [p * a for a in row]
     return [p * a // d for a in row]
 
 
@@ -369,19 +388,17 @@ def solve(problem: LpProblem) -> LpOutcome:
     if farkas is not None:
         return LpOutcome(status=INFEASIBLE, dual=farkas)
 
-    status, enter = sx._run_phase(sx.obj_split, sx.first_art)
+    status, enter = sx._run_phase(sx._objective_costs(problem), sx.first_art)
     if status == UNBOUNDED:
         base = sx._to_original(sx._structural_point())
         ray = sx._to_original(sx._ray(enter))
         return LpOutcome(status=UNBOUNDED, primal=base, ray=ray)
 
     primal = sx._to_original(sx._structural_point())
-    value = Fraction(-sx.z[-1], sx.d * sx.cden)
-    y = sx._dual_values()
-    if problem.sense == MINIMIZE:
-        value = -value
-        y = tuple([-v for v in y])
-    return LpOutcome(status=OPTIMAL, primal=primal, dual=y, objective_value=value)
+    minimize = problem.sense == MINIMIZE
+    value = Fraction(sx.z[-1] if minimize else -sx.z[-1], sx.d * sx.cden)
+    return LpOutcome(status=OPTIMAL, primal=primal, dual=sx._dual_values(minimize),
+                     objective_value=value)
 
 
 def feasible(problem: LpProblem) -> bool:

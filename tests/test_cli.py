@@ -187,10 +187,17 @@ def test_exit_code_taxonomy(tmp_path, capsys):
         ("cone.json", "cone_with_gen.json",
          lambda d: d.update(include_neg_orthant=False), ["separate"],
          "$.include_neg_orthant: unknown key"),
-        # JSON alone would keep the last "u" and decide the market on it
+        # JSON alone would keep the last "u" and decide the market on it; a
+        # repeated key is named under its object's JSON path
         ("market_repeated_key.json", "binomial.json",
          lambda d: json.dumps(d).replace('"u": ["1", "2"]', '"u": ["1", "2"], "u": ["1", "1/2"]'),
-         ["check", "na"], "repeated key 'u' in a JSON object"),
+         ["check", "na"], "$.assets[0].path: repeated key 'u' in a JSON object"),
+        ("market_repeated_prob.json", "binomial.json",
+         lambda d: json.dumps(d).replace('"prob": "1/2"', '"prob": "1/2", "prob": "1/3"', 1),
+         ["check", "na"], "$.outcomes[0]: repeated key 'prob' in a JSON object"),
+        ("payoff_repeated_key.json", "call_payoff.json",
+         lambda d: json.dumps(d).replace('"u": ', '"u": "0", "u": '),
+         ["price", str(DATA / "binomial.json")], "$.payoff: repeated key 'u' in a JSON object"),
     ]
     for name, source, edit, command, message in typos:
         doc = json.loads((DATA / source).read_text())

@@ -53,6 +53,20 @@ def test_market_errors_carry_positions():
         fileio.load_market(json.dumps(doc))
 
 
+def test_repeated_key_named_by_json_path():
+    # nested objects are covered by test_cli's exit-code cases
+    with pytest.raises(StructureError, match=r"^\$: repeated key 'payoff'"):
+        fileio.load_payoff('{"payoff": {"u": "1", "d": "0"}, "payoff": {}}',
+                           fileio.load_market(read("binomial.json")))
+    with pytest.raises(StructureError, match=r"^\$: repeated key 'outcomes'"):
+        fileio.load_cone(read("cone_with_gen.json").replace("{", '{"outcomes": [], ', 1))
+    # where an object is the wrong type, the type error is what is reported
+    text = read("binomial.json").replace('"prob": "1/2"', '"prob": {"a": "1", "a": "2"}', 1)
+    with pytest.raises(StructureError,
+                       match=r"\$\.outcomes\[0\]\.prob: expected string, got dict"):
+        fileio.load_market(text)
+
+
 def test_model_invariants_rechecked_on_load():
     doc = json.loads(read("binomial.json"))
     doc["assets"][0]["path"]["u"] = ["1", "-2"]  # negative price

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -400,7 +401,7 @@ def test_redundant_row_deleted_then_pivots_continue(monkeypatch):
     sx = lp._Simplex(p)
     assert sx._phase_one() is None
     assert sx.alive == [0, 2]  # the duplicated row is gone
-    assert sx._run_phase(sx.obj_split, sx.first_art)[0] == lp.OPTIMAL
+    assert sx._run_phase(sx._objective_costs(p), sx.first_art)[0] == lp.OPTIMAL
     assert len(pivots) == 3  # two in phase one, one after the deletion
     out = lp.solve(p)
     assert out.primal == (F(0), F(1))
@@ -434,7 +435,7 @@ def test_unbounded_ray_through_a_scaled_slack():
     p = lp.LpProblem([1], [[1]], [">="], [F(1, 3)])
     sx = lp._Simplex(p)
     assert sx._phase_one() is None
-    status, enter = sx._run_phase(sx.obj_split, sx.first_art)
+    status, enter = sx._run_phase(sx._objective_costs(p), sx.first_art)
     assert status == lp.UNBOUNDED
     assert enter >= sx.n_struct and sx.col_scale[enter] == 3
     out = lp.solve(p)
@@ -507,3 +508,88 @@ def test_scaling_columns_is_metamorphic():
                 ray = [r / k for r, k in zip(before.ray, c)]
                 factor = next(a / r for a, r in zip(after.ray, ray) if r)
                 assert factor > 0 and after.ray == tuple([factor * r for r in ray])
+
+
+def test_swapping_the_sense_of_a_negated_objective_is_metamorphic():
+    """max c·x and min (−c)·x give phase two the same integer costs, so the
+    pivot path is the same: status, primal, ray and a Farkas vector stay, and
+    the optimal value and duals are negated exactly."""
+    for problem in oracles.seeded_lps():
+        swapped = lp.LpProblem([-c for c in problem.objective], problem.rows,
+                               problem.relations, problem.rhs, lower=problem.lower,
+                               sense=lp.MINIMIZE if problem.sense == lp.MAXIMIZE
+                               else lp.MAXIMIZE)
+        before, after = lp.solve(problem), lp.solve(swapped)
+        assert (after.status, after.primal, after.ray) == (
+            before.status, before.primal, before.ray)
+        if before.status == lp.OPTIMAL:
+            assert after.objective_value == -before.objective_value
+            assert after.dual == tuple([-v for v in before.dual])
+        else:
+            assert after.dual == before.dual
+            assert after.objective_value is None
+
+
+def test_negating_an_inequality_row_is_metamorphic():
+    """A ≤ or ≥ row with nonzero rhs, negated with its relation swapped, is
+    normalised to the same tableau row, so only that row's multiplier changes:
+    it is negated."""
+    rng = random.Random(17)
+    cases = 0
+    for problem in oracles.seeded_lps():
+        rows = [i for i, (rel, b) in enumerate(zip(problem.relations, problem.rhs))
+                if rel != lp.EQ and b != 0]
+        if not rows:
+            continue
+        i = rng.choice(rows)
+        negated = lp.LpProblem(
+            problem.objective,
+            [[-a for a in row] if r == i else row for r, row in enumerate(problem.rows)],
+            [{lp.LE: lp.GE, lp.GE: lp.LE}[rel] if r == i else rel
+             for r, rel in enumerate(problem.relations)],
+            [-b if r == i else b for r, b in enumerate(problem.rhs)],
+            lower=problem.lower, sense=problem.sense)
+        before, after = lp.solve(problem), lp.solve(negated)
+        assert dataclasses.replace(after, dual=None) == dataclasses.replace(before, dual=None)
+        if before.dual is not None:
+            assert after.dual == tuple([-v if r == i else v for r, v in enumerate(before.dual)])
+        cases += 1
+    assert cases == 471
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=lp_problems())
+def test_integer_rows_restate_the_fraction_rows(problem):
+    """Each row and its rhs, cached as integers over one scale: the integers
+    over the scale are the row, and the scale is the lcm of its denominators."""
+    assert len(problem._int_rows) == problem.num_rows
+    for (ints, scale), row, b in zip(problem._int_rows, problem.rows, problem.rhs):
+        assert [F(a, scale) for a in ints] == [*row, b]
+        assert scale == math.lcm(*[v.denominator for v in (*row, b)])
+    ints, scale = problem._int_objective
+    assert [F(c, scale) for c in ints] == list(problem.objective)
+
+
+def test_each_row_becomes_integers_once_per_problem(monkeypatch):
+    """``solve`` then ``feasible`` on one problem convert each row (and the
+    objective) once; no phase converts a cost vector."""
+    calls = []
+    to_integers = lp.to_integers
+
+    def counted(values):
+        calls.append(list(values))
+        return to_integers(values)
+
+    monkeypatch.setattr(lp, "to_integers", counted)
+    p = lp.LpProblem([1, F(1, 2)], [[1, 1], [F(1, 3), -1], [1, 0]], ["<=", ">=", "=="],
+                     [4, F(-1, 2), F(3, 2)], sense="min")
+    assert lp.solve(p).status == lp.OPTIMAL
+    assert lp.feasible(p)
+    lp.solve(p)
+    assert sorted(calls) == sorted([[*row, b] for row, b in zip(p.rows, p.rhs)]
+                                   + [list(p.objective)])
+
+
+def test_feasible_agrees_with_solve():
+    for problem in oracles.seeded_lps():
+        assert lp.feasible(problem) == (lp.solve(problem).status != lp.INFEASIBLE)
