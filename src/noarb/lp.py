@@ -2,10 +2,8 @@
 
 This is the single decision oracle behind every set-membership and
 no-arbitrage question in the library, so it never rounds: all arithmetic is
-exact, on a fraction-free integer tableau.  A problem's rows become integers
-once per problem, the phase costs and the ``min`` and row-flip signs stay
-integers, and each returned primal entry, dual, ray entry and objective value
-is built as one ``Fraction`` on the way out.  Pivoting uses Bland's
+exact, on a fraction-free integer tableau: rows, costs and signs stay
+integers, and each returned number is one ``Fraction``; pivoting uses Bland's
 anti-cycling rule (lowest eligible index, ties by lowest basic variable
 index), and every answer is certified: optimal outcomes carry exact duals
 with zero duality gap, infeasible outcomes carry a Farkas vector, unbounded
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -95,16 +92,6 @@ class LpProblem:
             raise StructureError(f"sense must be {MAXIMIZE!r} or {MINIMIZE!r}")
         set_(self, "sense", sense)
 
-    @cached_property
-    def _int_rows(self) -> tuple[tuple[list[int], int], ...]:
-        """Per row, (its entries and rhs as integers over s, s): s is the lcm
-        of their denominators.  Built once per problem, on first solve."""
-        return tuple([to_integers([*row, b]) for row, b in zip(self.rows, self.rhs)])
-
-    @cached_property
-    def _int_objective(self) -> tuple[list[int], int]:
-        return to_integers(self.objective)
-
     @property
     def num_vars(self) -> int:
         return len(self.objective)
@@ -139,23 +126,23 @@ class _Simplex:
     tableau row, rhs last, under one positive common denominator ``d``, and
     ``z`` holds the reduced-cost row of the running phase the same way, times
     the costs' common denominator ``cden``.  Each tableau row starts as the
-    problem row's integers, built once per problem (``LpProblem._int_rows``:
-    the row and its rhs over the lcm ``s`` of their denominators), which
-    scales that row's slack and artificial columns by ``col_scale``; phase
-    one's costs ``-1/s_i`` undo that scaling as ``-(L // s_i)`` over
-    ``L = lcm(s)``, and phase two's are the objective's integers, negated
-    for ``min``.  A pivot is the fraction-free step ``(p·a − f·q) // d``
-    (Edmonds 1967, Bareiss 1968), exact because every entry is a minor of
-    the integer start tableau.  Positive row and column scalings keep every
-    sign Bland's rule reads and every ratio order the ratio test reads, so
-    the pivot path is that of the rational tableau.  The ``min`` and
-    row-flip signs fold into integer numerators, and each returned number
-    is built as one ``Fraction`` on the way out.
+    problem row and its rhs as integers over the lcm ``s`` of their
+    denominators, which scales that row's slack and artificial columns by
+    ``col_scale``; phase one's costs ``-1/s_i`` undo that scaling as
+    ``-(L // s_i)`` over ``L = lcm(s)``, and phase two's are the objective's
+    integers, negated for ``min``.  A pivot is the fraction-free step
+    ``(p·a − f·q) // d`` (Edmonds 1967, Bareiss 1968), exact because every
+    entry is a minor of the integer start tableau.  Positive row and column
+    scalings keep every sign Bland's rule reads and every ratio order the
+    ratio test reads, so the pivot path is that of the rational tableau.
+    The ``min`` and row-flip signs fold into integer numerators, and each
+    returned number is built as one ``Fraction`` on the way out.
     """
 
     def __init__(self, problem: LpProblem) -> None:
         n, m = problem.num_vars, problem.num_rows
-        int_rows = problem._int_rows
+        # each row and its rhs as integers over the lcm s of their denominators
+        int_rows = [to_integers([*row, b]) for row, b in zip(problem.rows, problem.rhs)]
 
         # split free variables into differences of nonnegative columns
         col_pairs: list[tuple[int, Optional[int]]] = []
@@ -190,17 +177,14 @@ class _Simplex:
         col_scale = [1] * total
         scol, acol = n_struct, self.first_art
         for (ints, s), sign, flip in zip(int_rows, slack_sign, flipped):
-            if n_struct == n:
-                row = ints[:-1] + pad + ints[-1:]
-            else:
-                row = [0] * n_struct
-                for j, (pc, nc) in enumerate(col_pairs):
-                    a = ints[j]
-                    if a:
-                        row[pc] = a
-                        if nc is not None:
-                            row[nc] = -a
-                row += pad + ints[-1:]
+            row = [0] * n_struct
+            for j, (pc, nc) in enumerate(col_pairs):
+                a = ints[j]
+                if a:
+                    row[pc] = a
+                    if nc is not None:
+                        row[nc] = -a
+            row += pad + ints[-1:]
             if flip:
                 row = [-a for a in row]
             if sign:
@@ -227,7 +211,7 @@ class _Simplex:
 
     def _objective_costs(self, problem: LpProblem) -> tuple[list[int], int]:
         """Phase two's (integer costs per column, denominator)."""
-        ints, den = problem._int_objective
+        ints, den = to_integers(problem.objective)
         if problem.sense == MINIMIZE:
             ints = [-c for c in ints]
         costs = [0] * self.ncols
@@ -371,13 +355,9 @@ def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[in
     common denominator d; the division is exact."""
     f = row[j]
     if f:
-        if d == 1:
-            return [p * a - f * q for a, q in zip(row, prow)]
         return [(p * a - f * q) // d for a, q in zip(row, prow)]
     if p == d:
         return row
-    if d == 1:
-        return [p * a for a in row]
     return [p * a // d for a in row]
 
 

@@ -87,8 +87,6 @@ def to_integers(values) -> tuple[list[int], int]:
     """Rationals as integers over their least common denominator."""
     ratios = [v.as_integer_ratio() for v in values]
     den = lcm(*[q for _, q in ratios])
-    if den == 1:
-        return [p for p, _ in ratios], 1
     return [p * (den // q) for p, q in ratios], den
 
 

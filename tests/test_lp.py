@@ -560,19 +560,21 @@ def test_negating_an_inequality_row_is_metamorphic():
 @settings(max_examples=80, deadline=None)
 @given(problem=lp_problems())
 def test_integer_rows_restate_the_fraction_rows(problem):
-    """Each row and its rhs, cached as integers over one scale: the integers
-    over the scale are the row, and the scale is the lcm of its denominators."""
-    assert len(problem._int_rows) == problem.num_rows
-    for (ints, scale), row, b in zip(problem._int_rows, problem.rows, problem.rhs):
-        assert [F(a, scale) for a in ints] == [*row, b]
+    """Each start tableau row is its problem row and rhs as integers over
+    one scale, the lcm of their denominators, which the row's slack or
+    artificial column carries; a flipped row is negated."""
+    sx = lp._Simplex(problem)
+    for k, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
+        scale = sx.col_scale[sx.ident_col[k]]
+        t = [-a for a in sx.T[k]] if sx.flipped[k] else sx.T[k]
+        assert [F(t[pc], scale) for pc, _ in sx.col_pairs] + [F(t[-1], scale)] == [*row, b]
+        assert all(t[nc] == -t[pc] for pc, nc in sx.col_pairs if nc is not None)
         assert scale == math.lcm(*[v.denominator for v in (*row, b)])
-    ints, scale = problem._int_objective
-    assert [F(c, scale) for c in ints] == list(problem.objective)
 
 
-def test_each_row_becomes_integers_once_per_problem(monkeypatch):
-    """``solve`` then ``feasible`` on one problem convert each row (and the
-    objective) once; no phase converts a cost vector."""
+def test_each_row_becomes_integers_once_per_solve(monkeypatch):
+    """``solve`` converts each row and the objective once, ``feasible`` each
+    row once; no phase converts a cost vector."""
     calls = []
     to_integers = lp.to_integers
 
@@ -583,11 +585,12 @@ def test_each_row_becomes_integers_once_per_problem(monkeypatch):
     monkeypatch.setattr(lp, "to_integers", counted)
     p = lp.LpProblem([1, F(1, 2)], [[1, 1], [F(1, 3), -1], [1, 0]], ["<=", ">=", "=="],
                      [4, F(-1, 2), F(3, 2)], sense="min")
+    rows = [[*row, b] for row, b in zip(p.rows, p.rhs)]
     assert lp.solve(p).status == lp.OPTIMAL
+    assert sorted(calls) == sorted(rows + [list(p.objective)])
+    calls.clear()
     assert lp.feasible(p)
-    lp.solve(p)
-    assert sorted(calls) == sorted([[*row, b] for row, b in zip(p.rows, p.rhs)]
-                                   + [list(p.objective)])
+    assert sorted(calls) == sorted(rows)
 
 
 def test_feasible_agrees_with_solve():
