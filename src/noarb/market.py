@@ -20,6 +20,14 @@ ch. 5 and 7).  A one-period model is a single node, so its LP is the whole
 market's LP, row for row.  NUPBR, budget-set membership and the payoff cone
 stay whole-market LPs.
 
+Each model's tree is read once: ``_build_steps`` lists, for each t ≥ 1, each
+cell at t−1's child cells at t and each asset's increment S_t − S_{t−1} on
+each cell at t, the one place an increment is computed.  The nodes, the
+elementary gains and both re-verifications read it: ``terminal_gain`` walks
+it top-down, adding one node's holdings·increments to its parent's gain,
+and ``martingale_residuals`` sums the measure's mass bottom-up and takes
+each residual over one node's children.
+
 A node's answers depend only on its cone of one-step gains, and scaling an
 asset's increments by a positive factor leaves that cone unchanged.  So
 nodes with the same child count whose increment columns are positive
@@ -181,20 +189,33 @@ class Strategy:
 def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
     """Pathwise Σ_t holdings·(X_t − X_{t−1}); linear in the strategy.  The one
     check of a strategy against a model: a key that names no (t, asset, cell
-    at t−1) of the model raises ``StructureError``."""
+    at t−1) of the model raises ``StructureError``.
+
+    Walked top-down through the tree, one node at a time: a child cell's
+    gain is its parent's plus Σ_a holdings(t, a, parent)·ΔS(t, a, child),
+    one ``dot``, and the cells at T are the outcomes, in order."""
     parts, assets = model.filtration.partitions, model.assets
-    n = len(model.space)
-    held: list[list[Fraction]] = [[] for _ in range(n)]
-    moved: list[list[Fraction]] = [[] for _ in range(n)]
+    held: dict[tuple[int, int], tuple[list[int], list[Fraction]]] = {}
     for (t, a, c), h in strategy.holdings:
         if not (0 < t < len(parts) and 0 <= a < len(assets) and 0 <= c < len(parts[t - 1])):
             raise StructureError(
                 f"strategy key {(t, a, c)} names no (t, asset, cell) of the model")
-        now, before = assets[a].path[t].values, assets[a].path[t - 1].values
-        for i in parts[t - 1][c]:
-            held[i].append(h)
-            moved[i].append(now[i] - before[i])
-    return RandomVariable(model.space, [dot(h, m) for h, m in zip(held, moved)])
+        which, units = held.setdefault((t, c), ([], [_ONE]))  # 1 for the parent's gain
+        which.append(a)
+        units.append(h)
+    gain = [_ZERO]
+    for t, (kids, moves) in enumerate(_built(model, _build_steps), start=1):
+        below = [_ZERO] * len(parts[t])
+        for k, children in enumerate(kids):
+            if (t, k) not in held:
+                for c in children:
+                    below[c] = gain[k]
+                continue
+            which, units = held[t, k]
+            for c in children:
+                below[c] = dot(units, [gain[k]] + [moves[a][c] for a in which])
+        gain = below
+    return RandomVariable(model.space, gain)
 
 
 def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...]]:
@@ -203,14 +224,15 @@ def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...
     in that order; each gain is one value per outcome.  They span the
     payoff cone.  Routes read them through ``_built``."""
     n = len(model.space)
+    parts = model.filtration.partitions
     gains = {}
-    for t in range(1, model.horizon + 1):
-        for a, asset in enumerate(model.assets):
-            now, before = asset.path[t].values, asset.path[t - 1].values
-            for ci, cell in enumerate(model.filtration.partitions[t - 1]):
+    for t, (kids, moves) in enumerate(_built(model, _build_steps), start=1):
+        for a, move in enumerate(moves):
+            for ci, children in enumerate(kids):
                 values = [_ZERO] * n
-                for i in cell:
-                    values[i] = now[i] - before[i]
+                for c in children:
+                    for i in parts[t][c]:
+                        values[i] = move[c]
                 gains[t, a, ci] = tuple(values)
     return gains
 
@@ -244,7 +266,7 @@ class _Node:
     ratio: tuple[Fraction, ...]  # per moving asset, this column over the representative's
 
 
-#: The last model a route asked about and its builds (nodes, gains) by builder:
+#: The last model a route asked about and its builds (steps, nodes, gains) by builder:
 #: one slot, so a model's routes share each build without holding many models.
 _last_model: tuple = (None, {})
 
@@ -260,35 +282,50 @@ def _built(model: MarketModel, build):
     return cache[build]
 
 
-def _nodes(model: MarketModel) -> tuple[_Node, ...]:
-    """Every node of the information tree, by t, then by cell.
-
-    Increments are read straight off ``asset.path``: prices are adapted, so
-    one outcome of a cell gives the cell's price.  Nodes with the same child
-    count and the same primitive integer vector for each column (the column
-    over the lcm of its denominators, then divided by the gcd of its
-    entries, sign kept) have positively proportional columns, so each
-    points at the first of them through ``market``; the child count matters
-    even where no asset moves.
-    """
-    return _built(model, _build_nodes)
-
-
-def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
+def _build_steps(model: MarketModel) -> tuple:
+    """The tree's one-period steps: for each t ≥ 1, each cell at t−1's child
+    cells at t, and each asset's increment S_t − S_{t−1} on each cell at t.
+    Prices are adapted, so one outcome of a cell gives the cell's increment:
+    this is the one place an increment is computed.  Routes read it through
+    ``_built``."""
     parts = model.filtration.partitions
-    nodes: list[_Node] = []
-    first: dict = {}
+    steps = []
     for t in range(1, model.horizon + 1):
         owner = {o: k for k, cell in enumerate(parts[t - 1]) for o in cell}
         kids: list[list[int]] = [[] for _ in parts[t - 1]]
         for c, child in enumerate(parts[t]):
             kids[owner[child[0]]].append(c)
+        firsts = [child[0] for child in parts[t]]
+        moves = []
+        for asset in model.assets:
+            now, before = asset.path[t].values, asset.path[t - 1].values
+            moves.append(tuple([now[i] - before[i] for i in firsts]))
+        # from a list: a tuple built from a bare iterator is resized, and it then
+        # stays on its size's freelist after it is freed (see ``as_fractions``)
+        steps.append((tuple([tuple(children) for children in kids]), tuple(moves)))
+    return tuple(steps)
+
+
+def _nodes(model: MarketModel) -> tuple[_Node, ...]:
+    """Every node of the information tree, by t, then by cell.
+
+    Nodes with the same child count and the same primitive integer vector
+    for each column (the column over the lcm of its denominators, then
+    divided by the gcd of its entries, sign kept) have positively
+    proportional columns, so each points at the first of them through
+    ``market``; the child count matters even where no asset moves.
+    """
+    return _built(model, _build_nodes)
+
+
+def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
+    nodes: list[_Node] = []
+    first: dict = {}
+    for t, (kids, moves) in enumerate(_built(model, _build_steps), start=1):
         for k, children in enumerate(kids):
-            firsts = [parts[t][c][0] for c in children]
             assets, columns, key, scales = [], [], [len(children)], []
-            for a, asset in enumerate(model.assets):
-                now, before = asset.path[t].values, asset.path[t - 1].values
-                column = tuple([now[i] - before[i] for i in firsts])
+            for a, move in enumerate(moves):
+                column = tuple([move[c] for c in children])
                 if any(column):
                     ints, den = to_integers(column)
                     g = math.gcd(*ints)
@@ -299,7 +336,7 @@ def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
             market, rep = first.setdefault(tuple(key), (len(nodes), scales))
             ratio = (_ONE,) * len(scales) if market == len(nodes) else tuple(
                 [Fraction(g * rd, den * rg) for (g, den), (rg, rd) in zip(scales, rep)])
-            nodes.append(_Node(t, k, tuple(children), tuple(assets), tuple(columns),
+            nodes.append(_Node(t, k, children, tuple(assets), tuple(columns),
                                market, ratio))
     return tuple(nodes)
 
@@ -421,19 +458,25 @@ class EmmResult:
 def martingale_residuals(model: MarketModel,
                          measure: Measure) -> dict[tuple[int, int, int], Fraction]:
     """The expectation under ``measure`` of every elementary gain, keyed by
-    (t, asset index, cell index at t−1) like ``_gains``: the sum over the
-    cell of q_i·(S_t − S_{t−1})_i, read off the asset paths cell by cell
-    rather than off n-long gains, so a large tree costs one pass."""
+    (t, asset index, cell index at t−1) like ``_gains``, in that order.  The
+    measure's mass is summed bottom-up, cell by cell, and each residual is
+    one ``dot`` over a node's children of Q(child)·ΔS(child), so a large
+    tree costs one pass per node."""
     if measure.space != model.space:
         raise StructureError("measure on a different sample space")
-    q = measure.weights
+    steps = _built(model, _build_steps)
+    weights, den = to_integers(measure.weights)
+    mass = [weights]  # over den; the cells at T are the outcomes, in order
+    for kids, _ in reversed(steps[1:]):
+        below = mass[-1]
+        mass.append([sum([below[c] for c in children]) for children in kids])
+    mass.reverse()  # mass[t − 1]: the mass of each cell at t, over den
     residuals = {}
-    for t in range(1, model.horizon + 1):
-        for a, asset in enumerate(model.assets):
-            now, before = asset.path[t].values, asset.path[t - 1].values
-            for ci, cell in enumerate(model.filtration.partitions[t - 1]):
-                residuals[t, a, ci] = dot([q[i] for i in cell],
-                                          [now[i] - before[i] for i in cell])
+    for t, ((kids, moves), below) in enumerate(zip(steps, mass), start=1):
+        for a, move in enumerate(moves):
+            for ci, children in enumerate(kids):
+                residuals[t, a, ci] = dot([below[c] for c in children],
+                                          [move[c] for c in children]) / den
     return residuals
 
 
@@ -563,8 +606,9 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
             point = [p + s * r for p, r in zip(point, outcome.ray)]
         holdings = [h / r for h, r in zip(point[1:], node.ratio)]
         placed.append((node, holdings))
+        units = [_ONE, *holdings]
         for j, c in enumerate(node.children):
-            wealth[node.t][c] = w + dot(holdings, [col[j] for col in node.columns])
+            wealth[node.t][c] = dot(units, [w] + [col[j] for col in node.columns])
     hedge = _strategy_from_coefficients(placed)
     value = terminal_gain(model, hedge)
     if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):

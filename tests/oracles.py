@@ -8,6 +8,7 @@ path, so a bug in the solver cannot hide itself.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from noarb import lp
 
@@ -17,21 +18,34 @@ ZERO = Fraction(0)
 
 
 def gauss_solve(matrix, rhs):
-    """Solve a square exact linear system; None when singular."""
+    """Solve a square exact linear system; None when singular.
+
+    Fraction-free Gauss–Jordan: each row of [matrix | rhs] is scaled to
+    integers, and each elimination is the exact integer step
+    (p·a − f·b) // d, with p the pivot and d the previous one (Bareiss
+    1968), so every entry stays an integer and no gcd is taken.  At the end
+    every diagonal entry is the same determinant, and each unknown is its
+    row's rhs over its diagonal entry."""
     n = len(matrix)
-    A = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    A = []
+    for row, b in zip(matrix, rhs):
+        values = [*row, b]
+        den = lcm(*[v.denominator for v in values])
+        A.append([v.numerator * (den // v.denominator) for v in values])
+    d = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if A[r][col] != 0), None)
         if piv is None:
             return None
         A[col], A[piv] = A[piv], A[col]
-        inv = Fraction(1) / A[col][col]
-        A[col] = [v * inv for v in A[col]]
+        pivot_row = A[col]
+        p = pivot_row[col]
         for r in range(n):
-            if r != col and A[r][col] != 0:
+            if r != col:
                 f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return [A[r][n] for r in range(n)]
+                A[r] = [(p * a - f * b) // d for a, b in zip(A[r], pivot_row)]
+        d = p
+    return [Fraction(A[r][n], A[r][r]) for r in range(n)]
 
 
 def row_reduce(A, b):

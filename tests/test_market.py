@@ -415,18 +415,46 @@ def test_static_nodes_with_different_child_counts(lp_calls):
     assert len(lp_calls) == 2
 
 
-def test_full_verdict_builds_the_tree_once(monkeypatch):
-    build, built = market._build_nodes, []
+def every_route(model):
+    """``full_verdict``, then each route and check that reads a model's
+    builds, all on the one model."""
+    verdicts = full_verdict(model)
+    n = len(model.space)
+    measure = find_emm(model).measure or Measure(model.space, [F(1, n)] * n)
+    hedge = superreplication_price(model, model.assets[0].path[-1]).hedge
+    terminal_gain(model, hedge or verdicts.arbitrage)
+    market.martingale_residuals(model, measure)
+
+
+def count_builds(monkeypatch, name, models):
+    """The models ``market.<name>`` builds for while ``every_route`` runs on
+    each of ``models`` in turn."""
+    build, built = getattr(market, name), []
 
     def counted(model):
         built.append(model)
         return build(model)
 
-    monkeypatch.setattr(market, "_build_nodes", counted)
-    rng = random.Random(0)
-    models = [lab.random_market(rng) for _ in range(30)]
+    monkeypatch.setattr(market, name, counted)
     for model in models:
-        full_verdict(model)
+        every_route(model)
+    return built
+
+
+def test_full_verdict_builds_the_tree_once(monkeypatch):
+    models = seed0_markets(30)
+    built = count_builds(monkeypatch, "_build_nodes", models)
+    assert len(built) == len(models)
+    assert all(a is b for a, b in zip(built, models))
+
+
+def test_every_route_reads_one_build_of_the_steps(monkeypatch):
+    """The nodes, the gains, ``terminal_gain`` and ``martingale_residuals``
+    read each model's increments from one build."""
+    model, _ = crr_tree(4)
+    assert count_builds(monkeypatch, "_build_steps", [model]) == [model]
+    models = seed0_markets(30)
+    built = count_builds(monkeypatch, "_build_steps", models)
     assert len(built) == len(models)
     assert all(a is b for a, b in zip(built, models))
 
@@ -453,17 +481,8 @@ def test_build_slot_is_read_once(monkeypatch):
 def test_full_verdict_builds_the_gains_once(monkeypatch):
     """The separator route (``payoff_cone``) and NUPBR (the budget LP) share
     one build of the elementary gains per market."""
-    build, built = market._gains, []
-
-    def counted(model):
-        built.append(model)
-        return build(model)
-
-    monkeypatch.setattr(market, "_gains", counted)
-    rng = random.Random(0)
-    models = [lab.random_market(rng) for _ in range(30)]
-    for model in models:
-        full_verdict(model)
+    models = seed0_markets(30)
+    built = count_builds(monkeypatch, "_gains", models)
     assert len(built) == len(models)
     assert all(a is b for a, b in zip(built, models))
 
@@ -600,39 +619,106 @@ def test_crr_ten_periods_exact_and_fast():
     assert elapsed < 10  # the whole-market LPs grow about 6x per period
 
 
-def test_martingale_check_matches_per_gain_reference():
-    rng = random.Random(0)
+def scattered(model, rng):
+    """``model`` with its outcomes renumbered by a seeded permutation: its
+    cells are then scattered sets of indices, not intervals."""
+    space = model.space
+    order = list(range(len(space)))
+    rng.shuffle(order)  # new index j holds outcome order[j]
+    shuffled = SampleSpace([space.outcomes[i] for i in order],
+                           [space.probabilities[i] for i in order])
+    filtration = Filtration(shuffled, [[[space.outcomes[i] for i in cell] for cell in cells]
+                                       for cells in model.filtration.partitions])
+    return MarketModel(filtration, [
+        Asset(asset.name, tuple(shuffled.variable([x.values[i] for i in order])
+                                for x in asset.path))
+        for asset in model.assets])
+
+
+def as_is(model, rng):
+    return model
+
+
+def is_scattered(model):
+    return any(cell != tuple(range(cell[0], cell[-1] + 1))
+               for cells in model.filtration.partitions for cell in cells)
+
+
+def same_residuals(model, measure):
+    residuals = market.martingale_residuals(model, measure)
+    expected = {(g.t, g.asset, g.cell): measure.expectation(g.vector)
+                for g in global_routes.elementary_gains(model)}
+    assert residuals == expected
+    assert list(residuals) == list(expected)
+
+
+def check_martingale_residuals(rng, change):
+    """Residuals and verdicts against the per-gain reference: under an EMM,
+    a perturbed one and the uniform measure where the market has an EMM,
+    and under the uniform measure where it has none (among them the only
+    markets with two assets and several cells before T)."""
     verdicts = []
     while len(verdicts) < 135:
-        model = lab.random_market(rng)
+        model = change(lab.random_market(rng), rng)
+        n = len(model.space)
         q = find_emm(model).measure
         if q is None:
+            same_residuals(model, Measure(model.space, [F(1, n)] * n))
             continue
-        i, j = rng.sample(range(len(model.space)), 2)
+        i, j = rng.sample(range(n), 2)
         moved = list(q.weights)
         moved[i] += moved[j] / 2
         moved[j] /= 2
-        for weights in (q.weights, moved, [F(1, len(moved))] * len(moved)):
+        for weights in (q.weights, moved, [F(1, n)] * n):
             measure = Measure(model.space, weights)
             verdict = market.is_martingale_measure(model, measure)
             assert verdict == global_routes.is_martingale_measure(model, measure)
-            assert market.martingale_residuals(model, measure) == {
-                (g.t, g.asset, g.cell): measure.expectation(g.vector)
-                for g in global_routes.elementary_gains(model)}
+            same_residuals(model, measure)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
 
-def test_terminal_gain_matches_per_gain_reference():
-    rng = random.Random(0)
+def check_terminal_gains(rng, change):
+    models = []
     for _ in range(135):
-        model = lab.random_market(rng)
+        model = change(lab.random_market(rng), rng)
         gains = global_routes.elementary_gains(model)
         coefficients = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gains]
         strategy = global_routes._strategy_from_coefficients(gains, coefficients)
         expected = [sum([c * g.vector.values[i] for c, g in zip(coefficients, gains)], F(0))
                     for i in range(len(model.space))]
         assert terminal_gain(model, strategy).values == tuple(expected)
+        models.append(model)
+    return models
+
+
+def test_martingale_check_matches_per_gain_reference():
+    check_martingale_residuals(random.Random(0), as_is)
+
+
+def test_terminal_gain_matches_per_gain_reference():
+    check_terminal_gains(random.Random(0), as_is)
+
+
+def test_martingale_check_matches_per_gain_reference_on_scattered_cells():
+    check_martingale_residuals(random.Random("scattered"), scattered)
+
+
+def test_terminal_gain_matches_per_gain_reference_on_scattered_cells():
+    models = check_terminal_gains(random.Random("scattered"), scattered)
+    assert sum(map(is_scattered, models)) >= len(models) // 3  # one-period cells never are
+
+
+@pytest.mark.parametrize("change", [as_is, scattered])
+def test_gains_match_the_reference_layout(change):
+    """``_gains`` has the reference's keys, in its order, and its n-tuples,
+    zero gains included, on interval and on scattered cells."""
+    rng = random.Random(f"gains-{change.__name__}")
+    for _ in range(135):
+        model = change(lab.random_market(rng), rng)
+        assert list(market._gains(model).items()) == [
+            ((g.t, g.asset, g.cell), g.vector.values)
+            for g in global_routes.elementary_gains(model)]
 
 
 # --- metamorphic properties: each change leaves the gain cone unchanged -------
