@@ -62,8 +62,6 @@ def _format_map(mapping: dict) -> str:
 
 
 def _format_price(value) -> str:
-    if value == math.inf:
-        return "+inf"
     if value == -math.inf:
         return "-inf"
     return format_rational(value)

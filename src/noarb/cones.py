@@ -79,18 +79,13 @@ def _check_space(container, x: RandomVariable) -> None:
 
 
 def cone_member(cone: PolyhedralCone, x: RandomVariable) -> bool:
-    """Decide x = Σ λ_g·g − w with λ ≥ 0 and w ≥ 0 (w = 0 without the orthant)."""
+    """Decide x = Σ λ_g·g − w with λ ≥ 0 and w ≥ 0 (w = 0 without the orthant):
+    Σ λ_g·g ≥ x for the widened cone, Σ λ_g·g = x otherwise."""
     _check_space(cone, x)
-    n = len(cone.space)
     gens = cone.generators
-    cols = len(gens) + (n if cone.includes_neg_orthant else 0)
-    rows = []
-    for i in range(n):
-        row = [g.values[i] for g in gens]
-        if cone.includes_neg_orthant:
-            row += [Fraction(-1) if k == i else _ZERO for k in range(n)]
-        rows.append(row)
-    problem = lp.LpProblem([0] * cols, rows, ["=="] * n, list(x.values))
+    rows = [[g.values[i] for g in gens] for i in range(len(cone.space))]
+    rel = ">=" if cone.includes_neg_orthant else "=="
+    problem = lp.LpProblem([0] * len(gens), rows, [rel] * len(rows), list(x.values))
     return lp.feasible(problem)
 
 

@@ -12,6 +12,10 @@ as a misspelt optional flag, is an error rather than silently ignored, and
 so is a key repeated in one object, which JSON would resolve last-wins.
 Every object a loader reads passes through ``_expect(..., dict, ...)``,
 which rejects a repeated key there, under the object's path.
+
+In market files an outcome id may not contain ``+`` or ``/`` and an asset
+name may not contain ``/``: ``noarb emm`` keys each martingale residual as
+``name/t=T/id+id+...``, and these rules keep the keys one-to-one.
 """
 
 from __future__ import annotations
@@ -92,6 +96,9 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
     doc = _expect(parse_json(text, name), dict, "$")
     _keys(doc, ("outcomes", "filtration", "assets"), "$")
     space = _load_space(doc)
+    for i, o in enumerate(space.outcomes):
+        if "+" in o or "/" in o:
+            _fail(f"$.outcomes[{i}].id", f"{o!r}: an outcome id may not contain '+' or '/'")
     cells = []
     for t, level in enumerate(_get(doc, "filtration", list, "$")):
         level = _expect(level, list, f"$.filtration[{t}]")
@@ -110,6 +117,8 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
         entry = _expect(entry, dict, f"$.assets[{a}]")
         _keys(entry, ("name", "path"), f"$.assets[{a}]")
         name = _get(entry, "name", str, f"$.assets[{a}]")
+        if "/" in name:
+            _fail(f"$.assets[{a}].name", f"{name!r}: an asset name may not contain '/'")
         path_obj = _get(entry, "path", dict, f"$.assets[{a}]")
         per_time: list[list[Fraction]] = [[] for _ in range(horizon + 1)]
         for o, series in _by_outcome(path_obj, space, f"$.assets[{a}].path"):

@@ -92,21 +92,18 @@ def counterexample_report(truncation: int) -> CounterexampleReport:
 
 # --- seeded instance generators ---------------------------------------------
 
-def random_semisolid(rng: random.Random, max_outcomes: int = 5,
-                     max_generators: int = 4) -> SemiSolidSet:
-    space = SampleSpace.uniform(rng.randint(2, max_outcomes))
+def random_semisolid(rng: random.Random) -> SemiSolidSet:
+    space = SampleSpace.uniform(rng.randint(2, 5))
     gens = [
         RandomVariable(space, [Fraction(rng.randint(0, 8), rng.randint(1, 4))
                                for _ in space.outcomes])
-        for _ in range(rng.randint(0, max_generators))
+        for _ in range(rng.randint(0, 4))
     ]
     return SemiSolidSet(space, gens)
 
 
-def random_point(rng: random.Random, space: SampleSpace,
-                 nonneg: bool = True) -> RandomVariable:
-    lo = 0 if nonneg else -8
-    return RandomVariable(space, [Fraction(rng.randint(lo, 8), rng.randint(1, 4))
+def random_point(rng: random.Random, space: SampleSpace) -> RandomVariable:
+    return RandomVariable(space, [Fraction(rng.randint(0, 8), rng.randint(1, 4))
                                   for _ in space.outcomes])
 
 
@@ -125,14 +122,13 @@ def random_member(rng: random.Random, bset: SemiSolidSet) -> RandomVariable:
     return RandomVariable(space, [s * v for s, v in zip(shrink, top)])
 
 
-def random_market(rng: random.Random, max_outcomes: int = 8, max_periods: int = 3,
-                  max_assets: int = 2, max_numerator: int = 20,
-                  max_denominator: int = 20) -> MarketModel:
+def random_market(rng: random.Random, max_outcomes: int = 8,
+                  max_periods: int = 3) -> MarketModel:
     n = rng.randint(2, max_outcomes)
     T = rng.randint(1, max_periods)
     space = SampleSpace(
         [f"w{k}" for k in range(1, n + 1)],
-        _normalized_weights(rng, n, max_numerator))
+        _normalized_weights(rng, n))
     # interval filtration over the outcome order: each split point is born
     # at a uniform period, so partitions refine by construction
     birth = {b: rng.randint(1, T) for b in range(1, n)}
@@ -146,13 +142,12 @@ def random_market(rng: random.Random, max_outcomes: int = 8, max_periods: int = 
         partitions.append(cells)
     filtration = Filtration(space, partitions)
     assets = []
-    for a in range(rng.randint(1, max_assets)):
+    for a in range(rng.randint(1, 2)):
         path = []
         for t in range(T + 1):
             values = [_ZERO] * n
             for cell in partitions[t]:
-                price = Fraction(rng.randint(0, max_numerator),
-                                 rng.randint(1, max_denominator))
+                price = Fraction(rng.randint(0, 20), rng.randint(1, 20))
                 for i in cell:
                     values[i] = price
             path.append(RandomVariable(space, values))
@@ -160,8 +155,8 @@ def random_market(rng: random.Random, max_outcomes: int = 8, max_periods: int = 
     return MarketModel(filtration, assets)
 
 
-def _normalized_weights(rng, n, cap):
-    raw = [rng.randint(1, cap) for _ in range(n)]
+def _normalized_weights(rng, n):
+    raw = [rng.randint(1, 20) for _ in range(n)]
     total = sum(raw)
     return [Fraction(w, total) for w in raw]
 

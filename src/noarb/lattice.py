@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, as_fractions, dot
+from .rationals import as_fraction, as_fractions, to_integers
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,9 @@ class SampleSpace:
             )
         if any(p <= 0 for p in probs):
             raise StructureError("every outcome probability must be > 0")
-        if sum(probs) != 1:
-            raise StructureError(f"probabilities sum to {sum(probs)}, not 1")
+        ints, den = to_integers(probs)
+        if (total := sum(ints)) != den:
+            raise StructureError(f"probabilities sum to {Fraction(total, den)}, not 1")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probabilities", probs)
 
@@ -50,10 +51,11 @@ class SampleSpace:
             raise StructureError(f"unknown outcome {outcome!r}") from None
 
     @classmethod
-    def uniform(cls, n: int, prefix: str = "w") -> "SampleSpace":
+    def uniform(cls, n: int) -> "SampleSpace":
+        """Outcomes w1..wn, each with probability 1/n."""
         if n < 1:
             raise StructureError("need at least one outcome")
-        return cls([f"{prefix}{k}" for k in range(1, n + 1)], [Fraction(1, n)] * n)
+        return cls([f"w{k}" for k in range(1, n + 1)], [Fraction(1, n)] * n)
 
     def variable(self, values: Iterable) -> "RandomVariable":
         return RandomVariable(self, values)
@@ -157,20 +159,6 @@ class RandomVariable:
     @property
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.values)
-
-    # --- integration ---------------------------------------------------------
-
-    def expectation(self, weights: Sequence | None = None) -> Fraction:
-        """E[x] under the space's probabilities, or under explicit weights."""
-        if weights is None:
-            weights = self.space.probabilities
-        weights = [as_fraction(w) for w in weights]
-        if len(weights) != len(self.values):
-            raise StructureError("weight vector has the wrong length")
-        return dot(weights, self.values)
-
-    def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
 
     def __str__(self) -> str:
         pairs = ", ".join(f"{o}: {v}" for o, v in zip(self.space.outcomes, self.values))

@@ -356,8 +356,6 @@ def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[in
     f = row[j]
     if f:
         return [(p * a - f * q) // d for a, q in zip(row, prow)]
-    if p == d:
-        return row
     return [p * a // d for a in row]
 
 

@@ -306,19 +306,16 @@ def _build_steps(model: MarketModel) -> tuple:
     return tuple(steps)
 
 
-def _nodes(model: MarketModel) -> tuple[_Node, ...]:
+def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
     """Every node of the information tree, by t, then by cell.
 
     Nodes with the same child count and the same primitive integer vector
     for each column (the column over the lcm of its denominators, then
     divided by the gcd of its entries, sign kept) have positively
     proportional columns, so each points at the first of them through
-    ``market``; the child count matters even where no asset moves.
+    ``market``; the child count matters even where no asset moves.  Routes
+    read it through ``_built``.
     """
-    return _built(model, _build_nodes)
-
-
-def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
     nodes: list[_Node] = []
     first: dict = {}
     for t, (kids, moves) in enumerate(_built(model, _build_steps), start=1):
@@ -393,7 +390,7 @@ def check_na(model: MarketModel) -> NaResult:
     columns span the same cone, so the first node with an arbitrage is
     always a representative.
     """
-    for i, node in enumerate(_nodes(model)):
+    for i, node in enumerate(_built(model, _build_nodes)):
         if node.market != i or not node.columns:
             continue
         E = len(node.columns)
@@ -430,8 +427,9 @@ class Measure:
             raise StructureError("one weight per outcome required")
         if any(w < 0 for w in ws):
             raise StructureError("measure weights must be nonnegative")
-        if sum(ws) != 1:
-            raise StructureError(f"weights sum to {sum(ws)}, not 1")
+        ints, den = to_integers(ws)
+        if (total := sum(ints)) != den:
+            raise StructureError(f"weights sum to {Fraction(total, den)}, not 1")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", ws)
 
@@ -506,7 +504,7 @@ def find_emm(model: MarketModel) -> EmmResult:
     row's artificial variable by that row's scale, and the two nodes' rows
     differ in scale.
     """
-    nodes = _nodes(model)
+    nodes = _built(model, _build_nodes)
     steps = {}  # per representative, its LP's primal: q_1..q_k, then m
     for i, node in enumerate(nodes):
         if node.market != i:
@@ -576,7 +574,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     parts = model.filtration.partitions
     prices: list[list[Price]] = [[_ZERO] * len(cells) for cells in parts]
     prices[-1] = list(payoff.values)  # the cells at T are the outcomes, in order
-    nodes = _nodes(model)
+    nodes = _built(model, _build_nodes)
     outcomes, solved = [], {}
     for node in reversed(nodes):
         below = prices[node.t]
@@ -673,7 +671,7 @@ def check_na1(model: MarketModel) -> bool:
     An infeasible LP is an inconsistency, since α = 1 with no holdings is
     always feasible.
     """
-    for i, node in enumerate(_nodes(model)):
+    for i, node in enumerate(_built(model, _build_nodes)):
         if node.market != i or not node.columns:
             continue
         k = len(node.children)

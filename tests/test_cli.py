@@ -409,3 +409,58 @@ def test_console_entry_point_via_module():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "check_all_binomial.json").read_text()
+
+
+def test_a_non_boolean_orthant_flag_exits_2(tmp_path, capsys):
+    cone = json.loads((DATA / "cone_with_gen.json").read_text())
+    cone["includes_neg_orthant"] = "yes"
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(cone))
+    assert main(["--json", "separate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "$.includes_neg_orthant: expected a boolean" in captured.err
+
+
+def _colliding_market(ids=("a+b", "a", "b"), name="S"):
+    """Outcomes ``a+b``, ``a`` and ``b`` with the t=1 cells {a+b} and {a, b}:
+    both t=2 residuals would be keyed ``S/t=2/a+b``."""
+    x, y, z = ids
+    return {
+        "outcomes": [{"id": o, "prob": "1/3"} for o in ids],
+        "filtration": [[[x, y, z]], [[x], [y, z]], [[x], [y], [z]]],
+        "assets": [{"name": name, "path": {x: ["2", "1", "1"], y: ["2", "4", "5"],
+                                            z: ["2", "4", "3"]}}],
+    }
+
+
+@pytest.mark.parametrize("market, where", [
+    (_colliding_market(), "$.outcomes[0].id"),
+    (_colliding_market(ids=("a", "b/c", "d")), "$.outcomes[1].id"),
+    (_colliding_market(ids=("a", "b", "c"), name="S/t=1"), "$.assets[0].name"),
+], ids=["plus-in-id", "slash-in-id", "slash-in-name"])
+def test_ids_that_would_collide_in_residual_keys_exit_2(market, where, tmp_path, capsys):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(market))
+    assert main(["--json", "emm", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"noarb: input error: {where}: ")
+
+
+def test_emm_reports_one_residual_per_step_asset_and_cell(capsys):
+    markets = [path for path in sorted(DATA.glob("*.json"))
+               if path.name != "truncated.json" and "filtration" in json.loads(path.read_text())]
+    assert len(markets) == 5
+    reported = 0
+    for path in markets:
+        model = load_market(path.read_text())
+        main(["--json", "emm", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        if not report["verdicts"]["emm_exists"]:
+            continue
+        parts = model.filtration.partitions
+        expected = len(model.assets) * sum(len(parts[t - 1]) for t in range(1, len(parts)))
+        assert len(report["martingale_residuals"]) == expected, path.name
+        reported += 1
+    assert reported == 3

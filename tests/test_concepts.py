@@ -3,8 +3,11 @@ import math
 import random
 from fractions import Fraction as F
 
-from noarb import lab
+import pytest
+
+from noarb import concepts, lab
 from noarb.concepts import ConceptVerdicts, full_verdict
+from noarb.errors import InternalInconsistency
 from noarb.market import (Measure, emm_budget, find_emm, in_budget_set,
                           superreplication_price)
 
@@ -72,3 +75,10 @@ def test_randomized_agreement_sample():
     for _ in range(60):
         model = lab.random_market(rng, max_outcomes=6, max_periods=2)
         assert full_verdict(model).agree
+
+
+def test_disagreeing_routes_are_an_inconsistency(binomial, monkeypatch):
+    monkeypatch.setattr(concepts, "check_nupbr", lambda model: False)
+    with pytest.raises(InternalInconsistency, match="concept routes disagree") as caught:
+        full_verdict(binomial)
+    assert caught.value.data["model"] == binomial

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noarb import lp
 from noarb.cones import (
     PolyhedralCone,
     SemiSolidSet,
@@ -165,3 +166,56 @@ def test_gauge_values_on_and_off_the_set(scale):
     assert (gauge <= 1) == inside
     if not inside:
         assert gauge >= 1
+
+
+def cone_member_reference(cone, x):
+    """x = Σ λ_g·g − w as equality rows, with w ≥ 0 as n extra columns, a −I
+    block, when the cone is widened: the formulation ``cone_member`` states
+    as ``>=`` rows."""
+    n, gens = len(cone.space), cone.generators
+    extra = n if cone.includes_neg_orthant else 0
+    rows = [[g.values[i] for g in gens] + [F(-1) if k == i else F(0) for k in range(extra)]
+            for i in range(n)]
+    return lp.feasible(lp.LpProblem([0] * (len(gens) + extra), rows, ["=="] * n,
+                                    list(x.values)))
+
+
+@pytest.mark.parametrize("widened", [True, False])
+def test_cone_member_matches_the_identity_block_reference(widened):
+    rng = random.Random(19 + widened)
+    verdicts = []
+    for _ in range(400):
+        space = SampleSpace.uniform(rng.randint(1, 4))
+
+        def vector(lo):
+            return [F(rng.randint(lo, 4), rng.randint(1, 3)) for _ in space.outcomes]
+
+        gens = [RandomVariable(space, vector(-4)) for _ in range(rng.randint(0, 4))]
+        cone = PolyhedralCone(space, gens, includes_neg_orthant=widened)
+        if rng.random() < 0.5:  # any point
+            x = RandomVariable(space, vector(-4))
+        else:  # a member
+            lam = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in gens]
+            top = [sum([l * g.values[i] for l, g in zip(lam, gens)], F(0))
+                   for i in range(len(space))]
+            w = vector(0) if widened else [F(0)] * len(space)
+            x = RandomVariable(space, [t - v for t, v in zip(top, w)])
+        verdict = cone_member(cone, x)
+        assert verdict == cone_member_reference(cone, x), (cone, x)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 350  # both verdicts are pinned
+
+
+OTHER = SampleSpace(["a", "b"], [F(1, 3), F(2, 3)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PolyhedralCone(TWO, [OTHER.zero()]), "cone generator on a different sample space"),
+    (lambda: SemiSolidSet(TWO, [OTHER.zero()]), "generator on a different sample space"),
+    (lambda: cone_member(PolyhedralCone(TWO, []), OTHER.zero()),
+     "point lives on a different sample space"),
+    (lambda: semisolid_member(SemiSolidSet(TWO, []), TWO.zero(), 0), "scale must be > 0"),
+], ids=["cone-generator", "semisolid-generator", "member-point", "scale"])
+def test_input_validation_raises(call, message):
+    with pytest.raises(StructureError, match=message):
+        call()

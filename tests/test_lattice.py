@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from noarb.errors import StructureError
 from noarb.lattice import RandomVariable, SampleSpace
+from noarb.market import Measure
 
 TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 
@@ -96,5 +97,18 @@ def test_ordered_vector_space_axioms(data, space, alpha):
 def test_expectation_uses_probabilities():
     space = SampleSpace(["u", "d"], [F(1, 3), F(2, 3)])
     x = space.variable([3, 0])
-    assert x.expectation() == 1
-    assert x.expectation([F(1, 2), F(1, 2)]) == F(3, 2)
+    assert Measure(space, space.probabilities).expectation(x) == 1
+    assert Measure(space, [F(1, 2), F(1, 2)]).expectation(x) == F(3, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SampleSpace([], []), "at least one outcome"),
+    (lambda: SampleSpace(["a", "b"], [1]), "2 outcomes but 1 probabilities"),
+    (lambda: SampleSpace(["a", "b"], [F(1, 2), F(1, 3)]), "probabilities sum to 5/6, not 1"),
+    (lambda: SampleSpace.uniform(0), "need at least one outcome"),
+    (lambda: TWO.variable([1, 2]).sup(1), "expected a RandomVariable, got 1"),
+], ids=["no-outcomes", "probability-count", "probability-sum", "uniform-empty",
+        "not-a-variable"])
+def test_input_validation_raises(call, message):
+    with pytest.raises(StructureError, match=message):
+        call()

@@ -124,6 +124,8 @@ def test_checks_reject_corrupted_certificates():
     assert lp.check_outcome(ray, out)
     for bad in [(F(1), F(0)), (F(-1), F(-1)), (F(0), F(1)), (F(1), F(1), F(0))]:
         assert not lp.check_outcome(ray, dataclasses.replace(out, ray=bad)), bad
+    # a ray from a point that breaks the row x - y <= 0
+    assert not lp.check_outcome(ray, dataclasses.replace(out, primal=(F(1), F(0))))
     assert not lp.check_outcome(ray, dataclasses.replace(out, status="bounded"))
 
 
@@ -596,3 +598,12 @@ def test_each_row_becomes_integers_once_per_solve(monkeypatch):
 def test_feasible_agrees_with_solve():
     for problem in oracles.seeded_lps():
         assert lp.feasible(problem) == (lp.solve(problem).status != lp.INFEASIBLE)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(lower=[0, 0]), "the lower bounds must have one entry per variable"),
+    (dict(sense="maximize"), "sense must be 'max' or 'min'"),
+], ids=["lower-count", "sense"])
+def test_input_validation_raises(kwargs, message):
+    with pytest.raises(StructureError, match=message):
+        lp.LpProblem([1], [[1]], ["<="], [1], **kwargs)

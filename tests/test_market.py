@@ -3,12 +3,15 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from noarb import lab, lp, market
+from noarb.cli import main
 from noarb.concepts import full_verdict
 from noarb.errors import ContractViolation, InternalInconsistency, StructureError
+from noarb.fileio import load_market
 from noarb.lattice import SampleSpace
 from noarb.market import (
     Asset,
@@ -23,6 +26,7 @@ from noarb.market import (
     emm_budget,
     find_emm,
     in_budget_set,
+    martingale_residuals,
     payoff_cone,
     superreplication_price,
     terminal_gain,
@@ -321,7 +325,7 @@ def test_row_free_one_step_lp_is_solved_once(lp_calls):
               [s + 1 + k % 2 for k, s in enumerate(after_t2)]]
     model = MarketModel(Filtration(space, partitions),
                         [Asset("S", tuple(space.variable(p) for p in prices))])
-    nodes = market._nodes(model)
+    nodes = market._built(model, market._build_nodes)
     assert len({node.market for node in nodes if node.t <= 2}) == 3
     result = superreplication_price(model, space.variable(range(8)))
     assert result.price == -math.inf and result.hedge is None
@@ -390,7 +394,7 @@ def test_only_positive_multiples_share_a_solve(down, markets, na, lp_calls):
     prices = [[4] * 4, [6, 6, 3, 3], [4, 7, 3 + down[0], 3 + down[1]]]
     model = MarketModel(Filtration(space, partitions),
                         [Asset("S", tuple(space.variable(p) for p in prices))])
-    nodes = market._nodes(model)
+    nodes = market._built(model, market._build_nodes)
     assert len({node.market for node in nodes}) == markets
     assert check_na(model).holds == na
     assert len(lp_calls) == markets
@@ -475,7 +479,7 @@ def test_build_slot_is_read_once(monkeypatch):
             return tuple.__getitem__(self, i)
 
     monkeypatch.setattr(market, "_last_model", Racing((model, {})))
-    assert market._nodes(model) == market._build_nodes(model)
+    assert market._built(model, market._build_nodes) == market._build_nodes(model)
 
 
 def test_full_verdict_builds_the_gains_once(monkeypatch):
@@ -529,6 +533,8 @@ def test_budget_set_scaling(binomial):
         lhs = in_budget_set(binomial, x, alpha)
         rhs = in_budget_set(binomial, x.scale(1 / alpha), 1)
         assert lhs == rhs
+    # B_alpha lies in V+, so a point with a negative entry is in none of them
+    assert not in_budget_set(binomial, binomial.space.variable([1, -1]), 100)
 
 
 def test_budget_zero_subset_of_all_levels(dominance, binomial):
@@ -858,3 +864,106 @@ def test_metamorphic_outcome_changes(change):
             copies = {o: [o, o + "'"] if i == s else [o] for i, o in enumerate(outcomes)}
         assert (_indicator_answers(changed, copies)
                 == _indicator_answers(model, {o: [o] for o in outcomes}))
+
+
+# --- every input check and every re-verification raises ----------------------
+
+THREE = SampleSpace(["a", "b", "c"], [F(1, 3)] * 3)
+OTHER = SampleSpace(["u", "d"], [F(1, 3), F(2, 3)])
+
+
+def _single(space, *names):
+    return MarketModel(Filtration.single_period(space), [
+        Asset(name, (space.constant(1), space.constant(1))) for name in names])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda b: Filtration(THREE, [[[]]]), StructureError, "empty cell in partition at t=0"),
+    (lambda b: Filtration(THREE, [[["a", "b", "c"]], [["a", "b"], ["b", "c"]]]),
+     StructureError, "overlapping cells in partition at t=1"),
+    (lambda b: Filtration(THREE, [[["a", "b", "c"]], [["a"], ["b"]]]),
+     StructureError, "partition at t=1 does not cover all outcomes"),
+    (lambda b: Filtration(THREE, []), StructureError, "at least the t=0 partition"),
+    (lambda b: Filtration(SampleSpace.uniform(4), [
+        [["w1", "w2", "w3", "w4"]], [["w1", "w2"], ["w3", "w4"]], [["w1", "w3"], ["w2", "w4"]],
+        [["w1"], ["w2"], ["w3"], ["w4"]]]),
+     StructureError, "partition at t=2 does not refine t=1"),
+    (lambda b: _single(THREE), StructureError, "a market needs at least one asset"),
+    (lambda b: _single(THREE, "S", "S"), StructureError, "asset names must be unique"),
+    (lambda b: MarketModel(b.filtration, [Asset("S", (b.space.constant(1),))]),
+     StructureError, "'S' has 1 prices, expected 2"),
+    (lambda b: MarketModel(b.filtration, [Asset("S", (OTHER.constant(1),) * 2)]),
+     StructureError, "'S' priced on a different space"),
+    (lambda b: Measure(b.space, [1]), StructureError, "one weight per outcome required"),
+    (lambda b: Measure(b.space, [-1, 2]), StructureError, "measure weights must be nonnegative"),
+    (lambda b: Measure(b.space, [F(1, 2), F(1, 3)]), StructureError, "weights sum to 5/6, not 1"),
+    (lambda b: Measure(b.space, [F(1, 2)] * 2).expectation(OTHER.zero()),
+     StructureError, "random variable on a different space"),
+    (lambda b: martingale_residuals(b, Measure(OTHER, [F(1, 2)] * 2)),
+     StructureError, "measure on a different sample space"),
+    (lambda b: superreplication_price(b, OTHER.zero()),
+     StructureError, "payoff on a different sample space"),
+    (lambda b: in_budget_set(b, OTHER.zero(), 1), StructureError,
+     "point on a different sample space"),
+    (lambda b: in_budget_set(b, b.space.zero(), -1), ContractViolation,
+     "budget level must be >= 0"),
+    (lambda b: emm_budget(b, Measure(OTHER, [F(1, 2)] * 2)),
+     StructureError, "measure on a different sample space"),
+], ids=["empty-cell", "overlap", "cover", "no-partition", "refine", "no-asset",
+        "asset-names", "path-length", "path-space", "weight-count", "weight-sign",
+        "weight-sum", "expectation-space", "residual-space", "payoff-space",
+        "budget-space", "budget-level", "emm-budget-space"])
+def test_input_validation_raises(call, error, message, binomial):
+    with pytest.raises(error, match=message):
+        call(binomial)
+
+
+DATA = Path(__file__).parent / "data"
+BINOMIAL_FILE, CALL_FILE = DATA / "binomial.json", DATA / "call_payoff.json"
+
+
+def _with_status(status):
+    return lambda out: dataclasses.replace(out, status=status)
+
+
+def _swapped_weights(out):
+    return dataclasses.replace(out, primal=(out.primal[1], out.primal[0], *out.primal[2:]))
+
+
+def _shifted_holding(out):
+    return dataclasses.replace(out, primal=(out.primal[0], out.primal[1] + 1))
+
+
+def _call_price(model):
+    return superreplication_price(model, model.space.variable([1, 0]))
+
+
+@pytest.mark.parametrize("route, argv, corrupt, message", [
+    (check_na, ["check", "na", BINOMIAL_FILE], _with_status(lp.INFEASIBLE),
+     "arbitrage LP must be bounded and feasible"),
+    # q = (1/3, 2/3) becomes (2/3, 1/3): a measure, but not a martingale one
+    (find_emm, ["emm", BINOMIAL_FILE], _swapped_weights,
+     "martingale measure failed re-verification"),
+    (_call_price, ["price", BINOMIAL_FILE, CALL_FILE], _with_status(lp.INFEASIBLE),
+     "superreplication LP cannot be infeasible"),
+    # the call's hedge holds 2/3 of S; 5/3 loses on the down move
+    (_call_price, ["price", BINOMIAL_FILE, CALL_FILE], _shifted_holding,
+     "superreplication hedge failed re-verification"),
+], ids=["na-status", "emm-primal", "price-status", "price-hedge"])
+def test_a_corrupted_node_lp_is_an_inconsistency(route, argv, corrupt, message,
+                                                 monkeypatch, capsys):
+    """A corrupted solver outcome ends in ``InternalInconsistency`` carrying
+    the market, and the CLI exits 3 with that market as a market file."""
+    model = load_market(BINOMIAL_FILE.read_text())
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem)))
+    with pytest.raises(InternalInconsistency, match=message) as caught:
+        route(model)
+    assert caught.value.data["model"] == model
+    assert main(["--json", *map(str, argv)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, header, dumped = captured.err.split("\n", 2)
+    assert first == f"noarb: internal inconsistency: {message}"
+    assert header == "noarb: the market it arose on, as a market file:"
+    assert load_market(dumped) == model

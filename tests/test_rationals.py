@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from noarb.errors import StructureError
-from noarb.rationals import dot, parse_rational
+from noarb.rationals import as_fraction, dot, parse_rational
 
 _MERSENNE_61 = 2 ** 61 - 1
 
@@ -101,3 +101,13 @@ def test_parse_rational_rejects_non_ascii_digits(digit, head, tail, sign, in_den
     assert F(text) is not None
     with pytest.raises(StructureError, match="not an exact rational"):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, "not a rational value: None"),
+    (1.5, "floats are not exact: 1.5"),
+    ("0.5", "not an exact rational"),
+], ids=["none", "float", "decimal-string"])
+def test_as_fraction_rejects_what_is_not_rational(value, message):
+    with pytest.raises(StructureError, match=message):
+        as_fraction(value)

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from noarb import separation
+from noarb import lp, separation
 from noarb.cones import PolyhedralCone, cone_member
-from noarb.errors import ContractViolation, StructureError
+from noarb.errors import ContractViolation, InternalInconsistency, StructureError
 from noarb.lattice import SampleSpace
 from noarb.market import find_emm, is_martingale_measure, payoff_cone
 from noarb.separation import (
@@ -172,3 +172,46 @@ def test_market_separator_yields_emm(binomial, trinomial, dominance):
     res = strict_separator(payoff_cone(dominance, includes_neg_orthant=True))
     assert res.functional is None
     assert find_emm(dominance).measure is None
+
+
+OTHER = SampleSpace(["a", "b"], [F(1, 3), F(2, 3)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Functional(TWO, [1]), "one coefficient per outcome required"),
+    (lambda: Functional(TWO, [1, 1])(OTHER.zero()), "argument on a different sample space"),
+    (lambda: separate_at(orthant_cone(TWO), OTHER.indicator("a")),
+     "target on a different sample space"),
+], ids=["coefficient-count", "argument-space", "target-space"])
+def test_input_validation_raises(call, message):
+    with pytest.raises(StructureError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda out: dataclasses.replace(out, status=lp.UNBOUNDED),
+     "separation LP must have optimum 0 or 1"),
+    (lambda out: dataclasses.replace(out, objective_value=F(1, 2)),
+     "separation LP produced a value other than 0 or 1"),
+    (lambda out: dataclasses.replace(out, primal=(out.primal[0] + 1, *out.primal[1:])),
+     "separator failed re-verification"),
+], ids=["status", "objective", "primal"])
+def test_a_corrupted_separation_lp_is_an_inconsistency(corrupt, message, monkeypatch):
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem)))
+    cone = orthant_cone(TWO, [TWO.variable([1, -1])])
+    with pytest.raises(InternalInconsistency, match=message) as caught:
+        separate_at(cone, TWO.indicator("a"))
+    assert caught.value.data["cone"] == cone
+
+
+@pytest.mark.parametrize("route", [strict_separator, strict_separator_exists])
+def test_an_average_that_misses_an_outcome_is_an_inconsistency(route, monkeypatch):
+    # every separator the LP route returns is checked on its own target, and
+    # the average of checked separators is strictly positive, so only a
+    # separate_at that answers another target's question reaches this check
+    first = THREE.indicator("a")
+    monkeypatch.setattr(separation, "separate_at",
+                        lambda cone, target: separate_at(cone, first))
+    with pytest.raises(InternalInconsistency, match="averaged separator failed re-verification"):
+        route(orthant_cone(THREE))
