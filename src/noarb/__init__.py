@@ -50,12 +50,6 @@ from .market import (
     superreplication_price,
     terminal_gain,
 )
-from .separation import (
-    Functional,
-    StrictSeparation,
-    functional_to_measure,
-    separate_at,
-    strict_separator,
-)
+from .separation import StrictSeparation, separate_at, strict_separator
 
 __version__ = "0.1.0"

@@ -199,14 +199,15 @@ def cmd_separate(args) -> tuple[dict, list[str]]:
     witnesses: dict = {}
     if args.target is None:
         result = strict_separator(cone)
-        functional, label = result.functional, "strictly positive separating functional"
-        if functional is None:
+        separator, label = None, "strictly positive separating functional"
+        if result.measure is None:
             witnesses["violating_direction"] = values_by_outcome(result.violating)
             miss = ("no strict separator; violating direction: "
                     f"{_format_map(witnesses['violating_direction'])}")
         else:
+            separator = RandomVariable(cone.space, result.measure.weights)
             fields["verified_on"] = len(cone.generators)
-            fields["normalization"] = format_rational(functional.l1_norm())
+            fields["normalization"] = "1"  # a measure has mass 1
     else:
         parts = args.target.split(",")
         if len(parts) != len(cone.space):
@@ -214,15 +215,14 @@ def cmd_separate(args) -> tuple[dict, list[str]]:
                 f"--target needs {len(cone.space)} comma-separated rationals")
         target = RandomVariable(cone.space, [parse_rational(p, "--target") for p in parts])
         fields["target"] = values_by_outcome(target)
-        functional, label = separate_at(cone, target), "separating functional"
+        separator, label = separate_at(cone, target), "separating functional"
         miss = "no separator: target lies inside the cone"
-    if functional is None:
+    if separator is None:
         lines = [miss]
     else:
-        witnesses["functional"] = values_by_outcome(
-            RandomVariable(cone.space, functional.coefficients))
+        witnesses["functional"] = values_by_outcome(separator)
         lines = [f"{label}: {_format_map(witnesses['functional'])}"]
-    return _report("separate", {"separator_exists": functional is not None}, witnesses,
+    return _report("separate", {"separator_exists": separator is not None}, witnesses,
                    **fields), lines
 
 

@@ -75,8 +75,7 @@ def full_verdict(model: MarketModel) -> ConceptVerdicts:
         nupbr=check_nupbr(model),
         nfl_equiv=na.holds,
         emm_exists=find_emm(model).measure is not None,
-        separator_exists=strict_separator_exists(
-            payoff_cone(model, includes_neg_orthant=True)),
+        separator_exists=strict_separator_exists(payoff_cone(model)),
         arbitrage=na.arbitrage,
     )
     if not verdicts.agree:

@@ -16,6 +16,9 @@ which rejects a repeated key there, under the object's path.
 In market files an outcome id may not contain ``+`` or ``/`` and an asset
 name may not contain ``/``: ``noarb emm`` keys each martingale residual as
 ``name/t=T/id+id+...``, and these rules keep the keys one-to-one.
+``_outcome_id`` and ``_asset_name`` state the rule once; ``load_market``
+and ``dump_market`` both apply it, so every market ``dump_market`` writes
+loads again.
 """
 
 from __future__ import annotations
@@ -97,8 +100,7 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
     _keys(doc, ("outcomes", "filtration", "assets"), "$")
     space = _load_space(doc)
     for i, o in enumerate(space.outcomes):
-        if "+" in o or "/" in o:
-            _fail(f"$.outcomes[{i}].id", f"{o!r}: an outcome id may not contain '+' or '/'")
+        _outcome_id(i, o)
     cells = []
     for t, level in enumerate(_get(doc, "filtration", list, "$")):
         level = _expect(level, list, f"$.filtration[{t}]")
@@ -116,9 +118,7 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
     for a, entry in enumerate(_get(doc, "assets", list, "$")):
         entry = _expect(entry, dict, f"$.assets[{a}]")
         _keys(entry, ("name", "path"), f"$.assets[{a}]")
-        name = _get(entry, "name", str, f"$.assets[{a}]")
-        if "/" in name:
-            _fail(f"$.assets[{a}].name", f"{name!r}: an asset name may not contain '/'")
+        name = _asset_name(a, _get(entry, "name", str, f"$.assets[{a}]"))
         path_obj = _get(entry, "path", dict, f"$.assets[{a}]")
         per_time: list[list[Fraction]] = [[] for _ in range(horizon + 1)]
         for o, series in _by_outcome(path_obj, space, f"$.assets[{a}].path"):
@@ -135,6 +135,20 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
         return MarketModel(filtration, assets)
     except StructureError as exc:
         _fail("$.assets", str(exc))
+
+
+def _outcome_id(i: int, o: str) -> str:
+    """A market file's outcome id ``o`` at ``$.outcomes[i]``, checked."""
+    if "+" in o or "/" in o:
+        _fail(f"$.outcomes[{i}].id", f"{o!r}: an outcome id may not contain '+' or '/'")
+    return o
+
+
+def _asset_name(a: int, name: str) -> str:
+    """A market file's asset name at ``$.assets[a]``, checked."""
+    if "/" in name:
+        _fail(f"$.assets[{a}].name", f"{name!r}: an asset name may not contain '/'")
+    return name
 
 
 def _by_outcome(obj: dict, space: SampleSpace, path: str) -> list[tuple[str, Any]]:
@@ -164,12 +178,16 @@ def _load_space(doc: dict) -> SampleSpace:
 
 
 def dump_market(model: MarketModel) -> dict:
-    """Schema-shaped dict; parse(dump(model)) reproduces the model exactly."""
+    """Schema-shaped dict; parse(dump(model)) reproduces the model exactly.
+
+    A model whose outcome ids or asset names break the market-file rule
+    raises ``StructureError`` at the JSON path the loader would name.
+    """
     space = model.space
     return {
         "outcomes": [
-            {"id": o, "prob": format_rational(p)}
-            for o, p in zip(space.outcomes, space.probabilities)
+            {"id": _outcome_id(i, o), "prob": format_rational(p)}
+            for i, (o, p) in enumerate(zip(space.outcomes, space.probabilities))
         ],
         "filtration": [
             [[space.outcomes[i] for i in cell] for cell in level]
@@ -177,13 +195,13 @@ def dump_market(model: MarketModel) -> dict:
         ],
         "assets": [
             {
-                "name": asset.name,
+                "name": _asset_name(a, asset.name),
                 "path": {
                     o: [format_rational(x.values[i]) for x in asset.path]
                     for i, o in enumerate(space.outcomes)
                 },
             }
-            for asset in model.assets
+            for a, asset in enumerate(model.assets)
         ],
     }
 

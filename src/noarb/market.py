@@ -237,18 +237,17 @@ def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...
     return gains
 
 
-def payoff_cone(model: MarketModel, includes_neg_orthant: bool = False) -> PolyhedralCone:
-    """The zero-initial-wealth payoff cone, generated by ± elementary gains.
-
-    With ``includes_neg_orthant`` the cone is widened to "payoff or anything
-    below it", the set whose intersection with V₊ must be {0} for the market
-    to be arbitrage-free.
+def payoff_cone(model: MarketModel) -> PolyhedralCone:
+    """The zero-initial-wealth payoff cone, generated by ± elementary gains
+    and widened to "payoff or anything below it": the set whose intersection
+    with V₊ must be {0} for the market to be arbitrage-free, and the cone
+    ``separation`` separates.
     """
     gens = []
     for values in _built(model, _gains).values():
         gain = RandomVariable(model.space, values)
         gens += [gain, -gain]
-    return PolyhedralCone(model.space, gens, includes_neg_orthant=includes_neg_orthant)
+    return PolyhedralCone(model.space, gens, includes_neg_orthant=True)
 
 
 @dataclass(frozen=True)
@@ -537,7 +536,11 @@ def find_emm(model: MarketModel) -> EmmResult:
         above = weights[node.t - 1][node.cell]
         for c, q in zip(node.children, steps[node.market]):
             weights[node.t][c] = above * q
-    measure = Measure(model.space, weights[-1])  # the cells at T are the outcomes, in order
+    try:  # the cells at T are the outcomes, in order
+        measure = Measure(model.space, weights[-1])
+    except StructureError as exc:  # the node weights do not make a probability measure
+        raise InternalInconsistency(f"martingale measure failed re-verification: {exc}",
+                                    model=model, weights=weights[-1]) from None
     if not measure.is_equivalent or not is_martingale_measure(model, measure):
         raise InternalInconsistency("martingale measure failed re-verification",
                                     model=model, measure=measure)

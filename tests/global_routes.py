@@ -189,7 +189,6 @@ def full_verdict(model) -> ConceptVerdicts:
         nupbr=check_nupbr(model),
         nfl_equiv=na.holds,
         emm_exists=find_emm(model).measure is not None,
-        separator_exists=strict_separator(
-            payoff_cone(model, includes_neg_orthant=True)).functional is not None,
+        separator_exists=strict_separator(payoff_cone(model)).measure is not None,
         arbitrage=na.arbitrage,
     )

@@ -57,10 +57,11 @@ def test_acceptance_ftap_cross_check(report):
             holds += 1
             measure = find_emm(model).measure
             assert measure.is_equivalent and is_martingale_measure(model, measure)
-            separator = strict_separator(payoff_cone(model, includes_neg_orthant=True))
-            f = separator.functional
-            assert f.is_strictly_positive
-            assert all(f(g.vector) <= 0 and f(-g.vector) <= 0
+            # the classical FTAP: the strict separator is itself an
+            # equivalent martingale measure, checked apart from find_emm
+            q = strict_separator(payoff_cone(model)).measure
+            assert q.is_equivalent and is_martingale_measure(model, q)
+            assert all(q.expectation(g.vector) == 0
                        for g in global_routes.elementary_gains(model))
             witnesses += 2
         else:
@@ -110,9 +111,9 @@ def test_acceptance_na1_and_separator_routes_agree(report):
         model = lab.random_market(rng)
         na1 = check_na1(model)
         assert na1 == global_routes.check_na1(model)
-        cone = payoff_cone(model, includes_neg_orthant=True)
+        cone = payoff_cone(model)
         exists = strict_separator_exists(cone)
-        assert exists == (strict_separator(cone).functional is not None)
+        assert exists == (strict_separator(cone).measure is not None)
         na1_holds += na1
         separated += exists
     report("NA1 and separator routes",
@@ -208,11 +209,11 @@ def test_acceptance_witness_soundness(report):
         else:
             payoff = terminal_gain(model, emm.arbitrage)
             assert payoff.is_nonneg and not payoff.is_zero
-        sep = strict_separator(payoff_cone(model, includes_neg_orthant=True))
-        if sep.functional is not None:
-            assert sep.functional.is_strictly_positive
-            cone = payoff_cone(model, includes_neg_orthant=True)
-            assert all(sep.functional(g) <= 0 for g in cone.generators)
+        cone = payoff_cone(model)
+        sep = strict_separator(cone)
+        if sep.measure is not None:
+            assert sep.measure.is_equivalent
+            assert all(sep.measure.expectation(g) <= 0 for g in cone.generators)
         else:
             assert sep.violating is not None
         checked += 1

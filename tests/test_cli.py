@@ -263,6 +263,29 @@ def test_exit_3_prints_the_market(concept, monkeypatch, capsys):
     assert load_market(dumped) == load_market(path.read_text())
 
 
+def test_emm_weights_off_mass_1_exit_3(monkeypatch, capsys):
+    """Node weights that do not make a probability measure are the program's
+    fault, not the input's: exit 3 with the market, not exit 2."""
+    from noarb import lp
+
+    solve = lp.solve
+
+    def corrupted(problem):
+        outcome = solve(problem)
+        return dataclasses.replace(outcome, primal=(outcome.primal[0] + 1, *outcome.primal[1:]))
+
+    monkeypatch.setattr(lp, "solve", corrupted)
+    path = DATA / "binomial.json"
+    assert main(["--json", "emm", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, header, dumped = captured.err.split("\n", 2)
+    assert message == ("noarb: internal inconsistency: martingale measure failed "
+                       "re-verification: weights sum to 2, not 1")
+    assert header == "noarb: the market it arose on, as a market file:"
+    assert load_market(dumped) == load_market(path.read_text())
+
+
 @pytest.mark.parametrize("concept", ["na1", "nupbr"])
 def test_failing_route_without_arbitrage_exits_3(concept, monkeypatch, capsys):
     """On a finite market NA, NA1 and NUPBR coincide, so a failing route on a

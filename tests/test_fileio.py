@@ -1,11 +1,14 @@
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from noarb import fileio
+from noarb import fileio, lab
 from noarb.errors import StructureError
+from noarb.lattice import SampleSpace
+from noarb.market import Asset, Filtration, MarketModel
 from noarb.rationals import format_rational, parse_rational
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +37,43 @@ def test_market_round_trip():
     again = fileio.load_market(json.dumps(dumped))
     assert again == model
     assert fileio.dump_market(again) == dumped
+
+
+def round_trips(model):
+    dumped = fileio.dump_market(model)
+    again = fileio.load_market(json.dumps(dumped))
+    return again == model and fileio.dump_market(again) == dumped
+
+
+def test_market_round_trip_on_every_data_market():
+    markets = [path.name for path in sorted((Path(__file__).parent / "data").glob("*.json"))
+               if '"filtration"' in path.read_text()]
+    assert len(markets) == 5
+    for name in markets:
+        assert round_trips(fileio.load_market(read(name))), name
+
+
+def test_market_round_trip_on_random_markets():
+    rng = random.Random(0)
+    assert all(round_trips(lab.random_market(rng)) for _ in range(200))
+
+
+@pytest.mark.parametrize("outcomes, name, where", [
+    (["a+b", "c"], "S", r"^\$\.outcomes\[0\]\.id: 'a\+b'"),
+    (["a", "b/c"], "S", r"^\$\.outcomes\[1\]\.id: 'b/c'"),
+    (["a", "b"], "S/1", r"^\$\.assets\[0\]\.name: 'S/1'"),
+], ids=["plus-in-id", "slash-in-id", "slash-in-name"])
+def test_dump_market_rejects_what_load_market_rejects(outcomes, name, where):
+    space = SampleSpace(outcomes, [F(1, 2), F(1, 2)])
+    path = (space.constant(1), space.variable([2, F(1, 2)]))
+    model = MarketModel(Filtration.single_period(space), [Asset(name, path)])
+    doc = {"outcomes": [{"id": o, "prob": "1/2"} for o in outcomes],
+           "filtration": [[outcomes], [[o] for o in outcomes]],
+           "assets": [{"name": name, "path": {o: ["1", p] for o, p in zip(outcomes, ["2", "1/2"])}}]}
+    with pytest.raises(StructureError, match=where):
+        fileio.load_market(json.dumps(doc))
+    with pytest.raises(StructureError, match=where):
+        fileio.dump_market(model)
 
 
 def test_market_errors_carry_positions():

@@ -109,7 +109,7 @@ def test_strategy_keys_checked_against_the_model(binomial):
 
 def test_binomial_cone_generators(binomial):
     cone = payoff_cone(binomial)
-    assert not cone.includes_neg_orthant
+    assert cone.includes_neg_orthant  # the widened cone, the one separation needs
     values = {g.values for g in cone.generators}
     assert values == {(F(1), F(-1, 2)), (F(-1), F(1, 2))}
 

@@ -8,14 +8,9 @@ from noarb import lp, separation
 from noarb.cones import PolyhedralCone, cone_member
 from noarb.errors import ContractViolation, InternalInconsistency, StructureError
 from noarb.lattice import SampleSpace
-from noarb.market import find_emm, is_martingale_measure, payoff_cone
-from noarb.separation import (
-    Functional,
-    functional_to_measure,
-    separate_at,
-    strict_separator,
-    strict_separator_exists,
-)
+from noarb.market import Measure, find_emm, is_martingale_measure, payoff_cone
+from noarb.rationals import dot
+from noarb.separation import separate_at, strict_separator, strict_separator_exists
 
 from conftest import crr_tree
 
@@ -30,8 +25,8 @@ def orthant_cone(space, generators=()):
 def test_separating_the_orthant_alone():
     f = separate_at(orthant_cone(TWO), TWO.indicator("a"))
     assert f is not None
-    assert f(TWO.indicator("a")) == 1
-    assert f.is_positive
+    assert dot(f.values, TWO.indicator("a").values) == 1
+    assert f.is_nonneg
 
 
 def test_separate_with_generator_constraint():
@@ -39,9 +34,9 @@ def test_separate_with_generator_constraint():
     target = TWO.variable([1, 1])
     f = separate_at(cone, target)
     assert f is not None
-    assert f(TWO.variable([1, -1])) <= 0
-    assert f(target) == 1
-    assert f.is_positive
+    assert dot(f.values, (1, -1)) <= 0
+    assert dot(f.values, target.values) == 1
+    assert f.is_nonneg
 
 
 def test_target_inside_cone_returns_none():
@@ -75,32 +70,32 @@ def test_none_iff_cone_membership():
 
 def test_strict_separator_pure_orthant():
     res = strict_separator(orthant_cone(THREE))
-    assert res.functional is not None
+    assert res.measure is not None
     assert strict_separator_exists(orthant_cone(THREE))
-    assert res.functional.is_strictly_positive
-    assert res.functional.l1_norm() == 1
+    assert res.measure.is_equivalent
+    assert res.measure.weights == (F(1, 3),) * 3
 
 
 def test_strict_separator_with_generator():
     g = TWO.variable([1, -1])
     res = strict_separator(orthant_cone(TWO, [g]))
-    f = res.functional
-    assert f is not None and f.is_strictly_positive
+    q = res.measure
+    assert q is not None and q.is_equivalent
     assert strict_separator_exists(orthant_cone(TWO, [g]))
-    assert f(g) <= 0
-    assert f.coefficients[0] <= f.coefficients[1]
+    assert q.expectation(g) <= 0
+    assert q.weights[0] <= q.weights[1]
 
 
-def test_strict_separation_holds_only_its_functional_or_direction():
+def test_strict_separation_holds_only_its_measure_or_direction():
     res = strict_separator(orthant_cone(TWO, [TWO.variable([1, -1])]))
-    assert [f.name for f in dataclasses.fields(res)] == ["functional", "violating"]
-    assert not hasattr(res, "report") and res.violating is None
+    assert [f.name for f in dataclasses.fields(res)] == ["measure", "violating"]
+    assert isinstance(res.measure, Measure) and res.violating is None
 
 
 def test_strict_separator_violating_direction():
     cone = orthant_cone(TWO, [TWO.indicator("b")])
     res = strict_separator(cone)
-    assert res.functional is None
+    assert res.measure is None
     assert res.violating == TWO.indicator("b")
     assert not strict_separator_exists(cone)
 
@@ -113,14 +108,15 @@ def test_averaging_soundness_random():
                 for _ in range(rng.randint(1, 4))]
         cone = orthant_cone(THREE, gens)
         res = strict_separator(cone)
-        assert strict_separator_exists(cone) == (res.functional is not None)
-        if res.functional is None:
+        assert strict_separator_exists(cone) == (res.measure is not None)
+        if res.measure is None:
             assert cone_member(cone, res.violating)
             continue
         assert not any(cone_member(cone, e) for e in THREE.indicators())
-        f = res.functional
-        assert all(f(g) <= 0 for g in gens)
-        assert all(f(e) > 0 for e in THREE.indicators())
+        q = res.measure
+        assert sum(q.weights) == 1
+        assert all(q.expectation(g) <= 0 for g in gens)
+        assert all(q.expectation(e) > 0 for e in THREE.indicators())
 
 
 @pytest.mark.parametrize("T", [5, 6, 7])
@@ -135,42 +131,45 @@ def test_exhaustion_separates_a_crr_tree_once(T, monkeypatch):
         return separate_at(cone, target)
 
     monkeypatch.setattr(separation, "separate_at", counted)
-    assert strict_separator_exists(payoff_cone(model, includes_neg_orthant=True))
+    assert strict_separator_exists(payoff_cone(model))
     assert len(calls) == 1
 
 
-def test_functional_to_measure_examples():
-    uniform = Functional(TWO, [1, 1])
-    q, c = functional_to_measure(uniform)
-    assert q.weights == (F(1, 2), F(1, 2)) and c == 2
-    skew = Functional(SampleSpace(["a", "b"], [F(1, 2), F(1, 2)]), [1, 2])
-    q2, c2 = functional_to_measure(skew)
-    assert q2.weights == (F(1, 3), F(2, 3)) and c2 == 3
-    assert q2.density() == (F(2, 3), F(4, 3))
-    with pytest.raises(ContractViolation):
-        functional_to_measure(Functional(TWO, [1, 0]))
+def test_strict_separator_measure_examples():
+    # each indicator's separator, divided by its sum, averaged
+    g = TWO.variable([1, -1])
+    assert strict_separator(orthant_cone(TWO)).measure.weights == (F(1, 2), F(1, 2))
+    q = strict_separator(orthant_cone(TWO, [g])).measure
+    assert q.weights == (F(1, 4), F(3, 4)) and q.expectation(g) == F(-1, 2)
+    skew = SampleSpace(["a", "b"], [F(1, 3), F(2, 3)])
+    q2 = strict_separator(orthant_cone(skew, [skew.variable([1, -1])])).measure
+    assert q2.weights == (F(1, 4), F(3, 4))
+    assert q2.density() == (F(3, 4), F(9, 8))
 
 
 def test_identity_on_random_variables():
+    # a separator acts as its mass times the expectation under its normalization
     rng = random.Random(31)
-    f = Functional(THREE, [F(1, 2), F(2, 7), 3])
-    q, c = functional_to_measure(f)
+    cone = orthant_cone(THREE, [THREE.variable([1, -2, 0]), THREE.variable([0, 1, -3])])
+    f = separate_at(cone, THREE.indicator("a"))
+    mass = sum(f.values)
+    q = Measure(THREE, [v / mass for v in f.values])
+    assert mass == F(5, 3)
     for _ in range(10):
         x = THREE.variable([F(rng.randint(-9, 9), rng.randint(1, 4))
                             for _ in THREE.outcomes])
-        assert f(x) == c * q.expectation(x)
+        assert dot(f.values, x.values) == mass * q.expectation(x)
 
 
 def test_market_separator_yields_emm(binomial, trinomial, dominance):
     for model in (binomial, trinomial):
-        res = strict_separator(payoff_cone(model, includes_neg_orthant=True))
-        assert res.functional is not None
-        q, _ = functional_to_measure(res.functional)
+        q = strict_separator(payoff_cone(model)).measure
+        assert q is not None
         assert is_martingale_measure(model, q)
         assert q.is_equivalent
         assert find_emm(model).measure is not None
-    res = strict_separator(payoff_cone(dominance, includes_neg_orthant=True))
-    assert res.functional is None
+    res = strict_separator(payoff_cone(dominance))
+    assert res.measure is None
     assert find_emm(dominance).measure is None
 
 
@@ -178,8 +177,9 @@ OTHER = SampleSpace(["a", "b"], [F(1, 3), F(2, 3)])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: Functional(TWO, [1]), "one coefficient per outcome required"),
-    (lambda: Functional(TWO, [1, 1])(OTHER.zero()), "argument on a different sample space"),
+    (lambda: TWO.variable([1]), "1 values for a space with 2 outcomes"),
+    (lambda: strict_separator(orthant_cone(TWO)).measure.expectation(OTHER.zero()),
+     "random variable on a different space"),
     (lambda: separate_at(orthant_cone(TWO), OTHER.indicator("a")),
      "target on a different sample space"),
 ], ids=["coefficient-count", "argument-space", "target-space"])
