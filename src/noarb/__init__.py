@@ -27,14 +27,13 @@ from .lab import (
     random_semisolid,
     verify_lemma_suite,
 )
-from .lattice import RandomVariable, SampleSpace
+from .lattice import Measure, RandomVariable, SampleSpace
 from .lp import LpOutcome, LpProblem, feasible, solve
 from .market import (
     Asset,
     EmmResult,
     Filtration,
     MarketModel,
-    Measure,
     NaResult,
     Strategy,
     Superreplication,

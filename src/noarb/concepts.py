@@ -18,7 +18,7 @@ positive on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InternalInconsistency
@@ -39,14 +39,19 @@ class ConceptVerdicts:
     na: bool
     na1: bool
     nupbr: bool
-    nfl_equiv: bool
     emm_exists: bool
     separator_exists: bool
     arbitrage: Optional[Strategy] = field(default=None, compare=False)
 
+    @property
+    def nfl_equiv(self) -> bool:
+        """NA's verdict: the widened payoff cone is polyhedral, hence closed."""
+        return self.na
+
     def as_dict(self) -> dict[str, bool]:
-        """The verdicts by name, in field order: the fields that equality compares."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        """The compared fields by name, in order, with ``nfl_equiv`` after ``nupbr``."""
+        names = ("na", "na1", "nupbr", "nfl_equiv", "emm_exists", "separator_exists")
+        return {name: getattr(self, name) for name in names}
 
     @property
     def agree(self) -> bool:
@@ -54,7 +59,7 @@ class ConceptVerdicts:
 
 
 def full_verdict(model: MarketModel) -> ConceptVerdicts:
-    """All six verdicts, each by its own decision route, asserted to agree.
+    """The six verdicts, five by their own decision routes, asserted to agree.
 
     NA runs the arbitrage LP at each tree node; NA₁ asks every node for a
     positive one-step price of each child's indicator, whose products along
@@ -63,17 +68,15 @@ def full_verdict(model: MarketModel) -> ConceptVerdicts:
     one-step conditional measures along each path; the separation route
     decides whether the whole widened payoff cone has a strictly positive
     separating functional, by exhaustion over the outcome indicators.
-    The free-lunch verdict equals NA because the widened cone is polyhedral
-    and therefore already closed, so no extra computation can distinguish
-    them here.  ``arbitrage`` carries NA's witness when NA fails;
-    it is not a verdict, so it stays out of ``as_dict`` and equality.
+    The free-lunch verdict is NA's (``ConceptVerdicts.nfl_equiv``).
+    ``arbitrage`` carries NA's witness when NA fails; it is not a verdict,
+    so it stays out of ``as_dict`` and equality.
     """
     na = check_na(model)
     verdicts = ConceptVerdicts(
         na=na.holds,
         na1=check_na1(model),
         nupbr=check_nupbr(model),
-        nfl_equiv=na.holds,
         emm_exists=find_emm(model).measure is not None,
         separator_exists=strict_separator_exists(payoff_cone(model)),
         arbitrage=na.arbitrage,

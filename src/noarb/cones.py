@@ -152,8 +152,4 @@ def zero_set_trivial(bset: SemiSolidSet) -> bool:
     By monotonicity and homogeneity of the gauge it is enough to check the
     outcome indicators; equivalently ⋂_{α>0} αB = {0}.
     """
-    return all(_positive_gauge(minkowski(bset, e)) for e in bset.space.indicators())
-
-
-def _positive_gauge(value: Gauge) -> bool:
-    return value == math.inf or value > 0
+    return all(minkowski(bset, e) > 0 for e in bset.space.indicators())

@@ -24,8 +24,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .cones import (SemiSolidSet, _positive_gauge, minkowski, semisolid_member, sup_norm,
-                    sup_squared_norm, zero_set_trivial)
+from .cones import (SemiSolidSet, minkowski, semisolid_member, sup_norm, sup_squared_norm,
+                    zero_set_trivial)
 from .errors import InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
 from .market import Asset, Filtration, MarketModel, in_budget_set
@@ -56,7 +56,11 @@ class CounterexampleReport:
     sup_squared_l2: Fraction
     sup_norm_linf: Fraction
     min_indicator_gauge: Fraction
-    zero_set_trivial: bool
+
+    @property
+    def zero_set_trivial(self) -> bool:
+        """``cones.zero_set_trivial`` of the set, read off its finite indicator gauges."""
+        return self.min_indicator_gauge > 0
 
     def as_dict(self) -> dict:
         return {
@@ -86,7 +90,6 @@ def counterexample_report(truncation: int) -> CounterexampleReport:
         sup_squared_l2=sup_squared_norm(bset),
         sup_norm_linf=sup_norm(bset),
         min_indicator_gauge=min(gauges),
-        zero_set_trivial=all(_positive_gauge(g) for g in gauges),  # = zero_set_trivial(bset)
     )
 
 
@@ -94,12 +97,7 @@ def counterexample_report(truncation: int) -> CounterexampleReport:
 
 def random_semisolid(rng: random.Random) -> SemiSolidSet:
     space = SampleSpace.uniform(rng.randint(2, 5))
-    gens = [
-        RandomVariable(space, [Fraction(rng.randint(0, 8), rng.randint(1, 4))
-                               for _ in space.outcomes])
-        for _ in range(rng.randint(0, 4))
-    ]
-    return SemiSolidSet(space, gens)
+    return SemiSolidSet(space, [random_point(rng, space) for _ in range(rng.randint(0, 4))])
 
 
 def random_point(rng: random.Random, space: SampleSpace) -> RandomVariable:
@@ -287,7 +285,7 @@ def _check_semisolid_laws(h: _Harness, rng, bset: SemiSolidSet, sabotage: bool =
     # finitely many generators make B bounded, so its scaled copies meet only in 0
     h.check("trivial-intersection", zero_set_trivial(bset),
             "scaled copies of a finitely generated set meet outside 0")
-    if gauge_y not in (0, math.inf) and gauge_y > 0:
+    if 0 < gauge_y < math.inf:
         h.check("trivial-intersection", not semisolid_member(bset, y, gauge_y / 2),
                 f"{y} inside level {gauge_y}/2 below its gauge")
         h.check("level-sets", semisolid_member(bset, y, gauge_y),

@@ -1,4 +1,5 @@
-"""Finite sample spaces and the vector lattice of random variables on them.
+"""Finite sample spaces, the probability measures on them, and the vector
+lattice of random variables on them.
 
 With finitely many outcomes and every outcome carrying strictly positive
 probability, almost-sure order is componentwise order, so all lattice
@@ -12,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, as_fractions, to_integers
+from .rationals import as_fraction, as_fractions, dot, to_integers
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,39 @@ class SampleSpace:
 
     def indicators(self) -> list["RandomVariable"]:
         return [self.indicator(o) for o in self.outcomes]
+
+
+@dataclass(frozen=True)
+class Measure:
+    """A probability measure on the space's outcomes (not necessarily ≈ ℙ)."""
+
+    space: SampleSpace
+    weights: tuple[Fraction, ...]
+
+    def __init__(self, space: SampleSpace, weights) -> None:
+        ws = as_fractions(weights)
+        if len(ws) != len(space):
+            raise StructureError("one weight per outcome required")
+        if any(w < 0 for w in ws):
+            raise StructureError("measure weights must be nonnegative")
+        ints, den = to_integers(ws)
+        if (total := sum(ints)) != den:
+            raise StructureError(f"weights sum to {Fraction(total, den)}, not 1")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "weights", ws)
+
+    @property
+    def is_equivalent(self) -> bool:
+        return all(w > 0 for w in self.weights)
+
+    def expectation(self, x: RandomVariable) -> Fraction:
+        if x.space != self.space:
+            raise StructureError("random variable on a different space")
+        return dot(self.weights, x.values)
+
+    def density(self) -> tuple[Fraction, ...]:
+        """dQ/dℙ per outcome; bounded and strictly positive when equivalent."""
+        return tuple([w / p for w, p in zip(self.weights, self.space.probabilities)])
 
 
 @dataclass(frozen=True)

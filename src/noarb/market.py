@@ -54,8 +54,8 @@ from typing import Optional, Sequence, Union
 from . import lp
 from .cones import PolyhedralCone
 from .errors import ContractViolation, InternalInconsistency, StructureError
-from .lattice import RandomVariable, SampleSpace
-from .rationals import as_fraction, as_fractions, dot, to_integers
+from .lattice import Measure, RandomVariable, SampleSpace
+from .rationals import as_fraction, dot, to_integers
 
 Price = Union[Fraction, float]  # exact, or ±inf sentinels
 
@@ -300,7 +300,7 @@ def _build_steps(model: MarketModel) -> tuple:
             now, before = asset.path[t].values, asset.path[t - 1].values
             moves.append(tuple([now[i] - before[i] for i in firsts]))
         # from a list: a tuple built from a bare iterator is resized, and it then
-        # stays on its size's freelist after it is freed (see ``as_fractions``)
+        # stays on its size's freelist after it is freed (see ``rationals.as_fractions``)
         steps.append((tuple([tuple(children) for children in kids]), tuple(moves)))
     return tuple(steps)
 
@@ -411,39 +411,6 @@ def check_na(model: MarketModel) -> NaResult:
         if outcome.objective_value != 0:
             return NaResult(_verified_arbitrage(model, node, outcome.primal))
     return NaResult()
-
-
-@dataclass(frozen=True)
-class Measure:
-    """A probability measure on the space's outcomes (not necessarily ≈ ℙ)."""
-
-    space: SampleSpace
-    weights: tuple[Fraction, ...]
-
-    def __init__(self, space: SampleSpace, weights) -> None:
-        ws = as_fractions(weights)
-        if len(ws) != len(space):
-            raise StructureError("one weight per outcome required")
-        if any(w < 0 for w in ws):
-            raise StructureError("measure weights must be nonnegative")
-        ints, den = to_integers(ws)
-        if (total := sum(ints)) != den:
-            raise StructureError(f"weights sum to {Fraction(total, den)}, not 1")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", ws)
-
-    @property
-    def is_equivalent(self) -> bool:
-        return all(w > 0 for w in self.weights)
-
-    def expectation(self, x: RandomVariable) -> Fraction:
-        if x.space != self.space:
-            raise StructureError("random variable on a different space")
-        return dot(self.weights, x.values)
-
-    def density(self) -> tuple[Fraction, ...]:
-        """dQ/dℙ per outcome; bounded and strictly positive when equivalent."""
-        return tuple([w / p for w, p in zip(self.weights, self.space.probabilities)])
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from typing import Optional
 from . import lp
 from .cones import PolyhedralCone
 from .errors import ContractViolation, InternalInconsistency, StructureError
-from .lattice import RandomVariable
-from .market import Measure
+from .lattice import Measure, RandomVariable
 from .rationals import dot
 
 _ZERO = Fraction(0)

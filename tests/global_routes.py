@@ -22,10 +22,9 @@ from fractions import Fraction
 from noarb import lp, market
 from noarb.concepts import ConceptVerdicts
 from noarb.errors import InternalInconsistency
-from noarb.lattice import RandomVariable
+from noarb.lattice import Measure, RandomVariable
 from noarb.market import (
     EmmResult,
-    Measure,
     NaResult,
     Strategy,
     Superreplication,
@@ -187,7 +186,6 @@ def full_verdict(model) -> ConceptVerdicts:
         na=na.holds,
         na1=na1,
         nupbr=check_nupbr(model),
-        nfl_equiv=na.holds,
         emm_exists=find_emm(model).measure is not None,
         separator_exists=strict_separator(payoff_cone(model)).measure is not None,
         arbitrage=na.arbitrage,

@@ -8,8 +8,8 @@ import pytest
 from noarb import concepts, lab
 from noarb.concepts import ConceptVerdicts, full_verdict
 from noarb.errors import InternalInconsistency
-from noarb.market import (Measure, emm_budget, find_emm, in_budget_set,
-                          superreplication_price)
+from noarb.lattice import Measure
+from noarb.market import emm_budget, find_emm, in_budget_set, superreplication_price
 
 
 def test_binomial_all_true(binomial):
@@ -35,8 +35,10 @@ def test_two_period_agreement(two_period):
 def test_as_dict_lists_the_compared_fields_in_order(dominance):
     v = full_verdict(dominance)
     compared = [f.name for f in dataclasses.fields(ConceptVerdicts) if f.compare]
-    assert list(v.as_dict()) == compared == [
+    assert compared == ["na", "na1", "nupbr", "emm_exists", "separator_exists"]
+    assert list(v.as_dict()) == [
         "na", "na1", "nupbr", "nfl_equiv", "emm_exists", "separator_exists"]
+    assert v.as_dict()["nfl_equiv"] is v.na
     assert v.arbitrage is not None and "arbitrage" not in v.as_dict()
 
 

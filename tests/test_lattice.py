@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noarb.errors import StructureError
-from noarb.lattice import RandomVariable, SampleSpace
-from noarb.market import Measure
+from noarb.lattice import Measure, RandomVariable, SampleSpace
 
 TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 

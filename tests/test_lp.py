@@ -129,6 +129,21 @@ def test_checks_reject_corrupted_certificates():
     assert not lp.check_outcome(ray, dataclasses.replace(out, status="bounded"))
 
 
+def test_farkas_rejects_a_corrupted_certificate():
+    # -x <= 1 holds at x = 0; y = (-1) has rhs·y = -1 < 0 and y·A = 1 >= 0,
+    # so only the sign of a <= row's multiplier rejects it
+    problem = lp.LpProblem([0], [[-1]], ["<="], [1])
+    out = dataclasses.replace(lp.solve(problem), status=lp.INFEASIBLE, dual=(F(-1),))
+    assert not lp.check_farkas(problem, out)
+
+
+def test_ray_rejects_a_corrupted_certificate():
+    # min x s.t. x >= 0 is bounded; the zero ray recedes but does not improve
+    problem = lp.LpProblem([1], [[1]], [">="], [0], sense="min")
+    out = dataclasses.replace(lp.solve(problem), status=lp.UNBOUNDED, ray=(F(0),))
+    assert not lp.check_ray(problem, out)
+
+
 def test_each_check_accepts_only_its_own_status():
     checks = (lp.check_optimal, lp.check_ray, lp.check_farkas)
     problems = (lp.LpProblem([1, 1], [[1, 0], [0, 1]], ["<=", "<="], [1, 2]),

@@ -12,12 +12,11 @@ from noarb.cli import main
 from noarb.concepts import full_verdict
 from noarb.errors import ContractViolation, InternalInconsistency, StructureError
 from noarb.fileio import load_market
-from noarb.lattice import SampleSpace
+from noarb.lattice import Measure, SampleSpace
 from noarb.market import (
     Asset,
     Filtration,
     MarketModel,
-    Measure,
     NaResult,
     Strategy,
     check_na,

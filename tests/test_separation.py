@@ -7,8 +7,8 @@ import pytest
 from noarb import lp, separation
 from noarb.cones import PolyhedralCone, cone_member
 from noarb.errors import ContractViolation, InternalInconsistency, StructureError
-from noarb.lattice import SampleSpace
-from noarb.market import Measure, find_emm, is_martingale_measure, payoff_cone
+from noarb.lattice import Measure, SampleSpace
+from noarb.market import find_emm, is_martingale_measure, payoff_cone
 from noarb.rationals import dot
 from noarb.separation import separate_at, strict_separator, strict_separator_exists
 
@@ -195,7 +195,10 @@ def test_input_validation_raises(call, message):
      "separation LP produced a value other than 0 or 1"),
     (lambda out: dataclasses.replace(out, primal=(out.primal[0] + 1, *out.primal[1:])),
      "separator failed re-verification"),
-], ids=["status", "objective", "primal"])
+    # still separating, but 2 at the target
+    (lambda out: dataclasses.replace(out, primal=tuple(2 * v for v in out.primal)),
+     "separator failed re-verification"),
+], ids=["status", "objective", "primal", "doubled"])
 def test_a_corrupted_separation_lp_is_an_inconsistency(corrupt, message, monkeypatch):
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem)))
@@ -203,6 +206,17 @@ def test_a_corrupted_separation_lp_is_an_inconsistency(corrupt, message, monkeyp
     with pytest.raises(InternalInconsistency, match=message) as caught:
         separate_at(cone, TWO.indicator("a"))
     assert caught.value.data["cone"] == cone
+
+
+def test_separate_at_rejects_a_separator_with_a_negative_entry(monkeypatch):
+    # (-1, 2) is 1 at the target and -3 on the generator, but negative at b
+    solve = lp.solve
+    corrupted = (F(-1), F(2))
+    monkeypatch.setattr(lp, "solve",
+                        lambda problem: dataclasses.replace(solve(problem), primal=corrupted))
+    cone = orthant_cone(TWO, [TWO.variable([1, -1])])
+    with pytest.raises(InternalInconsistency, match="separator failed re-verification"):
+        separate_at(cone, TWO.variable([1, 1]))
 
 
 @pytest.mark.parametrize("route", [strict_separator, strict_separator_exists])
