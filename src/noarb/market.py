@@ -18,7 +18,10 @@ the superreplication price is the backward induction of one-step prices
 (Dalang–Morton–Willinger 1990; Föllmer & Schied, *Stochastic Finance*,
 ch. 5 and 7).  A one-period model is a single node, so its LP is the whole
 market's LP, row for row.  NUPBR, budget-set membership and the payoff cone
-stay whole-market LPs.
+stay whole-market LPs.  The budget set ℬ_α = {x ≥ 0 : x ≤ α + gain(ξ)} has
+one LP form, over the strategy coefficients ξ alone (``_budget_problem``):
+a maximal point of ℬ₁ is 1 + gain(ξ) with gain(ξ) ≥ −1, so NUPBR and the
+budget bound need no variable per outcome.
 
 Each model's tree is read once: ``_build_steps`` lists, for each t ≥ 1, each
 cell at t−1's child cells at t and each asset's increment S_t − S_{t−1} on
@@ -355,9 +358,8 @@ def _strategy_from_coefficients(placed) -> Strategy:
                      for a, coef in zip(node.assets, coefficients)})
 
 
-def _verified_arbitrage(model, node, coefficients) -> Strategy:
-    """The strategy holding ``coefficients`` at ``node``, checked to gain ≥ 0, ≠ 0."""
-    strategy = _strategy_from_coefficients([(node, coefficients)])
+def _verified_arbitrage(model, strategy: Strategy) -> Strategy:
+    """``strategy``, checked to gain ≥ 0 and ≠ 0: the one check of an arbitrage."""
     payoff = terminal_gain(model, strategy)
     if not payoff.is_nonneg or payoff.is_zero:
         raise InternalInconsistency("arbitrage witness failed re-verification",
@@ -409,7 +411,8 @@ def check_na(model: MarketModel) -> NaResult:
             raise InternalInconsistency("arbitrage LP must be bounded and feasible",
                                         model=model, outcome=outcome)
         if outcome.objective_value != 0:
-            return NaResult(_verified_arbitrage(model, node, outcome.primal))
+            strategy = _strategy_from_coefficients([(node, outcome.primal)])
+            return NaResult(_verified_arbitrage(model, strategy))
     return NaResult()
 
 
@@ -448,6 +451,20 @@ def is_martingale_measure(model: MarketModel, measure: Measure) -> bool:
     """Exact check of every conditional martingale equality: every residual
     of ``martingale_residuals`` is 0."""
     return not any(martingale_residuals(model, measure).values())
+
+
+def _verified_emm(model: MarketModel, weights) -> Measure:
+    """The measure with these weights, checked to be a probability measure,
+    equivalent, and a martingale measure: the one check of an EMM."""
+    try:
+        measure = Measure(model.space, weights)
+    except StructureError as exc:  # the weights do not make a probability measure
+        raise InternalInconsistency(f"martingale measure failed re-verification: {exc}",
+                                    model=model, weights=weights) from None
+    if not measure.is_equivalent or not is_martingale_measure(model, measure):
+        raise InternalInconsistency("martingale measure failed re-verification",
+                                    model=model, measure=measure)
+    return measure
 
 
 def find_emm(model: MarketModel) -> EmmResult:
@@ -495,7 +512,8 @@ def find_emm(model: MarketModel) -> EmmResult:
         outcome = lp.solve(lp.LpProblem(objective, rows, rels, rhs))
         if outcome.status != lp.OPTIMAL or outcome.objective_value <= 0:
             multipliers = outcome.dual[1:1 + len(node.columns)]
-            return EmmResult(arbitrage=_verified_arbitrage(model, node, multipliers))
+            strategy = _strategy_from_coefficients([(node, multipliers)])
+            return EmmResult(arbitrage=_verified_arbitrage(model, strategy))
         steps[i] = outcome.primal
     parts = model.filtration.partitions
     weights = [[_ONE]] + [[_ZERO] * len(cells) for cells in parts[1:]]
@@ -503,15 +521,8 @@ def find_emm(model: MarketModel) -> EmmResult:
         above = weights[node.t - 1][node.cell]
         for c, q in zip(node.children, steps[node.market]):
             weights[node.t][c] = above * q
-    try:  # the cells at T are the outcomes, in order
-        measure = Measure(model.space, weights[-1])
-    except StructureError as exc:  # the node weights do not make a probability measure
-        raise InternalInconsistency(f"martingale measure failed re-verification: {exc}",
-                                    model=model, weights=weights[-1]) from None
-    if not measure.is_equivalent or not is_martingale_measure(model, measure):
-        raise InternalInconsistency("martingale measure failed re-verification",
-                                    model=model, measure=measure)
-    return EmmResult(measure=measure)
+    # the cells at T are the outcomes, in order
+    return EmmResult(measure=_verified_emm(model, weights[-1]))
 
 
 @dataclass(frozen=True)
@@ -594,11 +605,8 @@ def in_budget_set(model: MarketModel, x: RandomVariable, alpha) -> bool:
         raise ContractViolation("budget level must be >= 0")
     if not x.is_nonneg:
         return False
-    gains = [g for g in _built(model, _gains).values() if any(g)]
-    rows = [[g[i] for g in gains] for i in range(len(model.space))]
-    rhs = [v - alpha for v in x.values]
-    problem = lp.LpProblem([_ZERO] * len(gains), rows, [">="] * len(rows), rhs,
-                           lower=[None] * len(gains))
+    _, problem = _budget_problem(model, [_ZERO] * len(x.values),
+                                 [v - alpha for v in x.values])
     return lp.feasible(problem)
 
 
@@ -660,35 +668,62 @@ def check_na1(model: MarketModel) -> bool:
     return True
 
 
-def _budget_ceiling_problem(model: MarketModel, objective_weights) -> lp.LpProblem:
-    # variables: x_1..x_n >= 0, then free strategy coefficients
-    gains = [g for g in _built(model, _gains).values() if any(g)]
-    n = len(model.space)
-    E = len(gains)
-    rows, rhs = [], []
-    for i in range(n):
-        row = [_ZERO] * n + [-g[i] for g in gains]
-        row[i] = _ONE
-        rows.append(row)
-        rhs.append(_ONE)
-    objective = list(objective_weights) + [_ZERO] * E
-    return lp.LpProblem(objective, rows, ["<="] * n, rhs,
-                        lower=[_ZERO] * n + [None] * E)
+def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProblem]:
+    """ℬ_α's one LP form: maximize Σ_i weights_i·gain(ξ)_i over free
+    coefficients ξ, one per nonzero elementary gain, subject to
+    gain(ξ)_i ≥ rhs_i on every outcome i.  With rhs x − α it asks whether
+    x ∈ ℬ_α; with rhs −1 it is the budget ceiling of ℬ₁, whose maximal
+    points are 1 + gain(ξ).  Each row's rhs −1 is flipped to a ``<=`` row
+    with rhs 1, so that LP starts on a slack basis and has no phase one.
+    Returns the coefficients' ``_gains`` keys, in column order, and the LP."""
+    gains = {key: g for key, g in _built(model, _gains).items() if any(g)}
+    columns = list(gains.values())
+    rows = [[g[i] for g in columns] for i in range(len(model.space))]
+    # membership has no objective: its zero weights skip a dot per column
+    objective = [dot(weights, g) for g in columns] if any(weights) else [_ZERO] * len(columns)
+    problem = lp.LpProblem(objective, rows, [">="] * len(rows), rhs, lower=[None] * len(columns))
+    return list(gains), problem
 
 
 def check_nupbr(model: MarketModel) -> bool:
-    """Boundedness of the unit budget set {x ≥ 0 : x ≤ 1 + gain}, by LP."""
-    outcome = lp.solve(_budget_ceiling_problem(model, [_ONE] * len(model.space)))
-    return outcome.status == lp.OPTIMAL
+    """Boundedness of the unit budget set {x ≥ 0 : x ≤ 1 + gain}: whether
+    the total Σ_i gain(ξ)_i is bounded over gain(ξ) ≥ −1, by one LP.
+
+    The verdict is certified from that solve.  An unbounded LP's ray is a
+    strategy with gain ≥ 0 whose total is positive, an arbitrage, checked
+    as ``check_na`` checks one.  An optimal LP's duals y ≤ 0 on the rows
+    satisfy Σ_i (1 − y_i)·g_i = 0 for every gain g, so the weights 1 − y ≥ 1,
+    normalized, are an EMM, checked as ``find_emm`` checks one; and a
+    market with an EMM has a bounded budget set.
+    """
+    n = len(model.space)
+    keys, problem = _budget_problem(model, [_ONE] * n, [-_ONE] * n)
+    outcome = lp.solve(problem)
+    if outcome.status == lp.UNBOUNDED:
+        _verified_arbitrage(model, Strategy(zip(keys, outcome.ray)))
+        return False
+    if outcome.status != lp.OPTIMAL:  # ξ = 0 is feasible
+        raise InternalInconsistency("budget LP cannot be infeasible",
+                                    model=model, outcome=outcome)
+    weights = [_ONE - y for y in outcome.dual]
+    total = sum(weights)
+    # a zero total cannot be normalized: left as it is, Measure rejects it
+    _verified_emm(model, [w / total for w in weights] if total else weights)
+    return True
 
 
 def emm_budget(model: MarketModel, measure: Measure) -> Price:
-    """sup of E_Q over the unit budget set; exactly 1 when Q is an EMM."""
+    """sup of E_Q over the unit budget set; exactly 1 when Q is an EMM.
+
+    Q is equivalent, so the supremum is attained at 1 + gain(ξ): it is
+    1 + max E_Q[gain(ξ)] over gain(ξ) ≥ −1, the budget ceiling LP weighted
+    by Q, and +inf when that LP is unbounded."""
     if measure.space != model.space:
         raise StructureError("measure on a different sample space")
     if not measure.is_equivalent:
         raise ContractViolation("budget bound requires an equivalent measure")
-    outcome = lp.solve(_budget_ceiling_problem(model, measure.weights))
+    _, problem = _budget_problem(model, measure.weights, [-_ONE] * len(model.space))
+    outcome = lp.solve(problem)
     if outcome.status == lp.OPTIMAL:
-        return outcome.objective_value
+        return _ONE + outcome.objective_value
     return math.inf

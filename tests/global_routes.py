@@ -8,9 +8,11 @@ On a one-period market both build the same LP row for row.
 random variable per (t, asset, cell).  ``check_na1`` prices every outcome
 indicator through the library's own ``superreplication_price``, the way
 ``noarb.market`` decided NA₁ before it read it off one-step child-indicator
-prices.  The tests run these against the library's routes: they must agree
-on every verdict and price.  Witnesses are checked here by direct
-substitution, as in the library.
+prices.  ``budget_ceiling`` is the unit budget set's LP with a variable per
+outcome, the form ``noarb.market`` posed NUPBR and the budget bound in
+before it solved over the strategy coefficients alone.  The tests run these
+against the library's routes: they must agree on every verdict and price.
+Witnesses are checked here by direct substitution, as in the library.
 """
 
 from __future__ import annotations
@@ -174,6 +176,28 @@ def check_na1(model) -> bool:
         if not market.superreplication_price(model, e).price > 0:
             return False
     return True
+
+
+def budget_ceiling(model, weights):
+    """sup Σ_i weights_i·x_i over the unit budget set, by the LP over
+    x_1..x_n ≥ 0 and free strategy coefficients ξ with x_i − gain(ξ)_i ≤ 1:
+    the optimum, or +inf when the LP is unbounded."""
+    gains = _nonzero_gains(model)
+    n = len(model.space)
+    E = len(gains)
+    rows = []
+    for i in range(n):
+        row = [_ZERO] * n + [-g.vector.values[i] for g in gains]
+        row[i] = _ONE
+        rows.append(row)
+    problem = lp.LpProblem(list(weights) + [_ZERO] * E, rows, ["<="] * n, [_ONE] * n,
+                           lower=[_ZERO] * n + [None] * E)
+    outcome = lp.solve(problem)
+    if outcome.status == lp.UNBOUNDED:
+        return math.inf
+    if outcome.status != lp.OPTIMAL:
+        raise InternalInconsistency("budget LP cannot be infeasible", model=model)
+    return outcome.objective_value
 
 
 def full_verdict(model) -> ConceptVerdicts:

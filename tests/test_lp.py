@@ -362,7 +362,7 @@ def test_pivot_path_digest(monkeypatch):
 
 
 SEEDED_DIGEST = "58e0f74769c8baddc392be57e5fd68f3d32c2c01e9c02ef4087c2738bc69a4ce"
-CORPUS_DIGEST = "35c8a17bf6faef89955cd74fa9a36b86d4b5bc548d54b75632c18df582d19954"
+CORPUS_DIGEST = "f896e9b109c3b50666292c098f3f41737944c876b534216fd36dc35566464b95"
 
 
 def exact_steps(monkeypatch):

@@ -25,6 +25,7 @@ from noarb.market import (
     emm_budget,
     find_emm,
     in_budget_set,
+    is_martingale_measure,
     martingale_residuals,
     payoff_cone,
     superreplication_price,
@@ -34,6 +35,8 @@ from noarb.market import (
 import global_routes
 import oracles
 from conftest import additive_tree, crr_tree, one_period_model, trinomial_tree
+
+DATA = Path(__file__).parent / "data"
 
 
 # --- filtration and model validation ---------------------------------------
@@ -257,6 +260,36 @@ def test_na1_nupbr_dominance(dominance):
 def test_na1_nupbr_constant(constant_market):
     assert check_na1(constant_market)
     assert check_nupbr(constant_market)
+
+
+def _data_markets():
+    return [load_market(path.read_text()) for path in sorted(DATA.glob("*.json"))
+            if path.name != "truncated.json" and "filtration" in path.read_text()]
+
+
+def test_budget_routes_match_the_outcome_variable_lp():
+    """NUPBR and the budget bound, over the strategy coefficients alone,
+    equal the unit budget set's LP with a variable per outcome: on the first
+    300 seed-0 markets, CRR trees with T = 2..5 and every market file."""
+    models = seed0_markets(300) + [crr_tree(T)[0] for T in range(2, 6)] + _data_markets()
+    assert len(models) == 309
+    rng = random.Random(22)
+    compared = finite = 0
+    for model in models:
+        n = len(model.space)
+        assert check_nupbr(model) == (global_routes.budget_ceiling(model, [1] * n) != math.inf)
+        weights = [F(rng.randint(1, 9)) for _ in range(n)]
+        measures = [Measure(model.space, [w / sum(weights) for w in weights])]
+        assert not is_martingale_measure(model, measures[0])  # seeded, and no EMM
+        emm = find_emm(model).measure
+        if emm is not None:
+            measures.append(emm)
+        for q in measures:
+            bound = emm_budget(model, q)
+            assert bound == global_routes.budget_ceiling(model, q.weights)
+            compared += 1
+            finite += bound != math.inf
+    assert (compared, finite) == (366, 114)
 
 
 @pytest.mark.parametrize("T", [5, 6, 7])
@@ -917,7 +950,6 @@ def test_input_validation_raises(call, error, message, binomial):
         call(binomial)
 
 
-DATA = Path(__file__).parent / "data"
 BINOMIAL_FILE, CALL_FILE = DATA / "binomial.json", DATA / "call_payoff.json"
 
 
@@ -931,6 +963,14 @@ def _swapped_weights(out):
 
 def _shifted_holding(out):
     return dataclasses.replace(out, primal=(out.primal[0], out.primal[1] + 1))
+
+
+def _lowered_dual(out):
+    return dataclasses.replace(out, dual=(out.dual[0] - 1, *out.dual[1:]))
+
+
+def _negated_ray_entry(out):
+    return dataclasses.replace(out, ray=(-out.ray[0], *out.ray[1:]))
 
 
 def _call_price(model):
@@ -948,12 +988,29 @@ def _call_price(model):
     # the call's hedge holds 2/3 of S; 5/3 loses on the down move
     (_call_price, ["price", BINOMIAL_FILE, CALL_FILE], _shifted_holding,
      "superreplication hedge failed re-verification"),
-], ids=["na-status", "emm-primal", "price-status", "price-hedge"])
+    # NUPBR's verdict is certified from its own solve, either way: the budget
+    # LP is optimal on binomial and two_period, where 1 − y is then no
+    # longer a martingale measure, and unbounded on the other two, where the
+    # ray is then no longer an arbitrage
+    (check_nupbr, ["check", "nupbr", BINOMIAL_FILE], _with_status(lp.INFEASIBLE),
+     "budget LP cannot be infeasible"),
+    (check_nupbr, ["check", "nupbr", BINOMIAL_FILE], _lowered_dual,
+     "martingale measure failed re-verification"),
+    (check_nupbr, ["check", "nupbr", DATA / "two_period.json"], _lowered_dual,
+     "martingale measure failed re-verification"),
+    (check_nupbr, ["check", "nupbr", DATA / "dominance.json"], _negated_ray_entry,
+     "arbitrage witness failed re-verification"),
+    (check_nupbr, ["check", "nupbr", DATA / "two_period_arbitrage.json"], _negated_ray_entry,
+     "arbitrage witness failed re-verification"),
+], ids=["na-status", "emm-primal", "price-status", "price-hedge", "nupbr-status",
+        "nupbr-dual-binomial", "nupbr-dual-two-period", "nupbr-ray-dominance",
+        "nupbr-ray-two-period"])
 def test_a_corrupted_node_lp_is_an_inconsistency(route, argv, corrupt, message,
                                                  monkeypatch, capsys):
     """A corrupted solver outcome ends in ``InternalInconsistency`` carrying
-    the market, and the CLI exits 3 with that market as a market file."""
-    model = load_market(BINOMIAL_FILE.read_text())
+    the market, the first file in ``argv``, and the CLI exits 3 with that
+    market as a market file."""
+    model = load_market(next(a for a in argv if isinstance(a, Path)).read_text())
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem)))
     with pytest.raises(InternalInconsistency, match=message) as caught:
