@@ -31,7 +31,7 @@ space = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 
 # a cone of achievable payoffs: multiples of (1, -1), minus anything nonnegative
 g = space.variable([1, -1])
-cone = PolyhedralCone(space, [g], includes_neg_orthant=True)
+cone = PolyhedralCone(space, [g])
 
 # separate the direction (1, 1): positive weights, nonpositive on the cone
 f = separate_at(cone, space.variable([1, 1]))

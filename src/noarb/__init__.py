@@ -17,7 +17,7 @@ from .cones import (
     sup_squared_norm,
     zero_set_trivial,
 )
-from .errors import ContractViolation, InternalInconsistency, StructureError
+from .errors import InternalInconsistency, StructureError
 from .lab import (
     CounterexampleReport,
     LemmaSuiteReport,

@@ -30,7 +30,7 @@ import sys
 
 from . import lab
 from .concepts import full_verdict
-from .errors import ContractViolation, InternalInconsistency, StructureError
+from .errors import InternalInconsistency, StructureError
 from .fileio import dump_market, load_cone, load_market, load_payoff, values_by_outcome
 from .lattice import RandomVariable
 from .market import (
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
         return exc.code
     try:  # the command function is looked up per call, not held by the parser
         report, lines = globals()[f"cmd_{args.command}"](args)
-    except (StructureError, ContractViolation) as exc:
+    except StructureError as exc:
         print(f"noarb: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalInconsistency as exc:

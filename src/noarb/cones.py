@@ -3,8 +3,8 @@
 Two finite generator representations cover all the set machinery this
 library needs:
 
-* ``PolyhedralCone`` is the conic hull of finitely many generators,
-  optionally widened by subtracting the whole nonnegative orthant.
+* ``PolyhedralCone`` is the conic hull of finitely many generators minus
+  the nonnegative orthant, 𝒦 − V₊: the set on which NA is stated.
 * ``SemiSolidSet`` is the downward closure, within the nonnegative orthant,
   of all sub-convex combinations of finitely many nonnegative generators
   (``x ≥ 0`` with ``x ≤ Σ λ_g·g``, ``λ ≥ 0``, ``Σ λ_g ≤ 1``).  Such a set is
@@ -34,25 +34,22 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class PolyhedralCone:
-    """Conic hull of ``generators``; subtracts the orthant when flagged.
+    """Conic hull of ``generators`` minus the nonnegative orthant.
 
-    The represented set is {Σ λ_g·g : λ ≥ 0}, minus {w ≥ 0} when
-    ``includes_neg_orthant`` is set.  Zero generators are legal and harmless.
+    The represented set is {Σ λ_g·g − w : λ ≥ 0, w ≥ 0}, so it always
+    contains −V₊.  Zero generators are legal and harmless.
     """
 
     space: SampleSpace
     generators: tuple[RandomVariable, ...]
-    includes_neg_orthant: bool = False
 
-    def __init__(self, space: SampleSpace, generators: Sequence[RandomVariable],
-                 includes_neg_orthant: bool = False) -> None:
+    def __init__(self, space: SampleSpace, generators: Sequence[RandomVariable]) -> None:
         gens = tuple(generators)
         for g in gens:
             if g.space != space:
                 raise StructureError("cone generator on a different sample space")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "includes_neg_orthant", bool(includes_neg_orthant))
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,11 @@ def _check_space(container, x: RandomVariable) -> None:
 
 
 def cone_member(cone: PolyhedralCone, x: RandomVariable) -> bool:
-    """Decide x = Σ λ_g·g − w with λ ≥ 0 and w ≥ 0 (w = 0 without the orthant):
-    Σ λ_g·g ≥ x for the widened cone, Σ λ_g·g = x otherwise."""
+    """Decide x = Σ λ_g·g − w with λ ≥ 0 and w ≥ 0, that is Σ λ_g·g ≥ x."""
     _check_space(cone, x)
     gens = cone.generators
     rows = [[g.values[i] for g in gens] for i in range(len(cone.space))]
-    rel = ">=" if cone.includes_neg_orthant else "=="
-    problem = lp.LpProblem([0] * len(gens), rows, [rel] * len(rows), list(x.values))
+    problem = lp.LpProblem([0] * len(gens), rows, [">="] * len(rows), list(x.values))
     return lp.feasible(problem)
 
 

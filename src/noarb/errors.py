@@ -2,11 +2,8 @@
 
 
 class StructureError(ValueError):
-    """Malformed input: bad dimensions, mismatched sample spaces, invalid data."""
-
-
-class ContractViolation(ValueError):
-    """An operation was called outside its documented precondition."""
+    """Malformed input: bad dimensions, mismatched sample spaces, invalid
+    data, or a call outside an operation's documented precondition."""
 
 
 class InternalInconsistency(RuntimeError):

@@ -217,7 +217,7 @@ def load_payoff(text: str, model: MarketModel, name: str = "<input>") -> RandomV
 
 def load_cone(text: str, name: str = "<input>") -> PolyhedralCone:
     doc = _expect(parse_json(text, name), dict, "$")
-    _keys(doc, ("outcomes", "generators", "includes_neg_orthant"), "$")
+    _keys(doc, ("outcomes", "generators"), "$")
     space = _load_space(doc)
     generators = []
     for g, vec in enumerate(_get(doc, "generators", list, "$")):
@@ -229,10 +229,7 @@ def load_cone(text: str, name: str = "<input>") -> PolyhedralCone:
                                  f"$.generators[{g}][{i}]")
                   for i, raw in enumerate(vec)]
         generators.append(RandomVariable(space, values))
-    include = doc.get("includes_neg_orthant", True)
-    if not isinstance(include, bool):
-        _fail("$.includes_neg_orthant", "expected a boolean")
-    return PolyhedralCone(space, generators, includes_neg_orthant=include)
+    return PolyhedralCone(space, generators)
 
 
 def values_by_outcome(x: RandomVariable) -> dict:

@@ -56,7 +56,7 @@ from typing import Optional, Sequence, Union
 
 from . import lp
 from .cones import PolyhedralCone
-from .errors import ContractViolation, InternalInconsistency, StructureError
+from .errors import InternalInconsistency, StructureError
 from .lattice import Measure, RandomVariable, SampleSpace
 from .rationals import as_fraction, dot, to_integers
 
@@ -250,7 +250,7 @@ def payoff_cone(model: MarketModel) -> PolyhedralCone:
     for values in _built(model, _gains).values():
         gain = RandomVariable(model.space, values)
         gens += [gain, -gain]
-    return PolyhedralCone(model.space, gens, includes_neg_orthant=True)
+    return PolyhedralCone(model.space, gens)
 
 
 @dataclass(frozen=True)
@@ -551,7 +551,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     if payoff.space != model.space:
         raise StructureError("payoff on a different sample space")
     if not payoff.is_nonneg:
-        raise ContractViolation("superreplication expects a nonnegative payoff")
+        raise StructureError("superreplication expects a nonnegative payoff")
     parts = model.filtration.partitions
     prices: list[list[Price]] = [[_ZERO] * len(cells) for cells in parts]
     prices[-1] = list(payoff.values)  # the cells at T are the outcomes, in order
@@ -602,7 +602,7 @@ def in_budget_set(model: MarketModel, x: RandomVariable, alpha) -> bool:
         raise StructureError("point on a different sample space")
     alpha = as_fraction(alpha)
     if alpha < 0:
-        raise ContractViolation("budget level must be >= 0")
+        raise StructureError("budget level must be >= 0")
     if not x.is_nonneg:
         return False
     _, problem = _budget_problem(model, [_ZERO] * len(x.values),
@@ -721,7 +721,7 @@ def emm_budget(model: MarketModel, measure: Measure) -> Price:
     if measure.space != model.space:
         raise StructureError("measure on a different sample space")
     if not measure.is_equivalent:
-        raise ContractViolation("budget bound requires an equivalent measure")
+        raise StructureError("budget bound requires an equivalent measure")
     _, problem = _budget_problem(model, measure.weights, [-_ONE] * len(model.space))
     outcome = lp.solve(problem)
     if outcome.status == lp.OPTIMAL:

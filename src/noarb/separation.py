@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import lp
 from .cones import PolyhedralCone
-from .errors import ContractViolation, InternalInconsistency, StructureError
+from .errors import InternalInconsistency, StructureError
 from .lattice import Measure, RandomVariable
 from .rationals import dot
 
@@ -36,15 +36,21 @@ class StrictSeparation:
     violating: Optional[RandomVariable] = None
 
 
-def _require_widened(cone: PolyhedralCone) -> None:
-    if not cone.includes_neg_orthant:
-        raise StructureError(
-            "separation requires a cone that already contains the negative orthant")
-
-
 def _is_separating(cone: PolyhedralCone, coefficients: tuple[Fraction, ...]) -> bool:
     return (all(c >= 0 for c in coefficients)
             and all(dot(coefficients, g.values) <= 0 for g in cone.generators))
+
+
+def _dominates(cone: PolyhedralCone, multipliers: tuple[Fraction, ...],
+               target: RandomVariable) -> bool:
+    """Σ_g μ_g·g ≥ target on every outcome with μ ≥ 0: the target is that
+    cone point minus a nonnegative vector, so it lies in the cone."""
+    if any(m < 0 for m in multipliers):
+        return False
+    used = [(m, g.values) for m, g in zip(multipliers, cone.generators) if m]
+    weights = [m for m, _ in used]
+    return all(dot(weights, [values[i] for _, values in used]) >= t
+               for i, t in enumerate(target.values))
 
 
 def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[RandomVariable]:
@@ -53,13 +59,14 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
     in the (closed) cone.
 
     Positivity comes for free because the cone contains −V₊, but it is
-    enforced as a variable bound and re-checked on the way out.
+    enforced as a variable bound and re-checked on the way out.  A None is
+    checked too: at optimum 0 the generator rows' duals μ ≥ 0 satisfy
+    Σ_g μ_g·g ≥ target, a cone point that dominates the target.
     """
-    _require_widened(cone)
     if target.space != cone.space:
         raise StructureError("target on a different sample space")
     if not target.is_nonneg or target.is_zero:
-        raise ContractViolation("separation target must be nonnegative and nonzero")
+        raise StructureError("separation target must be nonnegative and nonzero")
     rows = [list(g.values) for g in cone.generators]
     rels = ["<="] * len(rows)
     rhs = [_ZERO] * len(rows)
@@ -72,6 +79,9 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
         raise InternalInconsistency("separation LP must have optimum 0 or 1",
                                     cone=cone, target=target, outcome=outcome)
     if outcome.objective_value == 0:
+        if not _dominates(cone, outcome.dual[:-1], target):
+            raise InternalInconsistency("dominating cone point failed re-verification",
+                                        cone=cone, target=target, outcome=outcome)
         return None
     if outcome.objective_value != 1:
         raise InternalInconsistency("separation LP produced a value other than 0 or 1",
@@ -93,7 +103,6 @@ def strict_separator(cone: PolyhedralCone) -> StrictSeparation:
     is.  The first indicator that cannot be separated is returned as the
     violating direction (it lies inside the cone).
     """
-    _require_widened(cone)
     parts = []
     for e in cone.space.indicators():
         separator = separate_at(cone, e)
@@ -113,7 +122,6 @@ def strict_separator_exists(cone: PolyhedralCone) -> bool:
     the separators used, each scaled to unit mass, is checked to be
     equivalent and separating, as ``strict_separator`` checks its average.
     """
-    _require_widened(cone)
     parts: list[RandomVariable] = []
     for i, e in enumerate(cone.space.indicators()):
         if any(f.values[i] > 0 for f in parts):

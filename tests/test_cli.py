@@ -440,15 +440,17 @@ def test_console_entry_point_via_module():
     assert proc.stdout == (GOLDEN / "check_all_binomial.json").read_text()
 
 
-def test_a_non_boolean_orthant_flag_exits_2(tmp_path, capsys):
-    cone = json.loads((DATA / "cone_with_gen.json").read_text())
-    cone["includes_neg_orthant"] = "yes"
-    path = tmp_path / "cone.json"
-    path.write_text(json.dumps(cone))
-    assert main(["--json", "separate", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "$.includes_neg_orthant: expected a boolean" in captured.err
+def test_an_orthant_flag_is_an_unknown_key(tmp_path, capsys):
+    # every cone contains −V₊, so a cone file has no flag to set
+    for flag in (True, "yes"):
+        cone = json.loads((DATA / "cone_with_gen.json").read_text())
+        cone["includes_neg_orthant"] = flag
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(cone))
+        assert main(["--json", "separate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "$.includes_neg_orthant: unknown key" in captured.err
 
 
 def _colliding_market(ids=("a+b", "a", "b"), name="S"):

@@ -23,16 +23,10 @@ TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 
 
 def test_cone_membership_examples():
-    cone = PolyhedralCone(TWO, [TWO.variable([1, -1])], includes_neg_orthant=True)
+    cone = PolyhedralCone(TWO, [TWO.variable([1, -1])])
     assert cone_member(cone, TWO.variable([1, -2]))      # λ=1, w=(0,1)
     assert not cone_member(cone, TWO.variable([1, 0]))   # Farkas-backed "no"
     assert cone_member(cone, TWO.zero())
-
-
-def test_cone_without_orthant_is_strict():
-    cone = PolyhedralCone(TWO, [TWO.variable([1, -1])])
-    assert cone_member(cone, TWO.variable([2, -2]))
-    assert not cone_member(cone, TWO.variable([1, -2]))
 
 
 def test_semisolid_membership_examples():
@@ -170,19 +164,16 @@ def test_gauge_values_on_and_off_the_set(scale):
 
 def cone_member_reference(cone, x):
     """x = Σ λ_g·g − w as equality rows, with w ≥ 0 as n extra columns, a −I
-    block, when the cone is widened: the formulation ``cone_member`` states
-    as ``>=`` rows."""
+    block: the formulation ``cone_member`` states as ``>=`` rows."""
     n, gens = len(cone.space), cone.generators
-    extra = n if cone.includes_neg_orthant else 0
-    rows = [[g.values[i] for g in gens] + [F(-1) if k == i else F(0) for k in range(extra)]
+    rows = [[g.values[i] for g in gens] + [F(-1) if k == i else F(0) for k in range(n)]
             for i in range(n)]
-    return lp.feasible(lp.LpProblem([0] * (len(gens) + extra), rows, ["=="] * n,
+    return lp.feasible(lp.LpProblem([0] * (len(gens) + n), rows, ["=="] * n,
                                     list(x.values)))
 
 
-@pytest.mark.parametrize("widened", [True, False])
-def test_cone_member_matches_the_identity_block_reference(widened):
-    rng = random.Random(19 + widened)
+def test_cone_member_matches_the_identity_block_reference():
+    rng = random.Random(20)
     verdicts = []
     for _ in range(400):
         space = SampleSpace.uniform(rng.randint(1, 4))
@@ -191,15 +182,14 @@ def test_cone_member_matches_the_identity_block_reference(widened):
             return [F(rng.randint(lo, 4), rng.randint(1, 3)) for _ in space.outcomes]
 
         gens = [RandomVariable(space, vector(-4)) for _ in range(rng.randint(0, 4))]
-        cone = PolyhedralCone(space, gens, includes_neg_orthant=widened)
+        cone = PolyhedralCone(space, gens)
         if rng.random() < 0.5:  # any point
             x = RandomVariable(space, vector(-4))
         else:  # a member
             lam = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in gens]
             top = [sum([l * g.values[i] for l, g in zip(lam, gens)], F(0))
                    for i in range(len(space))]
-            w = vector(0) if widened else [F(0)] * len(space)
-            x = RandomVariable(space, [t - v for t, v in zip(top, w)])
+            x = RandomVariable(space, [t - v for t, v in zip(top, vector(0))])
         verdict = cone_member(cone, x)
         assert verdict == cone_member_reference(cone, x), (cone, x)
         verdicts.append(verdict)

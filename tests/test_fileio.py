@@ -130,7 +130,6 @@ def test_payoff_loading():
 
 def test_cone_loading():
     cone = fileio.load_cone(read("cone_with_gen.json"))
-    assert cone.includes_neg_orthant
     assert cone.generators[0].values == (F(1), F(-1))
     with pytest.raises(StructureError, match=r"\$\.generators\[0\]"):
         fileio.load_cone('{"outcomes": [{"id": "a", "prob": "1"}], "generators": [["1", "2"]]}')

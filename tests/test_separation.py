@@ -6,7 +6,7 @@ import pytest
 
 from noarb import lp, separation
 from noarb.cones import PolyhedralCone, cone_member
-from noarb.errors import ContractViolation, InternalInconsistency, StructureError
+from noarb.errors import InternalInconsistency, StructureError
 from noarb.lattice import Measure, SampleSpace
 from noarb.market import find_emm, is_martingale_measure, payoff_cone
 from noarb.rationals import dot
@@ -19,7 +19,8 @@ THREE = SampleSpace(["a", "b", "c"], [F(1, 3)] * 3)
 
 
 def orthant_cone(space, generators=()):
-    return PolyhedralCone(space, list(generators), includes_neg_orthant=True)
+    """The generators' cone minus V₊, which every ``PolyhedralCone`` is."""
+    return PolyhedralCone(space, list(generators))
 
 
 def test_separating_the_orthant_alone():
@@ -46,12 +47,8 @@ def test_target_inside_cone_returns_none():
 
 def test_separate_contract_checks():
     with pytest.raises(StructureError):
-        separate_at(PolyhedralCone(TWO, []), TWO.indicator("a"))
-    with pytest.raises(StructureError):
-        strict_separator_exists(PolyhedralCone(TWO, []))
-    with pytest.raises(ContractViolation):
         separate_at(orthant_cone(TWO), TWO.zero())
-    with pytest.raises(ContractViolation):
+    with pytest.raises(StructureError):
         separate_at(orthant_cone(TWO), TWO.variable([1, -1]))
 
 
@@ -188,21 +185,39 @@ def test_input_validation_raises(call, message):
         call()
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (lambda out: dataclasses.replace(out, status=lp.UNBOUNDED),
+SLOPE = [TWO.variable([1, -1])]  # indicator a is separated, by (1, 1)
+INSIDE = [TWO.indicator("a")]  # indicator a lies in the cone: μ = 1 on its row
+
+
+def _dual(corrupt):
+    return lambda out: dataclasses.replace(out, dual=corrupt(out.dual))
+
+
+@pytest.mark.parametrize("generators, corrupt, message", [
+    (SLOPE, lambda out: dataclasses.replace(out, status=lp.UNBOUNDED),
      "separation LP must have optimum 0 or 1"),
-    (lambda out: dataclasses.replace(out, objective_value=F(1, 2)),
+    (SLOPE, lambda out: dataclasses.replace(out, objective_value=F(1, 2)),
      "separation LP produced a value other than 0 or 1"),
-    (lambda out: dataclasses.replace(out, primal=(out.primal[0] + 1, *out.primal[1:])),
+    (SLOPE, lambda out: dataclasses.replace(out, primal=(out.primal[0] + 1, *out.primal[1:])),
      "separator failed re-verification"),
     # still separating, but 2 at the target
-    (lambda out: dataclasses.replace(out, primal=tuple(2 * v for v in out.primal)),
+    (SLOPE, lambda out: dataclasses.replace(out, primal=tuple(2 * v for v in out.primal)),
      "separator failed re-verification"),
-], ids=["status", "objective", "primal", "doubled"])
-def test_a_corrupted_separation_lp_is_an_inconsistency(corrupt, message, monkeypatch):
+    # at optimum 0 the generator rows' duals must show the target in the cone
+    (INSIDE, _dual(lambda dual: (F(0),) * len(dual)),
+     "dominating cone point failed re-verification"),
+    (INSIDE, _dual(lambda dual: (-dual[0], *dual[1:])),
+     "dominating cone point failed re-verification"),
+    # -1·a - 2·(-a) = a dominates the target, but μ < 0 is no cone point
+    (INSIDE + [-INSIDE[0]], _dual(lambda dual: (F(-1), F(-2), dual[-1])),
+     "dominating cone point failed re-verification"),
+], ids=["status", "objective", "primal", "doubled", "zero-duals", "negated-dual",
+        "negative-duals-that-dominate"])
+def test_a_corrupted_separation_lp_is_an_inconsistency(generators, corrupt, message,
+                                                       monkeypatch):
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem)))
-    cone = orthant_cone(TWO, [TWO.variable([1, -1])])
+    cone = orthant_cone(TWO, generators)
     with pytest.raises(InternalInconsistency, match=message) as caught:
         separate_at(cone, TWO.indicator("a"))
     assert caught.value.data["cone"] == cone
