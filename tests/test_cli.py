@@ -36,6 +36,9 @@ CASES = [
     ("price_two_period_basket", 0,
      ["price", str(DATA / "two_period.json"), str(DATA / "basket_payoff.json")]),
     ("check_na_two_period", 1, ["check", "na", str(DATA / "two_period_arbitrage.json")]),
+    ("check_na1_two_period", 0, ["check", "na1", str(DATA / "two_period.json")]),
+    ("check_na1_two_period_arbitrage", 1,
+     ["check", "na1", str(DATA / "two_period_arbitrage.json")]),
     ("check_nupbr_two_period", 0, ["check", "nupbr", str(DATA / "two_period.json")]),
     ("check_nupbr_two_period_arbitrage", 1,
      ["check", "nupbr", str(DATA / "two_period_arbitrage.json")]),
