@@ -321,7 +321,7 @@ class _Simplex:
                 continue
             col = self.ident_col[k]
             yk = self.col_scale[col] * (d * costs[col] - z[col])
-            y.append(Fraction(-yk if self.flipped[k] != negate else yk, den))
+            y.append(Fraction(-yk if self.flipped[k] != negate else yk, den) if yk else _ZERO)
         return tuple(y)
 
     def _structural_point(self) -> list[int]:
@@ -346,8 +346,8 @@ class _Simplex:
 
     def _to_original(self, xs) -> tuple[Fraction, ...]:
         d = self.d
-        return tuple([Fraction(xs[pc] - xs[nc] if nc is not None else xs[pc], d)
-                      for pc, nc in self.col_pairs])
+        values = [xs[pc] - xs[nc] if nc is not None else xs[pc] for pc, nc in self.col_pairs]
+        return tuple([Fraction(v, d) if v else _ZERO for v in values])
 
 
 def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[int]:

@@ -635,36 +635,61 @@ def check_na1(model: MarketModel) -> bool:
       product, along ω's path, of π_v(1_c) for the child c the path takes:
       a product of positive numbers.
 
-    The LP for 1_c has rows α + holdings·increment_j ≥ 1{j=c}.  By weak
-    duality π_v(1_c′) ≥ y_c′ for every child c′ and every such dual y, so a
-    child on which an earlier dual is positive needs no LP of its own.  A
-    node with no moving asset prices every child indicator at exactly 1 and
-    needs none, and neither does a node that is not its own representative
-    (``node.market``): its indicator prices are the representative's, since
-    rescaling holdings by ``ratio`` maps one's hedges onto the other's.
-    Every solve is checked by substitution with ``lp.check_outcome``: its
-    primal must superhedge, an unbounded LP's ray must lower α while
-    superhedging 0, and an optimal LP's α must equal the optimum and its
-    dual must be a martingale measure whose weight at c equals the optimum.
-    An infeasible LP is an inconsistency, since α = 1 with no holdings is
-    always feasible.
+    Each child's indicator is posed shifted by cash, as 1_c − 1: value 0 at
+    c and −1 at every other child.  α is free, so π_v(1_c) = 1 + π_v(1_c − 1),
+    and the indicator fails exactly when that LP's optimum is ≤ −1 or it is
+    unbounded; every row starts on its slack, so the LP has no phase one.
+    By weak duality π_v(1_c′) ≥ y_c′ for every child c′ and every dual y of
+    these LPs, so a child on which an earlier dual is positive needs no LP
+    of its own.  A node with no moving asset prices every child indicator
+    at exactly 1 and needs none, and neither does a node that is not its
+    own representative (``node.market``): its indicator prices are the
+    representative's, since rescaling holdings by ``ratio`` maps one's
+    hedges onto the other's.
+
+    The verdict is certified from the solves, without trusting ``lp``.  A
+    failing LP's holdings h are a node arbitrage, checked as ``check_na``
+    checks one: an optimum α ≤ −1 gives h·Δ_j ≥ 1{j=c} − 1 − α ≥ 1{j=c},
+    and an unbounded LP's ray lowers α while keeping every row, so its
+    holdings gain more than 0 on every child.  A node that passes must have
+    the mean ȳ of the duals it used strictly positive, summing to 1, and
+    with Σ_j ȳ_j·Δ_j = 0 for every moving asset: a strictly positive
+    martingale measure on its children, which by weak duality bounds every
+    indicator price below by ȳ_c > 0, on the representative and on every
+    node that shares it.  An infeasible LP is an inconsistency, since α = 0
+    with no holdings is always feasible.
     """
     for i, node in enumerate(_built(model, _build_nodes)):
         if node.market != i or not node.columns:
             continue
         k = len(node.children)
         covered = [False] * k
+        duals = []  # of the node's optimal LPs
         for c in range(k):
             if covered[c]:
                 continue
-            problem = _one_step_problem(node, [_ONE if j == c else _ZERO for j in range(k)])
-            outcome = lp.solve(problem)
-            if outcome.status == lp.INFEASIBLE or not lp.check_outcome(problem, outcome):
+            values = [-_ONE] * k
+            values[c] = _ZERO
+            outcome = lp.solve(_one_step_problem(node, values))
+            if outcome.status == lp.OPTIMAL and outcome.objective_value > -1:
+                duals.append(outcome.dual)
+                covered = [done or y > 0 for done, y in zip(covered, outcome.dual)]
+                continue
+            if outcome.status == lp.INFEASIBLE:
                 raise InternalInconsistency("one-step indicator price failed re-verification",
                                             model=model, node=node, outcome=outcome)
-            if outcome.status == lp.UNBOUNDED or outcome.objective_value <= 0:
-                return False
-            covered = [done or y > 0 for done, y in zip(covered, outcome.dual)]
+            # π_v(1_c) ≤ 0: the holdings of the primal, or of the ray, are an arbitrage
+            failing = outcome.primal if outcome.status == lp.OPTIMAL else outcome.ray
+            _verified_arbitrage(model, _strategy_from_coefficients([(node, failing[1:])]))
+            return False
+        # each child's dual weight, summed over the duals as integers over
+        # their lcm: len(duals)·den times the mean ȳ
+        ints, den = to_integers([y for dual in duals for y in dual])
+        total = [sum(ints[j::k]) for j in range(k)]
+        if (not all(w > 0 for w in total) or sum(total) != len(duals) * den
+                or any(dot(total, col) for col in node.columns)):
+            raise InternalInconsistency("one-step indicator price failed re-verification",
+                                        model=model, node=node, duals=duals)
     return True
 
 

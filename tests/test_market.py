@@ -522,21 +522,39 @@ def test_full_verdict_builds_the_gains_once(monkeypatch):
     assert all(a is b for a, b in zip(built, models))
 
 
-@pytest.mark.parametrize("part", ["dual", "primal", "ray"])
-def test_na1_rejects_a_corrupted_certificate(part, binomial, dominance, monkeypatch):
-    # binomial's node LPs are optimal, dominance's is unbounded
-    model = dominance if part == "ray" else binomial
+def _replaced(part, corrupt):
+    return lambda out: dataclasses.replace(out, **{part: corrupt(getattr(out, part))})
+
+
+NA1_DUAL = "one-step indicator price failed re-verification"
+NA1_HOLDINGS = "arbitrage witness failed re-verification"
+
+
+@pytest.mark.parametrize("terminal, holds, corrupt, message", [
+    # binomial's node LP is optimal and its dual is the EMM (1/3, 2/3); one
+    # entry raised by 1 weighs 2 and is no longer a martingale measure
+    ([2, F(1, 2)], True, _replaced("dual", lambda y: (y[0] + 1, *y[1:])), NA1_DUAL),
+    # S = 1 -> (2, 1) prices the up child's indicator at 0: the shifted LP's
+    # optimum is -1, and its primal holds one unit; negated, it loses on the up move
+    ([2, 1], False, _replaced("primal", lambda x: (x[0], -x[1])), NA1_HOLDINGS),
+    # dominance's node LP is unbounded; its ray's holding negated loses on both children
+    ([2, F(3, 2)], False, _replaced("ray", lambda r: (r[0], -r[1])), NA1_HOLDINGS),
+    # each of these fails one of the three conditions on the averaged dual:
+    # (1/3, 0, 2/3) solves the trinomial node's martingale rows but is not
+    # strictly positive; twice the EMM is positive and a martingale vector but
+    # weighs 2; the EMM reversed weighs 1 and is positive but no martingale
+    ([2, 1, F(1, 2)], True, _replaced("dual", lambda y: (F(1, 3), F(0), F(2, 3))), NA1_DUAL),
+    ([2, F(1, 2)], True, _replaced("dual", lambda y: tuple([2 * v for v in y])), NA1_DUAL),
+    ([2, F(1, 2)], True, _replaced("dual", lambda y: y[::-1]), NA1_DUAL),
+], ids=["dual", "primal", "ray", "dual-not-positive", "dual-doubled", "dual-reversed"])
+def test_na1_rejects_a_corrupted_certificate(terminal, holds, corrupt, message, monkeypatch):
+    """``check_na1`` reads the holdings of a failing node LP and the duals of
+    a passing node's LPs; a corrupted one raises, carrying the market."""
+    model = one_period_model(terminal)
+    assert check_na1(model) == holds
     solve = lp.solve
-
-    def corrupted(problem):
-        outcome = solve(problem)
-        if part == "dual":
-            return dataclasses.replace(outcome, dual=outcome.dual[::-1])
-        vector = getattr(outcome, part)
-        return dataclasses.replace(outcome, **{part: (vector[0] - 1, *vector[1:])})
-
-    monkeypatch.setattr(lp, "solve", corrupted)
-    with pytest.raises(InternalInconsistency) as caught:
+    monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem)))
+    with pytest.raises(InternalInconsistency, match=message) as caught:
         check_na1(model)
     assert caught.value.data["model"] == model
 
@@ -944,6 +962,40 @@ def test_a_change_of_numeraire_keeps_every_answer():
     assert (changed, priced, mapped) == (764, 106, 104)
 
 
+def _with_idle_period(model, s):
+    """The model with an idle period after t = s: the partition and every
+    price at s repeat at s + 1, so nothing is learned and nothing moves."""
+    parts = model.filtration.partitions
+    levels = [*parts[:s + 1], *parts[s:]]
+    assets = [Asset(a.name, (*a.path[:s + 1], *a.path[s:])) for a in model.assets]
+    return MarketModel(Filtration(model.space, levels), assets)
+
+
+def test_an_idle_period_keeps_every_answer():
+    # the idle period's nodes have one child each and no moving asset: they
+    # add no gain and no information, so every verdict and price stays, and
+    # the two markets have the same martingale measures
+    rng = random.Random("idle-period")
+    free = finite = 0
+    for _ in range(300):
+        model = lab.random_market(rng)
+        idle = _with_idle_period(model, rng.randint(0, model.horizon))
+        verdicts = full_verdict(model)
+        assert full_verdict(idle).as_dict() == verdicts.as_dict()
+        space = model.space
+        payoff = space.variable([rng.randint(0, 9) for _ in space.outcomes])
+        for x in [payoff, *space.indicators()]:
+            price = superreplication_price(model, x).price
+            assert superreplication_price(idle, x).price == price
+            finite += math.isfinite(price)
+        if verdicts.emm_exists:
+            assert is_martingale_measure(model, find_emm(idle).measure)
+            assert is_martingale_measure(idle, find_emm(model).measure)
+            free += 1
+    # arbitrage-free markets, and finite prices among the 300 markets' payoffs
+    assert (free, finite) == (39, 294)
+
+
 # --- every input check and every re-verification raises ----------------------
 
 THREE = SampleSpace(["a", "b", "c"], [F(1, 3)] * 3)
@@ -1019,6 +1071,12 @@ def _negated_ray_entry(out):
     return dataclasses.replace(out, ray=(-out.ray[0], *out.ray[1:]))
 
 
+def _negated_ray_holdings(out):
+    if out.ray is None:  # an earlier node's LP is optimal
+        return out
+    return dataclasses.replace(out, ray=(out.ray[0], *[-r for r in out.ray[1:]]))
+
+
 def _call_price(model):
     return superreplication_price(model, model.space.variable([1, 0]))
 
@@ -1048,9 +1106,19 @@ def _call_price(model):
      "arbitrage witness failed re-verification"),
     (check_nupbr, ["check", "nupbr", DATA / "two_period_arbitrage.json"], _negated_ray_entry,
      "arbitrage witness failed re-verification"),
+    # NA1 reads a passing node's duals and a failing node LP's holdings: the
+    # duals then no longer average to a positive martingale measure, and the
+    # holdings, negated, lose where they gained
+    (check_na1, ["check", "na1", BINOMIAL_FILE], _with_status(lp.INFEASIBLE), NA1_DUAL),
+    (check_na1, ["check", "na1", BINOMIAL_FILE], _lowered_dual, NA1_DUAL),
+    (check_na1, ["check", "na1", DATA / "two_period.json"], _lowered_dual, NA1_DUAL),
+    (check_na1, ["check", "na1", DATA / "dominance.json"], _negated_ray_holdings, NA1_HOLDINGS),
+    (check_na1, ["check", "na1", DATA / "two_period_arbitrage.json"], _negated_ray_holdings,
+     NA1_HOLDINGS),
 ], ids=["na-status", "emm-primal", "price-status", "price-hedge", "nupbr-status",
         "nupbr-dual-binomial", "nupbr-dual-two-period", "nupbr-ray-dominance",
-        "nupbr-ray-two-period"])
+        "nupbr-ray-two-period", "na1-status", "na1-dual-binomial", "na1-dual-two-period",
+        "na1-ray-dominance", "na1-ray-two-period"])
 def test_a_corrupted_node_lp_is_an_inconsistency(route, argv, corrupt, message,
                                                  monkeypatch, capsys):
     """A corrupted solver outcome ends in ``InternalInconsistency`` carrying
