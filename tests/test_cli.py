@@ -45,6 +45,8 @@ CASES = [
     ("check_all_two_period", 0, ["check", "all", str(DATA / "two_period.json")]),
     ("check_all_two_period_arbitrage", 1,
      ["check", "all", str(DATA / "two_period_arbitrage.json")]),
+    # CRR T = 3: nodes whose child prices differ only by cash and scale
+    ("price_crr3_call", 0, ["price", str(DATA / "crr3.json"), str(DATA / "crr3_call_payoff.json")]),
 ]
 
 
@@ -485,7 +487,7 @@ def test_ids_that_would_collide_in_residual_keys_exit_2(market, where, tmp_path,
 def test_emm_reports_one_residual_per_step_asset_and_cell(capsys):
     markets = [path for path in sorted(DATA.glob("*.json"))
                if path.name != "truncated.json" and "filtration" in json.loads(path.read_text())]
-    assert len(markets) == 5
+    assert len(markets) == 6
     reported = 0
     for path in markets:
         model = load_market(path.read_text())
@@ -497,4 +499,4 @@ def test_emm_reports_one_residual_per_step_asset_and_cell(capsys):
         expected = len(model.assets) * sum(len(parts[t - 1]) for t in range(1, len(parts)))
         assert len(report["martingale_residuals"]) == expected, path.name
         reported += 1
-    assert reported == 3
+    assert reported == 4

@@ -48,7 +48,7 @@ def round_trips(model):
 def test_market_round_trip_on_every_data_market():
     markets = [path.name for path in sorted((Path(__file__).parent / "data").glob("*.json"))
                if '"filtration"' in path.read_text()]
-    assert len(markets) == 5
+    assert len(markets) == 6
     for name in markets:
         assert round_trips(fileio.load_market(read(name))), name
 

@@ -271,7 +271,7 @@ def test_budget_routes_match_the_outcome_variable_lp():
     equal the unit budget set's LP with a variable per outcome: on the first
     300 seed-0 markets, CRR trees with T = 2..5 and every market file."""
     models = seed0_markets(300) + [crr_tree(T)[0] for T in range(2, 6)] + _data_markets()
-    assert len(models) == 309
+    assert len(models) == 310
     rng = random.Random(22)
     compared = finite = 0
     for model in models:
@@ -288,7 +288,7 @@ def test_budget_routes_match_the_outcome_variable_lp():
             assert bound == global_routes.budget_ceiling(model, q.weights)
             compared += 1
             finite += bound != math.inf
-    assert (compared, finite) == (366, 114)
+    assert (compared, finite) == (368, 116)
 
 
 @pytest.mark.parametrize("T", [5, 6, 7])
