@@ -40,11 +40,14 @@ Cox–Ross–Rubinstein tree moves its price by (S, −S/2), so all 2^T − 1 of
 them share one.  A positive column scaling keeps every sign and ratio that
 Bland's rule reads, so a member's own holdings LP would take the
 representative's pivots: the same status, objective and duals, with each
-asset's holdings divided by the member's ``ratio``.  Every witness, price
-and hedge is therefore what solving each node would give.  The member's
-martingale rows are the representative's scaled by positive factors, so
-the representative's conditional EMM is one of the member's, re-verified
-with the whole measure.
+asset's holdings divided by the member's ``ratio``.  Every witness is
+therefore what solving each node would give.  The member's martingale rows
+are the representative's scaled by positive factors, so the
+representative's conditional EMM is one of the member's, re-verified with
+the whole measure.  The one-step superhedging price is cash-additive and
+positively homogeneous, so ``superreplication_price`` goes further: nodes
+of one representative whose child prices are lo + s·b for one shape b
+share one solve, scaled to each node's lo and s.
 """
 
 from __future__ import annotations
@@ -343,8 +346,10 @@ def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
 def _one_step_problem(node: _Node, values) -> lp.LpProblem:
     """The node's one-step superhedging LP: minimize α over (α, holdings) with
     α + holdings·increment_j ≥ values[j] on every child j.  A child valued
-    −inf constrains nothing, so it gets no row."""
-    kept = [j for j, v in enumerate(values) if v != -math.inf]
+    −inf, the one float a price takes, constrains nothing, so it gets no
+    row; a type test tells it apart without comparing a ``Fraction`` to a
+    float."""
+    kept = [j for j, v in enumerate(values) if type(v) is not float]
     E = len(node.columns)
     rows = [[_ONE] + [col[j] for col in node.columns] for j in kept]
     return lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * len(rows),
@@ -531,6 +536,24 @@ class Superreplication:
     hedge: Optional[Strategy] = None
 
 
+def _verified_dual_bound(problem: lp.LpProblem, outcome: lp.LpOutcome, **data) -> None:
+    """Certify an optimal one-step superhedging LP from its own duals,
+    without trusting ``lp``: the duals y on the rows must be ≥ 0, sum to 1,
+    have Σ_j y_j·Δ_j = 0 for every moving asset and y·b = the optimum.  They
+    are then a martingale measure on the kept children, so every (α,
+    holdings) that superhedges b has α = Σ_j y_j·(α + holdings·Δ_j) ≥ y·b
+    (weak duality), and the optimum is the least one-step price.  Otherwise
+    ``InternalInconsistency``."""
+    y = outcome.dual
+    ints, den = to_integers(y)
+    if not (len(y) == problem.num_rows and all(w >= 0 for w in ints) and sum(ints) == den
+            and not any(dot(ints, [row[a] for row in problem.rows])
+                        for a in range(1, problem.num_vars))
+            and dot(y, problem.rhs) == outcome.objective_value):
+        raise InternalInconsistency("one-step superhedging price failed re-verification",
+                                    outcome=outcome, **data)
+
+
 def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superreplication:
     """Cheapest initial wealth whose terminal value dominates the payoff.
 
@@ -541,12 +564,30 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     where an unbounded node must still deliver from finite wealth w, the
     primal moves along the LP's ray until its α is at most w.  The price is
     −inf only when the market admits a strictly positive gain (arbitrage),
-    in which case no hedge is returned.  Nodes with the same representative
-    (``node.market``) and the same child prices share one solve, posed on
-    the representative's columns; a node holds the solve's holdings, after
-    the ray step, divided by its ``ratio``, which is what its own LP would
-    return.  Nodes with all children priced −inf and equally many moving
-    assets share one solve too: that LP has no rows.
+    in which case no hedge is returned.
+
+    Cash is free and the superhedging set is a cone, so a node's one-step
+    price is cash-additive and positively homogeneous: π(lo + s·b) =
+    lo + s·π(b) for s > 0 (Föllmer & Schied, *Stochastic Finance*, ch. 7).
+    Its LP is therefore solved once per class of nodes with the same
+    representative (``node.market``) and the same shape of child prices:
+    the finite prices as integers over their lcm, minus the least, over the
+    gcd of the differences, each −inf child kept in its place; a node's lo
+    is its least finite child price and s that gcd over the lcm.  The first
+    node of a class solves its own prices on the representative's columns,
+    so its answer is the one its own solve gives, and the class keeps the
+    optimum, α and holdings in shape units, (x − lo)/s and h/s; every node
+    of the class takes lo + s·π, lo + s·α and s·h for its own lo and s,
+    each asset's holdings divided by its ``ratio``.  An optimal class solve
+    is certified from its duals by ``_verified_dual_bound``, so every node
+    of the class is priced at its least one-step price, and each node's
+    (α, holdings) superhedges its own child prices.  Where a node's own LP
+    has several optimal vertices, or is unbounded, its own solve could end
+    elsewhere, since the cash shift lo moves the rows' right-hand sides
+    and so Bland's pivot path.  Nodes with all children priced −inf and
+    equally many moving assets share one solve: that LP has no rows.  The
+    wealth at each node is carried down the tree only when some class is
+    unbounded: an optimal node's holdings do not depend on it.
     """
     if payoff.space != model.space:
         raise StructureError("payoff on a different sample space")
@@ -556,39 +597,64 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     prices: list[list[Price]] = [[_ZERO] * len(cells) for cells in parts]
     prices[-1] = list(payoff.values)  # the cells at T are the outcomes, in order
     nodes = _built(model, _build_nodes)
-    outcomes, solved = [], {}
+    # per class, its ray (None when optimal) and its (α, holdings) in shape
+    # units as integer pairs n/d; per node, bottom-up, its class and the
+    # integers (least, g, den) that map a shape value x to (least + g·x)/den
+    classes, placed = {}, []
     for node in reversed(nodes):
         below = prices[node.t]
-        values = tuple([below[c] for c in node.children])
-        key = (node.market, values) if max(values) != -math.inf else len(node.columns)
-        outcome = solved.get(key)
-        if outcome is None:
-            outcome = solved[key] = lp.solve(_one_step_problem(nodes[node.market], values))
-        if outcome.status == lp.OPTIMAL:
-            prices[node.t - 1][node.cell] = outcome.objective_value
-        elif outcome.status == lp.UNBOUNDED:
-            prices[node.t - 1][node.cell] = -math.inf
+        values = [below[c] for c in node.children]
+        finite = [v for v in values if type(v) is not float]  # −inf is the one float
+        if finite:
+            ints, den = to_integers(finite)
+            least = min(ints)
+            g = math.gcd(*[v - least for v in ints]) or den  # equal prices: s = 1
+            shape = iter([(v - least) // g for v in ints])
+            key = (node.market, tuple([v if type(v) is float else next(shape) for v in values]))
         else:
-            raise InternalInconsistency("superreplication LP cannot be infeasible",
-                                        model=model, payoff=payoff)
-        outcomes.append(outcome)
+            key, least, g, den = len(node.columns), 0, 1, 1
+        unit = classes.get(key)
+        if unit is None:
+            problem = _one_step_problem(nodes[node.market], values)
+            outcome = lp.solve(problem)
+            if outcome.status == lp.INFEASIBLE:
+                raise InternalInconsistency("superreplication LP cannot be infeasible",
+                                            model=model, payoff=payoff)
+            alpha, *holdings = outcome.primal
+            if outcome.status == lp.OPTIMAL:
+                _verified_dual_bound(problem, outcome, model=model, payoff=payoff)
+                alpha = outcome.objective_value
+            (n, d), *holdings = [x.as_integer_ratio() for x in (alpha, *holdings)]
+            # (den·α − least)/g and den·h/g, left unreduced: each node reduces its own
+            unit = classes[key] = (outcome.ray, [(den * n - least * d, d * g),
+                                                 *[(den * n, d * g) for n, d in holdings]])
+        ray, ((n, d), *_) = unit
+        prices[node.t - 1][node.cell] = (-math.inf if ray is not None
+                                         else Fraction(least * d + g * n, den * d))
+        placed.append((unit, least, g, den))
     alpha = prices[0][0]
     if alpha == -math.inf:
         return Superreplication(price=-math.inf)
+    # a node's wealth is read only where its hedge follows a ray
+    track = any(ray is not None for ray, _ in classes.values())
     wealth = [[alpha]] + [[_ZERO] * len(cells) for cells in parts[1:]]
-    placed = []
-    for node, outcome in zip(nodes, reversed(outcomes)):
+    held = []
+    for node, (unit, least, g, den) in zip(nodes, reversed(placed)):
+        ray, ((n, d), *point) = unit
         w = wealth[node.t - 1][node.cell]
-        point = outcome.primal
-        if outcome.status == lp.UNBOUNDED:
-            s = max(_ZERO, (point[0] - w) / -outcome.ray[0])
-            point = [p + s * r for p, r in zip(point, outcome.ray)]
-        holdings = [h / r for h, r in zip(point[1:], node.ratio)]
-        placed.append((node, holdings))
-        units = [_ONE, *holdings]
-        for j, c in enumerate(node.children):
-            wealth[node.t][c] = dot(units, [w] + [col[j] for col in node.columns])
-    hedge = _strategy_from_coefficients(placed)
+        if ray is None:
+            holdings = [Fraction(g * hn * r.denominator, den * hd * r.numerator)
+                        for (hn, hd), r in zip(point, node.ratio)]
+        else:
+            step = max(_ZERO, (Fraction(least * d + g * n, den * d) - w) / -ray[0])
+            holdings = [(Fraction(g * hn, den * hd) + step * dr) / r
+                        for (hn, hd), dr, r in zip(point, ray[1:], node.ratio)]
+        held.append((node, holdings))
+        if track:
+            units = [_ONE, *holdings]
+            for j, c in enumerate(node.children):
+                wealth[node.t][c] = dot(units, [w] + [col[j] for col in node.columns])
+    hedge = _strategy_from_coefficients(held)
     value = terminal_gain(model, hedge)
     if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):
         raise InternalInconsistency("superreplication hedge failed re-verification",

@@ -5,7 +5,8 @@ library takes or returns is a ``fractions.Fraction`` (arbitrary precision,
 always lowest terms, positive denominator), and every sum of rational
 products in it is one ``dot``.  Only ``dot``, the simplex tableau inside
 ``lp``, the check that ``lattice.SampleSpace``'s probabilities and
-``lattice.Measure``'s weights sum to 1, and the node key, the martingale
+``lattice.Measure``'s weights sum to 1, and the node key, the
+superhedging price's shape key, node prices and dual check, the martingale
 residuals' cell masses and NA₁'s summed node duals in ``market`` work on
 integers over a common denominator (``to_integers``); every number they
 return is a ``Fraction``.

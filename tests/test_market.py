@@ -313,25 +313,29 @@ def call_on(model, strike=F(1)):
 
 
 def crr_call_keys(T, strike=F(1)):
-    """The distinct (call price after an up move, after a down move) over
-    the nodes of ``crr_tree(T)``, from the closed-form price with q = 1/3
-    per up move: the nodes are one market, so one superhedging LP for each."""
+    """The distinct shapes of (call price after an up move, after a down
+    move) over the nodes of ``crr_tree(T)``, from the closed-form price with
+    q = 1/3 per up move: the nodes are one market, and child prices that
+    differ by cash and a positive factor share one superhedging LP, so one
+    for each shape, (1, 0), (0, 1) or (0, 0)."""
     q = F(1, 3)
 
     def call(s, m):
         return sum(math.comb(m, j) * q ** j * (1 - q) ** (m - j)
                    * max(s * F(2) ** (2 * j - m) - strike, 0) for j in range(m + 1))
 
-    return {(call(2 * s, T - t), call(s / 2, T - t))
-            for t in range(1, T + 1) for s in {F(2) ** (2 * u - t + 1) for u in range(t)}}
+    pairs = {(call(2 * s, T - t), call(s / 2, T - t))
+             for t in range(1, T + 1) for s in {F(2) ** (2 * u - t + 1) for u in range(t)}}
+    return {(int(up > down), int(down > up)) for up, down in pairs}
 
 
 @pytest.mark.parametrize("T", [2, 3, 4, 5, 6, 9])
 def test_crr_solves_once_per_distinct_market(T, lp_calls):
     # the 2^T - 1 nodes are one market, so NA and the EMM take one LP each;
-    # the call takes one per distinct pair of child prices, shared across
-    # node prices and times (13, 15 and 22 pairs at T = 5, 6 and 7, and 33
-    # at T = 9 against 45 (node price, time) pairs)
+    # the call takes one per shape of child prices, shared across node
+    # prices, times and spreads: a node whose call is worth more after the
+    # up move, and one where it is worth 0 after both (13, 15 and 22 pairs
+    # of child prices at T = 5, 6 and 7, and 33 at T = 9)
     model, _ = crr_tree(T)
     assert check_na(model).holds
     assert len(lp_calls) == 1
@@ -340,7 +344,7 @@ def test_crr_solves_once_per_distinct_market(T, lp_calls):
     assert len(lp_calls) == 1
     lp_calls.clear()
     superreplication_price(model, call_on(model))
-    assert len(lp_calls) == len(crr_call_keys(T))
+    assert len(lp_calls) == len(crr_call_keys(T)) <= 2
 
 
 def test_row_free_one_step_lp_is_solved_once(lp_calls):
@@ -559,15 +563,22 @@ def test_na1_rejects_a_corrupted_certificate(terminal, holds, corrupt, message, 
     assert caught.value.data["model"] == model
 
 
-def test_na1_fails_at_a_node_priced_minus_inf():
-    # node {a1, a2} has a strong arbitrage (S moves 1 -> 2 or 3), so it prices
-    # its child indicators at -inf, although the root alone is arbitrage-free
+def _unbounded_below_a_finite_root():
+    """S stays at 1 until t = 1, then moves to 2 or 3 on {a1, a2}, an
+    arbitrage, and to 2 or 1/2 on {b1, b2}: the node {a1, a2} is unbounded,
+    and its hedge follows its LP's ray from the wealth the root leaves it."""
     space = SampleSpace(["a1", "a2", "b1", "b2"], [F(1, 4)] * 4)
     filtration = Filtration(space, [
         [["a1", "a2", "b1", "b2"]], [["a1", "a2"], ["b1", "b2"]],
         [["a1"], ["a2"], ["b1"], ["b2"]]])
     path = (space.constant(1), space.constant(1), space.variable([2, 3, 2, F(1, 2)]))
-    model = MarketModel(filtration, [Asset("S", path)])
+    return MarketModel(filtration, [Asset("S", path)])
+
+
+def test_na1_fails_at_a_node_priced_minus_inf():
+    # node {a1, a2} has a strong arbitrage (S moves 1 -> 2 or 3), so it prices
+    # its child indicators at -inf, although the root alone is arbitrage-free
+    model = _unbounded_below_a_finite_root()
     assert not check_na1(model)
     assert not global_routes.check_na1(model)
 
@@ -606,6 +617,73 @@ def test_strong_arbitrage_prices_minus_inf():
     model = one_period_model([2, F(3, 2)])
     assert superreplication_price(model, model.space.zero()).price == -math.inf \
         or superreplication_price(model, model.space.zero()).price <= 0
+
+
+PRICE_DUAL = "one-step superhedging price failed re-verification"
+
+
+@pytest.mark.parametrize("terminal, payoff, price, corrupt", [
+    # binomial's call LP is optimal at 1/3 with duals (1/3, 2/3); an optimum
+    # raised by 1 still has a hedge that superreplicates, so only the dual
+    # bound y·b = 1/3 tells it is not the least price
+    ([2, F(1, 2)], [1, 0], F(1, 3), _replaced("objective_value", lambda v: v + 1)),
+    # each of these fails one condition on the duals alone.  The zero payoff
+    # is priced 0, so y·b = 0 whatever y is: twice binomial's duals are a
+    # martingale vector that weighs 2; (1/2, -1/2, 1) weighs 1 and solves
+    # the trinomial node's martingale row but is negative at the middle
+    # child; and (1/3, 1/3, 1/3) weighs 1, is positive and prices the
+    # trinomial up child's indicator at its price 1/3 but is no martingale
+    ([2, F(1, 2)], [0, 0], F(0), _replaced("dual", lambda y: tuple([2 * v for v in y]))),
+    ([2, 1, F(1, 2)], [0, 0, 0], F(0),
+     _replaced("dual", lambda y: (F(1, 2), F(-1, 2), F(1)))),
+    ([2, 1, F(1, 2)], [1, 0, 0], F(1, 3), _replaced("dual", lambda y: (F(1, 3),) * 3)),
+], ids=["objective-raised", "dual-doubled", "dual-negative", "dual-no-martingale"])
+def test_price_rejects_a_corrupted_certificate(terminal, payoff, price, corrupt, monkeypatch):
+    """``superreplication_price`` certifies each optimal node LP by its
+    duals; a corrupted one raises, carrying the market."""
+    model = one_period_model(terminal)
+    payoff = model.space.variable(payoff)
+    assert superreplication_price(model, payoff).price == price
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem)))
+    with pytest.raises(InternalInconsistency, match=PRICE_DUAL) as caught:
+        superreplication_price(model, payoff)
+    assert caught.value.data["model"] == model
+
+
+def test_one_step_problem_drops_minus_inf_children():
+    node = market._built(one_period_model([2, 1, F(1, 2)]), market._build_nodes)[0]
+    problem = market._one_step_problem(node, [F(0), -math.inf, F(1)])
+    assert problem.rows == ((1, 1), (1, F(-1, 2)))
+    assert problem.rhs == (0, 1)
+
+
+def test_price_is_cash_additive_and_positively_homogeneous():
+    """π(c·X + a) = c·π(X) + a for c > 0 and cash a ≥ 0, −inf kept, and
+    every hedge superreplicates: what lets nodes whose child prices differ
+    by cash and a positive factor share one solve.  On
+    the first 300 seed-0 markets, CRR trees with T = 2..5 and a finite
+    price above an unbounded node, X the call on asset 0 and the first
+    outcome's indicator."""
+    models = (seed0_markets(300) + [crr_tree(T)[0] for T in range(2, 6)]
+              + [_unbounded_below_a_finite_root()])
+    finite = 0
+    for model in models:
+        first = [1] + [0] * (len(model.space) - 1)
+        for x in (call_on(model), model.space.variable(first)):
+            price = superreplication_price(model, x).price
+            for c in (F(1, 3), F(2), F(7, 2)):
+                for a in (F(0), F(1), F(5, 2)):
+                    payoff = model.space.variable([c * v + a for v in x.values])
+                    res = superreplication_price(model, payoff)
+                    assert res.price == (c * price + a if price != -math.inf else price)
+                    if res.hedge is None:
+                        assert price == -math.inf
+                        continue
+                    gain = terminal_gain(model, res.hedge)
+                    assert all(res.price + g >= v for g, v in zip(gain.values, payoff.values))
+                    finite += 1
+    assert finite == 9 * 112
 
 
 # --- node route edge cases ---------------------------------------------------
@@ -1092,6 +1170,9 @@ def _call_price(model):
     # the call's hedge holds 2/3 of S; 5/3 loses on the down move
     (_call_price, ["price", BINOMIAL_FILE, CALL_FILE], _shifted_holding,
      "superreplication hedge failed re-verification"),
+    # a node's price is certified by its LP's duals: binomial's, lowered,
+    # no longer weigh 1
+    (_call_price, ["price", BINOMIAL_FILE, CALL_FILE], _lowered_dual, PRICE_DUAL),
     # NUPBR's verdict is certified from its own solve, either way: the budget
     # LP is optimal on binomial and two_period, where 1 − y is then no
     # longer a martingale measure, and unbounded on the other two, where the
@@ -1115,7 +1196,7 @@ def _call_price(model):
     (check_na1, ["check", "na1", DATA / "dominance.json"], _negated_ray_holdings, NA1_HOLDINGS),
     (check_na1, ["check", "na1", DATA / "two_period_arbitrage.json"], _negated_ray_holdings,
      NA1_HOLDINGS),
-], ids=["na-status", "emm-primal", "price-status", "price-hedge", "nupbr-status",
+], ids=["na-status", "emm-primal", "price-status", "price-hedge", "price-dual", "nupbr-status",
         "nupbr-dual-binomial", "nupbr-dual-two-period", "nupbr-ray-dominance",
         "nupbr-ray-two-period", "na1-status", "na1-dual-binomial", "na1-dual-two-period",
         "na1-ray-dominance", "na1-ray-two-period"])
