@@ -661,10 +661,9 @@ def test_one_step_problem_drops_minus_inf_children():
 def test_price_is_cash_additive_and_positively_homogeneous():
     """π(c·X + a) = c·π(X) + a for c > 0 and cash a ≥ 0, −inf kept, and
     every hedge superreplicates: what lets nodes whose child prices differ
-    by cash and a positive factor share one solve.  On
-    the first 300 seed-0 markets, CRR trees with T = 2..5 and a finite
-    price above an unbounded node, X the call on asset 0 and the first
-    outcome's indicator."""
+    by cash and a positive factor share one solve.  On the first 300 seed-0
+    markets, CRR trees with T = 2..5 and a finite price above an unbounded
+    node, X the call on asset 0 and the first outcome's indicator."""
     models = (seed0_markets(300) + [crr_tree(T)[0] for T in range(2, 6)]
               + [_unbounded_below_a_finite_root()])
     finite = 0
