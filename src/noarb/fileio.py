@@ -127,8 +127,12 @@ def load_market(text: str, name: str = "<input>") -> MarketModel:
                 _fail(f"$.assets[{a}].path.{o}",
                       f"expected {horizon + 1} prices, got {len(series)}")
             for t, raw in enumerate(series):
-                where = f"$.assets[{a}].path.{o}[{t}]"
-                per_time[t].append(parse_rational(_expect(raw, str, where), where))
+                try:  # the price's JSON path is written out only when it fails
+                    value = parse_rational(raw)
+                except StructureError:
+                    where = f"$.assets[{a}].path.{o}[{t}]"
+                    value = parse_rational(_expect(raw, str, where), where)
+                per_time[t].append(value)
         path = tuple([RandomVariable(space, vals) for vals in per_time])
         assets.append(Asset(name, path))
     try:

@@ -24,12 +24,16 @@ a maximal point of ℬ₁ is 1 + gain(ξ) with gain(ξ) ≥ −1, so NUPBR and t
 budget bound need no variable per outcome.
 
 Each model's tree is read once: ``_build_steps`` lists, for each t ≥ 1, each
-cell at t−1's child cells at t and each asset's increment S_t − S_{t−1} on
-each cell at t, the one place an increment is computed.  The nodes, the
-elementary gains and both re-verifications read it: ``terminal_gain`` walks
-it top-down, adding one node's holdings·increments to its parent's gain,
-and ``martingale_residuals`` sums the measure's mass bottom-up and takes
-each residual over one node's children.
+cell at t−1's child cells at t and each asset's increments S_t − S_{t−1} on
+the cells at t, as integers over one lowest-terms denominator per (t,
+asset): the one place an increment is computed.  Three tree walks read
+those integers.  ``_build_nodes`` keys each node by the primitive vector
+of its integer columns.  ``terminal_gain`` walks top-down, each child's
+gain its parent's plus one node's holdings·increments, one integer sum.
+``martingale_residuals`` sums the measure's mass bottom-up as integers
+and takes each residual as one integer sum over a node's children, a
+``Fraction`` only where it is not 0.  ``Fraction``s are built from the
+integers only for the nodes' LP columns and the elementary gains.
 
 A node's answers depend only on its cone of one-step gains, and scaling an
 asset's increments by a positive factor leaves that cone unchanged.  So
@@ -150,11 +154,15 @@ class MarketModel:
                     raise StructureError(f"asset {asset.name!r} priced on a different space")
                 if not x.is_nonneg:
                     raise StructureError(f"asset {asset.name!r} has a negative price at t={t}")
+                values = x.values
                 for cell in filtration.partitions[t]:
-                    vals = {x.values[i] for i in cell}
-                    if len(vals) != 1:
-                        raise StructureError(
-                            f"asset {asset.name!r} is not adapted at t={t}")
+                    # compared with the cell's first price: a set would hash
+                    # each Fraction, a modular inverse per price
+                    first = values[cell[0]]
+                    for i in cell:
+                        if values[i] != first:
+                            raise StructureError(
+                                f"asset {asset.name!r} is not adapted at t={t}")
         object.__setattr__(self, "filtration", filtration)
         object.__setattr__(self, "assets", assets)
 
@@ -197,31 +205,38 @@ def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
     check of a strategy against a model: a key that names no (t, asset, cell
     at t−1) of the model raises ``StructureError``.
 
-    Walked top-down through the tree, one node at a time: a child cell's
-    gain is its parent's plus Σ_a holdings(t, a, parent)·ΔS(t, a, child),
-    one ``dot``, and the cells at T are the outcomes, in order."""
+    Walked top-down through the tree, one node at a time, on the steps'
+    integer increments: the children of a node share one denominator, the
+    lcm of the node's own and, per held asset, of the holding's denominator
+    times the increments', so each child's gain is one integer sum, its
+    parent's rescaled plus Σ_a holdings·ΔS.  The cells at T are the
+    outcomes, in order, each one ``Fraction`` at the end."""
     parts, assets = model.filtration.partitions, model.assets
-    held: dict[tuple[int, int], tuple[list[int], list[Fraction]]] = {}
+    held: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for (t, a, c), h in strategy.holdings:
         if not (0 < t < len(parts) and 0 <= a < len(assets) and 0 <= c < len(parts[t - 1])):
             raise StructureError(
                 f"strategy key {(t, a, c)} names no (t, asset, cell) of the model")
-        which, units = held.setdefault((t, c), ([], [_ONE]))  # 1 for the parent's gain
-        which.append(a)
-        units.append(h)
-    gain = [_ZERO]
+        held.setdefault((t, c), []).append((a, h))
+    gain, scale = [0], [1]  # each cell's gain is gain[c]/scale[c]
     for t, (kids, moves) in enumerate(_built(model, _build_steps), start=1):
-        below = [_ZERO] * len(parts[t])
+        below, under = [0] * len(parts[t]), [1] * len(parts[t])
         for k, children in enumerate(kids):
-            if (t, k) not in held:
-                for c in children:
-                    below[c] = gain[k]
-                continue
-            which, units = held[t, k]
+            n, d, terms = gain[k], scale[k], []
+            if (t, k) in held:
+                # h·ΔS = h.numerator·ints / (h.denominator·den) for each held asset
+                terms = [(moves[a][0], h.numerator, h.denominator * moves[a][1])
+                         for a, h in held[t, k]]
+                lifted = math.lcm(d, *[q for _, _, q in terms])
+                n, d = n * (lifted // d), lifted
+                terms = [(ints, p * (d // q)) for ints, p, q in terms]
             for c in children:
-                below[c] = dot(units, [gain[k]] + [moves[a][c] for a in which])
-        gain = below
-    return RandomVariable(model.space, gain)
+                below[c], under[c] = n, d
+            for ints, f in terms:
+                for c in children:
+                    below[c] += f * ints[c]
+        gain, scale = below, under
+    return RandomVariable(model.space, [Fraction(n, d) for n, d in zip(gain, scale)])
 
 
 def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...]]:
@@ -233,7 +248,8 @@ def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...
     parts = model.filtration.partitions
     gains = {}
     for t, (kids, moves) in enumerate(_built(model, _build_steps), start=1):
-        for a, move in enumerate(moves):
+        for a, (ints, den) in enumerate(moves):
+            move = [Fraction(v, den) for v in ints]
             for ci, children in enumerate(kids):
                 values = [_ZERO] * n
                 for c in children:
@@ -289,8 +305,9 @@ def _built(model: MarketModel, build):
 
 def _build_steps(model: MarketModel) -> tuple:
     """The tree's one-period steps: for each t ≥ 1, each cell at t−1's child
-    cells at t, and each asset's increment S_t − S_{t−1} on each cell at t.
-    Prices are adapted, so one outcome of a cell gives the cell's increment:
+    cells at t, and each asset's increments S_t − S_{t−1}, one per cell at t,
+    as integers over one denominator, in lowest terms: ``(ints, den)``.
+    Prices are adapted, so one outcome of a cell gives the cell's price:
     this is the one place an increment is computed.  Routes read it through
     ``_built``."""
     parts = model.filtration.partitions
@@ -304,7 +321,11 @@ def _build_steps(model: MarketModel) -> tuple:
         moves = []
         for asset in model.assets:
             now, before = asset.path[t].values, asset.path[t - 1].values
-            moves.append(tuple([now[i] - before[i] for i in firsts]))
+            # each cell's price at t, then at t−1, over their lcm
+            ints, den = to_integers([x[i] for x in (now, before) for i in firsts])
+            ints = tuple([v - w for v, w in zip(ints, ints[len(firsts):])])
+            g = math.gcd(den, *ints)
+            moves.append((tuple([v // g for v in ints]) if g > 1 else ints, den // g))
         # from a list: a tuple built from a bare iterator is resized, and it then
         # stays on its size's freelist after it is freed (see ``rationals.as_fractions``)
         steps.append((tuple([tuple(children) for children in kids]), tuple(moves)))
@@ -315,25 +336,23 @@ def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
     """Every node of the information tree, by t, then by cell.
 
     Nodes with the same child count and the same primitive integer vector
-    for each column (the column over the lcm of its denominators, then
-    divided by the gcd of its entries, sign kept) have positively
-    proportional columns, so each points at the first of them through
-    ``market``; the child count matters even where no asset moves.  Routes
-    read it through ``_built``.
+    for each column (the step's integer increments on the node's children,
+    divided by their gcd, sign kept) have positively proportional columns,
+    so each points at the first of them through ``market``; the child count
+    matters even where no asset moves.  Routes read it through ``_built``.
     """
     nodes: list[_Node] = []
     first: dict = {}
     for t, (kids, moves) in enumerate(_built(model, _build_steps), start=1):
         for k, children in enumerate(kids):
             assets, columns, key, scales = [], [], [len(children)], []
-            for a, move in enumerate(moves):
-                column = tuple([move[c] for c in children])
+            for a, (ints, den) in enumerate(moves):
+                column = [ints[c] for c in children]
                 if any(column):
-                    ints, den = to_integers(column)
-                    g = math.gcd(*ints)
+                    g = math.gcd(*column)
                     assets.append(a)
-                    columns.append(column)
-                    key.append(tuple([v // g for v in ints]))
+                    columns.append(tuple([Fraction(v, den) for v in column]))
+                    key.append(tuple([v // g for v in column]))
                     scales.append((g, den))  # the column is g/den times its key
             market, rep = first.setdefault(tuple(key), (len(nodes), scales))
             ratio = (_ONE,) * len(scales) if market == len(nodes) else tuple(
@@ -431,8 +450,9 @@ def martingale_residuals(model: MarketModel,
                          measure: Measure) -> dict[tuple[int, int, int], Fraction]:
     """The expectation under ``measure`` of every elementary gain, keyed by
     (t, asset index, cell index at t−1) like ``_gains``, in that order.  The
-    measure's mass is summed bottom-up, cell by cell, and each residual is
-    one ``dot`` over a node's children of Q(child)·ΔS(child), so a large
+    measure's mass is summed bottom-up, cell by cell, as integers over one
+    denominator, and each residual is one integer sum over a node's children
+    of mass·increment, a ``Fraction`` only where it is not 0, so a large
     tree costs one pass per node."""
     if measure.space != model.space:
         raise StructureError("measure on a different sample space")
@@ -445,10 +465,10 @@ def martingale_residuals(model: MarketModel,
     mass.reverse()  # mass[t − 1]: the mass of each cell at t, over den
     residuals = {}
     for t, ((kids, moves), below) in enumerate(zip(steps, mass), start=1):
-        for a, move in enumerate(moves):
+        for a, (ints, step) in enumerate(moves):
             for ci, children in enumerate(kids):
-                residuals[t, a, ci] = dot([below[c] for c in children],
-                                          [move[c] for c in children]) / den
+                total = sum([below[c] * ints[c] for c in children])
+                residuals[t, a, ci] = Fraction(total, den * step) if total else _ZERO
     return residuals
 
 

@@ -3,13 +3,17 @@
 This module owns the library's exact-number policy.  Every number the
 library takes or returns is a ``fractions.Fraction`` (arbitrary precision,
 always lowest terms, positive denominator), and every sum of rational
-products in it is one ``dot``.  Only ``dot``, the simplex tableau inside
+products in it is one ``dot``, except the sums of ``market``'s tree walks
+over the integer increments.  Only ``dot``, the simplex tableau inside
 ``lp``, the check that ``lattice.SampleSpace``'s probabilities and
-``lattice.Measure``'s weights sum to 1, and the node key, the
-superhedging price's shape key, node prices and dual check, the martingale
-residuals' cell masses and NA₁'s summed node duals in ``market`` work on
-integers over a common denominator (``to_integers``); every number they
-return is a ``Fraction``.
+``lattice.Measure``'s weights sum to 1, and in ``market`` the price
+increments, which ``_build_steps`` computes once per model as integers
+over one denominator per (t, asset), the three tree walks that read them
+(the node key, each martingale residual over the cell masses, and each
+cell's terminal gain), the superhedging price's shape key, node prices
+and dual check, and NA₁'s summed node duals work on integers over a
+common denominator (``to_integers``); every number they return is a
+``Fraction``.
 A rational is written in ASCII digits only.
 """
 

@@ -8,6 +8,18 @@ from noarb import lp
 from noarb.lattice import SampleSpace
 from noarb.market import Asset, Filtration, MarketModel
 
+#: Every market file in ``tests/data``, in name order, each with whether it
+#: has an EMM.  Tests that read every market file read these, so a new file
+#: changes no test until it is listed here.
+MARKET_FILES = {
+    "binomial.json": True,
+    "crr3.json": True,
+    "dominance.json": False,
+    "trinomial.json": True,
+    "two_period.json": True,
+    "two_period_arbitrage.json": False,
+}
+
 
 def one_period_model(terminal_prices, probs=None, s0=1, name="S"):
     n = len(terminal_prices)

@@ -14,6 +14,8 @@ import noarb
 from noarb.cli import main
 from noarb.fileio import load_market
 
+from conftest import MARKET_FILES
+
 HERE = Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden"
@@ -237,6 +239,19 @@ def test_exit_code_taxonomy(tmp_path, capsys):
     payoff.write_text('{"payoff": {"u": "1", "d": "0"}, "strike": "1"}')
     assert main(["price", str(DATA / "binomial.json"), str(payoff)]) == 2
     assert "$.strike: unknown key" in capsys.readouterr().err
+
+
+def test_a_market_that_is_not_adapted_exits_2(tmp_path, capsys):
+    market = json.loads((DATA / "two_period.json").read_text())
+    market["assets"][1]["path"]["md"][1] = "3"  # B's t=1 cell {mu, md} priced 2 and 3
+    path = tmp_path / "not_adapted.json"
+    path.write_text(json.dumps(market))
+    for command in (["check", "all"], ["emm"], ["price"]):
+        extra = [str(DATA / "basket_payoff.json")] if command == ["price"] else []
+        assert main(["--json", *command, str(path), *extra]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "noarb: input error: $.assets: asset 'B' is not adapted at t=1\n"
 
 
 def test_internal_disagreement_exits_3(monkeypatch, capsys):
@@ -485,15 +500,14 @@ def test_ids_that_would_collide_in_residual_keys_exit_2(market, where, tmp_path,
 
 
 def test_emm_reports_one_residual_per_step_asset_and_cell(capsys):
-    markets = [path for path in sorted(DATA.glob("*.json"))
-               if path.name != "truncated.json" and "filtration" in json.loads(path.read_text())]
-    assert len(markets) == 6
     reported = 0
-    for path in markets:
+    for name, has_emm in MARKET_FILES.items():
+        path = DATA / name
         model = load_market(path.read_text())
         main(["--json", "emm", str(path)])
         report = json.loads(capsys.readouterr().out)
-        if not report["verdicts"]["emm_exists"]:
+        assert report["verdicts"]["emm_exists"] == has_emm, name
+        if not has_emm:
             continue
         parts = model.filtration.partitions
         expected = len(model.assets) * sum(len(parts[t - 1]) for t in range(1, len(parts)))

@@ -11,6 +11,8 @@ from noarb.lattice import SampleSpace
 from noarb.market import Asset, Filtration, MarketModel
 from noarb.rationals import format_rational, parse_rational
 
+from conftest import MARKET_FILES
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -46,10 +48,7 @@ def round_trips(model):
 
 
 def test_market_round_trip_on_every_data_market():
-    markets = [path.name for path in sorted((Path(__file__).parent / "data").glob("*.json"))
-               if '"filtration"' in path.read_text()]
-    assert len(markets) == 6
-    for name in markets:
+    for name in MARKET_FILES:
         assert round_trips(fileio.load_market(read(name))), name
 
 

@@ -31,10 +31,11 @@ from noarb.market import (
     superreplication_price,
     terminal_gain,
 )
+from noarb.rationals import to_integers
 
 import global_routes
 import oracles
-from conftest import additive_tree, crr_tree, one_period_model, trinomial_tree
+from conftest import MARKET_FILES, additive_tree, crr_tree, one_period_model, trinomial_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,6 +61,20 @@ def test_model_requires_adapted_nonneg_paths():
         MarketModel(filtration, [Asset("S", (space.variable([1, 2]), space.variable([1, 2])))])
     with pytest.raises(StructureError):  # negative price
         MarketModel(filtration, [Asset("S", (space.constant(1), space.variable([1, -1])))])
+
+
+def test_a_price_that_differs_within_a_cell_is_not_adapted():
+    space = SampleSpace(["a", "b", "c", "d"], [F(1, 4)] * 4)
+    filtration = Filtration(space, [[["a", "b", "c", "d"]], [["a"], ["b", "c", "d"]],
+                                    [["a"], ["b"], ["c"], ["d"]]])
+    adapted = space.variable([3, 1, 1, 1])
+    path = (space.constant(2), adapted, space.variable([4, 2, 1, F(1, 2)]))
+    assert MarketModel(filtration, [Asset("S", path)]).horizon == 2
+    for t, values in ((0, [2, 2, 2, 3]), (1, [3, 1, 1, F(3, 2)]), (1, [3, 1, F(1, 2), 1])):
+        bad = list(path)
+        bad[t] = space.variable(values)  # the last or a middle price of one cell differs
+        with pytest.raises(StructureError, match=rf"^asset 'B' is not adapted at t={t}$"):
+            MarketModel(filtration, [Asset("S", path), Asset("B", tuple(bad))])
 
 
 # --- terminal gain ----------------------------------------------------------
@@ -262,8 +277,7 @@ def test_na1_nupbr_constant(constant_market):
 
 
 def _data_markets():
-    return [load_market(path.read_text()) for path in sorted(DATA.glob("*.json"))
-            if path.name != "truncated.json" and "filtration" in path.read_text()]
+    return [load_market((DATA / name).read_text()) for name in MARKET_FILES]
 
 
 def test_budget_routes_match_the_outcome_variable_lp():
@@ -784,6 +798,35 @@ def same_residuals(model, measure):
     assert list(residuals) == list(expected)
 
 
+def same_verdicts_and_residuals(model, q, rng):
+    """Residuals and verdicts against the per-gain reference under the EMM
+    q, a perturbed one and the uniform measure; the verdicts, in order."""
+    n = len(model.space)
+    i, j = rng.sample(range(n), 2)
+    moved = list(q.weights)
+    moved[i] += moved[j] / 2
+    moved[j] /= 2
+    verdicts = []
+    for weights in (q.weights, moved, [F(1, n)] * n):
+        measure = Measure(model.space, weights)
+        verdict = market.is_martingale_measure(model, measure)
+        assert verdict == global_routes.is_martingale_measure(model, measure)
+        same_residuals(model, measure)
+        verdicts.append(verdict)
+    return verdicts
+
+
+def same_terminal_gain(model, rng):
+    """``terminal_gain`` of a seeded strategy on every elementary gain
+    against the sum of coefficient times gain, outcome by outcome."""
+    gains = global_routes.elementary_gains(model)
+    coefficients = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gains]
+    strategy = global_routes._strategy_from_coefficients(gains, coefficients)
+    expected = [sum([c * g.vector.values[i] for c, g in zip(coefficients, gains)], F(0))
+                for i in range(len(model.space))]
+    assert terminal_gain(model, strategy).values == tuple(expected)
+
+
 def check_martingale_residuals(rng, change):
     """Residuals and verdicts against the per-gain reference: under an EMM,
     a perturbed one and the uniform measure where the market has an EMM,
@@ -797,16 +840,7 @@ def check_martingale_residuals(rng, change):
         if q is None:
             same_residuals(model, Measure(model.space, [F(1, n)] * n))
             continue
-        i, j = rng.sample(range(n), 2)
-        moved = list(q.weights)
-        moved[i] += moved[j] / 2
-        moved[j] /= 2
-        for weights in (q.weights, moved, [F(1, n)] * n):
-            measure = Measure(model.space, weights)
-            verdict = market.is_martingale_measure(model, measure)
-            assert verdict == global_routes.is_martingale_measure(model, measure)
-            same_residuals(model, measure)
-            verdicts.append(verdict)
+        verdicts += same_verdicts_and_residuals(model, q, rng)
     assert True in verdicts and False in verdicts
 
 
@@ -814,12 +848,7 @@ def check_terminal_gains(rng, change):
     models = []
     for _ in range(135):
         model = change(lab.random_market(rng), rng)
-        gains = global_routes.elementary_gains(model)
-        coefficients = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gains]
-        strategy = global_routes._strategy_from_coefficients(gains, coefficients)
-        expected = [sum([c * g.vector.values[i] for c, g in zip(coefficients, gains)], F(0))
-                    for i in range(len(model.space))]
-        assert terminal_gain(model, strategy).values == tuple(expected)
+        same_terminal_gain(model, rng)
         models.append(model)
     return models
 
@@ -839,6 +868,77 @@ def test_martingale_check_matches_per_gain_reference_on_scattered_cells():
 def test_terminal_gain_matches_per_gain_reference_on_scattered_cells():
     models = check_terminal_gains(random.Random("scattered"), scattered)
     assert sum(map(is_scattered, models)) >= len(models) // 3  # one-period cells never are
+
+
+@pytest.mark.parametrize("T", range(2, 9))
+def test_tree_walks_match_per_gain_references_on_trees(T):
+    """The residuals and the terminal gain, summed on the steps' integer
+    increments, against the per-gain references on the CRR tree, whose
+    nodes share one market, and on the additive tree, where none do."""
+    rng = random.Random(f"trees-{T}")
+    for model in (crr_tree(T)[0], additive_tree(T)):
+        assert same_verdicts_and_residuals(model, find_emm(model).measure, rng) == [
+            True, False, False]
+        same_terminal_gain(model, rng)
+
+
+def step_models(source):
+    """The first 135 seed-0 markets, 135 with scattered cells, or CRR T = 2..8."""
+    if source == "crr":
+        return [crr_tree(T)[0] for T in range(2, 9)]
+    rng = random.Random("scattered" if source == "scattered" else 0)
+    change = scattered if source == "scattered" else as_is
+    return [change(lab.random_market(rng), rng) for _ in range(135)]
+
+
+@pytest.mark.parametrize("source", ["seed0", "scattered", "crr"])
+def test_steps_hold_each_increment_as_integers_in_lowest_terms(source):
+    """Each (t, asset)'s increments over their one denominator are
+    S_t − S_{t−1} on every outcome of every cell at t, in lowest terms."""
+    for model in step_models(source):
+        parts = model.filtration.partitions
+        steps = market._build_steps(model)
+        assert len(steps) == model.horizon
+        for t, (_, moves) in enumerate(steps, start=1):
+            assert len(moves) == len(model.assets)
+            for asset, (ints, den) in zip(model.assets, moves):
+                assert den > 0 and math.gcd(den, *ints) == 1
+                assert len(ints) == len(parts[t])
+                now, before = asset.path[t].values, asset.path[t - 1].values
+                for v, cell in zip(ints, parts[t]):
+                    assert all(F(v, den) == now[i] - before[i] for i in cell)
+
+
+def fraction_key(node):
+    """A node's key from its ``Fraction`` columns: the child count and, per
+    column, ``to_integers`` of it divided by the gcd of its entries."""
+    key = [len(node.children)]
+    for column in node.columns:
+        ints, _ = to_integers(column)
+        g = math.gcd(*ints)
+        key.append(tuple(v // g for v in ints))
+    return tuple(key)
+
+
+@pytest.mark.parametrize("source", ["seed0", "scattered", "crr"])
+def test_node_keys_match_the_keys_of_their_fraction_columns(source):
+    """Keyed on the steps' integers, each node shares a solve with exactly
+    the first node whose ``Fraction`` columns give its key, and its ratios
+    are its columns over that node's."""
+    for model in step_models(source):
+        parts = model.filtration.partitions
+        nodes = market._build_nodes(model)
+        first = {}
+        for i, node in enumerate(nodes):
+            for a, column in zip(node.assets, node.columns):
+                now, before = model.assets[a].path[node.t], model.assets[a].path[node.t - 1]
+                assert column == tuple(now.values[parts[node.t][c][0]]
+                                       - before.values[parts[node.t][c][0]]
+                                       for c in node.children)
+            rep = first.setdefault(fraction_key(node), i)
+            assert node.market == rep
+            assert node.ratio == tuple(next(v / r for v, r in zip(column, base) if v)
+                                       for column, base in zip(node.columns, nodes[rep].columns))
 
 
 @pytest.mark.parametrize("change", [as_is, scattered])
