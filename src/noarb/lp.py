@@ -2,12 +2,13 @@
 
 This is the single decision oracle behind every set-membership and
 no-arbitrage question in the library, so it never rounds: all arithmetic is
-exact, on a fraction-free integer tableau: rows, costs and signs stay
-integers, and each returned number is one ``Fraction``; pivoting uses Bland's
-anti-cycling rule (lowest eligible index, ties by lowest basic variable
-index), and every answer is certified: optimal outcomes carry exact duals
-with zero duality gap, infeasible outcomes carry a Farkas vector, unbounded
-outcomes carry a feasible point plus an improving recession ray.  Identical
+exact, on a condensed fraction-free integer tableau (only the nonbasic
+columns are stored): rows, costs and signs stay integers, and each returned
+number is one ``Fraction``; pivoting uses Bland's anti-cycling rule (lowest
+eligible index, ties by lowest basic variable index), and every answer is
+certified: optimal outcomes carry exact duals with zero duality gap,
+infeasible outcomes carry a Farkas vector, unbounded outcomes carry a
+feasible point plus an improving recession ray.  Identical
 inputs always produce identical outcomes, including the chosen vertex.
 ``solve`` returns the one outcome type, ``LpOutcome``.  ``feasible`` is the
 bare phase-one predicate; a membership witness or Farkas vector comes from
@@ -120,23 +121,28 @@ class LpOutcome:
 
 
 class _Simplex:
-    """Two-phase tableau simplex over the standardized split/slack form.
+    """Two-phase simplex on a condensed integer tableau over the
+    standardized split/slack form.
 
-    The tableau is integer: row ``r`` of ``T`` holds ``d`` times the rational
-    tableau row, rhs last, under one positive common denominator ``d``, and
-    ``z`` holds the reduced-cost row of the running phase the same way, times
-    the costs' common denominator ``cden``.  Each tableau row starts as the
-    problem row and its rhs as integers over the lcm ``s`` of their
-    denominators, which scales that row's slack and artificial columns by
-    ``col_scale``; phase one's costs ``-1/s_i`` undo that scaling as
-    ``-(L // s_i)`` over ``L = lcm(s)``, and phase two's are the objective's
-    integers, negated for ``min``.  A pivot is the fraction-free step
-    ``(p·a − f·q) // d`` (Edmonds 1967, Bareiss 1968), exact because every
-    entry is a minor of the integer start tableau.  Positive row and column
-    scalings keep every sign Bland's rule reads and every ratio order the
-    ratio test reads, so the pivot path is that of the rational tableau.
-    The ``min`` and row-flip signs fold into integer numerators, and each
-    returned number is built as one ``Fraction`` on the way out.
+    Variables are numbered: structural columns (a free variable split into
+    two), one slack or surplus per inequality row, then one artificial per
+    row that does not start on a slack.  ``T`` stores only the nonbasic
+    columns, rhs last: ``nonbasic[j]`` names stored column ``j``'s variable
+    and ``basis[r]`` row ``r``'s, whose column is ``d·e_r`` and is not
+    stored.  Row ``r`` of ``T`` holds ``d`` times the rational tableau row
+    under one positive common denominator ``d``, and ``z`` the running
+    phase's reduced costs on the stored columns the same way, times the
+    costs' common denominator ``cden``.  Each row starts on its slack or
+    artificial, as its problem row and rhs in integers over the lcm ``s`` of
+    their denominators, with a ``-1`` in its own surplus column; ``s``
+    scales that row's slack and artificial columns by ``col_scale``.  Phase
+    one's costs ``-1/s_i`` undo that scaling as ``-(L // s_i)`` over
+    ``L = lcm(s)``, and phase two's are the objective's integers, negated
+    for ``min``.  Positive row and column scalings keep every sign Bland's
+    rule reads and every ratio order the ratio test reads, so the pivot path
+    is that of the rational tableau.  The ``min`` and row-flip signs fold
+    into integer numerators, and each returned number is built as one
+    ``Fraction`` on the way out.
     """
 
     def __init__(self, problem: LpProblem) -> None:
@@ -169,12 +175,13 @@ class _Simplex:
         self.first_art = n_struct + n_slack
         total = self.first_art + m - slack_sign.count(1)
 
-        # each row's integers, a zero pad, its rhs; then the slack and
-        # artificial entries, each in a column scaled by the row's scale
-        pad = [0] * (total - n_struct)
+        # each row's integers, a -1 in its own surplus column, its rhs; its
+        # slack or artificial starts basic, in a column scaled by the row's scale
+        pad = [0] * slack_sign.count(-1)
         T: list[list[int]] = []
         ident_col: list[int] = []
         col_scale = [1] * total
+        nonbasic = list(range(n_struct))
         scol, acol = n_struct, self.first_art
         for (ints, s), sign, flip in zip(int_rows, slack_sign, flipped):
             row = [0] * n_struct
@@ -188,11 +195,12 @@ class _Simplex:
             if flip:
                 row = [-a for a in row]
             if sign:
-                row[scol] = sign
+                if sign < 0:
+                    row[len(nonbasic)] = -1
+                    nonbasic.append(scol)
                 col_scale[scol] = s
                 scol += 1
             if sign <= 0:
-                row[acol] = 1
                 col_scale[acol] = s
                 acol += 1
             ident_col.append(acol - 1 if sign <= 0 else scol - 1)
@@ -201,6 +209,7 @@ class _Simplex:
         self.T = T
         self.d = 1
         self.basis = list(ident_col)
+        self.nonbasic = nonbasic
         self.ident_col = ident_col
         self.col_scale = col_scale
         self.flipped = flipped
@@ -210,7 +219,7 @@ class _Simplex:
         self.alive = list(range(m))         # problem row index per tableau row
 
     def _objective_costs(self, problem: LpProblem) -> tuple[list[int], int]:
-        """Phase two's (integer costs per column, denominator)."""
+        """Phase two's (integer costs per variable, denominator)."""
         ints, den = to_integers(problem.objective)
         if problem.sense == MINIMIZE:
             ints = [-c for c in ints]
@@ -224,40 +233,50 @@ class _Simplex:
     # --- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, j: int) -> None:
+        """Exchange row ``r``'s basic variable with stored column ``j``'s.
+
+        Every other stored column takes the fraction-free step
+        ``(p·a − f·q) // d`` (Edmonds 1967, Bareiss 1968), exact because
+        every entry is a minor of the integer start tableau; column ``j``
+        then holds the leaving variable, whose column was ``d·e_r``: ``d``
+        in row ``r`` and ``−f`` in each other row and in ``z``, each times
+        the pivot row's sign (the exchange of Avis's lrs, 2000)."""
         T, d = self.T, self.d
         prow = T[r]
         p = prow[j]
+        sign = 1
         if p < 0:
             # the negated pivot row states the same equation and keeps d > 0
             prow = T[r] = [-q for q in prow]
-            p = -p
+            p, sign = -p, -1
         for i, row in enumerate(T):
             if i != r:
-                T[i] = _edmonds(row, prow, p, d, j)
-        self.z = _edmonds(self.z, prow, p, d, j)
+                T[i] = _edmonds(row, prow, p, d, j, sign)
+        self.z = _edmonds(self.z, prow, p, d, j, sign)
+        prow[j] = sign * d
         self.d = p
-        self.basis[r] = j
+        self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
 
     def _run_phase(self, costs: tuple[list[int], int], entering_limit: int):
-        """Bland's rule to optimality on costs given as (integers,
-        denominator); returns ('optimal', None) or ('unbounded', col)."""
-        T, basis = self.T, self.basis
+        """Bland's rule to optimality on costs given as (integers per
+        variable, denominator); returns ('optimal', None) or ('unbounded',
+        entering variable)."""
+        T, basis, nonbasic = self.T, self.basis, self.nonbasic
         ints, self.cden = costs
         self.costs = ints
         d = self.d
-        z = [d * c for c in ints] + [0]
-        for r, col in enumerate(basis):
-            cb = ints[col]
+        z = [d * ints[v] for v in nonbasic] + [0]
+        for r, var in enumerate(basis):
+            cb = ints[var]
             if cb:
                 z = [a - cb * t for a, t in zip(z, T[r])]
         self.z = z
         while True:
             z = self.z
-            enter = -1
-            for j in range(entering_limit):
-                if z[j] > 0:
-                    enter = j
-                    break
+            enter, var = -1, entering_limit
+            for j, v in enumerate(nonbasic):
+                if v < var and z[j] > 0:
+                    enter, var = j, v
             if enter < 0:
                 return OPTIMAL, None
             # min ratio rhs/t over t > 0, compared by cross-multiplication
@@ -272,7 +291,7 @@ class _Simplex:
                     if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                         leave, bt, bb = r, t, row[-1]
             if leave < 0:
-                return UNBOUNDED, enter
+                return UNBOUNDED, var
             self._pivot(leave, enter)
 
     def _phase_one(self):
@@ -292,10 +311,14 @@ class _Simplex:
 
     def _drive_out_artificials(self) -> None:
         r = 0
+        first_art, nonbasic = self.first_art, self.nonbasic
         while r < len(self.T):
-            if self.basis[r] >= self.first_art:
+            if self.basis[r] >= first_art:
                 row = self.T[r]
-                enter = next((j for j in range(self.first_art) if row[j] != 0), -1)
+                enter, var = -1, first_art
+                for j, v in enumerate(nonbasic):
+                    if v < var and row[j] != 0:
+                        enter, var = j, v
                 if enter >= 0:
                     self._pivot(r, enter)
                 else:
@@ -309,18 +332,21 @@ class _Simplex:
     # --- extraction -------------------------------------------------------
 
     def _dual_values(self, negate: bool) -> tuple[Fraction, ...]:
-        """Multipliers for all problem rows, read off the reduced-cost row;
-        ``negate`` (a ``min`` objective) and a flipped row each negate one."""
+        """Multipliers for all problem rows, read off the reduced costs at
+        each row's slack or artificial (0 while it is basic); ``negate`` (a
+        ``min`` objective) and a flipped row each negate one."""
         z, d, costs = self.z, self.d, self.costs
         den = d * self.cden
         alive = set(self.alive)
+        stored = {v: j for j, v in enumerate(self.nonbasic)}
         y = []
         for k in range(self.m):
             if k not in alive:
                 y.append(_ZERO)
                 continue
             col = self.ident_col[k]
-            yk = self.col_scale[col] * (d * costs[col] - z[col])
+            j = stored.get(col)
+            yk = self.col_scale[col] * (d * costs[col] - (0 if j is None else z[j]))
             y.append(Fraction(-yk if self.flipped[k] != negate else yk, den) if yk else _ZERO)
         return tuple(y)
 
@@ -333,15 +359,16 @@ class _Simplex:
         return xs
 
     def _ray(self, enter: int) -> list[int]:
-        """Recession direction of the entering column, times d; a slack
+        """Recession direction of the entering variable, times d; a slack
         column of a row scaled by s_k is s_k times the unscaled slack."""
         scale = self.col_scale[enter]
+        j = self.nonbasic.index(enter)
         ray = [0] * self.n_struct
         if enter < self.n_struct:
             ray[enter] = self.d
         for row, col in zip(self.T, self.basis):
             if col < self.n_struct:
-                ray[col] = -row[enter] * scale
+                ray[col] = -row[j] * scale
         return ray
 
     def _to_original(self, xs) -> tuple[Fraction, ...]:
@@ -350,12 +377,15 @@ class _Simplex:
         return tuple([Fraction(v, d) if v else _ZERO for v in values])
 
 
-def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int) -> list[int]:
-    """Eliminate column j from row with pivot row prow (pivot p > 0) under
-    common denominator d; the division is exact."""
+def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int, sign: int) -> list[int]:
+    """Eliminate stored column j from row with pivot row prow (pivot p > 0)
+    under common denominator d, the division exact; column j then holds the
+    leaving variable's entry, ``-sign·f``."""
     f = row[j]
     if f:
-        return [(p * a - f * q) // d for a, q in zip(row, prow)]
+        new = [(p * a - f * q) // d for a, q in zip(row, prow)]
+        new[j] = -sign * f
+        return new
     return [p * a // d for a in row]
 
 

@@ -3,15 +3,18 @@ import hashlib
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from noarb import lab, lp
+from noarb import fileio, lab, lp, separation
 from noarb.errors import StructureError
 
 import global_routes
 import oracles
+
+DATA = Path(__file__).parent / "data"
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -385,6 +388,100 @@ def exact_steps(monkeypatch):
 
     monkeypatch.setattr(lp._Simplex, "_pivot", checked)
     return pivots
+
+
+def inverse(matrix):
+    """The inverse of a square matrix of Fractions, by Gauss–Jordan with
+    row swaps, and its determinant."""
+    n = len(matrix)
+    A = [[F(a) for a in row] + [F(int(i == k)) for k in range(n)]
+         for i, row in enumerate(matrix)]
+    det = F(1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col])
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            det = -det
+        p = A[col][col]
+        det *= p
+        A[col] = [a / p for a in A[col]]
+        for r in range(n):
+            f = A[r][col]
+            if r != col and f:
+                A[r] = [a - f * q for a, q in zip(A[r], A[col])]
+    return [row[n:] for row in A], det
+
+
+def test_stored_columns_restate_the_basis_inverse(monkeypatch):
+    """The tableau stores only the nonbasic columns; after every pivot,
+    each stored column, rhs included, is d·B⁻¹ times its variable's start
+    column, where B holds the start columns of the basis (a start-basic
+    slack or artificial has the unit column of its row), over the rows
+    still alive, and |det B| = d; each reduced cost is d·c less the basic
+    costs times its column.  So each exchange step keeps what the full
+    tableau kept."""
+    init, pivot = lp._Simplex.__init__, lp._Simplex._pivot
+    pivots, negated = 0, 0
+
+    def start(sx, problem):
+        init(sx, problem)
+        sx.start = [row[:] for row in sx.T], list(sx.nonbasic)
+
+    def checked(sx, r, j):
+        nonlocal pivots, negated
+        negated += sx.T[r][j] < 0
+        pivot(sx, r, j)
+        pivots += 1
+        T0, nonbasic0 = sx.start
+
+        def start_column(v):
+            """v's start column (the rhs for None) on the rows still alive."""
+            if v is None:
+                column = [row[-1] for row in T0]
+            elif v in nonbasic0:
+                column = [row[nonbasic0.index(v)] for row in T0]
+            else:
+                column = [int(v == c) for c in sx.ident_col]
+            return [column[k] for k in sx.alive]
+
+        assert sorted(sx.basis + sx.nonbasic) == list(range(sx.ncols))
+        assert all(len(row) == len(sx.nonbasic) + 1 for row in sx.T)
+        Binv, det = inverse(list(zip(*[start_column(v) for v in sx.basis])))
+        assert abs(det) == sx.d
+        for j, v in enumerate([*sx.nonbasic, None]):
+            column = start_column(v)
+            assert [row[j] for row in sx.T] == [
+                sx.d * sum(b * a for b, a in zip(inv_row, column)) for inv_row in Binv]
+            # the reduced cost: d·c_v less the basic costs times the column
+            cost = 0 if v is None else sx.costs[v]
+            assert sx.z[j] == sx.d * cost - sum(
+                sx.costs[b] * row[j] for b, row in zip(sx.basis, sx.T))
+
+    monkeypatch.setattr(lp._Simplex, "__init__", start)
+    monkeypatch.setattr(lp._Simplex, "_pivot", checked)
+    for problem in oracles.seeded_lps():
+        lp.solve(problem)
+    assert pivots > 1000 and negated > 0
+
+
+def test_slack_rows_store_only_the_structural_columns(monkeypatch):
+    """``separate_at``'s LP has only ≤ rows, each starting on its slack, so a
+    fresh tableau stores one column per outcome and the rhs: no slack
+    identity block."""
+    problems, solve = [], lp.solve
+
+    def record(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", record)
+    cone = fileio.load_cone((DATA / "cone_with_gen.json").read_text())
+    separation.separate_at(cone, cone.space.indicator("a"))
+    [problem] = problems
+    assert set(problem.relations) == {lp.LE} and problem.num_rows == 2
+    sx = lp._Simplex(problem)
+    assert sx.nonbasic == list(range(sx.n_struct)) == [0, 1]
+    assert [len(row) for row in sx.T] == [sx.n_struct + 1] * problem.num_rows
 
 
 def test_every_edmonds_step_divides_exactly(monkeypatch):
