@@ -3,13 +3,15 @@
 This is the single decision oracle behind every set-membership and
 no-arbitrage question in the library, so it never rounds: all arithmetic is
 exact, on a condensed fraction-free integer tableau (only the nonbasic
-columns are stored): rows, costs and signs stay integers, and each returned
-number is one ``Fraction``; pivoting uses Bland's anti-cycling rule (lowest
-eligible index, ties by lowest basic variable index), and every answer is
-certified: optimal outcomes carry exact duals with zero duality gap,
-infeasible outcomes carry a Farkas vector, unbounded outcomes carry a
-feasible point plus an improving recession ray.  Identical
-inputs always produce identical outcomes, including the chosen vertex.
+columns are stored; a free variable is one stored column, and its x⁻ half
+is that column negated under its own index): rows, costs and signs stay
+integers, and each returned number is one ``Fraction``; pivoting uses
+Bland's anti-cycling rule (lowest eligible index, ties by lowest basic
+variable index), and every answer is certified: optimal outcomes carry
+exact duals with zero duality gap, infeasible outcomes carry a Farkas
+vector, unbounded outcomes carry a feasible point plus an improving
+recession ray.  Identical inputs always produce identical outcomes,
+including the chosen vertex.
 ``solve`` returns the one outcome type, ``LpOutcome``.  ``feasible`` is the
 bare phase-one predicate; a membership witness or Farkas vector comes from
 ``solve`` on the same problem with a zero objective, where phase two enters
@@ -122,14 +124,16 @@ class LpOutcome:
 
 class _Simplex:
     """Two-phase simplex on a condensed integer tableau over the
-    standardized split/slack form.
+    standardized slack form.
 
-    Variables are numbered: structural columns (a free variable split into
-    two), one slack or surplus per inequality row, then one artificial per
-    row that does not start on a slack.  ``T`` stores only the nonbasic
-    columns, rhs last: ``nonbasic[j]`` names stored column ``j``'s variable
-    and ``basis[r]`` row ``r``'s, whose column is ``d·e_r`` and is not
-    stored.  Row ``r`` of ``T`` holds ``d`` times the rational tableau row
+    Variables are numbered: structural columns (a free variable's halves
+    x⁺ = v and x⁻ = v + 1 are each other's ``twin``), one slack or surplus
+    per inequality row, then one artificial per row that does not start on
+    a slack.  ``T`` stores only the nonbasic columns, rhs last:
+    ``nonbasic[j]`` names stored column ``j``'s variable and ``basis[r]``
+    row ``r``'s, whose column is ``d·e_r`` and is not stored; nor is the
+    half of a free pair that is in neither, whose column is its twin's
+    negated.  Row ``r`` of ``T`` holds ``d`` times the rational tableau row
     under one positive common denominator ``d``, and ``z`` the running
     phase's reduced costs on the stored columns the same way, times the
     costs' common denominator ``cden``.  Each row starts on its slack or
@@ -146,22 +150,21 @@ class _Simplex:
     """
 
     def __init__(self, problem: LpProblem) -> None:
-        n, m = problem.num_vars, problem.num_rows
+        m = problem.num_rows
         # each row and its rhs as integers over the lcm s of their denominators
         int_rows = [to_integers([*row, b]) for row, b in zip(problem.rows, problem.rhs)]
 
-        # split free variables into differences of nonnegative columns
-        col_pairs: list[tuple[int, Optional[int]]] = []
-        ncols = 0
-        for j in range(n):
-            if problem.lower[j] is None:
-                col_pairs.append((ncols, ncols + 1))
-                ncols += 2
+        # a free variable's halves x⁺ = v and x⁻ = v + 1 share one stored column
+        self.col_pairs, self.twin, v = [], {}, 0
+        for lo in problem.lower:
+            if lo is None:
+                self.col_pairs.append((v, v + 1))
+                self.twin.update({v: v + 1, v + 1: v})
+                v += 2
             else:
-                col_pairs.append((ncols, None))
-                ncols += 1
-        self.col_pairs = col_pairs
-        n_struct = ncols
+                self.col_pairs.append((v, None))
+                v += 1
+        n_struct = v
 
         # normalize rows to nonnegative rhs; also flip ≥ rows with zero rhs:
         # as ≤ rows they start on a slack basis, which keeps artificial
@@ -181,17 +184,10 @@ class _Simplex:
         T: list[list[int]] = []
         ident_col: list[int] = []
         col_scale = [1] * total
-        nonbasic = list(range(n_struct))
+        nonbasic = [pc for pc, _ in self.col_pairs]
         scol, acol = n_struct, self.first_art
         for (ints, s), sign, flip in zip(int_rows, slack_sign, flipped):
-            row = [0] * n_struct
-            for j, (pc, nc) in enumerate(col_pairs):
-                a = ints[j]
-                if a:
-                    row[pc] = a
-                    if nc is not None:
-                        row[nc] = -a
-            row += pad + ints[-1:]
+            row = ints[:-1] + pad + ints[-1:]
             if flip:
                 row = [-a for a in row]
             if sign:
@@ -216,7 +212,6 @@ class _Simplex:
         self.m = m
         self.n_struct = n_struct
         self.ncols = total
-        self.alive = list(range(m))         # problem row index per tableau row
 
     def _objective_costs(self, problem: LpProblem) -> tuple[list[int], int]:
         """Phase two's (integer costs per variable, denominator)."""
@@ -257,11 +252,20 @@ class _Simplex:
         self.d = p
         self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
 
+    def _store(self, j: int, var: int) -> None:
+        """Make stored column ``j`` hold ``var``: when ``var`` is the other
+        half of its free pair, that column is this one negated."""
+        if self.nonbasic[j] != var:
+            for row in self.T:
+                row[j] = -row[j]
+            self.z[j] = -self.z[j]
+            self.nonbasic[j] = var
+
     def _run_phase(self, costs: tuple[list[int], int], entering_limit: int):
         """Bland's rule to optimality on costs given as (integers per
         variable, denominator); returns ('optimal', None) or ('unbounded',
-        entering variable)."""
-        T, basis, nonbasic = self.T, self.basis, self.nonbasic
+        entering variable); a stored column with z < 0 enters as its twin."""
+        T, basis, nonbasic, twin = self.T, self.basis, self.nonbasic, self.twin
         ints, self.cden = costs
         self.costs = ints
         d = self.d
@@ -275,10 +279,13 @@ class _Simplex:
             z = self.z
             enter, var = -1, entering_limit
             for j, v in enumerate(nonbasic):
-                if v < var and z[j] > 0:
+                if z[j] < 0:
+                    v = twin.get(v, var)
+                if v < var and z[j]:
                     enter, var = j, v
             if enter < 0:
                 return OPTIMAL, None
+            self._store(enter, var)
             # min ratio rhs/t over t > 0, compared by cross-multiplication
             leave = -1
             for r, row in enumerate(T):
@@ -310,24 +317,20 @@ class _Simplex:
         return None
 
     def _drive_out_artificials(self) -> None:
-        r = 0
-        first_art, nonbasic = self.first_art, self.nonbasic
-        while r < len(self.T):
+        """Pivot each basic artificial out on its row's lowest nonzero
+        variable, a free pair by its x⁺ index; a redundant row has none, so
+        it never leaves or moves, and its artificial stays basic at 0."""
+        first_art, nonbasic, twin = self.first_art, self.nonbasic, self.twin
+        for r, row in enumerate(self.T):
             if self.basis[r] >= first_art:
-                row = self.T[r]
                 enter, var = -1, first_art
                 for j, v in enumerate(nonbasic):
+                    v = min(v, twin.get(v, v))
                     if v < var and row[j] != 0:
                         enter, var = j, v
                 if enter >= 0:
+                    self._store(enter, var)
                     self._pivot(r, enter)
-                else:
-                    # redundant constraint: the row reads "artificial = 0"; the
-                    # artificial's start column is a unit vector, so d stays
-                    # the determinant of the remaining basis
-                    del self.T[r], self.basis[r], self.alive[r]
-                    continue
-            r += 1
 
     # --- extraction -------------------------------------------------------
 
@@ -337,13 +340,9 @@ class _Simplex:
         ``min`` objective) and a flipped row each negate one."""
         z, d, costs = self.z, self.d, self.costs
         den = d * self.cden
-        alive = set(self.alive)
         stored = {v: j for j, v in enumerate(self.nonbasic)}
         y = []
         for k in range(self.m):
-            if k not in alive:
-                y.append(_ZERO)
-                continue
             col = self.ident_col[k]
             j = stored.get(col)
             yk = self.col_scale[col] * (d * costs[col] - (0 if j is None else z[j]))

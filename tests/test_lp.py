@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from noarb import fileio, lab, lp, separation
+from noarb import fileio, lab, lp, market, separation
 from noarb.errors import StructureError
 
 import global_routes
 import oracles
+from conftest import crr_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -413,38 +414,43 @@ def inverse(matrix):
 
 
 def test_stored_columns_restate_the_basis_inverse(monkeypatch):
-    """The tableau stores only the nonbasic columns; after every pivot,
-    each stored column, rhs included, is d·B⁻¹ times its variable's start
-    column, where B holds the start columns of the basis (a start-basic
-    slack or artificial has the unit column of its row), over the rows
-    still alive, and |det B| = d; each reduced cost is d·c less the basic
-    costs times its column.  So each exchange step keeps what the full
-    tableau kept."""
+    """The tableau stores only the nonbasic columns, one per free pair;
+    after every pivot, each stored column, rhs included, is d·B⁻¹ times its
+    variable's start column, where B holds the start columns of the basis
+    (a start-basic slack or artificial has the unit column of its row, and
+    the half of a free pair not stored at the start has its twin's
+    negated), and |det B| = d; each
+    reduced cost is d·c less the basic costs times its column.  So each
+    exchange step keeps what the full tableau kept."""
     init, pivot = lp._Simplex.__init__, lp._Simplex._pivot
-    pivots, negated = 0, 0
+    pivots, negated, minus = 0, 0, 0
 
     def start(sx, problem):
         init(sx, problem)
         sx.start = [row[:] for row in sx.T], list(sx.nonbasic)
 
     def checked(sx, r, j):
-        nonlocal pivots, negated
+        nonlocal pivots, negated, minus
         negated += sx.T[r][j] < 0
         pivot(sx, r, j)
         pivots += 1
         T0, nonbasic0 = sx.start
 
         def start_column(v):
-            """v's start column (the rhs for None) on the rows still alive."""
+            """v's start column (the rhs for None)."""
             if v is None:
-                column = [row[-1] for row in T0]
-            elif v in nonbasic0:
-                column = [row[nonbasic0.index(v)] for row in T0]
-            else:
-                column = [int(v == c) for c in sx.ident_col]
-            return [column[k] for k in sx.alive]
+                return [row[-1] for row in T0]
+            if v in nonbasic0:
+                return [row[nonbasic0.index(v)] for row in T0]
+            if sx.twin.get(v) in nonbasic0:
+                return [-a for a in start_column(sx.twin[v])]
+            return [int(v == c) for c in sx.ident_col]
 
-        assert sorted(sx.basis + sx.nonbasic) == list(range(sx.ncols))
+        # one half of each free pair is kept, in basis or nonbasic
+        kept = sx.basis + sx.nonbasic
+        unstored = [w for v, w in sx.twin.items() if v in kept]
+        assert sorted(kept + unstored) == list(range(sx.ncols))
+        minus += sum(sx.twin.get(v, v) < v for v in sx.nonbasic)
         assert all(len(row) == len(sx.nonbasic) + 1 for row in sx.T)
         Binv, det = inverse(list(zip(*[start_column(v) for v in sx.basis])))
         assert abs(det) == sx.d
@@ -459,9 +465,84 @@ def test_stored_columns_restate_the_basis_inverse(monkeypatch):
 
     monkeypatch.setattr(lp._Simplex, "__init__", start)
     monkeypatch.setattr(lp._Simplex, "_pivot", checked)
-    for problem in oracles.seeded_lps():
+    for problem in [*oracles.seeded_lps(), *every_other_free(oracles.seeded_lps())]:
         lp.solve(problem)
-    assert pivots > 1000 and negated > 0
+    assert pivots > 1000 and negated > 0 and minus > 0
+
+
+def every_other_free(problems):
+    """The problems with every other variable, from the second, made free."""
+    return [dataclasses.replace(p, lower=[None if j % 2 else F(0) for j in range(p.num_vars)])
+            for p in problems]
+
+
+def test_one_column_per_free_pair_keeps_the_pivot_path(monkeypatch):
+    """Storing one column per free pair changes no pivot, which the digests
+    (they pin outcomes) would not show: on the CRR ladder, the pivot counts
+    and the largest d of the whole-market NUPBR LP and of the exhaustion's
+    separation LPs are pinned; on the seeded LPs with free variables some
+    entering step takes a stored column's negative; driving out an
+    artificial enters a free pair by its x⁺ index; and a fresh tableau of
+    the NUPBR LP, whose rows start on slacks, stores one integer per
+    strategy coefficient and the rhs."""
+    seen = {"pivots": 0, "bits": 0, "negated": 0, "driving": False, "labels": []}
+    pivot, store, drive = lp._Simplex._pivot, lp._Simplex._store, lp._Simplex._drive_out_artificials
+
+    def counted(sx, r, j):
+        pivot(sx, r, j)
+        seen["pivots"] += 1
+        seen["bits"] = max(seen["bits"], sx.d.bit_length())
+
+    def relabelled(sx, j, var):
+        seen["negated"] += sx.nonbasic[j] != var and not seen["driving"]
+        store(sx, j, var)
+
+    def driving(sx):
+        seen["driving"], seen["labels"] = True, list(sx.nonbasic)
+        drive(sx)
+        seen["driving"] = False
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", counted)
+    monkeypatch.setattr(lp._Simplex, "_store", relabelled)
+    monkeypatch.setattr(lp._Simplex, "_drive_out_artificials", driving)
+    ladder = []
+    for T in (5, 6):
+        model, _ = crr_tree(T, F(5, 2))
+        for route in (lambda: market.check_nupbr(model),
+                      lambda: separation.strict_separator_exists(market.payoff_cone(model))):
+            seen.update(pivots=0, bits=0)
+            assert route()
+            ladder.append((seen["pivots"], seen["bits"]))
+    assert ladder == [(63, 127), (32, 122), (147, 272), (64, 254)]
+
+    seen["negated"] = 0
+    for problem in every_other_free(oracles.seeded_lps()):
+        lp.solve(problem)
+    assert seen["negated"] > 0
+
+    # phase one ends with x⁻ = 2 of the second variable stored, in a row
+    # whose artificial 9 is then driven out; the split kernel entered x⁺ = 1
+    # there, Bland's lowest index, and so does this one
+    p = lp.LpProblem([0, -3, 0, -2],
+                     [[0, -1, -3, 0], [3, 2, -2, -3], [-3, -2, -1, 10], [-3, -1, -6, 8],
+                      [-2, -1, -1, 2], [2, 0, 6, 0]], ["=="] * 6, [0] * 6,
+                     lower=[0, None, 0, None])
+    sx = lp._Simplex(p)
+    assert sx._phase_one() is None
+    assert 2 in seen["labels"] and sx.basis == [4, 0, 3, 1, 10, 11]
+
+    problems, solve = [], lp.solve
+
+    def record(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", record)
+    market.check_nupbr(crr_tree(3)[0])
+    [problem] = problems
+    sx = lp._Simplex(problem)
+    assert set(problem.lower) == {None} and sx.n_struct == 2 * problem.num_vars
+    assert [len(row) for row in sx.T] == [problem.num_vars + 1] * problem.num_rows
 
 
 def test_slack_rows_store_only_the_structural_columns(monkeypatch):
@@ -508,15 +589,24 @@ def test_negative_pivot_driving_out_an_artificial(monkeypatch):
     assert lp.check_optimal(p, out)
 
 
-def test_redundant_row_deleted_then_pivots_continue(monkeypatch):
+def test_redundant_row_stays_then_pivots_continue(monkeypatch):
     pivots = exact_steps(monkeypatch)
     p = lp.LpProblem([1, 2], [[F(1, 2), F(1, 2)], [1, 1], [1, -1]], ["==", "==", "<="],
                      [F(1, 2), 1, F(1, 3)])
     sx = lp._Simplex(p)
+
+    def redundant_row_stays():
+        # the duplicated row keeps its artificial basic at 0, and is zero on
+        # every column that can enter, so no pivot moves it
+        row = sx.T[1]
+        assert len(sx.T) == 3 and sx.basis[1] >= sx.first_art and row[-1] == 0
+        assert all(a == 0 for a, v in zip(row, sx.nonbasic) if v < sx.first_art)
+
     assert sx._phase_one() is None
-    assert sx.alive == [0, 2]  # the duplicated row is gone
+    redundant_row_stays()
     assert sx._run_phase(sx._objective_costs(p), sx.first_art)[0] == lp.OPTIMAL
-    assert len(pivots) == 3  # two in phase one, one after the deletion
+    redundant_row_stays()
+    assert len(pivots) == 3  # two in phase one, one in phase two
     out = lp.solve(p)
     assert out.primal == (F(0), F(1))
     assert out.objective_value == 2
@@ -674,15 +764,17 @@ def test_negating_an_inequality_row_is_metamorphic():
 @settings(max_examples=80, deadline=None)
 @given(problem=lp_problems())
 def test_integer_rows_restate_the_fraction_rows(problem):
-    """Each start tableau row is its problem row and rhs as integers over
-    one scale, the lcm of their denominators, which the row's slack or
-    artificial column carries; a flipped row is negated."""
+    """Each start tableau row is its problem row, one stored integer per
+    variable (a free one's x⁺ half), and rhs as integers over one scale, the
+    lcm of their denominators, which the row's slack or artificial column
+    carries; a flipped row is negated."""
     sx = lp._Simplex(problem)
+    n = problem.num_vars
+    assert sx.nonbasic[:n] == [pc for pc, _ in sx.col_pairs]
     for k, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
         scale = sx.col_scale[sx.ident_col[k]]
         t = [-a for a in sx.T[k]] if sx.flipped[k] else sx.T[k]
-        assert [F(t[pc], scale) for pc, _ in sx.col_pairs] + [F(t[-1], scale)] == [*row, b]
-        assert all(t[nc] == -t[pc] for pc, nc in sx.col_pairs if nc is not None)
+        assert [F(a, scale) for a in t[:n]] + [F(t[-1], scale)] == [*row, b]
         assert scale == math.lcm(*[v.denominator for v in (*row, b)])
 
 
