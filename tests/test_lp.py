@@ -360,6 +360,11 @@ def test_pivot_path_digest(monkeypatch):
     # are fixed too; any change of arithmetic must leave these bytes alone
     seeded = [lp.solve(p) for p in oracles.seeded_lps()]
     assert outcome_digest(seeded) == SEEDED_DIGEST
+    # the seeded LPs have no free variable; freeing every other one reaches
+    # the free-variable paths, rays included (127 optimal, 194 unbounded,
+    # 179 infeasible)
+    free = [lp.solve(p) for p in every_other_free(oracles.seeded_lps())]
+    assert outcome_digest(free) == FREE_DIGEST
     corpus = corpus_outcomes(monkeypatch)
     assert len(corpus) == 626
     assert outcome_digest(corpus) == CORPUS_DIGEST
@@ -367,6 +372,7 @@ def test_pivot_path_digest(monkeypatch):
 
 SEEDED_DIGEST = "58e0f74769c8baddc392be57e5fd68f3d32c2c01e9c02ef4087c2738bc69a4ce"
 CORPUS_DIGEST = "f896e9b109c3b50666292c098f3f41737944c876b534216fd36dc35566464b95"
+FREE_DIGEST = "0f086b04b3cc8744a8eeb18252a7ac7510aba72ab2ad8f75b6dcb954326dbc43"
 
 
 def exact_steps(monkeypatch):
