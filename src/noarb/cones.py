@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import lp
-from .errors import StructureError
+from .errors import InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
 from .rationals import as_fraction, dot
 
@@ -106,8 +106,8 @@ def minkowski(bset: SemiSolidSet, x: RandomVariable) -> Gauge:
     """Gauge of B at x: the least α ≥ 0 with x ∈ αB, or +inf when there is none.
 
     Computed as min Σ λ_g subject to 0 ≤ x ≤ Σ λ_g·g, λ ≥ 0; the minimum is
-    attained because B is a closed polyhedron.  Read as the minimal
-    superreplication price of x out of the budget set B.
+    attained because B is a closed polyhedron (never unbounded: Σ λ ≥ 0).
+    Read as the minimal superreplication price of x out of the budget set B.
     """
     _check_space(bset, x)
     if not x.is_nonneg:
@@ -117,6 +117,9 @@ def minkowski(bset: SemiSolidSet, x: RandomVariable) -> Gauge:
     rows = [[g.values[i] for g in gens] for i in range(n)]
     problem = lp.LpProblem([1] * len(gens), rows, [">="] * n, list(x.values), sense="min")
     outcome = lp.solve(problem)
+    if outcome.status == lp.UNBOUNDED:  # min Σ λ over λ ≥ 0
+        raise InternalInconsistency("gauge LP cannot be unbounded",
+                                    bset=bset, x=x, outcome=outcome)
     if outcome.status != lp.OPTIMAL:
         return math.inf
     return outcome.objective_value

@@ -3,9 +3,9 @@
 This is the single decision oracle behind every set-membership and
 no-arbitrage question in the library, so it never rounds: all arithmetic is
 exact, on a condensed fraction-free integer tableau (only the nonbasic
-columns are stored; a free variable is one stored column, and its x⁻ half
-is that column negated under its own index): rows, costs and signs stay
-integers, and each returned number is one ``Fraction``; pivoting uses
+columns are stored; a free variable is one index and one column, stored as
+x or as −x and negated when it enters the other way): rows, costs and signs
+stay integers, and each returned number is one ``Fraction``; pivoting uses
 Bland's anti-cycling rule (lowest eligible index, ties by lowest basic
 variable index), and every answer is certified: optimal outcomes carry
 exact duals with zero duality gap, infeasible outcomes carry a Farkas
@@ -126,27 +126,26 @@ class _Simplex:
     """Two-phase simplex on a condensed integer tableau over the
     standardized slack form.
 
-    Variables are numbered: structural columns (a free variable's halves
-    x⁺ = v and x⁻ = v + 1 are each other's ``twin``), one slack or surplus
-    per inequality row, then one artificial per row that does not start on
-    a slack.  ``T`` stores only the nonbasic columns, rhs last:
+    Variables are numbered: one per structural variable, one slack or
+    surplus per inequality row, then one artificial per row that does not
+    start on a slack.  ``T`` stores only the nonbasic columns, rhs last:
     ``nonbasic[j]`` names stored column ``j``'s variable and ``basis[r]``
-    row ``r``'s, whose column is ``d·e_r`` and is not stored; nor is the
-    half of a free pair that is in neither, whose column is its twin's
-    negated.  Row ``r`` of ``T`` holds ``d`` times the rational tableau row
-    under one positive common denominator ``d``, and ``z`` the running
-    phase's reduced costs on the stored columns the same way, times the
-    costs' common denominator ``cden``.  Each row starts on its slack or
-    artificial, as its problem row and rhs in integers over the lcm ``s`` of
-    their denominators, with a ``-1`` in its own surplus column; ``s``
-    scales that row's slack and artificial columns by ``col_scale``.  Phase
-    one's costs ``-1/s_i`` undo that scaling as ``-(L // s_i)`` over
-    ``L = lcm(s)``, and phase two's are the objective's integers, negated
-    for ``min``.  Positive row and column scalings keep every sign Bland's
-    rule reads and every ratio order the ratio test reads, so the pivot path
-    is that of the rational tableau.  The ``min`` and row-flip signs fold
-    into integer numerators, and each returned number is built as one
-    ``Fraction`` on the way out.
+    row ``r``'s, whose column is ``d·e_r`` and is not stored.  A free
+    variable ``v`` is held as ``sign[v]·x_v ≥ 0``: ``_flip`` negates its
+    column to enter it with z < 0.  Row ``r`` of ``T`` holds ``d`` times the
+    rational tableau row under one positive common denominator ``d``, and
+    ``z`` the running phase's reduced costs on the stored columns the same
+    way, times the costs' common denominator ``cden``.  Each row starts on
+    its slack or artificial, as its problem row and rhs in integers over the
+    lcm ``s`` of their denominators, with a ``-1`` in its own surplus
+    column; ``s`` scales that row's slack and artificial columns by
+    ``col_scale``.  Phase one's costs ``-1/s_i`` undo that scaling as
+    ``-(L // s_i)`` over ``L = lcm(s)``, and phase two's are the objective's
+    integers times ``sign``, negated for ``min``.  Positive row and column
+    scalings keep every sign Bland's rule reads and every ratio order the
+    ratio test reads, so the pivot path is that of the rational tableau.
+    The ``min`` and row-flip signs fold into integer numerators, and each
+    returned number is built as one ``Fraction`` on the way out.
     """
 
     def __init__(self, problem: LpProblem) -> None:
@@ -154,17 +153,9 @@ class _Simplex:
         # each row and its rhs as integers over the lcm s of their denominators
         int_rows = [to_integers([*row, b]) for row, b in zip(problem.rows, problem.rhs)]
 
-        # a free variable's halves x⁺ = v and x⁻ = v + 1 share one stored column
-        self.col_pairs, self.twin, v = [], {}, 0
-        for lo in problem.lower:
-            if lo is None:
-                self.col_pairs.append((v, v + 1))
-                self.twin.update({v: v + 1, v + 1: v})
-                v += 2
-            else:
-                self.col_pairs.append((v, None))
-                v += 1
-        n_struct = v
+        n_struct = problem.num_vars
+        self.free = {v for v, lo in enumerate(problem.lower) if lo is None}
+        self.sign = [1] * n_struct
 
         # normalize rows to nonnegative rhs; also flip ≥ rows with zero rhs:
         # as ≤ rows they start on a slack basis, which keeps artificial
@@ -184,7 +175,7 @@ class _Simplex:
         T: list[list[int]] = []
         ident_col: list[int] = []
         col_scale = [1] * total
-        nonbasic = [pc for pc, _ in self.col_pairs]
+        nonbasic = list(range(n_struct))
         scol, acol = n_struct, self.first_art
         for (ints, s), sign, flip in zip(int_rows, slack_sign, flipped):
             row = ints[:-1] + pad + ints[-1:]
@@ -216,14 +207,9 @@ class _Simplex:
     def _objective_costs(self, problem: LpProblem) -> tuple[list[int], int]:
         """Phase two's (integer costs per variable, denominator)."""
         ints, den = to_integers(problem.objective)
-        if problem.sense == MINIMIZE:
-            ints = [-c for c in ints]
-        costs = [0] * self.ncols
-        for c, (pc, nc) in zip(ints, self.col_pairs):
-            costs[pc] = c
-            if nc is not None:
-                costs[nc] = -c
-        return costs, den
+        sense = -1 if problem.sense == MINIMIZE else 1
+        costs = [sense * sign * c for c, sign in zip(ints, self.sign)]
+        return costs + [0] * (self.ncols - self.n_struct), den
 
     # --- pivoting ---------------------------------------------------------
 
@@ -252,20 +238,22 @@ class _Simplex:
         self.d = p
         self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
 
-    def _store(self, j: int, var: int) -> None:
-        """Make stored column ``j`` hold ``var``: when ``var`` is the other
-        half of its free pair, that column is this one negated."""
-        if self.nonbasic[j] != var:
-            for row in self.T:
-                row[j] = -row[j]
-            self.z[j] = -self.z[j]
-            self.nonbasic[j] = var
+    def _flip(self, j: int) -> None:
+        """Turn stored column ``j``, a free variable's, from x to −x or back:
+        negate it in every row, in ``z`` and in the running costs."""
+        for row in self.T:
+            row[j] = -row[j]
+        self.z[j] = -self.z[j]
+        v = self.nonbasic[j]
+        self.costs[v] = -self.costs[v]
+        self.sign[v] = -self.sign[v]
 
     def _run_phase(self, costs: tuple[list[int], int], entering_limit: int):
         """Bland's rule to optimality on costs given as (integers per
         variable, denominator); returns ('optimal', None) or ('unbounded',
-        entering variable); a stored column with z < 0 enters as its twin."""
-        T, basis, nonbasic, twin = self.T, self.basis, self.nonbasic, self.twin
+        entering variable); a free variable's column with z < 0 enters
+        flipped."""
+        T, basis, nonbasic, free = self.T, self.basis, self.nonbasic, self.free
         ints, self.cden = costs
         self.costs = ints
         d = self.d
@@ -279,13 +267,12 @@ class _Simplex:
             z = self.z
             enter, var = -1, entering_limit
             for j, v in enumerate(nonbasic):
-                if z[j] < 0:
-                    v = twin.get(v, var)
-                if v < var and z[j]:
+                if v < var and (z[j] > 0 or (z[j] < 0 and v in free)):
                     enter, var = j, v
             if enter < 0:
                 return OPTIMAL, None
-            self._store(enter, var)
+            if z[enter] < 0:
+                self._flip(enter)
             # min ratio rhs/t over t > 0, compared by cross-multiplication
             leave = -1
             for r, row in enumerate(T):
@@ -318,18 +305,18 @@ class _Simplex:
 
     def _drive_out_artificials(self) -> None:
         """Pivot each basic artificial out on its row's lowest nonzero
-        variable, a free pair by its x⁺ index; a redundant row has none, so
-        it never leaves or moves, and its artificial stays basic at 0."""
-        first_art, nonbasic, twin = self.first_art, self.nonbasic, self.twin
+        variable, a free one as +x; a redundant row has none, so it never
+        leaves or moves, and its artificial stays basic at 0."""
+        first_art, nonbasic = self.first_art, self.nonbasic
         for r, row in enumerate(self.T):
             if self.basis[r] >= first_art:
                 enter, var = -1, first_art
                 for j, v in enumerate(nonbasic):
-                    v = min(v, twin.get(v, v))
                     if v < var and row[j] != 0:
                         enter, var = j, v
                 if enter >= 0:
-                    self._store(enter, var)
+                    if var < self.n_struct and self.sign[var] < 0:
+                        self._flip(enter)
                     self._pivot(r, enter)
 
     # --- extraction -------------------------------------------------------
@@ -354,7 +341,7 @@ class _Simplex:
         xs = [0] * self.n_struct
         for row, col in zip(self.T, self.basis):
             if col < self.n_struct:
-                xs[col] = row[-1]
+                xs[col] = self.sign[col] * row[-1]
         return xs
 
     def _ray(self, enter: int) -> list[int]:
@@ -364,16 +351,14 @@ class _Simplex:
         j = self.nonbasic.index(enter)
         ray = [0] * self.n_struct
         if enter < self.n_struct:
-            ray[enter] = self.d
+            ray[enter] = self.sign[enter] * self.d
         for row, col in zip(self.T, self.basis):
             if col < self.n_struct:
-                ray[col] = -row[j] * scale
+                ray[col] = -self.sign[col] * row[j] * scale
         return ray
 
     def _to_original(self, xs) -> tuple[Fraction, ...]:
-        d = self.d
-        values = [xs[pc] - xs[nc] if nc is not None else xs[pc] for pc, nc in self.col_pairs]
-        return tuple([Fraction(v, d) if v else _ZERO for v in values])
+        return tuple([Fraction(v, self.d) if v else _ZERO for v in xs])
 
 
 def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int, sign: int) -> list[int]:

@@ -828,7 +828,8 @@ def emm_budget(model: MarketModel, measure: Measure) -> Price:
 
     Q is equivalent, so the supremum is attained at 1 + gain(ξ): it is
     1 + max E_Q[gain(ξ)] over gain(ξ) ≥ −1, the budget ceiling LP weighted
-    by Q, and +inf when that LP is unbounded."""
+    by Q, and +inf when that LP is unbounded (never infeasible: ξ = 0 is
+    feasible)."""
     if measure.space != model.space:
         raise StructureError("measure on a different sample space")
     if not measure.is_equivalent:
@@ -837,4 +838,7 @@ def emm_budget(model: MarketModel, measure: Measure) -> Price:
     outcome = lp.solve(problem)
     if outcome.status == lp.OPTIMAL:
         return _ONE + outcome.objective_value
+    if outcome.status != lp.UNBOUNDED:  # ξ = 0 is feasible
+        raise InternalInconsistency("budget LP cannot be infeasible",
+                                    model=model, outcome=outcome)
     return math.inf

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from noarb import concepts, lab
+from noarb import concepts, lab, lp
 from noarb.concepts import ConceptVerdicts, full_verdict
 from noarb.errors import InternalInconsistency
 from noarb.lattice import Measure
@@ -51,6 +51,16 @@ def test_emm_budget_finite_on_an_arbitrage_free_market(binomial):
 def test_emm_budget_infinite_under_arbitrage(dominance):
     q = Measure(dominance.space, [F(1, 2), F(1, 2)])
     assert emm_budget(dominance, q) == math.inf
+
+
+def test_emm_budget_rejects_an_infeasible_budget_lp(binomial, monkeypatch):
+    """ξ = 0 is feasible, so an infeasible budget LP is the solver's fault,
+    not an unbounded budget: it raises, carrying the market."""
+    q = find_emm(binomial).measure
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=lp.INFEASIBLE))
+    with pytest.raises(InternalInconsistency, match="cannot be infeasible") as caught:
+        emm_budget(binomial, q)
+    assert caught.value.data["model"] == binomial
 
 
 def test_zero_gauge_set_equals_all_levels_intersection():

@@ -16,7 +16,7 @@ from noarb.cones import (
     sup_squared_norm,
     zero_set_trivial,
 )
-from noarb.errors import StructureError
+from noarb.errors import InternalInconsistency, StructureError
 from noarb.lattice import RandomVariable, SampleSpace
 
 TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
@@ -60,6 +60,17 @@ def test_minkowski_infinite_off_support():
     assert minkowski(B, TWO.variable([0, 1])) == math.inf
     assert minkowski(B, TWO.variable([-1, 0])) == math.inf
     assert zero_set_trivial(B)
+
+
+def test_minkowski_rejects_an_unbounded_gauge_lp(monkeypatch):
+    """min Σ λ over λ ≥ 0 is bounded below by 0, so an unbounded gauge LP is
+    the solver's fault, not a missing gauge: it raises, carrying the set."""
+    space, B = counterexample_set(3)
+    x = space.indicator("w2")
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=lp.UNBOUNDED))
+    with pytest.raises(InternalInconsistency, match="cannot be unbounded") as caught:
+        minkowski(B, x)
+    assert caught.value.data["bset"] == B and caught.value.data["x"] == x
 
 
 def test_sup_norm():

@@ -420,14 +420,13 @@ def inverse(matrix):
 
 
 def test_stored_columns_restate_the_basis_inverse(monkeypatch):
-    """The tableau stores only the nonbasic columns, one per free pair;
+    """The tableau stores only the nonbasic columns, one per variable;
     after every pivot, each stored column, rhs included, is d·B⁻¹ times its
     variable's start column, where B holds the start columns of the basis
     (a start-basic slack or artificial has the unit column of its row, and
-    the half of a free pair not stored at the start has its twin's
-    negated), and |det B| = d; each
-    reduced cost is d·c less the basic costs times its column.  So each
-    exchange step keeps what the full tableau kept."""
+    a free variable held as −x has its start column negated), and
+    |det B| = d; each reduced cost is d·c less the basic costs times its
+    column.  So each exchange step keeps what the full tableau kept."""
     init, pivot = lp._Simplex.__init__, lp._Simplex._pivot
     pivots, negated, minus = 0, 0, 0
 
@@ -447,16 +446,12 @@ def test_stored_columns_restate_the_basis_inverse(monkeypatch):
             if v is None:
                 return [row[-1] for row in T0]
             if v in nonbasic0:
-                return [row[nonbasic0.index(v)] for row in T0]
-            if sx.twin.get(v) in nonbasic0:
-                return [-a for a in start_column(sx.twin[v])]
+                sign = sx.sign[v] if v < sx.n_struct else 1
+                return [sign * row[nonbasic0.index(v)] for row in T0]
             return [int(v == c) for c in sx.ident_col]
 
-        # one half of each free pair is kept, in basis or nonbasic
-        kept = sx.basis + sx.nonbasic
-        unstored = [w for v, w in sx.twin.items() if v in kept]
-        assert sorted(kept + unstored) == list(range(sx.ncols))
-        minus += sum(sx.twin.get(v, v) < v for v in sx.nonbasic)
+        assert sorted(sx.basis + sx.nonbasic) == list(range(sx.ncols))
+        minus += sx.sign.count(-1)
         assert all(len(row) == len(sx.nonbasic) + 1 for row in sx.T)
         Binv, det = inverse(list(zip(*[start_column(v) for v in sx.basis])))
         assert abs(det) == sx.d
@@ -483,33 +478,33 @@ def every_other_free(problems):
 
 
 def test_one_column_per_free_pair_keeps_the_pivot_path(monkeypatch):
-    """Storing one column per free pair changes no pivot, which the digests
-    (they pin outcomes) would not show: on the CRR ladder, the pivot counts
-    and the largest d of the whole-market NUPBR LP and of the exhaustion's
-    separation LPs are pinned; on the seeded LPs with free variables some
-    entering step takes a stored column's negative; driving out an
-    artificial enters a free pair by its x⁺ index; and a fresh tableau of
-    the NUPBR LP, whose rows start on slacks, stores one integer per
-    strategy coefficient and the rhs."""
-    seen = {"pivots": 0, "bits": 0, "negated": 0, "driving": False, "labels": []}
-    pivot, store, drive = lp._Simplex._pivot, lp._Simplex._store, lp._Simplex._drive_out_artificials
+    """One index and one stored column per free variable changes no pivot,
+    which the digests (they pin outcomes) would not show: on the CRR
+    ladder, the pivot counts and the largest d of the whole-market NUPBR LP
+    and of the exhaustion's separation LPs are pinned; on the seeded LPs
+    with free variables some entering step takes a stored column's
+    negative; driving out an artificial enters a free variable as +x; and a
+    fresh tableau of the NUPBR LP, whose rows start on slacks, stores one
+    integer per strategy coefficient and the rhs."""
+    seen = {"pivots": 0, "bits": 0, "negated": 0, "driving": False, "signs": []}
+    pivot, flip, drive = lp._Simplex._pivot, lp._Simplex._flip, lp._Simplex._drive_out_artificials
 
     def counted(sx, r, j):
         pivot(sx, r, j)
         seen["pivots"] += 1
         seen["bits"] = max(seen["bits"], sx.d.bit_length())
 
-    def relabelled(sx, j, var):
-        seen["negated"] += sx.nonbasic[j] != var and not seen["driving"]
-        store(sx, j, var)
+    def flipped(sx, j):
+        seen["negated"] += not seen["driving"]
+        flip(sx, j)
 
     def driving(sx):
-        seen["driving"], seen["labels"] = True, list(sx.nonbasic)
+        seen["driving"], seen["signs"] = True, list(sx.sign)
         drive(sx)
         seen["driving"] = False
 
     monkeypatch.setattr(lp._Simplex, "_pivot", counted)
-    monkeypatch.setattr(lp._Simplex, "_store", relabelled)
+    monkeypatch.setattr(lp._Simplex, "_flip", flipped)
     monkeypatch.setattr(lp._Simplex, "_drive_out_artificials", driving)
     ladder = []
     for T in (5, 6):
@@ -526,16 +521,17 @@ def test_one_column_per_free_pair_keeps_the_pivot_path(monkeypatch):
         lp.solve(problem)
     assert seen["negated"] > 0
 
-    # phase one ends with x⁻ = 2 of the second variable stored, in a row
-    # whose artificial 9 is then driven out; the split kernel entered x⁺ = 1
-    # there, Bland's lowest index, and so does this one
+    # phase one ends with the second variable stored as −x, in a row whose
+    # artificial 7 is then driven out; it enters there as +x, as x⁺ did when
+    # each free variable was split into x⁺ − x⁻ under two indices
     p = lp.LpProblem([0, -3, 0, -2],
                      [[0, -1, -3, 0], [3, 2, -2, -3], [-3, -2, -1, 10], [-3, -1, -6, 8],
                       [-2, -1, -1, 2], [2, 0, 6, 0]], ["=="] * 6, [0] * 6,
                      lower=[0, None, 0, None])
     sx = lp._Simplex(p)
     assert sx._phase_one() is None
-    assert 2 in seen["labels"] and sx.basis == [4, 0, 3, 1, 10, 11]
+    assert seen["signs"] == [1, -1, 1, 1] and sx.sign == [1, 1, 1, 1]
+    assert sx.basis == [3, 0, 2, 1, 8, 9]
 
     problems, solve = [], lp.solve
 
@@ -547,7 +543,7 @@ def test_one_column_per_free_pair_keeps_the_pivot_path(monkeypatch):
     market.check_nupbr(crr_tree(3)[0])
     [problem] = problems
     sx = lp._Simplex(problem)
-    assert set(problem.lower) == {None} and sx.n_struct == 2 * problem.num_vars
+    assert set(problem.lower) == {None} and sx.n_struct == problem.num_vars
     assert [len(row) for row in sx.T] == [problem.num_vars + 1] * problem.num_rows
 
 
@@ -771,12 +767,12 @@ def test_negating_an_inequality_row_is_metamorphic():
 @given(problem=lp_problems())
 def test_integer_rows_restate_the_fraction_rows(problem):
     """Each start tableau row is its problem row, one stored integer per
-    variable (a free one's x⁺ half), and rhs as integers over one scale, the
+    variable (a free one as +x), and rhs as integers over one scale, the
     lcm of their denominators, which the row's slack or artificial column
     carries; a flipped row is negated."""
     sx = lp._Simplex(problem)
     n = problem.num_vars
-    assert sx.nonbasic[:n] == [pc for pc, _ in sx.col_pairs]
+    assert sx.nonbasic[:n] == list(range(n))
     for k, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
         scale = sx.col_scale[sx.ident_col[k]]
         t = [-a for a in sx.T[k]] if sx.flipped[k] else sx.T[k]
