@@ -26,6 +26,12 @@ CASES = [
     ("emm_binomial", 0, ["emm", str(DATA / "binomial.json")]),
     ("emm_trinomial", 0, ["emm", str(DATA / "trinomial.json")]),
     ("emm_dominance", 1, ["emm", str(DATA / "dominance.json")]),
+    # node by node: four nodes, two assets; the arbitrage market's Farkas
+    # vector comes from a t = 2 node after two optimal nodes
+    ("emm_two_period", 0, ["emm", str(DATA / "two_period.json")]),
+    ("emm_two_period_arbitrage", 1, ["emm", str(DATA / "two_period_arbitrage.json")]),
+    # CRR T = 3: all seven nodes share one representative's weights
+    ("emm_crr3", 0, ["emm", str(DATA / "crr3.json")]),
     ("price_binomial_call", 0, ["price", str(DATA / "binomial.json"), str(DATA / "call_payoff.json")]),
     ("price_binomial_zero", 0, ["price", str(DATA / "binomial.json"), str(DATA / "zero_payoff.json")]),
     ("counterexample_3", 0, ["counterexample", "--n", "3"]),
