@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import time
@@ -207,6 +208,22 @@ def test_emm_arbitrage_from_its_own_certificate(terminal, status, lp_calls, monk
     assert res.measure is None
     payoff = terminal_gain(model, res.arbitrage)
     assert payoff.is_nonneg and not payoff.is_zero
+
+
+def test_emm_digest():
+    """The measure ``find_emm`` returns, or None, pinned byte for byte: on the
+    first 1000 seed-0 markets and on CRR trees with T = 1..6."""
+    rng = random.Random(0)
+    models = [lab.random_market(rng) for _ in range(1000)]
+    models += [crr_tree(T)[0] for T in range(1, 7)]
+    measures = [find_emm(model).measure for model in models]
+    text = "\n".join(repr(None if q is None else q.weights) for q in measures)
+    assert sum(q is not None for q in measures) == EMM_FOUND
+    assert hashlib.sha256(text.encode()).hexdigest() == EMM_DIGEST
+
+
+EMM_FOUND = 147
+EMM_DIGEST = "895a977de9590621478b4cd5129a4bbcb754060a5bfc209f1d2ba31f8554ad7a"
 
 
 def test_emm_budget_non_emm_exceeds_one(binomial):
