@@ -9,8 +9,9 @@ reports ``priced``, which holds whenever a price was produced), 1 some
 verdict fails (a witness is in the report), 2 the input was malformed or a
 size argument exceeds its declared cap, 3 two internal decision routes
 disagreed, a witness failed its check, or anything else went wrong inside
-the program.  When an exit 3 arises on a market, that market follows the
-message on standard error as a market file, so the failure can be replayed.
+the program.  When an exit 3 arises on a market or a cone, it follows the
+message on standard error as a market or cone file, so the failure can be
+replayed.
 ``main(argv)`` returns the exit code for every input, usage errors (2) and
 ``--help`` (0) included, so it can be called in-process.
 
@@ -30,8 +31,16 @@ import sys
 
 from . import lab
 from .concepts import full_verdict
+from .cones import PolyhedralCone
 from .errors import InternalInconsistency, StructureError
-from .fileio import dump_market, load_cone, load_market, load_payoff, values_by_outcome
+from .fileio import (
+    dump_cone,
+    dump_market,
+    load_cone,
+    load_market,
+    load_payoff,
+    values_by_outcome,
+)
 from .lattice import RandomVariable
 from .market import (
     MarketModel,
@@ -276,10 +285,12 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InternalInconsistency as exc:
         print(f"noarb: internal inconsistency: {exc}", file=sys.stderr)
-        model = exc.data.get("model")
-        if isinstance(model, MarketModel):
-            print("noarb: the market it arose on, as a market file:", file=sys.stderr)
-            print(json.dumps(dump_market(model), indent=2, sort_keys=True), file=sys.stderr)
+        for key, kind, noun, dump in (("model", MarketModel, "market", dump_market),
+                                      ("cone", PolyhedralCone, "cone", dump_cone)):
+            value = exc.data.get(key)
+            if isinstance(value, kind):
+                print(f"noarb: the {noun} it arose on, as a {noun} file:", file=sys.stderr)
+                print(json.dumps(dump(value), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # never a traceback with exit 1, which means "fails"
         print(f"noarb: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -236,5 +236,15 @@ def load_cone(text: str, name: str = "<input>") -> PolyhedralCone:
     return PolyhedralCone(space, generators)
 
 
+def dump_cone(cone: PolyhedralCone) -> dict:
+    """Schema-shaped dict; ``load_cone`` of its JSON reproduces the cone exactly."""
+    space = cone.space
+    return {
+        "outcomes": [{"id": o, "prob": format_rational(p)}
+                     for o, p in zip(space.outcomes, space.probabilities)],
+        "generators": [[format_rational(v) for v in g.values] for g in cone.generators],
+    }
+
+
 def values_by_outcome(x: RandomVariable) -> dict:
     return {o: format_rational(v) for o, v in zip(x.space.outcomes, x.values)}

@@ -3,7 +3,9 @@ lattice of random variables on them.
 
 With finitely many outcomes and every outcome carrying strictly positive
 probability, almost-sure order is componentwise order, so all lattice
-operations and order predicates are decidable exactly.
+operations and order predicates are decidable exactly.  Every stored value
+is a ``Fraction``, whose denominator is positive, so a sign test against 0
+reads the numerator alone: no ``Fraction`` comparison.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class SampleSpace:
             raise StructureError(
                 f"{len(outcomes)} outcomes but {len(probs)} probabilities"
             )
-        if any(p <= 0 for p in probs):
+        if any(p.numerator <= 0 for p in probs):
             raise StructureError("every outcome probability must be > 0")
         ints, den = to_integers(probs)
         if (total := sum(ints)) != den:
@@ -88,7 +90,7 @@ class Measure:
         ws = as_fractions(weights)
         if len(ws) != len(space):
             raise StructureError("one weight per outcome required")
-        if any(w < 0 for w in ws):
+        if any(w.numerator < 0 for w in ws):
             raise StructureError("measure weights must be nonnegative")
         ints, den = to_integers(ws)
         if (total := sum(ints)) != den:
@@ -98,7 +100,7 @@ class Measure:
 
     @property
     def is_equivalent(self) -> bool:
-        return all(w > 0 for w in self.weights)
+        return all(w.numerator > 0 for w in self.weights)
 
     def expectation(self, x: RandomVariable) -> Fraction:
         if x.space != self.space:
@@ -188,11 +190,11 @@ class RandomVariable:
 
     @property
     def is_nonneg(self) -> bool:
-        return all(a >= 0 for a in self.values)
+        return all(a.numerator >= 0 for a in self.values)
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.values)
+        return not any(self.values)  # a Fraction is true by its numerator
 
     def __str__(self) -> str:
         pairs = ", ".join(f"{o}: {v}" for o, v in zip(self.space.outcomes, self.values))

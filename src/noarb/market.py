@@ -498,11 +498,16 @@ def find_emm(model: MarketModel) -> EmmResult:
     Each node solves for a one-step conditional EMM over its children, and
     the measure of an outcome is the product of the node weights along its
     path.  Strict positivity is obtained in a single solve per node by
-    maximizing the minimum weight subject to the martingale equalities; the
-    optimum is positive exactly when the node has an EMM.  Otherwise the
-    same solve's certificate is the node's arbitrage, read off the
-    multipliers y of the martingale rows: at optimum 0 the dual gives a
-    payoff Σ y·gain ≥ 0 whose total is ≥ 1, and when the LP is infeasible
+    maximizing the minimum weight m subject to the martingale equalities;
+    the optimum is positive exactly when the node has an EMM.  The LP is
+    posed over (s_1..s_k, m) ≥ 0, in that order, with each child's weight
+    q_j = m + s_j: maximize m subject to Σ_j s_j + k·m = 1 and, for each
+    moving asset, Σ_j s_j·Δ_j + m·ΣΔ = 0, one row per equation and no floor
+    row q_j ≥ m per child.  Otherwise the same solve's certificate is the
+    node's arbitrage, read off the multipliers y of the martingale rows.
+    At optimum 0 the first row's dual is 0, so the dual constraints give
+    Σ_a y_a·Δ_a ≥ 0 on every child (the s_j columns) with a total ≥ 1 (the
+    m column): a payoff Σ y·gain ≥ 0 and ≠ 0.  When the LP is infeasible
     the Farkas vector gives a payoff > 0 on every child.  A node takes the
     weights of its representative (``node.market``), whose martingale rows
     are its own scaled by positive factors, so they solve its equations.
@@ -510,44 +515,39 @@ def find_emm(model: MarketModel) -> EmmResult:
     optimum, as at every node of a CRR or trinomial tree.  Where it has
     several, its own solve could end at another: phase one weights each
     row's artificial variable by that row's scale, and the two nodes' rows
-    differ in scale.
+    differ in scale.  Each representative's weights are integers over one
+    denominator, so the measure is carried down the tree as integer pairs,
+    one product per cell, and each outcome is one ``Fraction`` at the end.
     """
     nodes = _built(model, _build_nodes)
-    steps = {}  # per representative, its LP's primal: q_1..q_k, then m
+    steps = {}  # per representative, its weights q as integers over one denominator
     for i, node in enumerate(nodes):
         if node.market != i:
             continue
         k = len(node.children)
-        # variables: q_1..q_k, one per child, then the min-weight level m
-        rows = [[_ONE] * k + [_ZERO]]
-        rels = ["=="]
-        rhs = [_ONE]
-        for col in node.columns:
-            rows.append(list(col) + [_ZERO])
-            rels.append("==")
-            rhs.append(_ZERO)
-        for j in range(k):
-            row = [_ZERO] * (k + 1)
-            row[j] = _ONE
-            row[k] = Fraction(-1)
-            rows.append(row)
-            rels.append(">=")
-            rhs.append(_ZERO)
+        rows = [[_ONE] * k + [Fraction(k)]]
+        rows += [[*col, sum(col, _ZERO)] for col in node.columns]
+        rhs = [_ONE] + [_ZERO] * len(node.columns)
         objective = [_ZERO] * k + [_ONE]
-        outcome = lp.solve(lp.LpProblem(objective, rows, rels, rhs))
+        outcome = lp.solve(lp.LpProblem(objective, rows, ["=="] * len(rows), rhs))
         if outcome.status != lp.OPTIMAL or outcome.objective_value <= 0:
             multipliers = outcome.dual[1:1 + len(node.columns)]
             strategy = _strategy_from_coefficients([(node, multipliers)])
             return EmmResult(arbitrage=_verified_arbitrage(model, strategy))
-        steps[i] = outcome.primal
+        *s, m = outcome.primal
+        steps[i] = to_integers([m + v for v in s])
     parts = model.filtration.partitions
-    weights = [[_ONE]] + [[_ZERO] * len(cells) for cells in parts[1:]]
+    # each cell's weight is n/d, as the pair (n, d)
+    weights = [[(1, 1)]] + [[(0, 1)] * len(cells) for cells in parts[1:]]
     for node in nodes:
-        above = weights[node.t - 1][node.cell]
-        for c, q in zip(node.children, steps[node.market]):
-            weights[node.t][c] = above * q
+        n, d = weights[node.t - 1][node.cell]
+        ints, den = steps[node.market]
+        d *= den
+        below = weights[node.t]
+        for c, q in zip(node.children, ints):
+            below[c] = (n * q, d)
     # the cells at T are the outcomes, in order
-    return EmmResult(measure=_verified_emm(model, weights[-1]))
+    return EmmResult(measure=_verified_emm(model, [Fraction(n, d) for n, d in weights[-1]]))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ over the integer increments.  Only ``dot``, the simplex tableau inside
 increments, which ``_build_steps`` computes once per model as integers
 over one denominator per (t, asset), the three tree walks that read them
 (the node key, each martingale residual over the cell masses, and each
-cell's terminal gain), the superhedging price's shape key, node prices
-and dual check, and NA₁'s summed node duals work on integers over a
-common denominator (``to_integers``); every number they return is a
-``Fraction``.
+cell's terminal gain), the EMM's product of node weights down the tree,
+the superhedging price's shape key, node prices and dual check, and NA₁'s
+summed node duals work on integers over a common denominator
+(``to_integers``); every number they return is a ``Fraction``.
 A rational is written in ASCII digits only.
 """
 

@@ -295,6 +295,25 @@ def test_exit_3_prints_the_market(concept, monkeypatch, capsys):
     assert load_market(dumped) == load_market(path.read_text())
 
 
+@pytest.mark.parametrize("extra", [[], ["--target", "1,1"]], ids=["strict", "target"])
+def test_exit_3_prints_the_cone(extra, monkeypatch, capsys):
+    """The cone a separation inconsistency arose on goes to stderr as a cone file."""
+    from noarb import lp
+    from noarb.fileio import load_cone
+
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve",
+                        lambda problem: dataclasses.replace(solve(problem), status=lp.UNBOUNDED))
+    path = DATA / "cone_with_gen.json"
+    assert main(["--json", "separate", str(path), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, header, dumped = captured.err.split("\n", 2)
+    assert message == "noarb: internal inconsistency: separation LP must have optimum 0 or 1"
+    assert header == "noarb: the cone it arose on, as a cone file:"
+    assert load_cone(dumped) == load_cone(path.read_text())
+
+
 def test_emm_weights_off_mass_1_exit_3(monkeypatch, capsys):
     """Node weights that do not make a probability measure are the program's
     fault, not the input's: exit 3 with the market, not exit 2."""

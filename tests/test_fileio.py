@@ -127,6 +127,15 @@ def test_payoff_loading():
         fileio.load_payoff('{"payoff": {"u": "1", "d": "0", "x": "2"}}', model)
 
 
+@pytest.mark.parametrize("name", ["cone_with_e2.json", "cone_with_gen.json", "orthant_cone.json"])
+def test_cone_round_trip(name):
+    cone = fileio.load_cone(read(name))
+    dumped = fileio.dump_cone(cone)
+    again = fileio.load_cone(json.dumps(dumped))
+    assert again == cone
+    assert fileio.dump_cone(again) == dumped
+
+
 def test_cone_loading():
     cone = fileio.load_cone(read("cone_with_gen.json"))
     assert cone.generators[0].values == (F(1), F(-1))

@@ -10,6 +10,14 @@ TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 
 values = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
+#: Exact rationals of either sign: 0, small ones, and 300-digit denominators.
+signed = st.one_of(
+    st.just(F(0)),
+    values,
+    st.builds(F, st.integers(min_value=-10 ** 300, max_value=10 ** 300),
+              st.integers(min_value=10 ** 299, max_value=10 ** 300)),
+)
+
 
 def rv(space):
     return st.builds(lambda vs: RandomVariable(space, vs),
@@ -111,3 +119,26 @@ def test_expectation_uses_probabilities():
 def test_input_validation_raises(call, message):
     with pytest.raises(StructureError, match=message):
         call()
+
+
+@given(st.lists(signed, min_size=1, max_size=5), st.booleans())
+def test_sign_tests_agree_with_comparisons_against_0(drawn, absolute):
+    """The sign tests read numerators; each must agree with comparing the
+    Fraction itself with 0."""
+    drawn = [abs(v) for v in drawn] if absolute else drawn
+    space = SampleSpace.uniform(len(drawn))
+    x = RandomVariable(space, drawn)
+    assert x.is_nonneg == all(v >= 0 for v in drawn)
+    assert x.is_zero == all(v == 0 for v in drawn)
+    weights = [*drawn[:-1], 1 - sum(drawn[:-1])]  # mass 1
+    if any(w < 0 for w in weights):
+        with pytest.raises(StructureError, match="must be nonnegative"):
+            Measure(space, weights)
+    else:
+        assert Measure(space, weights).is_equivalent == all(w > 0 for w in weights)
+    outcomes = [f"w{k}" for k in range(len(weights))]
+    if any(w <= 0 for w in weights):
+        with pytest.raises(StructureError, match="must be > 0"):
+            SampleSpace(outcomes, weights)
+    else:
+        assert SampleSpace(outcomes, weights).probabilities == tuple(weights)

@@ -210,6 +210,26 @@ def test_emm_arbitrage_from_its_own_certificate(terminal, status, lp_calls, monk
     assert payoff.is_nonneg and not payoff.is_zero
 
 
+@pytest.mark.parametrize("source", ["trinomial", "two_period.json"])
+def test_emm_lp_has_one_row_per_martingale_equation(source, request, lp_calls):
+    """A node's EMM LP is over (s_1..s_k, m): the mass row and one row per
+    moving asset, all equalities, with no floor row per child."""
+    if source.endswith(".json"):
+        model = load_market((DATA / source).read_text())
+    else:
+        model = request.getfixturevalue(source)
+    nodes = market._build_nodes(model)
+    reps = [node for i, node in enumerate(nodes) if node.market == i]
+    assert find_emm(model).measure is not None
+    assert len(lp_calls) == len(reps)
+    for problem, node in zip(lp_calls, reps):
+        assert problem.num_rows == 1 + len(node.columns)
+        assert problem.num_vars == len(node.children) + 1
+        assert set(problem.relations) == {"=="}
+    if source == "trinomial":
+        assert (problem.num_rows, problem.num_vars) == (2, 4)
+
+
 def test_emm_digest():
     """The measure ``find_emm`` returns, or None, pinned byte for byte: on the
     first 1000 seed-0 markets and on CRR trees with T = 1..6."""
