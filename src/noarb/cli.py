@@ -33,14 +33,7 @@ from . import lab
 from .concepts import full_verdict
 from .cones import PolyhedralCone
 from .errors import InternalInconsistency, StructureError
-from .fileio import (
-    dump_cone,
-    dump_market,
-    load_cone,
-    load_market,
-    load_payoff,
-    values_by_outcome,
-)
+from .fileio import dump_cone, dump_market, load_cone, load_market, load_payoff, values_by_outcome
 from .lattice import RandomVariable
 from .market import (
     MarketModel,
