@@ -362,17 +362,40 @@ def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
     return tuple(nodes)
 
 
-def _one_step_problem(node: _Node, values) -> lp.LpProblem:
-    """The node's one-step superhedging LP: minimize α over (α, holdings) with
-    α + holdings·increment_j ≥ values[j] on every child j.  A child valued
-    −inf, the one float a price takes, constrains nothing, so it gets no
-    row; a type test tells it apart without comparing a ``Fraction`` to a
-    float."""
+def _one_step(node: _Node, values, /, **data) -> lp.LpOutcome:
+    """The node's one-step superhedging LP, posed, solved and certified:
+    minimize α over (α, holdings) with α + holdings·increment_j ≥ values[j]
+    on every child j.  A child valued −inf, the one float a price takes,
+    constrains nothing, so it gets no row; a type test tells it apart
+    without comparing a ``Fraction`` to a float.
+
+    α = max of the values with no holdings is feasible, so an infeasible
+    outcome raises ``InternalInconsistency``.  An optimal one is certified
+    from its own duals, without trusting ``lp``: the duals y on the rows
+    must be ≥ 0, sum to 1, have Σ_j y_j·Δ_j = 0 for every moving asset and
+    y·b = the optimum.  They are then a martingale measure on the kept
+    children, so every (α, holdings) that superhedges b has
+    α = Σ_j y_j·(α + holdings·Δ_j) ≥ y·b (weak duality), and the optimum is
+    the least one-step price.  Otherwise ``InternalInconsistency``.  Either
+    raise carries ``data`` and the outcome."""
     kept = [j for j, v in enumerate(values) if type(v) is not float]
     E = len(node.columns)
+    b = [values[j] for j in kept]
     rows = [[_ONE] + [col[j] for col in node.columns] for j in kept]
-    return lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * len(rows),
-                        [values[j] for j in kept], lower=[None] * (E + 1), sense="min")
+    outcome = lp.solve(lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * len(rows), b,
+                                    lower=[None] * (E + 1), sense="min"))
+    if outcome.status == lp.INFEASIBLE:
+        raise InternalInconsistency("superreplication LP cannot be infeasible",
+                                    outcome=outcome, **data)
+    if outcome.status == lp.OPTIMAL:
+        y = outcome.dual
+        ints, den = to_integers(y)
+        if not (len(y) == len(kept) and all(w >= 0 for w in ints) and sum(ints) == den
+                and not any(dot(ints, [col[j] for j in kept]) for col in node.columns)
+                and dot(y, b) == outcome.objective_value):
+            raise InternalInconsistency("one-step superhedging price failed re-verification",
+                                        outcome=outcome, **data)
+    return outcome
 
 
 def _strategy_from_coefficients(placed) -> Strategy:
@@ -556,24 +579,6 @@ class Superreplication:
     hedge: Optional[Strategy] = None
 
 
-def _verified_dual_bound(problem: lp.LpProblem, outcome: lp.LpOutcome, **data) -> None:
-    """Certify an optimal one-step superhedging LP from its own duals,
-    without trusting ``lp``: the duals y on the rows must be ≥ 0, sum to 1,
-    have Σ_j y_j·Δ_j = 0 for every moving asset and y·b = the optimum.  They
-    are then a martingale measure on the kept children, so every (α,
-    holdings) that superhedges b has α = Σ_j y_j·(α + holdings·Δ_j) ≥ y·b
-    (weak duality), and the optimum is the least one-step price.  Otherwise
-    ``InternalInconsistency``."""
-    y = outcome.dual
-    ints, den = to_integers(y)
-    if not (len(y) == problem.num_rows and all(w >= 0 for w in ints) and sum(ints) == den
-            and not any(dot(ints, [row[a] for row in problem.rows])
-                        for a in range(1, problem.num_vars))
-            and dot(y, problem.rhs) == outcome.objective_value):
-        raise InternalInconsistency("one-step superhedging price failed re-verification",
-                                    outcome=outcome, **data)
-
-
 def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superreplication:
     """Cheapest initial wealth whose terminal value dominates the payoff.
 
@@ -599,7 +604,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     optimum, α and holdings in shape units, (x − lo)/s and h/s; every node
     of the class takes lo + s·π, lo + s·α and s·h for its own lo and s,
     each asset's holdings divided by its ``ratio``.  An optimal class solve
-    is certified from its duals by ``_verified_dual_bound``, so every node
+    is certified from its duals by ``_one_step``, so every node
     of the class is priced at its least one-step price, and each node's
     (α, holdings) superhedges its own child prices.  Where a node's own LP
     has several optimal vertices, or is unbounded, its own solve could end
@@ -635,14 +640,9 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
             key, least, g, den = len(node.columns), 0, 1, 1
         unit = classes.get(key)
         if unit is None:
-            problem = _one_step_problem(nodes[node.market], values)
-            outcome = lp.solve(problem)
-            if outcome.status == lp.INFEASIBLE:
-                raise InternalInconsistency("superreplication LP cannot be infeasible",
-                                            model=model, payoff=payoff)
+            outcome = _one_step(nodes[node.market], values, model=model, payoff=payoff)
             alpha, *holdings = outcome.primal
             if outcome.status == lp.OPTIMAL:
-                _verified_dual_bound(problem, outcome, model=model, payoff=payoff)
                 alpha = outcome.objective_value
             (n, d), *holdings = [x.as_integer_ratio() for x in (alpha, *holdings)]
             # (den·α − least)/g and den·h/g, left unreduced: each node reduces its own
@@ -737,45 +737,33 @@ def check_na1(model: MarketModel) -> bool:
     failing LP's holdings h are a node arbitrage, checked as ``check_na``
     checks one: an optimum α ≤ −1 gives h·Δ_j ≥ 1{j=c} − 1 − α ≥ 1{j=c},
     and an unbounded LP's ray lowers α while keeping every row, so its
-    holdings gain more than 0 on every child.  A node that passes must have
-    the mean ȳ of the duals it used strictly positive, summing to 1, and
-    with Σ_j ȳ_j·Δ_j = 0 for every moving asset: a strictly positive
-    martingale measure on its children, which by weak duality bounds every
-    indicator price below by ȳ_c > 0, on the representative and on every
-    node that shares it.  An infeasible LP is an inconsistency, since α = 0
-    with no holdings is always feasible.
+    holdings gain more than 0 on every child.  A passing LP is certified by
+    ``_one_step``, as every one-step price is: its duals y are a martingale
+    measure on the node's children with y·b = the optimum, which for
+    b = 1_c − 1 is y_c − 1.  An optimum above −1 therefore has y_c > 0, so
+    the mean of the duals a node used is a strictly positive martingale
+    measure on its children, and by weak duality it bounds every indicator
+    price below by its weight at that child, on the representative and on
+    every node that shares it.
     """
     for i, node in enumerate(_built(model, _build_nodes)):
         if node.market != i or not node.columns:
             continue
         k = len(node.children)
         covered = [False] * k
-        duals = []  # of the node's optimal LPs
         for c in range(k):
             if covered[c]:
                 continue
             values = [-_ONE] * k
             values[c] = _ZERO
-            outcome = lp.solve(_one_step_problem(node, values))
+            outcome = _one_step(node, values, model=model, node=node)
             if outcome.status == lp.OPTIMAL and outcome.objective_value > -1:
-                duals.append(outcome.dual)
                 covered = [done or y > 0 for done, y in zip(covered, outcome.dual)]
                 continue
-            if outcome.status == lp.INFEASIBLE:
-                raise InternalInconsistency("one-step indicator price failed re-verification",
-                                            model=model, node=node, outcome=outcome)
             # π_v(1_c) ≤ 0: the holdings of the primal, or of the ray, are an arbitrage
             failing = outcome.primal if outcome.status == lp.OPTIMAL else outcome.ray
             _verified_arbitrage(model, _strategy_from_coefficients([(node, failing[1:])]))
             return False
-        # each child's dual weight, summed over the duals as integers over
-        # their lcm: len(duals)·den times the mean ȳ
-        ints, den = to_integers([y for dual in duals for y in dual])
-        total = [sum(ints[j::k]) for j in range(k)]
-        if (not all(w > 0 for w in total) or sum(total) != len(duals) * den
-                or any(dot(total, col) for col in node.columns)):
-            raise InternalInconsistency("one-step indicator price failed re-verification",
-                                        model=model, node=node, duals=duals)
     return True
 
 

@@ -191,6 +191,9 @@ def test_exit_code_taxonomy(tmp_path, capsys):
     assert main(["separate", str(DATA / "cone_with_gen.json"), "--target", "1, 1"]) == 0
     assert main(["separate", str(DATA / "cone_with_gen.json"), "--target", "1,\u00a01"]) == 2
     assert "not an exact rational at --target" in capsys.readouterr().err
+    # --target gives one rational per outcome of the cone's space
+    assert main(["separate", str(DATA / "cone_with_gen.json"), "--target", "1,1,1"]) == 2
+    assert "--target needs 2 comma-separated rationals" in capsys.readouterr().err
     huge_number = tmp_path / "huge_number.json"
     huge_number.write_text(f'{{"outcomes": {huge}}}')
     assert main(["check", "na", str(huge_number)]) == 2
@@ -290,7 +293,7 @@ def test_exit_3_prints_the_market(concept, monkeypatch, capsys):
     assert captured.out == ""
     message, header, dumped = captured.err.split("\n", 2)
     assert message == ("noarb: internal inconsistency: "
-                       "one-step indicator price failed re-verification")
+                       "one-step superhedging price failed re-verification")
     assert header == "noarb: the market it arose on, as a market file:"
     assert load_market(dumped) == load_market(path.read_text())
 

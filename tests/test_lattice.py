@@ -41,6 +41,8 @@ def test_componentwise_examples():
 def test_order_examples():
     assert TWO.variable([0, 0]) <= TWO.variable([1, 0])
     assert not TWO.variable([1, 0]) <= TWO.variable([0, 1])
+    assert TWO.variable([1, 0]) >= TWO.variable([0, 0])
+    assert not TWO.variable([1, 0]) >= TWO.variable([0, 1])
     assert TWO.zero().is_nonneg and TWO.zero().is_zero
     third = TWO.variable([F(1, 3), 0])
     assert third.is_nonneg and not third.is_zero
@@ -114,8 +116,10 @@ def test_expectation_uses_probabilities():
     (lambda: SampleSpace(["a", "b"], [F(1, 2), F(1, 3)]), "probabilities sum to 5/6, not 1"),
     (lambda: SampleSpace.uniform(0), "need at least one outcome"),
     (lambda: TWO.variable([1, 2]).sup(1), "expected a RandomVariable, got 1"),
+    (lambda: TWO.variable([1, 2]) >= SampleSpace(["a", "b"], [F(1, 3), F(2, 3)]).variable([0, 0]),
+     "random variables live on different sample spaces"),
 ], ids=["no-outcomes", "probability-count", "probability-sum", "uniform-empty",
-        "not-a-variable"])
+        "not-a-variable", "ge-other-space"])
 def test_input_validation_raises(call, message):
     with pytest.raises(StructureError, match=message):
         call()

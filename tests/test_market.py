@@ -581,30 +581,39 @@ def _replaced(part, corrupt):
     return lambda out: dataclasses.replace(out, **{part: corrupt(getattr(out, part))})
 
 
-NA1_DUAL = "one-step indicator price failed re-verification"
+# every one-step price, NA₁'s indicator prices included, is certified by
+# its duals in one place, ``market._one_step``
+PRICE_DUAL = "one-step superhedging price failed re-verification"
 NA1_HOLDINGS = "arbitrage witness failed re-verification"
 
 
 @pytest.mark.parametrize("terminal, holds, corrupt, message", [
     # binomial's node LP is optimal and its dual is the EMM (1/3, 2/3); one
     # entry raised by 1 weighs 2 and is no longer a martingale measure
-    ([2, F(1, 2)], True, _replaced("dual", lambda y: (y[0] + 1, *y[1:])), NA1_DUAL),
+    ([2, F(1, 2)], True, _replaced("dual", lambda y: (y[0] + 1, *y[1:])), PRICE_DUAL),
     # S = 1 -> (2, 1) prices the up child's indicator at 0: the shifted LP's
     # optimum is -1, and its primal holds one unit; negated, it loses on the up move
     ([2, 1], False, _replaced("primal", lambda x: (x[0], -x[1])), NA1_HOLDINGS),
     # dominance's node LP is unbounded; its ray's holding negated loses on both children
     ([2, F(3, 2)], False, _replaced("ray", lambda r: (r[0], -r[1])), NA1_HOLDINGS),
-    # each of these fails one of the three conditions on the averaged dual:
-    # (1/3, 0, 2/3) solves the trinomial node's martingale rows but is not
-    # strictly positive; twice the EMM is positive and a martingale vector but
-    # weighs 2; the EMM reversed weighs 1 and is positive but no martingale
-    ([2, 1, F(1, 2)], True, _replaced("dual", lambda y: (F(1, 3), F(0), F(2, 3))), NA1_DUAL),
-    ([2, F(1, 2)], True, _replaced("dual", lambda y: tuple([2 * v for v in y])), NA1_DUAL),
-    ([2, F(1, 2)], True, _replaced("dual", lambda y: y[::-1]), NA1_DUAL),
-], ids=["dual", "primal", "ray", "dual-not-positive", "dual-doubled", "dual-reversed"])
+    # each of these fails one condition on a node LP's duals: (1/3, 0, 2/3)
+    # is a martingale measure and certifies the up child's price 1/3, but
+    # prices the middle child's shifted indicator at -1, not its optimum 0;
+    # twice the EMM is a martingale vector but weighs 2; the EMM reversed
+    # weighs 1 and is positive but no martingale
+    ([2, 1, F(1, 2)], True, _replaced("dual", lambda y: (F(1, 3), F(0), F(2, 3))), PRICE_DUAL),
+    ([2, F(1, 2)], True, _replaced("dual", lambda y: tuple([2 * v for v in y])), PRICE_DUAL),
+    ([2, F(1, 2)], True, _replaced("dual", lambda y: y[::-1]), PRICE_DUAL),
+    # the up child's shifted indicator is priced -2/3; raised to -1/6 it still
+    # passes above -1 with the true EMM as its duals, so only y·b = the
+    # optimum tells it is not the least price
+    ([2, F(1, 2)], True, _replaced("objective_value", lambda v: v + F(1, 2)), PRICE_DUAL),
+], ids=["dual", "primal", "ray", "dual-not-positive", "dual-doubled", "dual-reversed",
+        "objective-raised"])
 def test_na1_rejects_a_corrupted_certificate(terminal, holds, corrupt, message, monkeypatch):
-    """``check_na1`` reads the holdings of a failing node LP and the duals of
-    a passing node's LPs; a corrupted one raises, carrying the market."""
+    """``check_na1`` reads the holdings of a failing node LP and certifies
+    each passing LP by its duals; a corrupted one raises, carrying the
+    market."""
     model = one_period_model(terminal)
     assert check_na1(model) == holds
     solve = lp.solve
@@ -670,9 +679,6 @@ def test_strong_arbitrage_prices_minus_inf():
         or superreplication_price(model, model.space.zero()).price <= 0
 
 
-PRICE_DUAL = "one-step superhedging price failed re-verification"
-
-
 @pytest.mark.parametrize("terminal, payoff, price, corrupt", [
     # binomial's call LP is optimal at 1/3 with duals (1/3, 2/3); an optimum
     # raised by 1 still has a hedge that superreplicates, so only the dual
@@ -702,9 +708,10 @@ def test_price_rejects_a_corrupted_certificate(terminal, payoff, price, corrupt,
     assert caught.value.data["model"] == model
 
 
-def test_one_step_problem_drops_minus_inf_children():
+def test_one_step_problem_drops_minus_inf_children(lp_calls):
     node = market._built(one_period_model([2, 1, F(1, 2)]), market._build_nodes)[0]
-    problem = market._one_step_problem(node, [F(0), -math.inf, F(1)])
+    market._one_step(node, [F(0), -math.inf, F(1)])
+    (problem,) = lp_calls
     assert problem.rows == ((1, 1), (1, F(-1, 2)))
     assert problem.rhs == (0, 1)
 
@@ -1323,12 +1330,13 @@ def _call_price(model):
      "arbitrage witness failed re-verification"),
     (check_nupbr, ["check", "nupbr", DATA / "two_period_arbitrage.json"], _negated_ray_entry,
      "arbitrage witness failed re-verification"),
-    # NA1 reads a passing node's duals and a failing node LP's holdings: the
-    # duals then no longer average to a positive martingale measure, and the
-    # holdings, negated, lose where they gained
-    (check_na1, ["check", "na1", BINOMIAL_FILE], _with_status(lp.INFEASIBLE), NA1_DUAL),
-    (check_na1, ["check", "na1", BINOMIAL_FILE], _lowered_dual, NA1_DUAL),
-    (check_na1, ["check", "na1", DATA / "two_period.json"], _lowered_dual, NA1_DUAL),
+    # NA1 prices each indicator with the one-step LP of the price route, so
+    # an infeasible or a lowered-dual node LP raises as it does there; a
+    # failing node LP's holdings, negated, lose where they gained
+    (check_na1, ["check", "na1", BINOMIAL_FILE], _with_status(lp.INFEASIBLE),
+     "superreplication LP cannot be infeasible"),
+    (check_na1, ["check", "na1", BINOMIAL_FILE], _lowered_dual, PRICE_DUAL),
+    (check_na1, ["check", "na1", DATA / "two_period.json"], _lowered_dual, PRICE_DUAL),
     (check_na1, ["check", "na1", DATA / "dominance.json"], _negated_ray_holdings, NA1_HOLDINGS),
     (check_na1, ["check", "na1", DATA / "two_period_arbitrage.json"], _negated_ray_holdings,
      NA1_HOLDINGS),
