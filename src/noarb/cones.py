@@ -3,8 +3,9 @@
 Two finite generator representations cover all the set machinery this
 library needs:
 
-* ``PolyhedralCone`` is the conic hull of finitely many generators minus
-  the nonnegative orthant, 𝒦 − V₊: the set on which NA is stated.
+* ``PolyhedralCone`` is the conic hull of finitely many generators, plus
+  the span of finitely many vectors, minus the nonnegative orthant,
+  𝒦 − V₊: the set on which NA is stated.
 * ``SemiSolidSet`` is the downward closure, within the nonnegative orthant,
   of all sub-convex combinations of finitely many nonnegative generators
   (``x ≥ 0`` with ``x ≤ Σ λ_g·g``, ``λ ≥ 0``, ``Σ λ_g ≤ 1``).  Such a set is
@@ -34,22 +35,29 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class PolyhedralCone:
-    """Conic hull of ``generators`` minus the nonnegative orthant.
+    """Conic hull of ``generators``, plus the linear span of ``span``, minus
+    the nonnegative orthant.
 
-    The represented set is {Σ λ_g·g − w : λ ≥ 0, w ≥ 0}, so it always
-    contains −V₊.  Zero generators are legal and harmless.
+    The represented set is {Σ λ_g·g + Σ ν_h·h − w : λ ≥ 0, ν free, w ≥ 0},
+    so it always contains −V₊.  ``span`` is a lineality part (Schrijver,
+    *Theory of Linear and Integer Programming*, 1986, §8.2): each of its
+    elements h stands for the generator pair h and −h, stated once.  Zero
+    generators and zero span elements are legal and harmless.
     """
 
     space: SampleSpace
     generators: tuple[RandomVariable, ...]
+    span: tuple[RandomVariable, ...] = ()
 
-    def __init__(self, space: SampleSpace, generators: Sequence[RandomVariable]) -> None:
-        gens = tuple(generators)
-        for g in gens:
+    def __init__(self, space: SampleSpace, generators: Sequence[RandomVariable],
+                 span: Sequence[RandomVariable] = ()) -> None:
+        gens, span = tuple(generators), tuple(span)
+        for g in (*gens, *span):
             if g.space != space:
                 raise StructureError("cone generator on a different sample space")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "span", span)
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,15 @@ def _check_space(container, x: RandomVariable) -> None:
 
 
 def cone_member(cone: PolyhedralCone, x: RandomVariable) -> bool:
-    """Decide x = Σ λ_g·g − w with λ ≥ 0 and w ≥ 0, that is Σ λ_g·g ≥ x."""
+    """Decide x = Σ λ_g·g + Σ ν_h·h − w with λ ≥ 0, ν free and w ≥ 0, that
+    is Σ λ_g·g + Σ ν_h·h ≥ x: one column per generator and one free column
+    per span element."""
     _check_space(cone, x)
-    gens = cone.generators
-    rows = [[g.values[i] for g in gens] for i in range(len(cone.space))]
-    problem = lp.LpProblem([0] * len(gens), rows, [">="] * len(rows), list(x.values))
+    vectors = (*cone.generators, *cone.span)
+    rows = [[v.values[i] for v in vectors] for i in range(len(cone.space))]
+    lower = [_ZERO] * len(cone.generators) + [None] * len(cone.span)
+    problem = lp.LpProblem([0] * len(vectors), rows, [">="] * len(rows), list(x.values),
+                           lower=lower)
     return lp.feasible(problem)
 
 

@@ -237,12 +237,18 @@ def load_cone(text: str, name: str = "<input>") -> PolyhedralCone:
 
 
 def dump_cone(cone: PolyhedralCone) -> dict:
-    """Schema-shaped dict; ``load_cone`` of its JSON reproduces the cone exactly."""
+    """Schema-shaped dict; ``load_cone`` of its JSON reproduces the same set.
+    A cone file has no span: each span element h is written, after the
+    generators and in order, as the generator pair h, −h, which poses the
+    same separation LP row for row."""
     space = cone.space
+    vectors = [g.values for g in cone.generators]
+    for h in cone.span:
+        vectors += [h.values, [-v for v in h.values]]
     return {
         "outcomes": [{"id": o, "prob": format_rational(p)}
                      for o, p in zip(space.outcomes, space.probabilities)],
-        "generators": [[format_rational(v) for v in g.values] for g in cone.generators],
+        "generators": [[format_rational(v) for v in g] for g in vectors],
     }
 
 

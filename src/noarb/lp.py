@@ -19,15 +19,20 @@ no column and so returns what phase one found.
 
 There is one LP form: maximize or minimize c·x subject to rows Ax {≤,=,≥} b,
 with each variable nonnegative or free.  A bound x_j ≤ u is a row like any
-other.  Problems are dense and desk-scale by design; there is no
-floating-point fast path and no sparse machinery.
+other.  ``LpProblem`` stores each row one way, as its coefficients and rhs
+in integers over one positive scale in lowest terms, the form the tableau
+starts from: a caller holding integers hands them over with
+``LpProblem.from_integers``, and one holding rationals converts each row
+once in the constructor.  Problems are dense and desk-scale by design;
+there is no floating-point fast path and no sparse machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
@@ -55,45 +60,93 @@ class LpProblem:
     Relations are ``"<="``, ``"=="`` or ``">="``.  Each variable is
     nonnegative (lower bound 0, the default) or free (``None``).
     Immutable after construction; solving shares no state between calls.
+
+    Each row is stored one way, in ``int_rows``: a pair ``(ints, s)`` of its
+    coefficients then its rhs as integers over one positive scale ``s``, in
+    lowest terms (``gcd(s, *ints) == 1``), so ``s`` is the lcm of the row's
+    and rhs's denominators and the tableau reads the row as it is.  The
+    constructor takes rationals and converts each row once;
+    ``from_integers`` takes the pairs.  ``rows`` and ``rhs`` read the rows
+    back as ``Fraction``s.
     """
 
     objective: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    int_rows: tuple[tuple[tuple[int, ...], int], ...]
     relations: tuple[str, ...]
-    rhs: tuple[Fraction, ...]
     lower: tuple[Optional[Fraction], ...]
     sense: str
 
     def __init__(self, objective, rows, relations, rhs, *,
                  lower=None, sense: str = MAXIMIZE) -> None:
+        rows = [as_fractions(row) for row in rows]
+        rhs = as_fractions(rhs)
+        if len(rhs) != len(rows):
+            raise StructureError(f"{len(rows)} rows but {len(rhs)} rhs entries")
+        int_rows = []
+        for row, b in zip(rows, rhs):
+            ints, s = to_integers([*row, b])
+            int_rows.append((tuple(ints), s))
+        self._store(objective, int_rows, relations, lower, sense)
+
+    @classmethod
+    def from_integers(cls, objective, rows, relations, *,
+                      lower=None, sense: str = MAXIMIZE) -> "LpProblem":
+        """The LP whose row i, given as the pair ``(ints, s)``, reads
+        ``ints[:-1]·x / s {relation} ints[-1] / s``, for an integer scale
+        s > 0; each pair is divided by ``gcd(s, *ints)``."""
+        int_rows = []
+        for i, (ints, s) in enumerate(rows):
+            if type(s) is not int or s <= 0:
+                raise StructureError(f"row {i} has scale {s!r}, expected an integer > 0")
+            try:
+                g = gcd(s, *ints)
+            except TypeError:
+                raise StructureError(f"row {i} has an entry that is not an integer") from None
+            int_rows.append((tuple([a // g for a in ints]), s // g) if g > 1
+                            else (tuple(ints), s))
+        problem = cls.__new__(cls)
+        problem._store(objective, int_rows, relations, lower, sense)
+        return problem
+
+    def _store(self, objective, int_rows, relations, lower, sense) -> None:
+        """Set every field and check the shape, the one check of both
+        entry points."""
         set_ = object.__setattr__
         set_(self, "objective", as_fractions(objective))
         n = len(self.objective)
-        set_(self, "rows", tuple([as_fractions(row) for row in rows]))
+        set_(self, "int_rows", tuple(int_rows))
         set_(self, "relations", tuple(relations))
-        set_(self, "rhs", as_fractions(rhs))
-        m = len(self.rows)
-        if len(self.relations) != m or len(self.rhs) != m:
-            raise StructureError(
-                f"{m} rows but {len(self.relations)} relations and {len(self.rhs)} rhs entries"
-            )
-        for i, row in enumerate(self.rows):
-            if len(row) != n:
-                raise StructureError(f"row {i} has {len(row)} coefficients, expected {n}")
+        m = len(self.int_rows)
+        if len(self.relations) != m:
+            raise StructureError(f"{m} rows but {len(self.relations)} relations")
+        for i, (ints, _) in enumerate(self.int_rows):
+            if len(ints) != n + 1:
+                raise StructureError(f"row {i} has {len(ints) - 1} coefficients, expected {n}")
         for rel in self.relations:
             if rel not in _RELATIONS:
                 raise StructureError(f"unknown relation {rel!r}")
         if lower is None:
-            lower = [_ZERO] * n
-        set_(self, "lower", tuple([None if lo is None else as_fraction(lo) for lo in lower]))
-        if len(self.lower) != n:
-            raise StructureError("the lower bounds must have one entry per variable")
-        for lo in self.lower:
-            if lo is not None and lo != 0:
+            set_(self, "lower", (_ZERO,) * n)
+        else:
+            set_(self, "lower", tuple([None if lo is None else as_fraction(lo) for lo in lower]))
+            if len(self.lower) != n:
+                raise StructureError("the lower bounds must have one entry per variable")
+            if any([lo is not None and lo != 0 for lo in self.lower]):
                 raise StructureError("lower bounds are restricted to 0 or None (free)")
         if sense not in (MAXIMIZE, MINIMIZE):
             raise StructureError(f"sense must be {MAXIMIZE!r} or {MINIMIZE!r}")
         set_(self, "sense", sense)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each row's coefficients, as ``Fraction``s."""
+        return tuple([tuple([Fraction(a, s) if a else _ZERO for a in ints[:-1]])
+                      for ints, s in self.int_rows])
+
+    @cached_property
+    def rhs(self) -> tuple[Fraction, ...]:
+        """Each row's rhs, as a ``Fraction``."""
+        return tuple([Fraction(ints[-1], s) if ints[-1] else _ZERO for ints, s in self.int_rows])
 
     @property
     def num_vars(self) -> int:
@@ -101,7 +154,7 @@ class LpProblem:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
 
 @dataclass(frozen=True)
@@ -136,12 +189,12 @@ class _Simplex:
     rational tableau row under one positive common denominator ``d``, and
     ``z`` the running phase's reduced costs on the stored columns the same
     way, times the costs' common denominator ``cden``.  Each row starts on
-    its slack or artificial, as its problem row and rhs in integers over the
-    lcm ``s`` of their denominators, with a ``-1`` in its own surplus
-    column; ``s`` scales that row's slack and artificial columns by
-    ``col_scale``.  Phase one's costs ``-1/s_i`` undo that scaling as
-    ``-(L // s_i)`` over ``L = lcm(s)``, and phase two's are the objective's
-    integers times ``sign``, negated for ``min``.  Positive row and column
+    its slack or artificial, as its stored integers over its scale ``s``
+    (``LpProblem.int_rows``), with a ``-1`` in its own surplus column;
+    ``s`` scales that row's slack and artificial columns by ``col_scale``.
+    Phase one's costs ``-1/s_i`` undo that scaling as ``-(L // s_i)`` over
+    ``L = lcm(s)``, and phase two's are the objective's integers times
+    ``sign``, negated for ``min``.  Positive row and column
     scalings keep every sign Bland's rule reads and every ratio order the
     ratio test reads, so the pivot path is that of the rational tableau.
     The ``min`` and row-flip signs fold into integer numerators, and each
@@ -150,8 +203,7 @@ class _Simplex:
 
     def __init__(self, problem: LpProblem) -> None:
         m = problem.num_rows
-        # each row and its rhs as integers over the lcm s of their denominators
-        int_rows = [to_integers([*row, b]) for row, b in zip(problem.rows, problem.rhs)]
+        int_rows = problem.int_rows
 
         n_struct = problem.num_vars
         self.free = {v for v, lo in enumerate(problem.lower) if lo is None}
@@ -178,9 +230,9 @@ class _Simplex:
         nonbasic = list(range(n_struct))
         scol, acol = n_struct, self.first_art
         for (ints, s), sign, flip in zip(int_rows, slack_sign, flipped):
-            row = ints[:-1] + pad + ints[-1:]
-            if flip:
-                row = [-a for a in row]
+            row = [-a for a in ints] if flip else list(ints)
+            if pad:
+                row[-1:-1] = pad
             if sign:
                 if sign < 0:
                     row[len(nonbasic)] = -1
@@ -402,24 +454,28 @@ def feasible(problem: LpProblem) -> bool:
 #
 # These re-derive every claim an LpOutcome makes from the problem data alone,
 # so callers can re-verify witnesses without trusting the solver's path.
-# Every row, objective and dual value is one ``rationals.dot``.
+# Every row, objective and dual value is one ``rationals.dot``; a row is
+# read as its stored integers, which are its scale s > 0 times the row, so
+# a row compares ints·x with its integer rhs, and a multiplier y_i weighs
+# the integers as y_i/s.
 
-def _satisfies(problem: LpProblem, x, rhs) -> bool:
-    """Whether x meets the problem's lower bounds and every row against ``rhs``."""
+def _satisfies(problem: LpProblem, x, homogeneous: bool) -> bool:
+    """Whether x meets the problem's lower bounds and every row, against
+    its rhs or, if ``homogeneous``, against 0."""
     if len(x) != problem.num_vars:
         return False
     for v, lo in zip(x, problem.lower):
         if lo is not None and v < lo:
             return False
-    for row, rel, b in zip(problem.rows, problem.relations, rhs):
-        lhs = dot(row, x)
+    for (ints, _), rel in zip(problem.int_rows, problem.relations):
+        lhs, b = dot(ints[:-1], x), 0 if homogeneous else ints[-1]
         if (lhs > b) if rel == LE else ((lhs < b) if rel == GE else (lhs != b)):
             return False
     return True
 
 
 def is_feasible_point(problem: LpProblem, x: Sequence) -> bool:
-    return _satisfies(problem, as_fractions(x), problem.rhs)
+    return _satisfies(problem, as_fractions(x), False)
 
 
 def objective_value(problem: LpProblem, x: Sequence) -> Fraction:
@@ -439,11 +495,12 @@ def _dual_objective(problem: LpProblem, y, costs, sign: int) -> Optional[Fractio
     for rel, yi in zip(problem.relations, y):
         if (rel == LE and sign * yi < 0) or (rel == GE and sign * yi > 0):
             return None
+    scaled = [yi / s for yi, (_, s) in zip(y, problem.int_rows)]
     for j, (lo, c) in enumerate(zip(problem.lower, costs)):
-        slack = dot([row[j] for row in problem.rows], y) - c
+        slack = dot([ints[j] for ints, _ in problem.int_rows], scaled) - c
         if (slack != 0) if lo is None else (sign * slack < 0):
             return None
-    return dot(problem.rhs, y)
+    return dot([ints[-1] for ints, _ in problem.int_rows], scaled)
 
 
 def check_optimal(problem: LpProblem, outcome: LpOutcome) -> bool:
@@ -472,7 +529,7 @@ def check_ray(problem: LpProblem, outcome: LpOutcome) -> bool:
         return False
     if not is_feasible_point(problem, outcome.primal):
         return False
-    if not _satisfies(problem, outcome.ray, [_ZERO] * problem.num_rows):
+    if not _satisfies(problem, outcome.ray, True):
         return False
     gain = dot(problem.objective, outcome.ray)
     return gain > 0 if problem.sense == MAXIMIZE else gain < 0

@@ -32,8 +32,12 @@ of its integer columns.  ``terminal_gain`` walks top-down, each child's
 gain its parent's plus one node's holdings·increments, one integer sum.
 ``martingale_residuals`` sums the measure's mass bottom-up as integers
 and takes each residual as one integer sum over a node's children, a
-``Fraction`` only where it is not 0.  ``Fraction``s are built from the
-integers only for the nodes' LP columns and the elementary gains.
+``Fraction`` only where it is not 0.  A node's columns and the
+elementary gains stay the steps' integers, and every route hands ``lp``
+its rows as integers over one scale (``lp.LpProblem.from_integers``): the
+node LPs from the columns, the budget LP from the gains.  ``Fraction``s
+are built from the integers only for the payoff cone's span and the LPs'
+objectives.
 
 A node's answers depend only on its cone of one-step gains, and scaling an
 asset's increments by a positive factor leaves that cone unchanged.  So
@@ -239,37 +243,37 @@ def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
     return RandomVariable(model.space, [Fraction(n, d) for n, d in zip(gain, scale)])
 
 
-def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[Fraction, ...]]:
+def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[tuple[int, ...], int]]:
     """Every elementary gain, zero ones included: hold one unit of one asset
     over (t−1, t] on one cell at t−1.  Keyed (t, asset index, cell index),
-    in that order; each gain is one value per outcome.  They span the
-    payoff cone.  Routes read them through ``_built``."""
+    in that order; each gain is one value per outcome, as the step's
+    integers over its denominator: ``(ints, den)``.  They span the payoff
+    cone.  Routes read them through ``_built``."""
     n = len(model.space)
     parts = model.filtration.partitions
     gains = {}
     for t, (kids, moves) in enumerate(_built(model, _build_steps), start=1):
         for a, (ints, den) in enumerate(moves):
-            move = [Fraction(v, den) for v in ints]
             for ci, children in enumerate(kids):
-                values = [_ZERO] * n
+                values = [0] * n
                 for c in children:
                     for i in parts[t][c]:
-                        values[i] = move[c]
-                gains[t, a, ci] = tuple(values)
+                        values[i] = ints[c]
+                gains[t, a, ci] = (tuple(values), den)
     return gains
 
 
 def payoff_cone(model: MarketModel) -> PolyhedralCone:
-    """The zero-initial-wealth payoff cone, generated by ± elementary gains
-    and widened to "payoff or anything below it": the set whose intersection
+    """The zero-initial-wealth payoff cone, the span of the elementary gains,
+    widened to "payoff or anything below it": the set whose intersection
     with V₊ must be {0} for the market to be arbitrage-free, and the cone
-    ``separation`` separates.
+    ``separation`` separates.  Every gain is its ``span`` once, zero gains
+    included, in ``_gains``' order; it has no generators.
     """
-    gens = []
-    for values in _built(model, _gains).values():
-        gain = RandomVariable(model.space, values)
-        gens += [gain, -gain]
-    return PolyhedralCone(model.space, gens)
+    space = model.space
+    return PolyhedralCone(space, (), [
+        RandomVariable(space, [Fraction(v, den) if v else _ZERO for v in ints])
+        for ints, den in _built(model, _gains).values()])
 
 
 @dataclass(frozen=True)
@@ -280,11 +284,15 @@ class _Node:
     cell: int
     children: tuple[int, ...]  # indices of its child cells at t
     assets: tuple[int, ...]  # the assets whose price moves on some child
-    columns: tuple[tuple[Fraction, ...], ...]  # per moving asset, its increment per child
+    # per moving asset, its increment per child as integers over one
+    # denominator: (ints, den), the step's, not reduced to the children
+    columns: tuple[tuple[tuple[int, ...], int], ...]
     # index of the node's representative: the first node with as many
     # children whose columns are positive multiples of these, column by column
     market: int
-    ratio: tuple[Fraction, ...]  # per moving asset, this column over the representative's
+    # per moving asset, this column over the representative's, as the
+    # integer pair (n, d) in lowest terms
+    ratio: tuple[tuple[int, int], ...]
 
 
 #: The last model a route asked about and its builds (steps, nodes, gains) by builder:
@@ -347,19 +355,43 @@ def _build_nodes(model: MarketModel) -> tuple[_Node, ...]:
         for k, children in enumerate(kids):
             assets, columns, key, scales = [], [], [len(children)], []
             for a, (ints, den) in enumerate(moves):
-                column = [ints[c] for c in children]
+                column = tuple([ints[c] for c in children])
                 if any(column):
                     g = math.gcd(*column)
                     assets.append(a)
-                    columns.append(tuple([Fraction(v, den) for v in column]))
+                    columns.append((column, den))
                     key.append(tuple([v // g for v in column]))
                     scales.append((g, den))  # the column is g/den times its key
             market, rep = first.setdefault(tuple(key), (len(nodes), scales))
-            ratio = (_ONE,) * len(scales) if market == len(nodes) else tuple(
-                [Fraction(g * rd, den * rg) for (g, den), (rg, rd) in zip(scales, rep)])
+            ratio = ((1, 1),) * len(scales) if market == len(nodes) else tuple(
+                [_lowest(g * rd, den * rg) for (g, den), (rg, rd) in zip(scales, rep)])
             nodes.append(_Node(t, k, children, tuple(assets), tuple(columns),
                                market, ratio))
     return tuple(nodes)
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for d > 0."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _lifted(columns) -> tuple[int, list[list[int]]]:
+    """Columns given as (integers, denominator) pairs, put over one scale,
+    the lcm of their denominators: (scale, one integer list per column)."""
+    scale = math.lcm(*[den for _, den in columns])
+    return scale, [[v * (scale // den) for v in ints] for ints, den in columns]
+
+
+def _int_row(entries: list[int], scale: int, b) -> tuple[list[int], int]:
+    """A row given as integers over ``scale``, with the rational rhs ``b``
+    appended: the row and its rhs as integers over the lcm of ``scale`` and
+    ``b``'s denominator, with that lcm, for ``lp.LpProblem.from_integers``."""
+    n, d = b.as_integer_ratio()
+    s = math.lcm(scale, d)
+    if s != scale:
+        entries = [v * (s // scale) for v in entries]
+    return [*entries, n * (s // d)], s
 
 
 def _one_step(node: _Node, values, /, **data) -> lp.LpOutcome:
@@ -367,7 +399,9 @@ def _one_step(node: _Node, values, /, **data) -> lp.LpOutcome:
     minimize α over (α, holdings) with α + holdings·increment_j ≥ values[j]
     on every child j.  A child valued −inf, the one float a price takes,
     constrains nothing, so it gets no row; a type test tells it apart
-    without comparing a ``Fraction`` to a float.
+    without comparing a ``Fraction`` to a float.  Each row is handed to
+    ``lp`` as integers over the lcm of the node's denominators and its
+    value's.
 
     α = max of the values with no holdings is feasible, so an infeasible
     outcome raises ``InternalInconsistency``.  An optimal one is certified
@@ -381,9 +415,11 @@ def _one_step(node: _Node, values, /, **data) -> lp.LpOutcome:
     kept = [j for j, v in enumerate(values) if type(v) is not float]
     E = len(node.columns)
     b = [values[j] for j in kept]
-    rows = [[_ONE] + [col[j] for col in node.columns] for j in kept]
-    outcome = lp.solve(lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * len(rows), b,
-                                    lower=[None] * (E + 1), sense="min"))
+    scale, lifted = _lifted(node.columns)
+    rows = [_int_row([scale, *[col[j] for col in lifted]], scale, v) for j, v in zip(kept, b)]
+    outcome = lp.solve(lp.LpProblem.from_integers([_ONE] + [_ZERO] * E, rows,
+                                                  [">="] * len(rows),
+                                                  lower=[None] * (E + 1), sense="min"))
     if outcome.status == lp.INFEASIBLE:
         raise InternalInconsistency("superreplication LP cannot be infeasible",
                                     outcome=outcome, **data)
@@ -391,7 +427,8 @@ def _one_step(node: _Node, values, /, **data) -> lp.LpOutcome:
         y = outcome.dual
         ints, den = to_integers(y)
         if not (len(y) == len(kept) and all(w >= 0 for w in ints) and sum(ints) == den
-                and not any(dot(ints, [col[j] for j in kept]) for col in node.columns)
+                and not any(sum([w * col[j] for w, j in zip(ints, kept)])
+                            for col, _ in node.columns)
                 and dot(y, b) == outcome.objective_value):
             raise InternalInconsistency("one-step superhedging price failed re-verification",
                                         outcome=outcome, **data)
@@ -442,17 +479,15 @@ def check_na(model: MarketModel) -> NaResult:
         if node.market != i or not node.columns:
             continue
         E = len(node.columns)
-        rows, rels, rhs = [], [], []
+        # each child's row over the lcm of the columns' denominators
+        scale, lifted = _lifted(node.columns)
+        rows, rels = [], []
         for j in range(len(node.children)):
-            row = [col[j] for col in node.columns]
-            rows.append(row)
-            rels.append(">=")
-            rhs.append(_ZERO)
-            rows.append(row)
-            rels.append("<=")
-            rhs.append(_ONE)
-        objective = [sum(col, _ZERO) for col in node.columns]
-        problem = lp.LpProblem(objective, rows, rels, rhs, lower=[None] * E)
+            row = [col[j] for col in lifted]
+            rows += [([*row, 0], scale), ([*row, scale], scale)]
+            rels += [">=", "<="]
+        objective = [Fraction(sum(ints), den) for ints, den in node.columns]
+        problem = lp.LpProblem.from_integers(objective, rows, rels, lower=[None] * E)
         outcome = lp.solve(problem)
         if outcome.status != lp.OPTIMAL:
             raise InternalInconsistency("arbitrage LP must be bounded and feasible",
@@ -548,11 +583,10 @@ def find_emm(model: MarketModel) -> EmmResult:
         if node.market != i:
             continue
         k = len(node.children)
-        rows = [[_ONE] * k + [Fraction(k)]]
-        rows += [[*col, sum(col, _ZERO)] for col in node.columns]
-        rhs = [_ONE] + [_ZERO] * len(node.columns)
+        rows = [([1] * k + [k, 1], 1)]
+        rows += [([*ints, sum(ints), 0], den) for ints, den in node.columns]
         objective = [_ZERO] * k + [_ONE]
-        outcome = lp.solve(lp.LpProblem(objective, rows, ["=="] * len(rows), rhs))
+        outcome = lp.solve(lp.LpProblem.from_integers(objective, rows, ["=="] * len(rows)))
         if outcome.status != lp.OPTIMAL or outcome.objective_value <= 0:
             multipliers = outcome.dual[1:1 + len(node.columns)]
             strategy = _strategy_from_coefficients([(node, multipliers)])
@@ -663,17 +697,18 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         ray, ((n, d), *point) = unit
         w = wealth[node.t - 1][node.cell]
         if ray is None:
-            holdings = [Fraction(g * hn * r.denominator, den * hd * r.numerator)
-                        for (hn, hd), r in zip(point, node.ratio)]
+            holdings = [Fraction(g * hn * rd, den * hd * rn)
+                        for (hn, hd), (rn, rd) in zip(point, node.ratio)]
         else:
             step = max(_ZERO, (Fraction(least * d + g * n, den * d) - w) / -ray[0])
-            holdings = [(Fraction(g * hn, den * hd) + step * dr) / r
-                        for (hn, hd), dr, r in zip(point, ray[1:], node.ratio)]
+            holdings = [(Fraction(g * hn, den * hd) + step * dr) * Fraction(rd, rn)
+                        for (hn, hd), dr, (rn, rd) in zip(point, ray[1:], node.ratio)]
         held.append((node, holdings))
         if track:
             units = [_ONE, *holdings]
             for j, c in enumerate(node.children):
-                wealth[node.t][c] = dot(units, [w] + [col[j] for col in node.columns])
+                wealth[node.t][c] = dot(units, [w] + [Fraction(ints[j], cden)
+                                                      for ints, cden in node.columns])
     hedge = _strategy_from_coefficients(held)
     value = terminal_gain(model, hedge)
     if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):
@@ -774,13 +809,23 @@ def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProble
     x ∈ ℬ_α; with rhs −1 it is the budget ceiling of ℬ₁, whose maximal
     points are 1 + gain(ξ).  Each row's rhs −1 is flipped to a ``<=`` row
     with rhs 1, so that LP starts on a slack basis and has no phase one.
-    Returns the coefficients' ``_gains`` keys, in column order, and the LP."""
-    gains = {key: g for key, g in _built(model, _gains).items() if any(g)}
-    columns = list(gains.values())
-    rows = [[g[i] for g in columns] for i in range(len(model.space))]
-    # membership has no objective: its zero weights skip a dot per column
-    objective = [dot(weights, g) for g in columns] if any(weights) else [_ZERO] * len(columns)
-    problem = lp.LpProblem(objective, rows, [">="] * len(rows), rhs, lower=[None] * len(columns))
+
+    Built from the gains' integers: row i holds each gain's value at i over
+    the lcm of their denominators, and a gain's objective entry is one
+    integer sum, a ``Fraction`` over the weights' denominator times the
+    gain's (the gain's total, for NUPBR's all-ones weights).  Returns the
+    coefficients' ``_gains`` keys, in column order, and the LP."""
+    gains = {key: g for key, g in _built(model, _gains).items() if any(g[0])}
+    scale, lifted = _lifted(gains.values())
+    if any(weights):
+        wints, wden = to_integers(weights)
+        objective = [Fraction(sum([w * v for w, v in zip(wints, ints) if v]), wden * den)
+                     for ints, den in gains.values()]
+    else:  # membership has no objective: its zero weights skip a sum per gain
+        objective = [_ZERO] * len(gains)
+    rows = [_int_row([col[i] for col in lifted], scale, b) for i, b in enumerate(rhs)]
+    problem = lp.LpProblem.from_integers(objective, rows, [">="] * len(rows),
+                                         lower=[None] * len(gains))
     return list(gains), problem
 
 

@@ -11,10 +11,14 @@ increments, which ``_build_steps`` computes once per model as integers
 over one denominator per (t, asset), the three tree walks that read them
 (the node key, each martingale residual over the cell masses, and each
 cell's terminal gain), the EMM's product of node weights down the tree,
-the superhedging price's shape key and node prices, and the dual check of
-every one-step price, NA₁'s included (``_one_step``), work on integers
-over a common denominator (``to_integers``); every number they return is
-a ``Fraction``.
+the superhedging price's shape key and node prices, the rows that every
+route in ``market`` and ``separation`` hands ``lp``
+(``LpProblem.from_integers``: the node LPs', the budget LP's with its
+objective, and the separation LP's, one ``to_integers`` per cone vector),
+which ``lp`` stores as integers over one scale, and the dual check of every
+one-step price, NA₁'s included (``_one_step``), one integer sum per
+moving asset, work on integers over a common denominator
+(``to_integers``); every number they return is a ``Fraction``.
 A rational is written in ASCII digits only.
 """
 

@@ -3,13 +3,13 @@
 On a finite outcome space the dual of V is V itself, so a separating
 functional is a vector acting by ``rationals.dot``, and separation becomes a
 small LP: find nonnegative coefficients that are nonpositive on every cone
-generator yet positive at a target.  A strictly positive separator, scaled
-to unit mass, is an equivalent probability measure; it is assembled the way
-a countable dense family would be in general spaces: separate each outcome
-indicator, normalize, average.  When only its existence matters, one
-separator that is positive at several outcomes stands in for all of them
-(exhaustion).  All certificates are re-verified by exact substitution
-before being returned.
+generator and zero on its span, yet positive at a target.  A strictly
+positive separator, scaled to unit mass, is an equivalent probability
+measure; it is assembled the way a countable dense family would be in
+general spaces: separate each outcome indicator, normalize, average.  When
+only its existence matters, one separator that is positive at several
+outcomes stands in for all of them (exhaustion).  All certificates are
+re-verified by exact substitution before being returned.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import lp
 from .cones import PolyhedralCone
 from .errors import InternalInconsistency, StructureError
 from .lattice import Measure, RandomVariable
-from .rationals import dot
+from .rationals import dot, to_integers
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -37,17 +37,24 @@ class StrictSeparation:
 
 
 def _is_separating(cone: PolyhedralCone, coefficients: tuple[Fraction, ...]) -> bool:
+    """f ≥ 0, f·g ≤ 0 on every generator and f·h = 0 on every span element."""
     return (all(c >= 0 for c in coefficients)
-            and all(dot(coefficients, g.values) <= 0 for g in cone.generators))
+            and all(dot(coefficients, g.values) <= 0 for g in cone.generators)
+            and not any(dot(coefficients, h.values) for h in cone.span))
 
 
 def _dominates(cone: PolyhedralCone, multipliers: tuple[Fraction, ...],
                target: RandomVariable) -> bool:
-    """Σ_g μ_g·g ≥ target on every outcome with μ ≥ 0: the target is that
-    cone point minus a nonnegative vector, so it lies in the cone."""
-    if any(m < 0 for m in multipliers):
+    """Σ_g μ_g·g + Σ_h ν_h·h ≥ target on every outcome, with μ ≥ 0 on the
+    generator rows and ν_h = μ⁺ − μ⁻ free, from span element h's row pair:
+    the target is that cone point minus a nonnegative vector, so it lies in
+    the cone."""
+    k = len(cone.generators)
+    mu, pairs = multipliers[:k], multipliers[k:]
+    if any(m < 0 for m in mu):
         return False
-    used = [(m, g.values) for m, g in zip(multipliers, cone.generators) if m]
+    nu = [plus - minus if minus else plus for plus, minus in zip(pairs[::2], pairs[1::2])]
+    used = [(m, v.values) for m, v in zip([*mu, *nu], [*cone.generators, *cone.span]) if m]
     weights = [m for m, _ in used]
     return all(dot(weights, [values[i] for _, values in used]) >= t
                for i, t in enumerate(target.values))
@@ -58,22 +65,31 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
     cone and equal to 1 at the target, or None exactly when the target lies
     in the (closed) cone.
 
-    Positivity comes for free because the cone contains −V₊, but it is
-    enforced as a variable bound and re-checked on the way out.  A None is
-    checked too: at optimum 0 the generator rows' duals μ ≥ 0 satisfy
-    Σ_g μ_g·g ≥ target, a cone point that dominates the target.
+    The LP maximizes f·target over f ≥ 0 subject to f·g ≤ 0 for each
+    generator g, the two rows h·f ≤ 0 and −h·f ≤ 0 for each span element h,
+    and f·target ≤ 1; each row is handed to ``lp`` as integers, a span
+    element's pair negated in integers.  Positivity comes for free because
+    the cone contains −V₊, but it is enforced as a variable bound and
+    re-checked on the way out, with f·h = 0 on the span.  A None is checked
+    too: at optimum 0 the generator rows' duals μ ≥ 0, and each span pair's
+    μ⁺ − μ⁻ as a free ν, satisfy Σ_g μ_g·g + Σ_h ν_h·h ≥ target, a cone
+    point that dominates the target.
     """
     if target.space != cone.space:
         raise StructureError("target on a different sample space")
     if not target.is_nonneg or target.is_zero:
         raise StructureError("separation target must be nonnegative and nonzero")
-    rows = [list(g.values) for g in cone.generators]
-    rels = ["<="] * len(rows)
-    rhs = [_ZERO] * len(rows)
-    rows.append(list(target.values))
-    rels.append("<=")
-    rhs.append(_ONE)
-    problem = lp.LpProblem(list(target.values), rows, rels, rhs)
+    rows = []
+    for g in cone.generators:
+        ints, s = to_integers(g.values)
+        rows.append(([*ints, 0], s))
+    for h in cone.span:
+        ints, s = to_integers(h.values)
+        rows.append(([*ints, 0], s))
+        rows.append(([-a for a in ints] + [0], s))
+    ints, s = to_integers(target.values)
+    rows.append(([*ints, s], s))  # f·target ≤ 1
+    problem = lp.LpProblem.from_integers(target.values, rows, ["<="] * len(rows))
     outcome = lp.solve(problem)
     if outcome.status != lp.OPTIMAL:
         raise InternalInconsistency("separation LP must have optimum 0 or 1",
@@ -98,9 +114,9 @@ def strict_separator(cone: PolyhedralCone) -> StrictSeparation:
     direction.
 
     Separates every outcome indicator, scales each separator to unit mass,
-    and averages: the average stays nonpositive on all generators by
-    convexity and is positive in every coordinate because the ω-th summand
-    is.  The first indicator that cannot be separated is returned as the
+    and averages: the average stays nonpositive on all generators and zero
+    on the span by convexity, and is positive in every coordinate because
+    the ω-th summand is.  The first indicator that cannot be separated is returned as the
     violating direction (it lies inside the cone).
     """
     parts = []

@@ -214,6 +214,7 @@ def test_acceptance_witness_soundness(report):
         if sep.measure is not None:
             assert sep.measure.is_equivalent
             assert all(sep.measure.expectation(g) <= 0 for g in cone.generators)
+            assert all(sep.measure.expectation(h) == 0 for h in cone.span)
         else:
             assert sep.violating is not None
         checked += 1

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noarb import lp
+from noarb import lab, lp
 from noarb.cones import (
     PolyhedralCone,
     SemiSolidSet,
@@ -18,6 +18,7 @@ from noarb.cones import (
 )
 from noarb.errors import InternalInconsistency, StructureError
 from noarb.lattice import RandomVariable, SampleSpace
+from noarb.market import payoff_cone
 
 TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 
@@ -205,6 +206,32 @@ def test_cone_member_matches_the_identity_block_reference():
         assert verdict == cone_member_reference(cone, x), (cone, x)
         verdicts.append(verdict)
     assert 50 < sum(verdicts) < 350  # both verdicts are pinned
+
+
+def test_cone_member_on_a_span_matches_its_generator_pairs():
+    """On seeded markets' payoff cones, whose gains are all ``span``, and on
+    the same cones with a generator added, membership equals that of the
+    cone written with each span element as the generator pair ±h: a span
+    element is a free column, so every gain's negative is a member."""
+    rng = random.Random(21)
+    verdicts = []
+    for _ in range(60):
+        model = lab.random_market(rng, max_outcomes=5, max_periods=2)
+        space = model.space
+        cone = payoff_cone(model)
+        extra = [RandomVariable(space, [F(rng.randint(-3, 3)) for _ in space.outcomes])]
+        for spanned in (cone, PolyhedralCone(space, extra, cone.span)):
+            pairs = PolyhedralCone(space, [*spanned.generators,
+                                           *[v for h in spanned.span for v in (h, -h)]])
+            points = [-h for h in spanned.span if not h.is_zero][:2]
+            points += [RandomVariable(space, [F(rng.randint(-4, 4), rng.randint(1, 3))
+                                              for _ in space.outcomes]) for _ in range(3)]
+            for x in points:
+                verdict = cone_member(spanned, x)
+                assert verdict == cone_member(pairs, x), (spanned, x)
+                verdicts.append(verdict)
+            assert all(cone_member(spanned, -h) for h in spanned.span)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts are pinned
 
 
 OTHER = SampleSpace(["a", "b"], [F(1, 3), F(2, 3)])

@@ -8,8 +8,9 @@ import pytest
 from noarb import fileio, lab
 from noarb.errors import StructureError
 from noarb.lattice import SampleSpace
-from noarb.market import Asset, Filtration, MarketModel
+from noarb.market import Asset, Filtration, MarketModel, payoff_cone
 from noarb.rationals import format_rational, parse_rational
+from noarb.separation import strict_separator
 
 from conftest import MARKET_FILES
 
@@ -134,6 +135,25 @@ def test_cone_round_trip(name):
     again = fileio.load_cone(json.dumps(dumped))
     assert again == cone
     assert fileio.dump_cone(again) == dumped
+
+
+def test_a_dumped_payoff_cone_poses_the_same_separation():
+    """A cone file has no span, so ``dump_cone`` writes each gain of a payoff
+    cone as the generator pair ±h, in order: the loaded cone is the same
+    set, its separation LPs are the payoff cone's row for row, and so
+    ``strict_separator`` returns the same measure or violating direction."""
+    rng = random.Random(8)
+    found = 0
+    for _ in range(40):
+        cone = payoff_cone(lab.random_market(rng, max_outcomes=5, max_periods=2))
+        loaded = fileio.load_cone(json.dumps(fileio.dump_cone(cone)))
+        assert loaded.span == ()
+        assert [g.values for g in loaded.generators] == [
+            v.values for h in cone.span for v in (h, -h)]
+        separation = strict_separator(cone)
+        assert strict_separator(loaded) == separation
+        found += separation.measure is not None
+    assert 0 < found < 40  # both answers are pinned
 
 
 def test_cone_loading():

@@ -473,7 +473,8 @@ def test_stored_columns_restate_the_basis_inverse(monkeypatch):
 
 def every_other_free(problems):
     """The problems with every other variable, from the second, made free."""
-    return [dataclasses.replace(p, lower=[None if j % 2 else F(0) for j in range(p.num_vars)])
+    return [lp.LpProblem.from_integers(p.objective, p.int_rows, p.relations, sense=p.sense,
+                                       lower=[None if j % 2 else F(0) for j in range(p.num_vars)])
             for p in problems]
 
 
@@ -781,8 +782,9 @@ def test_integer_rows_restate_the_fraction_rows(problem):
 
 
 def test_each_row_becomes_integers_once_per_solve(monkeypatch):
-    """``solve`` converts each row and the objective once, ``feasible`` each
-    row once; no phase converts a cost vector."""
+    """The constructor converts each row once; ``solve`` then converts only
+    the objective and ``feasible`` nothing: the tableau reads the stored
+    integers.  ``from_integers`` converts no row."""
     calls = []
     to_integers = lp.to_integers
 
@@ -794,11 +796,60 @@ def test_each_row_becomes_integers_once_per_solve(monkeypatch):
     p = lp.LpProblem([1, F(1, 2)], [[1, 1], [F(1, 3), -1], [1, 0]], ["<=", ">=", "=="],
                      [4, F(-1, 2), F(3, 2)], sense="min")
     rows = [[*row, b] for row, b in zip(p.rows, p.rhs)]
+    assert sorted(calls) == sorted(rows)
+    calls.clear()
     assert lp.solve(p).status == lp.OPTIMAL
-    assert sorted(calls) == sorted(rows + [list(p.objective)])
+    assert calls == [list(p.objective)]
     calls.clear()
     assert lp.feasible(p)
-    assert sorted(calls) == sorted(rows)
+    assert calls == []
+    lp.LpProblem.from_integers(p.objective, p.int_rows, p.relations, sense=p.sense)
+    assert calls == []
+
+
+def test_integer_entry_point_poses_the_same_problem():
+    """``from_integers`` on each seeded LP's stored pairs gives the problem
+    the rational constructor gave, and so the same outcome; each row given
+    at k times its lowest terms is divided back by the gcd, which keeps
+    each artificial's phase-one cost −1/s and so the pivot path."""
+    rng = random.Random(7)
+    for problem in oracles.seeded_lps():
+        outcome = lp.solve(problem)
+        for k in (1, rng.randint(2, 9)):
+            rows = [([k * a for a in ints], k * s) for ints, s in problem.int_rows]
+            given = lp.LpProblem.from_integers(problem.objective, rows, problem.relations,
+                                               lower=problem.lower, sense=problem.sense)
+            assert given == problem
+            assert (given.rows, given.rhs) == (problem.rows, problem.rhs)
+            assert lp.solve(given) == outcome
+
+
+def test_stored_rows_are_in_lowest_terms():
+    """Each stored pair has a positive scale, in lowest terms with its
+    integers, and reads back as its rational row."""
+    p = lp.LpProblem.from_integers([1, 1], [([4, 6, 2], 8), ([0, 0, 0], 5), ([-3, 0, 3], 3)],
+                                   ["<=", ">=", "=="])
+    assert p.int_rows == (((2, 3, 1), 4), ((0, 0, 0), 1), ((-1, 0, 1), 1))
+    assert p.rows == ((F(1, 2), F(3, 4)), (F(0), F(0)), (F(-1), F(0)))
+    assert p.rhs == (F(1, 4), F(0), F(1))
+    assert p == lp.LpProblem([1, 1], p.rows, p.relations, p.rhs)
+
+
+@pytest.mark.parametrize("rows, relations, message", [
+    ([([1, 1], 0)], ["<="], "row 0 has scale 0, expected an integer > 0"),
+    ([([1, 1], -2)], ["<="], "row 0 has scale -2, expected an integer > 0"),
+    ([([1, 1], F(1))], ["<="], "expected an integer > 0"),
+    ([([1, 1], 1), ([1, 2, 1], 1)], ["<=", "<="], "row 1 has 2 coefficients, expected 1"),
+    ([([1], 1)], ["<="], "row 0 has 0 coefficients, expected 1"),
+    ([([1, 1], 1)], ["<"], "unknown relation '<'"),
+    ([([1, 1], 1)], [], "1 rows but 0 relations"),
+    ([([F(1, 2), 1], 1)], ["<="], "row 0 has an entry that is not an integer"),
+    ([([1.0, 1], 1)], ["<="], "row 0 has an entry that is not an integer"),
+], ids=["zero-scale", "negative-scale", "fraction-scale", "long-row", "short-row",
+        "relation", "relation-count", "fraction-entry", "float-entry"])
+def test_integer_entry_point_validation(rows, relations, message):
+    with pytest.raises(StructureError, match=message):
+        lp.LpProblem.from_integers([1], rows, relations)
 
 
 def test_feasible_agrees_with_solve():

@@ -126,19 +126,23 @@ def test_strategy_keys_checked_against_the_model(binomial):
 # --- payoff cone ------------------------------------------------------------
 
 def test_binomial_cone_generators(binomial):
+    # the one gain spans the cone; it is not stated again as ± generators
     cone = payoff_cone(binomial)
-    values = {g.values for g in cone.generators}
-    assert values == {(F(1), F(-1, 2)), (F(-1), F(1, 2))}
+    assert cone.generators == ()
+    assert [h.values for h in cone.span] == [(F(1), F(-1, 2))]
 
 
 def test_two_period_generator_count(two_period):
-    # one asset, cells: 1 at t=0 plus 2 at t=1, signed
-    assert len(payoff_cone(two_period).generators) == 6
+    # one asset, cells: 1 at t=0 plus 2 at t=1, each gain once
+    cone = payoff_cone(two_period)
+    assert (len(cone.generators), len(cone.span)) == (0, 3)
 
 
 def test_constant_asset_generators_all_zero(constant_market):
+    # zero gains stay in the span, in order: a separator's duals keep their rows
     cone = payoff_cone(constant_market)
-    assert all(g.is_zero for g in cone.generators)
+    assert cone.generators == () and cone.span
+    assert all(h.is_zero for h in cone.span)
 
 
 # --- NA ----------------------------------------------------------------------
@@ -422,7 +426,7 @@ def ungrouped(monkeypatch):
     """Make every node its own market, as if no two were proportional."""
     build = market._build_nodes
     monkeypatch.setattr(market, "_build_nodes", lambda model: tuple(
-        [dataclasses.replace(node, market=i, ratio=(F(1),) * len(node.columns))
+        [dataclasses.replace(node, market=i, ratio=((1, 1),) * len(node.columns))
          for i, node in enumerate(build(model))]))
     monkeypatch.setattr(market, "_last_model", (None, {}))
 
@@ -486,7 +490,7 @@ def test_only_positive_multiples_share_a_solve(down, markets, na, lp_calls):
     assert len(lp_calls) == markets
     assert global_routes.check_na(model).holds == na
     if na:
-        assert nodes[2].market == 0 and nodes[2].ratio == (F(2),)
+        assert nodes[2].market == 0 and nodes[2].ratio == ((2, 1),)
     payoff = space.variable([3, 0, 1, 2])
     assert (superreplication_price(model, payoff).price
             == global_routes.superreplication_price(model, payoff).price)
@@ -953,11 +957,17 @@ def test_steps_hold_each_increment_as_integers_in_lowest_terms(source):
                     assert all(F(v, den) == now[i] - before[i] for i in cell)
 
 
+def fraction_columns(node):
+    """A node's columns as ``Fraction``s, from its (integers, denominator)
+    pairs."""
+    return [tuple(F(v, den) for v in ints) for ints, den in node.columns]
+
+
 def fraction_key(node):
     """A node's key from its ``Fraction`` columns: the child count and, per
     column, ``to_integers`` of it divided by the gcd of its entries."""
     key = [len(node.children)]
-    for column in node.columns:
+    for column in fraction_columns(node):
         ints, _ = to_integers(column)
         g = math.gcd(*ints)
         key.append(tuple(v // g for v in ints))
@@ -967,32 +977,36 @@ def fraction_key(node):
 @pytest.mark.parametrize("source", ["seed0", "scattered", "crr"])
 def test_node_keys_match_the_keys_of_their_fraction_columns(source):
     """Keyed on the steps' integers, each node shares a solve with exactly
-    the first node whose ``Fraction`` columns give its key, and its ratios
-    are its columns over that node's."""
+    the first node whose ``Fraction`` columns give its key, and its ratios,
+    integer pairs in lowest terms, are its columns over that node's."""
     for model in step_models(source):
         parts = model.filtration.partitions
         nodes = market._build_nodes(model)
         first = {}
         for i, node in enumerate(nodes):
-            for a, column in zip(node.assets, node.columns):
+            for a, column in zip(node.assets, fraction_columns(node)):
                 now, before = model.assets[a].path[node.t], model.assets[a].path[node.t - 1]
                 assert column == tuple(now.values[parts[node.t][c][0]]
                                        - before.values[parts[node.t][c][0]]
                                        for c in node.children)
             rep = first.setdefault(fraction_key(node), i)
             assert node.market == rep
-            assert node.ratio == tuple(next(v / r for v, r in zip(column, base) if v)
-                                       for column, base in zip(node.columns, nodes[rep].columns))
+            assert all(d > 0 and math.gcd(n, d) == 1 for n, d in node.ratio)
+            assert tuple(F(n, d) for n, d in node.ratio) == tuple(
+                next(v / r for v, r in zip(column, base) if v)
+                for column, base in zip(fraction_columns(node), fraction_columns(nodes[rep])))
 
 
 @pytest.mark.parametrize("change", [as_is, scattered])
 def test_gains_match_the_reference_layout(change):
     """``_gains`` has the reference's keys, in its order, and its n-tuples,
-    zero gains included, on interval and on scattered cells."""
+    integers over the step's denominator, zero gains included, on interval
+    and on scattered cells."""
     rng = random.Random(f"gains-{change.__name__}")
     for _ in range(135):
         model = change(lab.random_market(rng), rng)
-        assert list(market._gains(model).items()) == [
+        assert [(key, tuple(F(v, den) for v in ints))
+                for key, (ints, den) in market._gains(model).items()] == [
             ((g.t, g.asset, g.cell), g.vector.values)
             for g in global_routes.elementary_gains(model)]
 

@@ -223,6 +223,42 @@ def test_a_corrupted_separation_lp_is_an_inconsistency(generators, corrupt, mess
     assert caught.value.data["cone"] == cone
 
 
+# the span h = (1, -1) forces f(a) = f(b); the generator (-1, 0) and the
+# span (1, 0) put indicator a inside the cone, reached by ν = 1 on the span
+SPAN_SLOPE = PolyhedralCone(TWO, [], [TWO.variable([1, -1])])
+SPAN_INSIDE = PolyhedralCone(TWO, [TWO.variable([-1, 0])], [TWO.variable([1, 0])])
+
+
+def test_a_span_element_is_a_free_generator_pair():
+    """Separators vanish on the span, and a target the span reaches with a
+    negative multiplier lies in the cone."""
+    f = separate_at(SPAN_SLOPE, TWO.indicator("a"))
+    assert f.values == (F(1), F(1))
+    minus = PolyhedralCone(TWO, [], [TWO.variable([-1, 0])])
+    assert separate_at(minus, TWO.indicator("a")) is None
+    assert separate_at(SPAN_INSIDE, TWO.indicator("a")) is None
+
+
+@pytest.mark.parametrize("cone, corrupt, message", [
+    # (1, 2) is 1 at a and -1 on the span element: ≤ 0, but not = 0
+    (SPAN_SLOPE, lambda out: dataclasses.replace(out, primal=(F(1), F(2))),
+     "separator failed re-verification"),
+    # μ = -1 on the generator (-1, 0) gives (1, 0), which dominates the
+    # target, but a generator's multiplier must be ≥ 0
+    (SPAN_INSIDE, _dual(lambda dual: (F(-1), F(0), F(0), dual[-1])),
+     "dominating cone point failed re-verification"),
+    # a span pair's ν = μ⁺ − μ⁻ = -1 gives (-1, 0), short of the target
+    (SPAN_INSIDE, _dual(lambda dual: (F(0), F(1), F(2), dual[-1])),
+     "dominating cone point failed re-verification"),
+], ids=["nonzero-on-span", "negative-generator-multiplier", "short-span-multiplier"])
+def test_a_corrupted_span_separation_is_an_inconsistency(cone, corrupt, message, monkeypatch):
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem)))
+    with pytest.raises(InternalInconsistency, match=message) as caught:
+        separate_at(cone, TWO.indicator("a"))
+    assert caught.value.data["cone"] == cone
+
+
 def test_separate_at_rejects_a_separator_with_a_negative_entry(monkeypatch):
     # (-1, 2) is 1 at the target and -3 on the generator, but negative at b
     solve = lp.solve
