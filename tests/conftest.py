@@ -15,6 +15,7 @@ MARKET_FILES = {
     "binomial.json": True,
     "crr3.json": True,
     "dominance.json": False,
+    "ray_hedge.json": False,
     "trinomial.json": True,
     "two_period.json": True,
     "two_period_arbitrage.json": False,

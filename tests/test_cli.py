@@ -55,6 +55,11 @@ CASES = [
      ["check", "all", str(DATA / "two_period_arbitrage.json")]),
     # CRR T = 3: nodes whose child prices differ only by cash and scale
     ("price_crr3_call", 0, ["price", str(DATA / "crr3.json"), str(DATA / "crr3_call_payoff.json")]),
+    # a node arbitrage at t = 2 prices the root at -inf: no hedge
+    ("price_two_period_arbitrage", 0,
+     ["price", str(DATA / "two_period_arbitrage.json"), str(DATA / "basket_payoff.json")]),
+    # a finite root above an unbounded node: the hedge there follows its LP's ray
+    ("price_ray_hedge", 0, ["price", str(DATA / "ray_hedge.json"), str(DATA / "ray_hedge_payoff.json")]),
 ]
 
 

@@ -326,7 +326,7 @@ def test_budget_routes_match_the_outcome_variable_lp():
     equal the unit budget set's LP with a variable per outcome: on the first
     300 seed-0 markets, CRR trees with T = 2..5 and every market file."""
     models = seed0_markets(300) + [crr_tree(T)[0] for T in range(2, 6)] + _data_markets()
-    assert len(models) == 310
+    assert len(models) == 311
     rng = random.Random(22)
     compared = finite = 0
     for model in models:
@@ -343,7 +343,7 @@ def test_budget_routes_match_the_outcome_variable_lp():
             assert bound == global_routes.budget_ceiling(model, q.weights)
             compared += 1
             finite += bound != math.inf
-    assert (compared, finite) == (368, 116)
+    assert (compared, finite) == (369, 116)
 
 
 @pytest.mark.parametrize("T", [5, 6, 7])
@@ -767,17 +767,25 @@ def test_finite_price_through_an_unbounded_subtree():
     assert global_routes.superreplication_price(model, payoff).price == F(1, 3)
 
 
-def test_hedge_follows_the_ray_below_an_unbounded_node():
-    # the root hedge (price 2, 4 units) leaves node {a1, a2} with wealth
-    # 2 − 4·3/4 = −1, below its LP's primal α, so the hedge there moves along
-    # the node LP's ray until its α is at most −1
+def _ray_below_a_finite_root():
+    """S moves from 1 to 1/4, 2 or 1/2 at t = 1, then from 1/4 to 1/2 or 1
+    on {a1, a2}, an arbitrage: ``tests/data/ray_hedge.json``."""
     space = SampleSpace(["a1", "a2", "b", "c"], [F(1, 4)] * 4)
     filtration = Filtration(space, [
         [["a1", "a2", "b", "c"]], [["a1", "a2"], ["b"], ["c"]],
         [["a1"], ["a2"], ["b"], ["c"]]])
     path = (space.constant(1), space.variable([F(1, 4), F(1, 4), 2, F(1, 2)]),
             space.variable([F(1, 2), 1, 2, F(1, 2)]))
-    model = MarketModel(filtration, [Asset("S", path)])
+    return MarketModel(filtration, [Asset("S", path)])
+
+
+def test_hedge_follows_the_ray_below_an_unbounded_node():
+    # the root hedge (price 2, 4 units) leaves node {a1, a2} with wealth
+    # 2 − 4·3/4 = −1, below its LP's primal α, so the hedge there moves along
+    # the node LP's ray until its α is at most −1
+    model = _ray_below_a_finite_root()
+    assert load_market((DATA / "ray_hedge.json").read_text()) == model
+    space = model.space
     payoff = space.variable([1, 1, 6, 0])
     res = superreplication_price(model, payoff)
     assert res.price == 2
@@ -785,6 +793,28 @@ def test_hedge_follows_the_ray_below_an_unbounded_node():
     gain = terminal_gain(model, res.hedge)
     assert all(res.price + g >= x for g, x in zip(gain.values, payoff.values))
     assert global_routes.superreplication_price(model, payoff).price == 2
+
+
+def test_price_digest():
+    """The price and hedge holdings ``superreplication_price`` returns, pinned
+    byte for byte: for a call on asset 0 and the first outcome's indicator,
+    on the first 1000 seed-0 markets, CRR trees with T = 1..6 and the two
+    markets whose hedge passes an unbounded node."""
+    models = seed0_markets(1000) + [crr_tree(T)[0] for T in range(1, 7)]
+    models += [_unbounded_below_a_finite_root(), _ray_below_a_finite_root()]
+    answers = []
+    for model in models:
+        first = [1] + [0] * (len(model.space) - 1)
+        for payoff in (call_on(model), model.space.variable(first)):
+            res = superreplication_price(model, payoff)
+            answers.append((res.price, None if res.hedge is None else res.hedge.holdings or None))
+    text = "\n".join(repr(answer) for answer in answers)
+    assert sum(price != -math.inf for price, _ in answers) == PRICE_FINITE
+    assert hashlib.sha256(text.encode()).hexdigest() == PRICE_DIGEST
+
+
+PRICE_FINITE = 312
+PRICE_DIGEST = "b47b332b838fe8487b5dd21fba5e8a6d5364024c9bfc48a58469ee89af9fa0c5"
 
 
 def test_one_outcome_zero_horizon():
