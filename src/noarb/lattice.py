@@ -17,6 +17,9 @@ from typing import Iterable, Sequence
 from .errors import StructureError
 from .rationals import as_fraction, as_fractions, dot, to_integers
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class SampleSpace:
@@ -71,8 +74,8 @@ class SampleSpace:
 
     def indicator(self, outcome: str) -> "RandomVariable":
         i = self.index(outcome)
-        vals = [Fraction(0)] * len(self)
-        vals[i] = Fraction(1)
+        vals = [_ZERO] * len(self)
+        vals[i] = _ONE
         return RandomVariable(self, vals)
 
     def indicators(self) -> list["RandomVariable"]:

@@ -28,16 +28,21 @@ cell at t−1's child cells at t and each asset's increments S_t − S_{t−1} o
 the cells at t, as integers over one lowest-terms denominator per (t,
 asset): the one place an increment is computed.  Three tree walks read
 those integers.  ``_build_nodes`` keys each node by the primitive vector
-of its integer columns.  ``terminal_gain`` walks top-down, each child's
-gain its parent's plus one node's holdings·increments, one integer sum.
-``martingale_residuals`` sums the measure's mass bottom-up as integers
-and takes each residual as one integer sum over a node's children, a
-``Fraction`` only where it is not 0.  A node's columns and the
-elementary gains stay the steps' integers, and every route hands ``lp``
-its rows as integers over one scale (``lp.LpProblem.from_integers``): the
-node LPs from the columns, the budget LP from the gains.  ``Fraction``s
-are built from the integers only for the payoff cone's span and the LPs'
-objectives.
+of its integer columns.  ``_gain_ints`` walks top-down, each child's gain
+its parent's plus one node's holdings·increments, one integer sum: the
+gain ``terminal_gain`` returns, and the one that the arbitrage and hedge
+checks compare on integers.  ``martingale_residuals`` sums the measure's
+mass bottom-up as integers and takes each residual as one integer sum
+over a node's children, a ``Fraction`` only where it is not 0.  A node's
+columns and the elementary gains stay the steps' integers, and every
+route hands ``lp`` its rows as integers over one scale
+(``lp.LpProblem.from_integers``): the node LPs from the columns, the
+budget LP from the gains.  ``superreplication_price`` carries each cell's
+price bottom-up as an integer pair, and keys each node by its children's
+pairs over their lcm.  ``Fraction``s are built from the integers only for
+what a route returns (gains, residuals, measures, prices and holdings),
+the payoff cone's span, the LPs' objectives and the child prices of the
+first node of each price class, which its LP is posed on.
 
 A node's answers depend only on its cone of one-step gains, and scaling an
 asset's increments by a positive factor leaves that cone unchanged.  So
@@ -207,14 +212,23 @@ class Strategy:
 def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
     """Pathwise Σ_t holdings·(X_t − X_{t−1}); linear in the strategy.  The one
     check of a strategy against a model: a key that names no (t, asset, cell
-    at t−1) of the model raises ``StructureError``.
+    at t−1) of the model raises ``StructureError``.  Each outcome is one
+    ``Fraction`` of ``_gain_ints``' integer pair."""
+    gain, scale = _gain_ints(model, strategy)
+    return RandomVariable(model.space, [Fraction(n, d) for n, d in zip(gain, scale)])
+
+
+def _gain_ints(model: MarketModel, strategy: Strategy) -> tuple[list[int], list[int]]:
+    """``terminal_gain`` as integers: each outcome's gain is n/d for the
+    lists (n, d), in outcome order, every d > 0; the same ``StructureError``
+    on a bad key.
 
     Walked top-down through the tree, one node at a time, on the steps'
     integer increments: the children of a node share one denominator, the
     lcm of the node's own and, per held asset, of the holding's denominator
     times the increments', so each child's gain is one integer sum, its
     parent's rescaled plus Σ_a holdings·ΔS.  The cells at T are the
-    outcomes, in order, each one ``Fraction`` at the end."""
+    outcomes, in order."""
     parts, assets = model.filtration.partitions, model.assets
     held: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for (t, a, c), h in strategy.holdings:
@@ -240,7 +254,7 @@ def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
                 for c in children:
                     below[c] += f * ints[c]
         gain, scale = below, under
-    return RandomVariable(model.space, [Fraction(n, d) for n, d in zip(gain, scale)])
+    return gain, scale
 
 
 def _gains(model: MarketModel) -> dict[tuple[int, int, int], tuple[tuple[int, ...], int]]:
@@ -443,11 +457,15 @@ def _strategy_from_coefficients(placed) -> Strategy:
 
 
 def _verified_arbitrage(model, strategy: Strategy) -> Strategy:
-    """``strategy``, checked to gain ≥ 0 and ≠ 0: the one check of an arbitrage."""
-    payoff = terminal_gain(model, strategy)
-    if not payoff.is_nonneg or payoff.is_zero:
+    """``strategy``, checked to gain ≥ 0 and ≠ 0: the one check of an
+    arbitrage.  Decided on ``_gain_ints``' numerators, whose denominators
+    are positive; the gain is built as a ``RandomVariable`` only for the
+    ``payoff`` of the raise."""
+    gain, _ = _gain_ints(model, strategy)
+    if not any(gain) or any(n < 0 for n in gain):
         raise InternalInconsistency("arbitrage witness failed re-verification",
-                                    model=model, strategy=strategy, payoff=payoff)
+                                    model=model, strategy=strategy,
+                                    payoff=terminal_gain(model, strategy))
     return strategy
 
 
@@ -647,14 +665,23 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     equally many moving assets share one solve: that LP has no rows.  The
     wealth at each node is carried down the tree only when some class is
     unbounded: an optimal node's holdings do not depend on it.
+
+    Each cell's price is carried as an integer pair (n, d) in lowest terms,
+    −inf as the one float, from the payoff's values up: a node's shape key
+    is read off its children's pairs over their lcm, only the first node of
+    a class turns its child prices into ``Fraction``s for its LP, and the
+    root's price is one ``Fraction``.  The hedge is checked on integers too:
+    with α = an/ad, each outcome's gain g/s from ``_gain_ints`` and its
+    payoff pn/pd, α + g/s ≥ pn/pd is (an·s + g·ad)·pd ≥ pn·ad·s.
     """
     if payoff.space != model.space:
         raise StructureError("payoff on a different sample space")
     if not payoff.is_nonneg:
         raise StructureError("superreplication expects a nonnegative payoff")
     parts = model.filtration.partitions
-    prices: list[list[Price]] = [[_ZERO] * len(cells) for cells in parts]
-    prices[-1] = list(payoff.values)  # the cells at T are the outcomes, in order
+    # each cell's price as the pair (n, d) in lowest terms, or −inf, the one float
+    prices: list[list] = [[None] * len(cells) for cells in parts[:-1]]
+    prices.append([v.as_integer_ratio() for v in payoff.values])  # the outcomes, in order
     nodes = _built(model, _build_nodes)
     # per class, its ray (None when optimal) and its (α, holdings) in shape
     # units as integer pairs n/d; per node, bottom-up, its class and the
@@ -665,7 +692,8 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         values = [below[c] for c in node.children]
         finite = [v for v in values if type(v) is not float]  # −inf is the one float
         if finite:
-            ints, den = to_integers(finite)
+            den = math.lcm(*[d for _, d in finite])
+            ints = [n * (den // d) for n, d in finite]
             least = min(ints)
             g = math.gcd(*[v - least for v in ints]) or den  # equal prices: s = 1
             shape = iter([(v - least) // g for v in ints])
@@ -674,7 +702,9 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
             key, least, g, den = len(node.columns), 0, 1, 1
         unit = classes.get(key)
         if unit is None:
-            outcome = _one_step(nodes[node.market], values, model=model, payoff=payoff)
+            outcome = _one_step(nodes[node.market],
+                                [v if type(v) is float else Fraction(*v) for v in values],
+                                model=model, payoff=payoff)
             alpha, *holdings = outcome.primal
             if outcome.status == lp.OPTIMAL:
                 alpha = outcome.objective_value
@@ -684,11 +714,12 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
                                                  *[(den * n, d * g) for n, d in holdings]])
         ray, ((n, d), *_) = unit
         prices[node.t - 1][node.cell] = (-math.inf if ray is not None
-                                         else Fraction(least * d + g * n, den * d))
+                                         else _lowest(least * d + g * n, den * d))
         placed.append((unit, least, g, den))
-    alpha = prices[0][0]
-    if alpha == -math.inf:
+    if type(prices[0][0]) is float:
         return Superreplication(price=-math.inf)
+    an, ad = prices[0][0]
+    alpha = Fraction(an, ad)
     # a node's wealth is read only where its hedge follows a ray
     track = any(ray is not None for ray, _ in classes.values())
     wealth = [[alpha]] + [[_ZERO] * len(cells) for cells in parts[1:]]
@@ -710,8 +741,10 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
                 wealth[node.t][c] = dot(units, [w] + [Fraction(ints[j], cden)
                                                       for ints, cden in node.columns])
     hedge = _strategy_from_coefficients(held)
-    value = terminal_gain(model, hedge)
-    if not all(alpha + v >= p for v, p in zip(value.values, payoff.values)):
+    # α + gain/s ≥ pn/pd, times ad·s·pd > 0, on every outcome
+    gain, scale = _gain_ints(model, hedge)
+    if not all((an * s + v * ad) * pd >= pn * ad * s
+               for v, s, (pn, pd) in zip(gain, scale, prices[-1])):
         raise InternalInconsistency("superreplication hedge failed re-verification",
                                     model=model, payoff=payoff, hedge=hedge)
     return Superreplication(price=alpha, hedge=hedge)

@@ -10,8 +10,9 @@ over the integer increments.  Only ``dot``, the simplex tableau inside
 increments, which ``_build_steps`` computes once per model as integers
 over one denominator per (t, asset), the three tree walks that read them
 (the node key, each martingale residual over the cell masses, and each
-cell's terminal gain), the EMM's product of node weights down the tree,
-the superhedging price's shape key and node prices, the rows that every
+cell's terminal gain, which the arbitrage and hedge checks compare as
+integers), the EMM's product of node weights down the tree, the
+superhedging price's shape key and node prices, the rows that every
 route in ``market`` and ``separation`` hands ``lp``
 (``LpProblem.from_integers``: the node LPs', the budget LP's with its
 objective, and the separation LP's, one ``to_integers`` per cone vector),

@@ -137,12 +137,14 @@ def strict_separator_exists(cone: PolyhedralCone) -> bool:
     earlier separator is positive get an LP of their own, and the average of
     the separators used, each scaled to unit mass, is checked to be
     equivalent and separating, as ``strict_separator`` checks its average.
+    An outcome's indicator is built only when it gets an LP.
     """
     parts: list[RandomVariable] = []
-    for i, e in enumerate(cone.space.indicators()):
+    space = cone.space
+    for i, outcome in enumerate(space.outcomes):
         if any(f.values[i] > 0 for f in parts):
             continue
-        separator = separate_at(cone, e)
+        separator = separate_at(cone, space.indicator(outcome))
         if separator is None:
             return False
         parts.append(separator)
