@@ -817,6 +817,63 @@ PRICE_FINITE = 312
 PRICE_DIGEST = "b47b332b838fe8487b5dd21fba5e8a6d5364024c9bfc48a58469ee89af9fa0c5"
 
 
+#: a payoff on binomial over a 300-digit denominator, priced α = 1/7: α's
+#: one-digit denominator, the 300-digit ones of the payoff and of its hedge's
+#: gain differ, so a mix-up between them cannot cancel out
+HUGE = 7 ** 355
+TINY = F(1, 10 ** 40)
+
+
+def _fine_payoff(binomial):
+    return binomial.space.variable([F(1, 7 * HUGE), F(3 * HUGE - 1, 14 * HUGE)])
+
+
+def test_hedge_check_is_exact_at_equality(binomial):
+    # binomial replicates every payoff: α + hedge gain equals it on both
+    # outcomes, so the check passes with no room to spare
+    payoff = _fine_payoff(binomial)
+    res = superreplication_price(binomial, payoff)
+    assert res.price == F(1, 7)
+    gain = terminal_gain(binomial, res.hedge)
+    assert [res.price + g for g in gain.values] == list(payoff.values)
+
+
+def test_hedge_short_by_a_tiny_amount_on_one_outcome_raises(binomial, monkeypatch):
+    # 2·TINY more of S gains 2·TINY on the up move and loses TINY on the down
+    # move, so the hedge falls short of a replicated payoff there alone
+    payoff = _fine_payoff(binomial)
+    placed = market._strategy_from_coefficients
+    monkeypatch.setattr(market, "_strategy_from_coefficients",
+                        lambda held: placed(held) + Strategy({(1, 0, 0): 2 * TINY}))
+    with pytest.raises(InternalInconsistency,
+                       match="superreplication hedge failed re-verification") as caught:
+        superreplication_price(binomial, payoff)
+    hedge = caught.value.data["hedge"]
+    gain = terminal_gain(binomial, hedge)
+    assert [F(1, 7) + g - x for g, x in zip(gain.values, payoff.values)] == [2 * TINY, -TINY]
+
+
+@pytest.mark.parametrize("model, strategy", [
+    # S stays at 1 over (0, 1], so a holding then gains 0 everywhere
+    (_unbounded_below_a_finite_root(), Strategy({(1, 0, 0): 1})),
+    # S moves 1 -> 2, 1 or 1/2: -TINY of it gains (-TINY, 0, TINY/2)
+    (one_period_model([2, 1, F(1, 2)]), Strategy({(1, 0, 0): -TINY})),
+], ids=["zero-gain", "tiny-loss"])
+def test_arbitrage_check_rejects_a_gain_that_is_zero_or_dips_below(model, strategy):
+    with pytest.raises(InternalInconsistency,
+                       match="arbitrage witness failed re-verification") as caught:
+        market._verified_arbitrage(model, strategy)
+    assert caught.value.data["payoff"] == terminal_gain(model, strategy)
+    assert caught.value.data["strategy"] == strategy
+
+
+def test_arbitrage_check_accepts_a_tiny_gain_that_is_zero_elsewhere():
+    # S moves 1 -> 2, 1 or 1: TINY of it gains (TINY, 0, 0), ≥ 0 and ≠ 0
+    model = one_period_model([2, 1, 1])
+    strategy = Strategy({(1, 0, 0): TINY})
+    assert market._verified_arbitrage(model, strategy) is strategy
+
+
 def test_one_outcome_zero_horizon():
     space = SampleSpace(["w"], [1])
     model = MarketModel(Filtration(space, [[["w"]]]), [Asset("S", (space.constant(3),))])
