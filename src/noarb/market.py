@@ -26,23 +26,25 @@ budget bound need no variable per outcome.
 Each model's tree is read once: ``_build_steps`` lists, for each t ≥ 1, each
 cell at t−1's child cells at t and each asset's increments S_t − S_{t−1} on
 the cells at t, as integers over one lowest-terms denominator per (t,
-asset): the one place an increment is computed.  Three tree walks read
-those integers.  ``_build_nodes`` keys each node by the primitive vector
-of its integer columns.  ``_gain_ints`` walks top-down, each child's gain
-its parent's plus one node's holdings·increments, one integer sum: the
-gain ``terminal_gain`` returns, and the one that the arbitrage and hedge
-checks compare on integers.  ``martingale_residuals`` sums the measure's
-mass bottom-up as integers and takes each residual as one integer sum
-over a node's children, a ``Fraction`` only where it is not 0.  A node's
-columns and the elementary gains stay the steps' integers, and every
-route hands ``lp`` its rows as integers over one scale
-(``lp.LpProblem.from_integers``): the node LPs from the columns, the
+asset): the one place an increment is computed.  Exactly three tree
+walks read those integers.  ``_build_nodes`` keys each node by the
+primitive vector of its integer columns.  ``_gain_ints`` walks top-down,
+each child's gain its parent's plus one node's holdings·increments, one
+integer sum: the gain ``terminal_gain`` returns, the one that the
+arbitrage and hedge checks compare on integers, and the one that a hedge
+following an LP's ray reads its wealth off.  ``martingale_residuals`` sums
+the measure's mass bottom-up as integers and takes each residual as one
+integer sum over a node's children, a ``Fraction`` only where it is not 0.
+A node's columns and the elementary gains stay the steps' integers, and
+every LP row is posed by one builder, ``_int_rows``, from integers over
+one denominator per column and one for the rhs, as integers over one
+scale (``lp.LpProblem.from_integers``): the node LPs from the columns, the
 budget LP from the gains.  ``superreplication_price`` carries each cell's
-price bottom-up as an integer pair, and keys each node by its children's
-pairs over their lcm.  ``Fraction``s are built from the integers only for
-what a route returns (gains, residuals, measures, prices and holdings),
-the payoff cone's span, the LPs' objectives and the child prices of the
-first node of each price class, which its LP is posed on.
+price bottom-up as an integer pair, keys each node by its children's pairs
+over their lcm, and poses a class's LP on those integers.  ``Fraction``s
+are built from the integers only for what a route returns (gains,
+residuals, measures, prices and holdings), the payoff cone's span and the
+LPs' objectives.
 
 A node's answers depend only on its cone of one-step gains, and scaling an
 asset's increments by a positive factor leaves that cone unchanged.  So
@@ -74,7 +76,7 @@ from . import lp
 from .cones import PolyhedralCone
 from .errors import InternalInconsistency, StructureError
 from .lattice import Measure, RandomVariable, SampleSpace
-from .rationals import as_fraction, dot, to_integers
+from .rationals import as_fraction, to_integers
 
 Price = Union[Fraction, float]  # exact, or ±inf sentinels
 
@@ -390,32 +392,23 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _lifted(columns) -> tuple[int, list[list[int]]]:
-    """Columns given as (integers, denominator) pairs, put over one scale,
-    the lcm of their denominators: (scale, one integer list per column)."""
-    scale = math.lcm(*[den for _, den in columns])
-    return scale, [[v * (scale // den) for v in ints] for ints, den in columns]
+def _int_rows(columns, b, den) -> list[tuple[list[int], int]]:
+    """The rows of an LP whose columns are given as (integers, denominator)
+    pairs and whose rhs is the integers ``b`` over ``den``: row j holds each
+    column's j-th entry, then b[j], as integers over the lcm of all the
+    denominators, with that lcm, for ``lp.LpProblem.from_integers``."""
+    s = math.lcm(den, *[d for _, d in columns])
+    lifted = [[v * (s // d) for v in ints] for ints, d in columns]
+    return [([*row, v], s) for *row, v in zip(*lifted, [v * (s // den) for v in b])]
 
 
-def _int_row(entries: list[int], scale: int, b) -> tuple[list[int], int]:
-    """A row given as integers over ``scale``, with the rational rhs ``b``
-    appended: the row and its rhs as integers over the lcm of ``scale`` and
-    ``b``'s denominator, with that lcm, for ``lp.LpProblem.from_integers``."""
-    n, d = b.as_integer_ratio()
-    s = math.lcm(scale, d)
-    if s != scale:
-        entries = [v * (s // scale) for v in entries]
-    return [*entries, n * (s // d)], s
-
-
-def _one_step(node: _Node, values, /, **data) -> lp.LpOutcome:
+def _one_step(node: _Node, values, den, /, **data) -> lp.LpOutcome:
     """The node's one-step superhedging LP, posed, solved and certified:
-    minimize α over (α, holdings) with α + holdings·increment_j ≥ values[j]
-    on every child j.  A child valued −inf, the one float a price takes,
-    constrains nothing, so it gets no row; a type test tells it apart
-    without comparing a ``Fraction`` to a float.  Each row is handed to
-    ``lp`` as integers over the lcm of the node's denominators and its
-    value's.
+    minimize α over (α, holdings) with α + holdings·increment_j ≥ values[j]/den
+    on every child j, for integer values over one ``den`` > 0.  A child
+    valued −inf, the one float a value takes, constrains nothing, so it gets
+    no row; a type test tells it apart.  Every row is handed to ``lp`` over
+    the lcm of the node's denominators and ``den`` (``_int_rows``).
 
     α = max of the values with no holdings is feasible, so an infeasible
     outcome raises ``InternalInconsistency``.  An optimal one is certified
@@ -424,13 +417,15 @@ def _one_step(node: _Node, values, /, **data) -> lp.LpOutcome:
     y·b = the optimum.  They are then a martingale measure on the kept
     children, so every (α, holdings) that superhedges b has
     α = Σ_j y_j·(α + holdings·Δ_j) ≥ y·b (weak duality), and the optimum is
-    the least one-step price.  Otherwise ``InternalInconsistency``.  Either
-    raise carries ``data`` and the outcome."""
+    the least one-step price.  With y as integers w over d, each of these
+    is one integer sum: y·b is Σ_j w_j·b_j over d·den.  Otherwise
+    ``InternalInconsistency``.  Either raise carries ``data`` and the
+    outcome."""
     kept = [j for j, v in enumerate(values) if type(v) is not float]
     E = len(node.columns)
     b = [values[j] for j in kept]
-    scale, lifted = _lifted(node.columns)
-    rows = [_int_row([scale, *[col[j] for col in lifted]], scale, v) for j, v in zip(kept, b)]
+    columns = [([1] * len(kept), 1), *[([ints[j] for j in kept], d) for ints, d in node.columns]]
+    rows = _int_rows(columns, b, den)
     outcome = lp.solve(lp.LpProblem.from_integers([_ONE] + [_ZERO] * E, rows,
                                                   [">="] * len(rows),
                                                   lower=[None] * (E + 1), sense="min"))
@@ -439,11 +434,12 @@ def _one_step(node: _Node, values, /, **data) -> lp.LpOutcome:
                                     outcome=outcome, **data)
     if outcome.status == lp.OPTIMAL:
         y = outcome.dual
-        ints, den = to_integers(y)
-        if not (len(y) == len(kept) and all(w >= 0 for w in ints) and sum(ints) == den
-                and not any(sum([w * col[j] for w, j in zip(ints, kept)])
+        w, d = to_integers(y)
+        on, od = outcome.objective_value.as_integer_ratio()
+        if not (len(y) == len(kept) and all(v >= 0 for v in w) and sum(w) == d
+                and not any(sum([v * col[j] for v, j in zip(w, kept)])
                             for col, _ in node.columns)
-                and dot(y, b) == outcome.objective_value):
+                and sum([v * x for v, x in zip(w, b)]) * od == on * d * den):
             raise InternalInconsistency("one-step superhedging price failed re-verification",
                                         outcome=outcome, **data)
     return outcome
@@ -496,16 +492,14 @@ def check_na(model: MarketModel) -> NaResult:
     for i, node in enumerate(_built(model, _build_nodes)):
         if node.market != i or not node.columns:
             continue
-        E = len(node.columns)
-        # each child's row over the lcm of the columns' denominators
-        scale, lifted = _lifted(node.columns)
-        rows, rels = [], []
-        for j in range(len(node.children)):
-            row = [col[j] for col in lifted]
-            rows += [([*row, 0], scale), ([*row, scale], scale)]
-            rels += [">=", "<="]
+        # each child's floor row, payoff ≥ 0, then its cap row, payoff ≤ 1: the
+        # floor row's integers with the rhs 1 over their own scale
+        rows = []
+        for ints, s in _int_rows(node.columns, [0] * len(node.children), 1):
+            rows += [(ints, s), ([*ints[:-1], s], s)]
         objective = [Fraction(sum(ints), den) for ints, den in node.columns]
-        problem = lp.LpProblem.from_integers(objective, rows, rels, lower=[None] * E)
+        problem = lp.LpProblem.from_integers(objective, rows, [">=", "<="] * len(node.children),
+                                             lower=[None] * len(node.columns))
         outcome = lp.solve(problem)
         if outcome.status != lp.OPTIMAL:
             raise InternalInconsistency("arbitrage LP must be bounded and feasible",
@@ -662,15 +656,18 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     has several optimal vertices, or is unbounded, its own solve could end
     elsewhere, since the cash shift lo moves the rows' right-hand sides
     and so Bland's pivot path.  Nodes with all children priced −inf and
-    equally many moving assets share one solve: that LP has no rows.  The
-    wealth at each node is carried down the tree only when some class is
-    unbounded: an optimal node's holdings do not depend on it.
+    equally many moving assets share one solve: that LP has no rows.  An
+    optimal node's holdings do not depend on its wealth.  A node whose hedge
+    follows a ray reads its wealth w as α plus the gain, from
+    ``_gain_ints``, of the holdings placed so far, at its cell's first
+    outcome: holdings at t do not move a cell at t − 1, so that is one walk
+    for each t that has such a node.
 
     Each cell's price is carried as an integer pair (n, d) in lowest terms,
     −inf as the one float, from the payoff's values up: a node's shape key
-    is read off its children's pairs over their lcm, only the first node of
-    a class turns its child prices into ``Fraction``s for its LP, and the
-    root's price is one ``Fraction``.  The hedge is checked on integers too:
+    is read off its children's pairs over their lcm, the first node of a
+    class hands ``_one_step`` those integers, and the root's price is one
+    ``Fraction``.  The hedge is checked on integers too:
     with α = an/ad, each outcome's gain g/s from ``_gain_ints`` and its
     payoff pn/pd, α + g/s ≥ pn/pd is (an·s + g·ad)·pd ≥ pn·ad·s.
     """
@@ -693,18 +690,18 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         finite = [v for v in values if type(v) is not float]  # −inf is the one float
         if finite:
             den = math.lcm(*[d for _, d in finite])
-            ints = [n * (den // d) for n, d in finite]
+            # the values as integers over den, −inf kept in its place
+            values = [v if type(v) is float else v[0] * (den // v[1]) for v in values]
+            ints = [v for v in values if type(v) is not float]
             least = min(ints)
             g = math.gcd(*[v - least for v in ints]) or den  # equal prices: s = 1
-            shape = iter([(v - least) // g for v in ints])
-            key = (node.market, tuple([v if type(v) is float else next(shape) for v in values]))
+            key = (node.market, tuple([v if type(v) is float else (v - least) // g
+                                       for v in values]))
         else:
             key, least, g, den = len(node.columns), 0, 1, 1
         unit = classes.get(key)
         if unit is None:
-            outcome = _one_step(nodes[node.market],
-                                [v if type(v) is float else Fraction(*v) for v in values],
-                                model=model, payoff=payoff)
+            outcome = _one_step(nodes[node.market], values, den, model=model, payoff=payoff)
             alpha, *holdings = outcome.primal
             if outcome.status == lp.OPTIMAL:
                 alpha = outcome.objective_value
@@ -720,26 +717,25 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         return Superreplication(price=-math.inf)
     an, ad = prices[0][0]
     alpha = Fraction(an, ad)
-    # a node's wealth is read only where its hedge follows a ray
-    track = any(ray is not None for ray, _ in classes.values())
-    wealth = [[alpha]] + [[_ZERO] * len(cells) for cells in parts[1:]]
-    held = []
+    held, walked = [], 0  # walked: the t that (gain, scale) was last walked for
     for node, (unit, least, g, den) in zip(nodes, reversed(placed)):
         ray, ((n, d), *point) = unit
-        w = wealth[node.t - 1][node.cell]
         if ray is None:
             holdings = [Fraction(g * hn * rd, den * hd * rn)
                         for (hn, hd), (rn, rd) in zip(point, node.ratio)]
         else:
+            # the node's wealth: α plus the gain of the holdings placed so far,
+            # at its cell's first outcome; holdings at t move no cell at t − 1,
+            # so one walk serves every node at t
+            if walked != node.t:
+                walked = node.t
+                gain, scale = _gain_ints(model, _strategy_from_coefficients(held))
+            o = parts[node.t - 1][node.cell][0]
+            w = alpha + Fraction(gain[o], scale[o])
             step = max(_ZERO, (Fraction(least * d + g * n, den * d) - w) / -ray[0])
             holdings = [(Fraction(g * hn, den * hd) + step * dr) * Fraction(rd, rn)
                         for (hn, hd), dr, (rn, rd) in zip(point, ray[1:], node.ratio)]
         held.append((node, holdings))
-        if track:
-            units = [_ONE, *holdings]
-            for j, c in enumerate(node.children):
-                wealth[node.t][c] = dot(units, [w] + [Fraction(ints[j], cden)
-                                                      for ints, cden in node.columns])
     hedge = _strategy_from_coefficients(held)
     # α + gain/s ≥ pn/pd, times ad·s·pd > 0, on every outcome
     gain, scale = _gain_ints(model, hedge)
@@ -822,9 +818,9 @@ def check_na1(model: MarketModel) -> bool:
         for c in range(k):
             if covered[c]:
                 continue
-            values = [-_ONE] * k
-            values[c] = _ZERO
-            outcome = _one_step(node, values, model=model, node=node)
+            values = [-1] * k
+            values[c] = 0
+            outcome = _one_step(node, values, 1, model=model, node=node)
             if outcome.status == lp.OPTIMAL and outcome.objective_value > -1:
                 covered = [done or y > 0 for done, y in zip(covered, outcome.dual)]
                 continue
@@ -843,20 +839,20 @@ def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProble
     points are 1 + gain(ξ).  Each row's rhs −1 is flipped to a ``<=`` row
     with rhs 1, so that LP starts on a slack basis and has no phase one.
 
-    Built from the gains' integers: row i holds each gain's value at i over
-    the lcm of their denominators, and a gain's objective entry is one
+    Built from the gains' integers (``_int_rows``): row i holds each gain's
+    value at i and rhs_i over the lcm of the gains' denominators and the
+    rhs's, one ``to_integers`` for the rhs, and a gain's objective entry is one
     integer sum, a ``Fraction`` over the weights' denominator times the
     gain's (the gain's total, for NUPBR's all-ones weights).  Returns the
     coefficients' ``_gains`` keys, in column order, and the LP."""
     gains = {key: g for key, g in _built(model, _gains).items() if any(g[0])}
-    scale, lifted = _lifted(gains.values())
     if any(weights):
         wints, wden = to_integers(weights)
         objective = [Fraction(sum([w * v for w, v in zip(wints, ints) if v]), wden * den)
                      for ints, den in gains.values()]
     else:  # membership has no objective: its zero weights skip a sum per gain
         objective = [_ZERO] * len(gains)
-    rows = [_int_row([col[i] for col in lifted], scale, b) for i, b in enumerate(rhs)]
+    rows = _int_rows(gains.values(), *to_integers(rhs))
     problem = lp.LpProblem.from_integers(objective, rows, [">="] * len(rows),
                                          lower=[None] * len(gains))
     return list(gains), problem
@@ -871,7 +867,8 @@ def check_nupbr(model: MarketModel) -> bool:
     as ``check_na`` checks one.  An optimal LP's duals y ≤ 0 on the rows
     satisfy Σ_i (1 − y_i)·g_i = 0 for every gain g, so the weights 1 − y ≥ 1,
     normalized, are an EMM, checked as ``find_emm`` checks one; and a
-    market with an EMM has a bounded budget set.
+    market with an EMM has a bounded budget set.  With y as integers v over
+    one den, the weights are (den − v)/Σ(den − v), one ``Fraction`` each.
     """
     n = len(model.space)
     keys, problem = _budget_problem(model, [_ONE] * n, [-_ONE] * n)
@@ -882,10 +879,11 @@ def check_nupbr(model: MarketModel) -> bool:
     if outcome.status != lp.OPTIMAL:  # ξ = 0 is feasible
         raise InternalInconsistency("budget LP cannot be infeasible",
                                     model=model, outcome=outcome)
-    weights = [_ONE - y for y in outcome.dual]
+    ints, den = to_integers(outcome.dual)
+    weights = [den - v for v in ints]
     total = sum(weights)
-    # a zero total cannot be normalized: left as it is, Measure rejects it
-    _verified_emm(model, [w / total for w in weights] if total else weights)
+    # a zero total cannot be normalized: left over den, Measure rejects it
+    _verified_emm(model, [Fraction(w, total or den) for w in weights])
     return True
 
 

@@ -2,24 +2,13 @@
 
 This module owns the library's exact-number policy.  Every number the
 library takes or returns is a ``fractions.Fraction`` (arbitrary precision,
-always lowest terms, positive denominator), and every sum of rational
-products in it is one ``dot``, except the sums of ``market``'s tree walks
-over the integer increments.  Only ``dot``, the simplex tableau inside
-``lp``, the check that ``lattice.SampleSpace``'s probabilities and
-``lattice.Measure``'s weights sum to 1, and in ``market`` the price
-increments, which ``_build_steps`` computes once per model as integers
-over one denominator per (t, asset), the three tree walks that read them
-(the node key, each martingale residual over the cell masses, and each
-cell's terminal gain, which the arbitrage and hedge checks compare as
-integers), the EMM's product of node weights down the tree, the
-superhedging price's shape key and node prices, the rows that every
-route in ``market`` and ``separation`` hands ``lp``
-(``LpProblem.from_integers``: the node LPs', the budget LP's with its
-objective, and the separation LP's, one ``to_integers`` per cone vector),
-which ``lp`` stores as integers over one scale, and the dual check of every
-one-step price, NA₁'s included (``_one_step``), one integer sum per
-moving asset, work on integers over a common denominator
-(``to_integers``); every number they return is a ``Fraction``.
+always lowest terms, positive denominator).  No sum of rational products
+is summed as ``Fraction``s, which reduce by a gcd per term: over
+``Fraction``s it is one ``dot``, and where a route already holds its
+numbers as integers over a common denominator (``to_integers``), as
+``lp``'s rows and tableau, ``lattice``'s sums to 1 and ``market``'s
+increments, tree walks, LP rows and dual checks do, it is one integer sum,
+and a ``Fraction`` is built only for a number that the route hands on.
 A rational is written in ASCII digits only.
 """
 

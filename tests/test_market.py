@@ -688,6 +688,7 @@ def test_strong_arbitrage_prices_minus_inf():
     # raised by 1 still has a hedge that superreplicates, so only the dual
     # bound y·b = 1/3 tells it is not the least price
     ([2, F(1, 2)], [1, 0], F(1, 3), _replaced("objective_value", lambda v: v + 1)),
+    ([2, F(1, 2)], [1, 0], F(1, 3), _replaced("objective_value", lambda v: v + TINY)),
     # each of these fails one condition on the duals alone.  The zero payoff
     # is priced 0, so y·b = 0 whatever y is: twice binomial's duals are a
     # martingale vector that weighs 2; (1/2, -1/2, 1) weighs 1 and solves
@@ -698,7 +699,11 @@ def test_strong_arbitrage_prices_minus_inf():
     ([2, 1, F(1, 2)], [0, 0, 0], F(0),
      _replaced("dual", lambda y: (F(1, 2), F(-1, 2), F(1)))),
     ([2, 1, F(1, 2)], [1, 0, 0], F(1, 3), _replaced("dual", lambda y: (F(1, 3),) * 3)),
-], ids=["objective-raised", "dual-doubled", "dual-negative", "dual-no-martingale"])
+    # binomial's call duals with a dual 0 for a row the LP does not have: the
+    # first two still pass every sum, so only their count tells
+    ([2, F(1, 2)], [1, 0], F(1, 3), _replaced("dual", lambda y: (*y, F(0)))),
+], ids=["objective-raised", "objective-raised-tiny", "dual-doubled", "dual-negative",
+        "dual-no-martingale", "dual-extra-row"])
 def test_price_rejects_a_corrupted_certificate(terminal, payoff, price, corrupt, monkeypatch):
     """``superreplication_price`` certifies each optimal node LP by its
     duals; a corrupted one raises, carrying the market."""
@@ -714,10 +719,16 @@ def test_price_rejects_a_corrupted_certificate(terminal, payoff, price, corrupt,
 
 def test_one_step_problem_drops_minus_inf_children(lp_calls):
     node = market._built(one_period_model([2, 1, F(1, 2)]), market._build_nodes)[0]
-    market._one_step(node, [F(0), -math.inf, F(1)])
-    (problem,) = lp_calls
+    market._one_step(node, [0, -math.inf, 1], 1)
+    # values over a 300-digit denominator: the LP the rational constructor
+    # poses on the same rows, each row in lowest terms
+    market._one_step(node, [HUGE + 1, -math.inf, 3], 7 * HUGE)
+    problem, fine = lp_calls
     assert problem.rows == ((1, 1), (1, F(-1, 2)))
     assert problem.rhs == (0, 1)
+    assert fine == lp.LpProblem([1, 0], [[1, 1], [1, F(-1, 2)]], [">="] * 2,
+                                [F(HUGE + 1, 7 * HUGE), F(3, 7 * HUGE)],
+                                lower=[None, None], sense="min")
 
 
 def test_price_is_cash_additive_and_positively_homogeneous():
@@ -793,6 +804,40 @@ def test_hedge_follows_the_ray_below_an_unbounded_node():
     gain = terminal_gain(model, res.hedge)
     assert all(res.price + g >= x for g, x in zip(gain.values, payoff.values))
     assert global_routes.superreplication_price(model, payoff).price == 2
+
+
+def _rays_at_two_levels():
+    """S moves from 1 to 3, 4, 2 or 1/2 at t = 1.  Then {a1, a2} moves up to
+    4 or 5, {b1, b2} up to 5 or 6, and {c1, c2, c3, c4} to 1/2, 1 or 4; at
+    t = 3 only {c1, c2} moves, up to 1 or 2.  So the nodes {a1, a2} and
+    {b1, b2} at t = 1 and {c1, c2} at t = 2 are unbounded."""
+    names = ["a1", "a2", "b1", "b2", "c1", "c2", "c3", "c4", "d"]
+    space = SampleSpace(names, [F(1, 9)] * 9)
+    filtration = Filtration(space, [
+        [names], [["a1", "a2"], ["b1", "b2"], ["c1", "c2", "c3", "c4"], ["d"]],
+        [["a1"], ["a2"], ["b1"], ["b2"], ["c1", "c2"], ["c3"], ["c4"], ["d"]],
+        [[name] for name in names]])
+    path = (space.constant(1), space.variable([3, 3, 4, 4, 2, 2, 2, 2, F(1, 2)]),
+            space.variable([4, 5, 5, 6, F(1, 2), F(1, 2), 1, 4, F(1, 2)]),
+            space.variable([4, 5, 5, 6, 1, 2, 1, 4, F(1, 2)]))
+    return MarketModel(filtration, [Asset("S", path)])
+
+
+def test_hedge_follows_rays_at_two_levels():
+    # the root hedge (price 3, −2 units) leaves {a1, a2} with 3 − 2·2 = −1 and
+    # {b1, b2} with 3 − 2·3 = −3; {c1, c2, c3, c4} holds 1 unit and leaves
+    # {c1, c2} with 3 − 2·1 + 1·(1/2 − 2) = −1/2, so its wealth needs the
+    # holdings placed at t = 1 and t = 2.  Each wealth is below its node LP's
+    # α, 0, so each hedge moves along its LP's ray
+    model = _rays_at_two_levels()
+    payoff = model.space.variable([1, 2, 2, 1, 1, 2, 0, 3, 4])
+    res = superreplication_price(model, payoff)
+    assert res.price == 3
+    assert res.hedge.holdings == (((1, 0, 0), -2), ((2, 0, 0), 2), ((2, 0, 1), 5),
+                                  ((2, 0, 2), 1), ((3, 0, 4), 3))
+    gain = terminal_gain(model, res.hedge)
+    assert all(res.price + g >= x for g, x in zip(gain.values, payoff.values))
+    assert global_routes.superreplication_price(model, payoff).price == 3
 
 
 def test_price_digest():
@@ -1427,6 +1472,11 @@ def _call_price(model):
      "martingale measure failed re-verification"),
     (check_nupbr, ["check", "nupbr", DATA / "two_period.json"], _lowered_dual,
      "martingale measure failed re-verification"),
+    # duals all 1 give weights 1 − y that are all 0: a total of 0, which is
+    # not divided by but handed to Measure, which rejects it
+    (check_nupbr, ["check", "nupbr", BINOMIAL_FILE],
+     lambda out: dataclasses.replace(out, dual=(F(1),) * len(out.dual)),
+     "martingale measure failed re-verification: weights sum to 0, not 1"),
     (check_nupbr, ["check", "nupbr", DATA / "dominance.json"], _negated_ray_entry,
      "arbitrage witness failed re-verification"),
     (check_nupbr, ["check", "nupbr", DATA / "two_period_arbitrage.json"], _negated_ray_entry,
@@ -1442,7 +1492,7 @@ def _call_price(model):
     (check_na1, ["check", "na1", DATA / "two_period_arbitrage.json"], _negated_ray_holdings,
      NA1_HOLDINGS),
 ], ids=["na-status", "emm-primal", "price-status", "price-hedge", "price-dual", "nupbr-status",
-        "nupbr-dual-binomial", "nupbr-dual-two-period", "nupbr-ray-dominance",
+        "nupbr-dual-binomial", "nupbr-dual-two-period", "nupbr-zero-total", "nupbr-ray-dominance",
         "nupbr-ray-two-period", "na1-status", "na1-dual-binomial", "na1-dual-two-period",
         "na1-ray-dominance", "na1-ray-two-period"])
 def test_a_corrupted_node_lp_is_an_inconsistency(route, argv, corrupt, message,
