@@ -18,10 +18,10 @@ the superreplication price is the backward induction of one-step prices
 (Dalang–Morton–Willinger 1990; Föllmer & Schied, *Stochastic Finance*,
 ch. 5 and 7).  A one-period model is a single node, so its LP is the whole
 market's LP, row for row.  NUPBR, budget-set membership and the payoff cone
-stay whole-market LPs.  The budget set ℬ_α = {x ≥ 0 : x ≤ α + gain(ξ)} has
-one LP form, over the strategy coefficients ξ alone (``_budget_problem``):
-a maximal point of ℬ₁ is 1 + gain(ξ) with gain(ξ) ≥ −1, so NUPBR and the
-budget bound need no variable per outcome.
+stay whole-market LPs.  ℬ_α = {x ≥ 0 : x ≤ α + gain(ξ)} has one LP form,
+over the strategy coefficients alone (``_budget_problem``), and its ceiling
+is solved and certified in one place for NUPBR and ``emm_budget``
+(``_budget_ceiling``).
 
 Each model's tree is read once: ``_build_steps`` lists, for each t ≥ 1, each
 cell at t−1's child cells at t and each asset's increments S_t − S_{t−1} on
@@ -834,17 +834,15 @@ def check_na1(model: MarketModel) -> bool:
 def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProblem]:
     """ℬ_α's one LP form: maximize Σ_i weights_i·gain(ξ)_i over free
     coefficients ξ, one per nonzero elementary gain, subject to
-    gain(ξ)_i ≥ rhs_i on every outcome i.  With rhs x − α it asks whether
-    x ∈ ℬ_α; with rhs −1 it is the budget ceiling of ℬ₁, whose maximal
-    points are 1 + gain(ξ).  Each row's rhs −1 is flipped to a ``<=`` row
-    with rhs 1, so that LP starts on a slack basis and has no phase one.
+    gain(ξ)_i ≥ rhs_i on every outcome i: with rhs x − α, whether x ∈ ℬ_α;
+    with rhs −1, the ceiling of ℬ₁, whose maximal points are 1 + gain(ξ)
+    (``_budget_ceiling``).  A row's rhs −1 is flipped to a ``<=`` row with
+    rhs 1, so the ceiling starts on a slack basis and has no phase one.
 
-    Built from the gains' integers (``_int_rows``): row i holds each gain's
-    value at i and rhs_i over the lcm of the gains' denominators and the
-    rhs's, one ``to_integers`` for the rhs, and a gain's objective entry is one
-    integer sum, a ``Fraction`` over the weights' denominator times the
-    gain's (the gain's total, for NUPBR's all-ones weights).  Returns the
-    coefficients' ``_gains`` keys, in column order, and the LP."""
+    Rows come from the gains' integers (``_int_rows``), and a gain's
+    objective entry is one integer sum, a ``Fraction`` over the weights'
+    denominator times the gain's.  Returns the coefficients' ``_gains``
+    keys, in column order, and the LP."""
     gains = {key: g for key, g in _built(model, _gains).items() if any(g[0])}
     if any(weights):
         wints, wden = to_integers(weights)
@@ -858,51 +856,52 @@ def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProble
     return list(gains), problem
 
 
-def check_nupbr(model: MarketModel) -> bool:
-    """Boundedness of the unit budget set {x ≥ 0 : x ≤ 1 + gain}: whether
-    the total Σ_i gain(ξ)_i is bounded over gain(ξ) ≥ −1, by one LP.
+def _budget_ceiling(model: MarketModel, weights) -> lp.LpOutcome:
+    """The ceiling of ℬ₁ under weights w > 0, posed, solved and certified:
+    maximize Σ_i w_i·gain(ξ)_i subject to gain(ξ) ≥ −1, the whole-market
+    twin of ``_one_step``.  ξ = 0 is feasible, so an infeasible outcome raises.
 
-    The verdict is certified from that solve.  An unbounded LP's ray is a
-    strategy with gain ≥ 0 whose total is positive, an arbitrage, checked
-    as ``check_na`` checks one.  An optimal LP's duals y ≤ 0 on the rows
-    satisfy Σ_i (1 − y_i)·g_i = 0 for every gain g, so the weights 1 − y ≥ 1,
-    normalized, are an EMM, checked as ``find_emm`` checks one; and a
-    market with an EMM has a bounded budget set.  With y as integers v over
-    one den, the weights are (den − v)/Σ(den − v), one ``Fraction`` each.
-    """
-    n = len(model.space)
-    keys, problem = _budget_problem(model, [_ONE] * n, [-_ONE] * n)
+    An unbounded LP's ray gains ≥ 0 with a positive weighted total: an
+    arbitrage (``_verified_arbitrage``).  An optimal LP's duals y satisfy
+    Σ_i (w_i − y_i)·g_i = 0 for every gain g, so w − y, normalized, must be
+    an EMM (``_verified_emm``); then y ≤ 0 and −Σy = the optimum give
+    Σ w·gain(ξ) = Σ y·gain(ξ) ≤ −Σy for every feasible ξ (the dual bound).
+    With w as integers over wd and y as integers v over d, the EMM's weights
+    are w·d − v·wd and the bound is one integer sum.  Every raise is an
+    ``InternalInconsistency`` carrying the model."""
+    keys, problem = _budget_problem(model, weights, [-_ONE] * len(model.space))
     outcome = lp.solve(problem)
     if outcome.status == lp.UNBOUNDED:
         _verified_arbitrage(model, Strategy(zip(keys, outcome.ray)))
-        return False
-    if outcome.status != lp.OPTIMAL:  # ξ = 0 is feasible
-        raise InternalInconsistency("budget LP cannot be infeasible",
-                                    model=model, outcome=outcome)
-    ints, den = to_integers(outcome.dual)
-    weights = [den - v for v in ints]
-    total = sum(weights)
-    # a zero total cannot be normalized: left over den, Measure rejects it
-    _verified_emm(model, [Fraction(w, total or den) for w in weights])
-    return True
+    elif outcome.status != lp.OPTIMAL:  # ξ = 0 is feasible
+        raise InternalInconsistency("budget LP cannot be infeasible", model=model, outcome=outcome)
+    else:
+        (wints, wd), (ints, d) = to_integers(weights), to_integers(outcome.dual)
+        emm = [w * d - v * wd for w, v in zip(wints, ints)]
+        total = sum(emm)
+        # a zero total cannot be normalized: left over d·wd, Measure rejects it
+        _verified_emm(model, [Fraction(q, total or d * wd) for q in emm])
+        on, od = outcome.objective_value.as_integer_ratio()
+        if any(v > 0 for v in ints) or -sum(ints) * od != on * d:
+            raise InternalInconsistency("budget ceiling failed re-verification",
+                                        model=model, outcome=outcome)
+    return outcome
+
+
+def check_nupbr(model: MarketModel) -> bool:
+    """Boundedness of the unit budget set {x ≥ 0 : x ≤ 1 + gain}: whether its
+    ceiling under unit weights is finite, as ``_budget_ceiling`` certifies."""
+    return _budget_ceiling(model, [_ONE] * len(model.space)).status == lp.OPTIMAL
 
 
 def emm_budget(model: MarketModel, measure: Measure) -> Price:
     """sup of E_Q over the unit budget set; exactly 1 when Q is an EMM.
 
-    Q is equivalent, so the supremum is attained at 1 + gain(ξ): it is
-    1 + max E_Q[gain(ξ)] over gain(ξ) ≥ −1, the budget ceiling LP weighted
-    by Q, and +inf when that LP is unbounded (never infeasible: ξ = 0 is
-    feasible)."""
+    Q is equivalent, so the supremum is attained at 1 + gain(ξ): 1 plus the
+    ceiling under Q's weights (``_budget_ceiling``), +inf when unbounded."""
     if measure.space != model.space:
         raise StructureError("measure on a different sample space")
     if not measure.is_equivalent:
         raise StructureError("budget bound requires an equivalent measure")
-    _, problem = _budget_problem(model, measure.weights, [-_ONE] * len(model.space))
-    outcome = lp.solve(problem)
-    if outcome.status == lp.OPTIMAL:
-        return _ONE + outcome.objective_value
-    if outcome.status != lp.UNBOUNDED:  # ξ = 0 is feasible
-        raise InternalInconsistency("budget LP cannot be infeasible",
-                                    model=model, outcome=outcome)
-    return math.inf
+    outcome = _budget_ceiling(model, measure.weights)
+    return math.inf if outcome.status == lp.UNBOUNDED else _ONE + outcome.objective_value

@@ -627,6 +627,76 @@ def test_na1_rejects_a_corrupted_certificate(terminal, holds, corrupt, message, 
     assert caught.value.data["model"] == model
 
 
+# the budget ceiling, ``market._budget_ceiling``, is certified in one place
+# for NUPBR and ``emm_budget``: its duals y give the EMM w − y, then y ≤ 0
+# and −Σy = the optimum bound it
+BUDGET_BOUND = "budget ceiling failed re-verification"
+
+
+def _emm_measure(model):
+    return find_emm(model).measure
+
+
+def _seeded_non_emm(model):
+    """A strictly positive measure with seeded integer weights, (4/13, 9/13)
+    on two outcomes, checked not to be an EMM: binomial's is (1/3, 2/3)."""
+    rng = random.Random(3)
+    weights = [rng.randint(1, 9) for _ in model.space.outcomes]
+    q = Measure(model.space, [F(w, sum(weights)) for w in weights])
+    assert not is_martingale_measure(model, q)
+    return q
+
+
+def _raised_objective(out):
+    return dataclasses.replace(out, objective_value=out.objective_value + F(1, 10**40))
+
+
+def _shifted_dual(out, weights):
+    """y + (w − y)/2: w − y halved, still a martingale direction."""
+    return dataclasses.replace(out, dual=tuple([v + (w - v) / 2
+                                                for v, w in zip(out.dual, weights)]))
+
+
+@pytest.mark.parametrize("terminal, measure, value, corrupt, message", [
+    # dominance's ceiling LP is unbounded; its ray negated loses on both children
+    ([2, F(3, 2)], _seeded_non_emm, math.inf, lambda out, w: _negated_ray_entry(out),
+     "arbitrage witness failed re-verification"),
+    # binomial's ceiling is optimal; a lowered dual makes w − y weigh the up
+    # child more, no longer a martingale measure
+    ([2, F(1, 2)], _emm_measure, 1, lambda out, w: _lowered_dual(out),
+     "martingale measure failed re-verification"),
+    ([2, F(1, 2)], _seeded_non_emm, F(27, 26), lambda out, w: _lowered_dual(out),
+     "martingale measure failed re-verification"),
+    # an optimum raised by 1/10^40 keeps the duals, and so the EMM, intact:
+    # only −Σy = the optimum tells it is not the ceiling
+    ([2, F(1, 2)], _emm_measure, 1, lambda out, w: _raised_objective(out), BUDGET_BOUND),
+    ([2, F(1, 2)], _seeded_non_emm, F(27, 26), lambda out, w: _raised_objective(out),
+     BUDGET_BOUND),
+    # duals moved halfway to w still give the same EMM; only the bound catches them
+    ([2, F(1, 2)], _emm_measure, 1, _shifted_dual, BUDGET_BOUND),
+    ([2, F(1, 2)], _seeded_non_emm, F(27, 26), _shifted_dual, BUDGET_BOUND),
+    # the ceiling 1/26 lowered to 0, with duals w − (1/3, 2/3) = (−1/39, 1/39):
+    # they give the EMM and −Σy = 0, so only their sign tells
+    ([2, F(1, 2)], _seeded_non_emm, F(27, 26),
+     lambda out, w: dataclasses.replace(out, objective_value=F(0), dual=(F(-1, 39), F(1, 39))),
+     BUDGET_BOUND),
+], ids=["ray", "dual-emm", "dual-seeded", "objective-raised-emm", "objective-raised-seeded",
+        "dual-shifted-emm", "dual-shifted-seeded", "objective-lowered-seeded"])
+def test_emm_budget_rejects_a_corrupted_certificate(terminal, measure, value, corrupt, message,
+                                                    monkeypatch):
+    """``emm_budget`` returns a value only when its ceiling LP's ray is an
+    arbitrage or its duals give an EMM and bound the optimum; a corrupted
+    outcome raises, carrying the market."""
+    model = one_period_model(terminal)
+    q = measure(model)
+    assert emm_budget(model, q) == value
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: corrupt(solve(problem), q.weights))
+    with pytest.raises(InternalInconsistency, match=message) as caught:
+        emm_budget(model, q)
+    assert caught.value.data["model"] == model
+
+
 def _unbounded_below_a_finite_root():
     """S stays at 1 until t = 1, then moves to 2 or 3 on {a1, a2}, an
     arbitrage, and to 2 or 1/2 on {b1, b2}: the node {a1, a2} is unbounded,
@@ -1491,10 +1561,16 @@ def _call_price(model):
     (check_na1, ["check", "na1", DATA / "dominance.json"], _negated_ray_holdings, NA1_HOLDINGS),
     (check_na1, ["check", "na1", DATA / "two_period_arbitrage.json"], _negated_ray_holdings,
      NA1_HOLDINGS),
+    # an optimum raised by 1/10^40, or duals moved halfway to 1, keep the
+    # EMM 1 − y, normalized: only the dual bound catches them
+    (check_nupbr, ["check", "nupbr", BINOMIAL_FILE], _raised_objective, BUDGET_BOUND),
+    (check_nupbr, ["check", "nupbr", BINOMIAL_FILE],
+     _replaced("dual", lambda y: tuple([v + (1 - v) / 2 for v in y])), BUDGET_BOUND),
 ], ids=["na-status", "emm-primal", "price-status", "price-hedge", "price-dual", "nupbr-status",
         "nupbr-dual-binomial", "nupbr-dual-two-period", "nupbr-zero-total", "nupbr-ray-dominance",
         "nupbr-ray-two-period", "na1-status", "na1-dual-binomial", "na1-dual-two-period",
-        "na1-ray-dominance", "na1-ray-two-period"])
+        "na1-ray-dominance", "na1-ray-two-period", "nupbr-objective-raised-tiny",
+        "nupbr-dual-shifted"])
 def test_a_corrupted_node_lp_is_an_inconsistency(route, argv, corrupt, message,
                                                  monkeypatch, capsys):
     """A corrupted solver outcome ends in ``InternalInconsistency`` carrying
