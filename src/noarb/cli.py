@@ -31,7 +31,7 @@ import sys
 
 from . import lab
 from .concepts import full_verdict
-from .cones import PolyhedralCone
+from .cones import PolyhedralCone, SemiSolidSet
 from .errors import InternalInconsistency, StructureError
 from .fileio import dump_cone, dump_market, load_cone, load_market, load_payoff, values_by_outcome
 from .lattice import RandomVariable
@@ -278,11 +278,15 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InternalInconsistency as exc:
         print(f"noarb: internal inconsistency: {exc}", file=sys.stderr)
-        for key, kind, noun, dump in (("model", MarketModel, "market", dump_market),
-                                      ("cone", PolyhedralCone, "cone", dump_cone)):
+        # a semi-solid set goes out as its generators, in the cone file's shape
+        for key, kind, noun, file, dump in (
+                ("model", MarketModel, "market", "market", dump_market),
+                ("cone", PolyhedralCone, "cone", "cone", dump_cone),
+                ("bset", SemiSolidSet, "semi-solid set", "cone",
+                 lambda bset: dump_cone(PolyhedralCone(bset.space, bset.generators)))):
             value = exc.data.get(key)
             if isinstance(value, kind):
-                print(f"noarb: the {noun} it arose on, as a {noun} file:", file=sys.stderr)
+                print(f"noarb: the {noun} it arose on, as a {file} file:", file=sys.stderr)
                 print(json.dumps(dump(value), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # never a traceback with exit 1, which means "fails"

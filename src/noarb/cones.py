@@ -90,9 +90,8 @@ def cone_member(cone: PolyhedralCone, x: RandomVariable) -> bool:
     _check_space(cone, x)
     vectors = (*cone.generators, *cone.span)
     rows = [[v.values[i] for v in vectors] for i in range(len(cone.space))]
-    lower = [_ZERO] * len(cone.generators) + [None] * len(cone.span)
     problem = lp.LpProblem([0] * len(vectors), rows, [">="] * len(rows), list(x.values),
-                           lower=lower)
+                           free=range(len(cone.generators), len(vectors)))
     return lp.feasible(problem)
 
 

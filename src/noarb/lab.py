@@ -84,7 +84,7 @@ def counterexample_report(truncation: int) -> CounterexampleReport:
     bset = build_counterexample(truncation)
     gauges = [minkowski(bset, e) for e in bset.space.indicators()]
     if any(g == math.inf for g in gauges):
-        raise InternalInconsistency("counterexample gauges must be finite")
+        raise InternalInconsistency("counterexample gauges must be finite", bset=bset)
     return CounterexampleReport(
         truncation=truncation,
         sup_squared_l2=sup_squared_norm(bset),
@@ -109,10 +109,10 @@ def random_member(rng: random.Random, bset: SemiSolidSet) -> RandomVariable:
     """A guaranteed member: sub-convex combination, then shrink downward."""
     space = bset.space
     if bset.generators:
-        raw = [Fraction(rng.randint(0, 5)) for _ in bset.generators]
-        total = sum(raw) or Fraction(1)
+        raw = [rng.randint(0, 5) for _ in bset.generators]
+        total = sum(raw) or 1
         budget = Fraction(rng.randint(0, 4), 4)
-        lam = [w / total * budget for w in raw]
+        lam = [Fraction(w, total) * budget for w in raw]
         top = [dot(lam, column) for column in zip(*[g.values for g in bset.generators])]
     else:
         top = space.zero().values

@@ -36,7 +36,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, as_fractions, dot, to_integers
+from .rationals import as_fractions, dot, to_integers
 
 LE = "<="
 EQ = "=="
@@ -58,7 +58,7 @@ class LpProblem:
     """A dense exact LP: optimize c·x subject to Ax {≤,=,≥} b.
 
     Relations are ``"<="``, ``"=="`` or ``">="``.  Each variable is
-    nonnegative (lower bound 0, the default) or free (``None``).
+    nonnegative, except those whose indices are in ``free``.
     Immutable after construction; solving shares no state between calls.
 
     Each row is stored one way, in ``int_rows``: a pair ``(ints, s)`` of its
@@ -73,11 +73,11 @@ class LpProblem:
     objective: tuple[Fraction, ...]
     int_rows: tuple[tuple[tuple[int, ...], int], ...]
     relations: tuple[str, ...]
-    lower: tuple[Optional[Fraction], ...]
+    free: frozenset[int]
     sense: str
 
     def __init__(self, objective, rows, relations, rhs, *,
-                 lower=None, sense: str = MAXIMIZE) -> None:
+                 free=(), sense: str = MAXIMIZE) -> None:
         rows = [as_fractions(row) for row in rows]
         rhs = as_fractions(rhs)
         if len(rhs) != len(rows):
@@ -86,11 +86,11 @@ class LpProblem:
         for row, b in zip(rows, rhs):
             ints, s = to_integers([*row, b])
             int_rows.append((tuple(ints), s))
-        self._store(objective, int_rows, relations, lower, sense)
+        self._store(objective, int_rows, relations, free, sense)
 
     @classmethod
     def from_integers(cls, objective, rows, relations, *,
-                      lower=None, sense: str = MAXIMIZE) -> "LpProblem":
+                      free=(), sense: str = MAXIMIZE) -> "LpProblem":
         """The LP whose row i, given as the pair ``(ints, s)``, reads
         ``ints[:-1]·x / s {relation} ints[-1] / s``, for an integer scale
         s > 0; each pair is divided by ``gcd(s, *ints)``."""
@@ -105,10 +105,10 @@ class LpProblem:
             int_rows.append((tuple([a // g for a in ints]), s // g) if g > 1
                             else (tuple(ints), s))
         problem = cls.__new__(cls)
-        problem._store(objective, int_rows, relations, lower, sense)
+        problem._store(objective, int_rows, relations, free, sense)
         return problem
 
-    def _store(self, objective, int_rows, relations, lower, sense) -> None:
+    def _store(self, objective, int_rows, relations, free, sense) -> None:
         """Set every field and check the shape, the one check of both
         entry points."""
         set_ = object.__setattr__
@@ -125,14 +125,10 @@ class LpProblem:
         for rel in self.relations:
             if rel not in _RELATIONS:
                 raise StructureError(f"unknown relation {rel!r}")
-        if lower is None:
-            set_(self, "lower", (_ZERO,) * n)
-        else:
-            set_(self, "lower", tuple([None if lo is None else as_fraction(lo) for lo in lower]))
-            if len(self.lower) != n:
-                raise StructureError("the lower bounds must have one entry per variable")
-            if any([lo is not None and lo != 0 for lo in self.lower]):
-                raise StructureError("lower bounds are restricted to 0 or None (free)")
+        free = tuple(free)
+        if not all([type(v) is int and 0 <= v < n for v in free]):
+            raise StructureError(f"free variables must be indices in range({n})")
+        set_(self, "free", frozenset(free))
         if sense not in (MAXIMIZE, MINIMIZE):
             raise StructureError(f"sense must be {MAXIMIZE!r} or {MINIMIZE!r}")
         set_(self, "sense", sense)
@@ -206,7 +202,7 @@ class _Simplex:
         int_rows = problem.int_rows
 
         n_struct = problem.num_vars
-        self.free = {v for v, lo in enumerate(problem.lower) if lo is None}
+        self.free = problem.free
         self.sign = [1] * n_struct
 
         # normalize rows to nonnegative rhs; also flip ≥ rows with zero rhs:
@@ -460,13 +456,12 @@ def feasible(problem: LpProblem) -> bool:
 # the integers as y_i/s.
 
 def _satisfies(problem: LpProblem, x, homogeneous: bool) -> bool:
-    """Whether x meets the problem's lower bounds and every row, against
-    its rhs or, if ``homogeneous``, against 0."""
+    """Whether x is nonnegative off the free variables and meets every
+    row, against its rhs or, if ``homogeneous``, against 0."""
     if len(x) != problem.num_vars:
         return False
-    for v, lo in zip(x, problem.lower):
-        if lo is not None and v < lo:
-            return False
+    if any([v < 0 for j, v in enumerate(x) if j not in problem.free]):
+        return False
     for (ints, _), rel in zip(problem.int_rows, problem.relations):
         lhs, b = dot(ints[:-1], x), 0 if homogeneous else ints[-1]
         if (lhs > b) if rel == LE else ((lhs < b) if rel == GE else (lhs != b)):
@@ -496,9 +491,9 @@ def _dual_objective(problem: LpProblem, y, costs, sign: int) -> Optional[Fractio
         if (rel == LE and sign * yi < 0) or (rel == GE and sign * yi > 0):
             return None
     scaled = [yi / s for yi, (_, s) in zip(y, problem.int_rows)]
-    for j, (lo, c) in enumerate(zip(problem.lower, costs)):
+    for j, c in enumerate(costs):
         slack = dot([ints[j] for ints, _ in problem.int_rows], scaled) - c
-        if (slack != 0) if lo is None else (sign * slack < 0):
+        if (slack != 0) if j in problem.free else (sign * slack < 0):
             return None
     return dot([ints[-1] for ints, _ in problem.int_rows], scaled)
 
@@ -523,8 +518,8 @@ def check_farkas(problem: LpProblem, outcome: LpOutcome) -> bool:
 
 def check_ray(problem: LpProblem, outcome: LpOutcome) -> bool:
     """The ray is a recession direction from a feasible point, strictly
-    improving: it satisfies the problem with every rhs set to 0 (lower
-    bounds are 0 already)."""
+    improving: it satisfies the problem with every rhs set to 0 (the
+    sign conditions are homogeneous already)."""
     if outcome.status != UNBOUNDED or outcome.ray is None or outcome.primal is None:
         return False
     if not is_feasible_point(problem, outcome.primal):

@@ -428,7 +428,7 @@ def _one_step(node: _Node, values, den, /, **data) -> lp.LpOutcome:
     rows = _int_rows(columns, b, den)
     outcome = lp.solve(lp.LpProblem.from_integers([_ONE] + [_ZERO] * E, rows,
                                                   [">="] * len(rows),
-                                                  lower=[None] * (E + 1), sense="min"))
+                                                  free=range(E + 1), sense="min"))
     if outcome.status == lp.INFEASIBLE:
         raise InternalInconsistency("superreplication LP cannot be infeasible",
                                     outcome=outcome, **data)
@@ -499,7 +499,7 @@ def check_na(model: MarketModel) -> NaResult:
             rows += [(ints, s), ([*ints[:-1], s], s)]
         objective = [Fraction(sum(ints), den) for ints, den in node.columns]
         problem = lp.LpProblem.from_integers(objective, rows, [">=", "<="] * len(node.children),
-                                             lower=[None] * len(node.columns))
+                                             free=range(len(node.columns)))
         outcome = lp.solve(problem)
         if outcome.status != lp.OPTIMAL:
             raise InternalInconsistency("arbitrage LP must be bounded and feasible",
@@ -800,7 +800,7 @@ def check_na1(model: MarketModel) -> bool:
     The verdict is certified from the solves, without trusting ``lp``.  A
     failing LP's holdings h are a node arbitrage, checked as ``check_na``
     checks one: an optimum α ≤ −1 gives h·Δ_j ≥ 1{j=c} − 1 − α ≥ 1{j=c},
-    and an unbounded LP's ray lowers α while keeping every row, so its
+    and an unbounded LP's ray decreases α while keeping every row, so its
     holdings gain more than 0 on every child.  A passing LP is certified by
     ``_one_step``, as every one-step price is: its duals y are a martingale
     measure on the node's children with y·b = the optimum, which for
@@ -852,7 +852,7 @@ def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProble
         objective = [_ZERO] * len(gains)
     rows = _int_rows(gains.values(), *to_integers(rhs))
     problem = lp.LpProblem.from_integers(objective, rows, [">="] * len(rows),
-                                         lower=[None] * len(gains))
+                                         free=range(len(gains)))
     return list(gains), problem
 
 

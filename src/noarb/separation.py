@@ -24,9 +24,6 @@ from .errors import InternalInconsistency, StructureError
 from .lattice import Measure, RandomVariable
 from .rationals import dot, to_integers
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class StrictSeparation:
@@ -69,8 +66,8 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
     generator g, the two rows h·f ≤ 0 and −h·f ≤ 0 for each span element h,
     and f·target ≤ 1; each row is handed to ``lp`` as integers, a span
     element's pair negated in integers.  Positivity comes for free because
-    the cone contains −V₊, but it is enforced as a variable bound and
-    re-checked on the way out, with f·h = 0 on the span.  A None is checked
+    the cone contains −V₊, but the LP's variables are nonnegative too, and it
+    is re-checked on the way out, with f·h = 0 on the span.  A None is checked
     too: at optimum 0 the generator rows' duals μ ≥ 0, and each span pair's
     μ⁺ − μ⁻ as a free ν, satisfy Σ_g μ_g·g + Σ_h ν_h·h ≥ target, a cone
     point that dominates the target.
@@ -155,7 +152,8 @@ def strict_separator_exists(cone: PolyhedralCone) -> bool:
 def _verified_average(cone: PolyhedralCone, parts: list[RandomVariable]) -> Measure:
     """The average of ``parts``, each divided by its sum (its ℓ¹ norm, as each
     part is nonnegative), checked to be equivalent and separating."""
-    weights = [_ONE / (sum(f.values, _ZERO) * len(parts)) for f in parts]
+    masses = [to_integers(f.values) for f in parts]  # a part's mass is sum(ints) / den
+    weights = [Fraction(den, sum(ints) * len(parts)) for ints, den in masses]
     avg = [dot(weights, column) for column in zip(*[f.values for f in parts])]
     measure = Measure(cone.space, avg)
     if not measure.is_equivalent or not _is_separating(cone, measure.weights):

@@ -103,7 +103,7 @@ def check_na(model) -> NaResult:
         rels.append("<=")
         rhs.append(_ONE)
     objective = [sum(col, _ZERO) for col in columns]
-    problem = lp.LpProblem(objective, rows, rels, rhs, lower=[None] * E)
+    problem = lp.LpProblem(objective, rows, rels, rhs, free=range(E))
     outcome = lp.solve(problem)
     if outcome.status != lp.OPTIMAL:
         raise InternalInconsistency("arbitrage LP must be bounded and feasible",
@@ -152,7 +152,7 @@ def superreplication_price(model, payoff) -> Superreplication:
         rows.append([_ONE] + [g.vector.values[i] for g in gains])
         rhs.append(payoff.values[i])
     problem = lp.LpProblem([_ONE] + [_ZERO] * E, rows, [">="] * n, rhs,
-                           lower=[None] * (E + 1), sense="min")
+                           free=range(E + 1), sense="min")
     outcome = lp.solve(problem)
     if outcome.status == lp.UNBOUNDED:
         return Superreplication(price=-math.inf)
@@ -191,7 +191,7 @@ def budget_ceiling(model, weights):
         row[i] = _ONE
         rows.append(row)
     problem = lp.LpProblem(list(weights) + [_ZERO] * E, rows, ["<="] * n, [_ONE] * n,
-                           lower=[_ZERO] * n + [None] * E)
+                           free=range(n, n + E))
     outcome = lp.solve(problem)
     if outcome.status == lp.UNBOUNDED:
         return math.inf

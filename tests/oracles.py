@@ -77,29 +77,33 @@ def row_reduce(A, b):
 
 
 def slack_form(problem):
-    """Independent conversion to A z = b over z >= 0."""
-    assert all(lo == 0 for lo in problem.lower), "oracle handles x >= 0 problems"
+    """Independent conversion to A z = b over z >= 0: z is x, then x⁻ for
+    each free variable in index order (x_j reads as x⁺_j − x⁻_j, with x⁺_j
+    in x's own column), then one slack or surplus per inequality row.
+    Returns A, b, n, the free indices in order and the width of z."""
     rows, rels, rhs = problem.rows, problem.relations, problem.rhs
     slack_of = {i: k for k, i in enumerate(i for i, rel in enumerate(rels) if rel != lp.EQ)}
     n = problem.num_vars
-    width = n + len(slack_of)
+    free = sorted(problem.free)
+    width = n + len(free) + len(slack_of)
     A = []
     for i, row in enumerate(rows):
         ext = [ZERO] * len(slack_of)
         if i in slack_of:
             ext[slack_of[i]] = Fraction(1) if rels[i] == lp.LE else Fraction(-1)
-        A.append(list(row) + ext)
-    return A, rhs, n, width
+        A.append(list(row) + [-row[j] for j in free] + ext)
+    return A, rhs, n, free, width
 
 
 def basic_feasible_points(problem):
-    """All basic feasible solutions of the slack form, projected onto x.
+    """All basic feasible solutions of the slack form, read back as x
+    (x⁺ − x⁻ on a free variable).
 
     A basic solution picks rank-many columns, solves the reduced square
     system, and keeps the point iff it is nonnegative and satisfies every
     original equation.
     """
-    A, b, n, width = slack_form(problem)
+    A, b, n, free, width = slack_form(problem)
     reduced = row_reduce(A, b)
     if reduced is None:
         return []
@@ -117,7 +121,10 @@ def basic_feasible_points(problem):
         for j, v in zip(cols, sol):
             z[j] = v
         if all(sum(row[j] * z[j] for j in range(width)) == t for row, t in zip(A, b)):
-            points.add(tuple(z[:n]))
+            x = z[:n]
+            for k, j in enumerate(free):
+                x[j] -= z[n + k]
+            points.add(tuple(x))
     return sorted(points)
 
 

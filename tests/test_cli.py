@@ -322,6 +322,30 @@ def test_exit_3_prints_the_cone(extra, monkeypatch, capsys):
     assert load_cone(dumped) == load_cone(path.read_text())
 
 
+def assert_counterexample_dumped(captured, message):
+    """Exit 3's stderr: the message, then ``build_counterexample(3)`` as a
+    cone file that loads again with the set's generators."""
+    from noarb.fileio import load_cone
+    from noarb.lab import build_counterexample
+
+    assert captured.out == ""
+    first, header, dumped = captured.err.split("\n", 2)
+    assert first == f"noarb: internal inconsistency: {message}"
+    assert header == "noarb: the semi-solid set it arose on, as a cone file:"
+    bset, cone = build_counterexample(3), load_cone(dumped)
+    assert (cone.space, cone.generators) == (bset.space, bset.generators)
+
+
+def test_exit_3_prints_the_semisolid_set(monkeypatch, capsys):
+    """An unbounded gauge LP raises in ``cones.minkowski`` with the
+    semi-solid set, which goes to stderr as a cone file."""
+    from noarb import lp
+
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=lp.UNBOUNDED))
+    assert main(["counterexample", "--n", "3"]) == 3
+    assert_counterexample_dumped(capsys.readouterr(), "gauge LP cannot be unbounded")
+
+
 def test_emm_weights_off_mass_1_exit_3(monkeypatch, capsys):
     """Node weights that do not make a probability measure are the program's
     fault, not the input's: exit 3 with the market, not exit 2."""
@@ -370,10 +394,7 @@ def test_infinite_counterexample_gauge_exits_3(monkeypatch, capsys):
 
     monkeypatch.setattr(lab, "minkowski", lambda bset, x: math.inf)
     assert main(["--json", "counterexample", "--n", "3"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("noarb: internal inconsistency: "
-                            "counterexample gauges must be finite\n")
+    assert_counterexample_dumped(capsys.readouterr(), "counterexample gauges must be finite")
 
 
 @pytest.mark.parametrize("concept", ["na", "all"])

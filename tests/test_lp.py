@@ -27,14 +27,14 @@ def lp_problems(draw):
     rows = [[draw(small) for _ in range(n)] for _ in range(m)]
     rels = [draw(st.sampled_from(["<=", "==", ">="])) for _ in range(m)]
     rhs = [draw(small) for _ in range(m)]
-    lower = [draw(st.sampled_from([F(0), None])) for _ in range(n)]
+    free = [j for j in range(n) if draw(st.booleans())]
     caps = [draw(st.one_of(st.none(), st.fractions(min_value=0, max_value=4,
                                                    max_denominator=3)))
             for _ in range(n)]
     sense = draw(st.sampled_from(["max", "min"]))
     return lp.LpProblem([draw(small) for _ in range(n)],
                         *oracles.add_caps(rows, rels, rhs, caps),
-                        lower=lower, sense=sense)
+                        free=free, sense=sense)
 
 
 def assert_fractions(*vectors):
@@ -215,7 +215,8 @@ def test_binomial_martingale_system_witness():
 
 def test_minimize_sense_duality():
     p = lp.LpProblem([2, 3], [[1, 1], [1, -1]], ["==", ">="], [1, F(1, 2)],
-                     lower=[None, 0], sense="min")
+                     free=[0], sense="min")
+    assert type(p.free) is frozenset and p.free == {0}
     out = lp.solve(p)
     assert out.status == lp.OPTIMAL
     assert out.objective_value == 2
@@ -265,12 +266,14 @@ def test_malformed_dimensions_rejected():
     with pytest.raises(StructureError):
         lp.LpProblem([1], [[1]], ["<"], [1])
     with pytest.raises(StructureError):
-        lp.LpProblem([1], [[1]], ["<="], [1], lower=[F(1)])
-    # one spelling per relation, and a bound x_j <= u is a row, not a keyword
+        lp.LpProblem([1], [[1]], ["<="], [1], free=[1])
+    # one spelling per relation, and a bound is a row, not a keyword: a
+    # variable is nonnegative unless ``free`` names it
     with pytest.raises(StructureError):
         lp.LpProblem([1], [[1]], ["="], [1])
-    with pytest.raises(TypeError):
-        lp.LpProblem([1], [[1]], ["<="], [1], upper=[1])
+    for bound in ("upper", "lower"):
+        with pytest.raises(TypeError):
+            lp.LpProblem([1], [[1]], ["<="], [1], **{bound: [1]})
 
 
 def random_problem(rng, max_dim=6):
@@ -288,8 +291,9 @@ def random_problem(rng, max_dim=6):
 
 
 def test_random_free_variable_problems_certify():
-    # the vertex oracle needs x >= 0, so free-variable problems are checked
-    # through their certificates, which re-derive everything independently
+    """Free-variable problems certify, and each optimum and each
+    infeasibility agrees with the vertex oracle, which splits every free
+    variable into x⁺ − x⁻ without going through ``lp``."""
     rng = random.Random(31405)
     statuses = set()
     for _ in range(120):
@@ -301,14 +305,18 @@ def test_random_free_variable_problems_certify():
         rows = [[coeff() for _ in range(n)] for _ in range(m)]
         rels = [rng.choice(["<=", "==", ">="]) for _ in range(m)]
         rhs = [coeff() for _ in range(m)]
-        lower = [None if rng.random() < 0.5 else F(0) for _ in range(n)]
+        free = [j for j in range(n) if rng.random() < 0.5]
         caps = [F(rng.randint(1, 4)) if rng.random() < 0.2 else None for _ in range(n)]
-        p = lp.LpProblem(obj, *oracles.add_caps(rows, rels, rhs, caps), lower=lower,
+        p = lp.LpProblem(obj, *oracles.add_caps(rows, rels, rhs, caps), free=free,
                          sense=rng.choice(["max", "min"]))
         out = lp.solve(p)
         statuses.add(out.status)
         assert lp.check_outcome(p, out)
         assert_outcome_fractions(out)
+        if out.status == lp.OPTIMAL:
+            assert out.objective_value == oracles.best_vertex_value(p)
+        else:
+            assert (oracles.basic_feasible_points(p) == []) == (out.status == lp.INFEASIBLE)
     assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
 
 
@@ -474,7 +482,7 @@ def test_stored_columns_restate_the_basis_inverse(monkeypatch):
 def every_other_free(problems):
     """The problems with every other variable, from the second, made free."""
     return [lp.LpProblem.from_integers(p.objective, p.int_rows, p.relations, sense=p.sense,
-                                       lower=[None if j % 2 else F(0) for j in range(p.num_vars)])
+                                       free=range(1, p.num_vars, 2))
             for p in problems]
 
 
@@ -528,7 +536,7 @@ def test_one_column_per_free_pair_keeps_the_pivot_path(monkeypatch):
     p = lp.LpProblem([0, -3, 0, -2],
                      [[0, -1, -3, 0], [3, 2, -2, -3], [-3, -2, -1, 10], [-3, -1, -6, 8],
                       [-2, -1, -1, 2], [2, 0, 6, 0]], ["=="] * 6, [0] * 6,
-                     lower=[0, None, 0, None])
+                     free=[1, 3])
     sx = lp._Simplex(p)
     assert sx._phase_one() is None
     assert seen["signs"] == [1, -1, 1, 1] and sx.sign == [1, 1, 1, 1]
@@ -544,7 +552,7 @@ def test_one_column_per_free_pair_keeps_the_pivot_path(monkeypatch):
     market.check_nupbr(crr_tree(3)[0])
     [problem] = problems
     sx = lp._Simplex(problem)
-    assert set(problem.lower) == {None} and sx.n_struct == problem.num_vars
+    assert problem.free == set(range(problem.num_vars)) and sx.n_struct == problem.num_vars
     assert [len(row) for row in sx.T] == [problem.num_vars + 1] * problem.num_rows
 
 
@@ -665,7 +673,7 @@ def test_scaling_a_slack_row_is_metamorphic(problem, data):
     rows[i] = [k * a for a in rows[i]]
     rhs[i] = k * rhs[i]
     scaled = lp.LpProblem(problem.objective, rows, problem.relations, rhs,
-                          lower=problem.lower, sense=problem.sense)
+                          free=problem.free, sense=problem.sense)
     before, after = lp.solve(problem), lp.solve(scaled)
     assert after.status == before.status
     rel, b = problem.relations[i], problem.rhs[i]
@@ -696,13 +704,13 @@ def test_scaling_columns_is_metamorphic():
     rng = random.Random(14)
     for problem in oracles.seeded_lps():
         n = problem.num_vars
-        for lower in (problem.lower, [None if j % 2 else F(0) for j in range(n)]):
+        for free in (problem.free, range(1, n, 2)):
             c = [rng.choice(COLUMN_SCALES) for _ in range(n)]
             given = lp.LpProblem(problem.objective, problem.rows, problem.relations,
-                                 problem.rhs, lower=lower, sense=problem.sense)
+                                 problem.rhs, free=free, sense=problem.sense)
             scaled = lp.LpProblem([o * k for o, k in zip(problem.objective, c)],
                                   [[a * k for a, k in zip(row, c)] for row in problem.rows],
-                                  problem.relations, problem.rhs, lower=lower,
+                                  problem.relations, problem.rhs, free=free,
                                   sense=problem.sense)
             before, after = lp.solve(given), lp.solve(scaled)
             assert after.status == before.status
@@ -723,7 +731,7 @@ def test_swapping_the_sense_of_a_negated_objective_is_metamorphic():
     the optimal value and duals are negated exactly."""
     for problem in oracles.seeded_lps():
         swapped = lp.LpProblem([-c for c in problem.objective], problem.rows,
-                               problem.relations, problem.rhs, lower=problem.lower,
+                               problem.relations, problem.rhs, free=problem.free,
                                sense=lp.MINIMIZE if problem.sense == lp.MAXIMIZE
                                else lp.MAXIMIZE)
         before, after = lp.solve(problem), lp.solve(swapped)
@@ -755,7 +763,7 @@ def test_negating_an_inequality_row_is_metamorphic():
             [{lp.LE: lp.GE, lp.GE: lp.LE}[rel] if r == i else rel
              for r, rel in enumerate(problem.relations)],
             [-b if r == i else b for r, b in enumerate(problem.rhs)],
-            lower=problem.lower, sense=problem.sense)
+            free=problem.free, sense=problem.sense)
         before, after = lp.solve(problem), lp.solve(negated)
         assert dataclasses.replace(after, dual=None) == dataclasses.replace(before, dual=None)
         if before.dual is not None:
@@ -818,8 +826,8 @@ def test_integer_entry_point_poses_the_same_problem():
         for k in (1, rng.randint(2, 9)):
             rows = [([k * a for a in ints], k * s) for ints, s in problem.int_rows]
             given = lp.LpProblem.from_integers(problem.objective, rows, problem.relations,
-                                               lower=problem.lower, sense=problem.sense)
-            assert given == problem
+                                               free=problem.free, sense=problem.sense)
+            assert given == problem and hash(given) == hash(problem)
             assert (given.rows, given.rhs) == (problem.rows, problem.rhs)
             assert lp.solve(given) == outcome
 
@@ -858,9 +866,11 @@ def test_feasible_agrees_with_solve():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(lower=[0, 0]), "the lower bounds must have one entry per variable"),
+    (dict(free=[1]), r"free variables must be indices in range\(1\)"),
+    (dict(free=[-1]), r"free variables must be indices in range\(1\)"),
+    (dict(free=[F(0)]), r"free variables must be indices in range\(1\)"),
     (dict(sense="maximize"), "sense must be 'max' or 'min'"),
-], ids=["lower-count", "sense"])
+], ids=["free-range", "free-negative", "free-type", "sense"])
 def test_input_validation_raises(kwargs, message):
     with pytest.raises(StructureError, match=message):
         lp.LpProblem([1], [[1]], ["<="], [1], **kwargs)

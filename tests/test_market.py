@@ -798,7 +798,7 @@ def test_one_step_problem_drops_minus_inf_children(lp_calls):
     assert problem.rhs == (0, 1)
     assert fine == lp.LpProblem([1, 0], [[1, 1], [1, F(-1, 2)]], [">="] * 2,
                                 [F(HUGE + 1, 7 * HUGE), F(3, 7 * HUGE)],
-                                lower=[None, None], sense="min")
+                                free={0, 1}, sense="min")
 
 
 def test_price_is_cash_additive_and_positively_homogeneous():
