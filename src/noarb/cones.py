@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from . import lp
 from .errors import InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
-from .rationals import as_fraction, dot
+from .rationals import as_fraction, dot, fractions_over, to_integers
 
 Gauge = Union[Fraction, float]  # exact value, or math.inf when nothing dominates x
 
@@ -43,11 +44,19 @@ class PolyhedralCone:
     *Theory of Linear and Integer Programming*, 1986, §8.2): each of its
     elements h stands for the generator pair h and −h, stated once.  Zero
     generators and zero span elements are legal and harmless.
+
+    Each vector is held as integers over one positive denominator, a pair
+    ``(ints, den)`` with one integer per outcome: ``int_generators`` and
+    ``int_span``, which the separation LPs and their checks read.  The
+    constructor takes ``RandomVariable``s and converts each once;
+    ``from_integers`` takes the pairs, and ``generators`` and ``span`` then
+    build the ``RandomVariable``s on their first read.
     """
 
     space: SampleSpace
+    # each is a cached property below, or the constructor's own vectors
     generators: tuple[RandomVariable, ...]
-    span: tuple[RandomVariable, ...] = ()
+    span: tuple[RandomVariable, ...]
 
     def __init__(self, space: SampleSpace, generators: Sequence[RandomVariable],
                  span: Sequence[RandomVariable] = ()) -> None:
@@ -55,9 +64,37 @@ class PolyhedralCone:
         for g in (*gens, *span):
             if g.space != space:
                 raise StructureError("cone generator on a different sample space")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "span", span)
+        set_ = object.__setattr__
+        set_(self, "space", space)
+        set_(self, "generators", gens)
+        set_(self, "span", span)
+        for name, vectors in (("int_generators", gens), ("int_span", span)):
+            pairs = [to_integers(v.values) for v in vectors]
+            set_(self, name, tuple([(tuple(ints), den) for ints, den in pairs]))
+
+    @classmethod
+    def from_integers(cls, space: SampleSpace, generators, span=()) -> "PolyhedralCone":
+        """The cone whose generators and span elements are given as pairs
+        ``(ints, den)``, one integer per outcome over an integer den > 0."""
+        cone = cls.__new__(cls)
+        gens, span = tuple(generators), tuple(span)
+        for ints, den in (*gens, *span):
+            if len(ints) != len(space) or type(den) is not int or den <= 0:
+                raise StructureError("cone vector is not one integer per outcome "
+                                     "over a positive integer denominator")
+        set_ = object.__setattr__
+        set_(cone, "space", space)
+        set_(cone, "int_generators", gens)
+        set_(cone, "int_span", span)
+        return cone
+
+    @cached_property
+    def generators(self) -> tuple[RandomVariable, ...]:
+        return tuple([RandomVariable(self.space, fractions_over(*g)) for g in self.int_generators])
+
+    @cached_property
+    def span(self) -> tuple[RandomVariable, ...]:
+        return tuple([RandomVariable(self.space, fractions_over(*h)) for h in self.int_span])
 
 
 @dataclass(frozen=True)

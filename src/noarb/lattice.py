@@ -100,6 +100,8 @@ class Measure:
             raise StructureError(f"weights sum to {Fraction(total, den)}, not 1")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", ws)
+        # the mass check's integers, for the routes that sum the weights again
+        object.__setattr__(self, "_int_weights", (ints, den))
 
     @property
     def is_equivalent(self) -> bool:

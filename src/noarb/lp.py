@@ -5,13 +5,14 @@ no-arbitrage question in the library, so it never rounds: all arithmetic is
 exact, on a condensed fraction-free integer tableau (only the nonbasic
 columns are stored; a free variable is one index and one column, stored as
 x or as −x and negated when it enters the other way): rows, costs and signs
-stay integers, and each returned number is one ``Fraction``; pivoting uses
-Bland's anti-cycling rule (lowest eligible index, ties by lowest basic
-variable index), and every answer is certified: optimal outcomes carry
-exact duals with zero duality gap, infeasible outcomes carry a Farkas
-vector, unbounded outcomes carry a feasible point plus an improving
-recession ray.  Identical inputs always produce identical outcomes,
-including the chosen vertex.
+stay integers, and so does each returned vector, as integers over the
+tableau's one denominator, its ``Fraction``s built only when they are read;
+pivoting uses Bland's anti-cycling rule (lowest eligible index, ties by
+lowest basic variable index), and every answer is certified: optimal
+outcomes carry exact duals with zero duality gap, infeasible outcomes carry
+a Farkas vector, unbounded outcomes carry a feasible point plus an
+improving recession ray.  Identical inputs always produce identical
+outcomes, including the chosen vertex.
 ``solve`` returns the one outcome type, ``LpOutcome``.  ``feasible`` is the
 bare phase-one predicate; a membership witness or Farkas vector comes from
 ``solve`` on the same problem with a zero objective, where phase two enters
@@ -21,10 +22,15 @@ There is one LP form: maximize or minimize c·x subject to rows Ax {≤,=,≥} b
 with each variable nonnegative or free.  A bound x_j ≤ u is a row like any
 other.  ``LpProblem`` stores each row one way, as its coefficients and rhs
 in integers over one positive scale in lowest terms, the form the tableau
-starts from: a caller holding integers hands them over with
-``LpProblem.from_integers``, and one holding rationals converts each row
-once in the constructor.  Problems are dense and desk-scale by design;
-there is no floating-point fast path and no sparse machinery.
+starts from, and its objective as integers over one denominator: a caller
+holding integers hands them over with ``LpProblem.from_integers``, and one
+holding rationals converts each row and the objective once in the
+constructor.  ``LpOutcome`` is the same on the way out: it holds each
+vector as integers over one denominator, which a route can check as they
+are, and reads them back as ``Fraction``s on demand; its constructor takes
+rationals and ``LpOutcome.from_integers`` the pairs.  Problems are dense
+and desk-scale by design; there is no floating-point fast path and no
+sparse machinery.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
-from .rationals import as_fractions, dot, to_integers
+from .rationals import as_fraction, as_fractions, dot, fractions_over, to_integers
 
 LE = "<="
 EQ = "=="
@@ -65,12 +71,14 @@ class LpProblem:
     coefficients then its rhs as integers over one positive scale ``s``, in
     lowest terms (``gcd(s, *ints) == 1``), so ``s`` is the lcm of the row's
     and rhs's denominators and the tableau reads the row as it is.  The
-    constructor takes rationals and converts each row once;
-    ``from_integers`` takes the pairs.  ``rows`` and ``rhs`` read the rows
-    back as ``Fraction``s.
+    objective is stored the same way, in ``int_objective``: its
+    coefficients as integers over one positive denominator, in lowest
+    terms.  The constructor takes rationals and converts each row and the
+    objective once; ``from_integers`` takes the pairs.  ``objective``,
+    ``rows`` and ``rhs`` read them back as ``Fraction``s.
     """
 
-    objective: tuple[Fraction, ...]
+    int_objective: tuple[tuple[int, ...], int]
     int_rows: tuple[tuple[tuple[int, ...], int], ...]
     relations: tuple[str, ...]
     free: frozenset[int]
@@ -86,34 +94,27 @@ class LpProblem:
         for row, b in zip(rows, rhs):
             ints, s = to_integers([*row, b])
             int_rows.append((tuple(ints), s))
-        self._store(objective, int_rows, relations, free, sense)
+        ints, den = to_integers(as_fractions(objective))
+        self._store((tuple(ints), den), int_rows, relations, free, sense)
 
     @classmethod
     def from_integers(cls, objective, rows, relations, *,
                       free=(), sense: str = MAXIMIZE) -> "LpProblem":
-        """The LP whose row i, given as the pair ``(ints, s)``, reads
-        ``ints[:-1]·x / s {relation} ints[-1] / s``, for an integer scale
-        s > 0; each pair is divided by ``gcd(s, *ints)``."""
-        int_rows = []
-        for i, (ints, s) in enumerate(rows):
-            if type(s) is not int or s <= 0:
-                raise StructureError(f"row {i} has scale {s!r}, expected an integer > 0")
-            try:
-                g = gcd(s, *ints)
-            except TypeError:
-                raise StructureError(f"row {i} has an entry that is not an integer") from None
-            int_rows.append((tuple([a // g for a in ints]), s // g) if g > 1
-                            else (tuple(ints), s))
+        """The LP with objective ``ints / s`` for the pair ``objective =
+        (ints, s)``, and whose row i, given as the pair ``(ints, s)``, reads
+        ``ints[:-1]·x / s {relation} ints[-1] / s``, each for an integer
+        scale s > 0; each pair is divided by ``gcd(s, *ints)``."""
+        int_rows = [_lowest(row, f"row {i}") for i, row in enumerate(rows)]
         problem = cls.__new__(cls)
-        problem._store(objective, int_rows, relations, free, sense)
+        problem._store(_lowest(objective, "objective"), int_rows, relations, free, sense)
         return problem
 
-    def _store(self, objective, int_rows, relations, free, sense) -> None:
+    def _store(self, int_objective, int_rows, relations, free, sense) -> None:
         """Set every field and check the shape, the one check of both
         entry points."""
         set_ = object.__setattr__
-        set_(self, "objective", as_fractions(objective))
-        n = len(self.objective)
+        set_(self, "int_objective", int_objective)
+        n = len(int_objective[0])
         set_(self, "int_rows", tuple(int_rows))
         set_(self, "relations", tuple(relations))
         m = len(self.int_rows)
@@ -134,10 +135,14 @@ class LpProblem:
         set_(self, "sense", sense)
 
     @cached_property
+    def objective(self) -> tuple[Fraction, ...]:
+        """The objective's coefficients, as ``Fraction``s."""
+        return fractions_over(*self.int_objective)
+
+    @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """Each row's coefficients, as ``Fraction``s."""
-        return tuple([tuple([Fraction(a, s) if a else _ZERO for a in ints[:-1]])
-                      for ints, s in self.int_rows])
+        return tuple([fractions_over(ints[:-1], s) for ints, s in self.int_rows])
 
     @cached_property
     def rhs(self) -> tuple[Fraction, ...]:
@@ -146,7 +151,7 @@ class LpProblem:
 
     @property
     def num_vars(self) -> int:
-        return len(self.objective)
+        return len(self.int_objective[0])
 
     @property
     def num_rows(self) -> int:
@@ -162,13 +167,88 @@ class LpOutcome:
     * ``UNBOUNDED``: ``primal`` is a feasible point and ``ray`` an exact
       recession direction with strictly improving objective.
     * ``INFEASIBLE``: ``dual`` is a Farkas certificate, one multiplier per row.
+
+    Each vector is held as integers over one positive denominator:
+    ``int_primal``, ``int_dual`` and ``int_ray`` are pairs ``(ints, den)``
+    and ``int_value`` is the pair ``(n, den)`` of the objective value, each
+    None where ``primal``, ``dual``, ``ray`` or ``objective_value`` is.
+    ``solve`` leaves them unreduced, over the tableau's ``d`` (the duals
+    and the value over ``d`` times the costs' denominator).  The fields
+    read them back as ``Fraction``s, each built on its first read, so
+    equality and ``repr`` compare and show rationals.  The constructor
+    takes rationals, and so does ``dataclasses.replace``;
+    ``from_integers`` takes the pairs.
     """
 
     status: str
-    primal: Optional[tuple[Fraction, ...]] = None
-    dual: Optional[tuple[Fraction, ...]] = None
-    objective_value: Optional[Fraction] = None
-    ray: Optional[tuple[Fraction, ...]] = None
+    # each field is one of the cached properties below
+    primal: Optional[tuple[Fraction, ...]]
+    dual: Optional[tuple[Fraction, ...]]
+    objective_value: Optional[Fraction]
+    ray: Optional[tuple[Fraction, ...]]
+
+    def __init__(self, status: str, primal=None, dual=None, objective_value=None,
+                 ray=None) -> None:
+        value = (None if objective_value is None
+                 else as_fraction(objective_value).as_integer_ratio())
+        self._store(status, _integers(primal), _integers(dual), value, _integers(ray))
+
+    @classmethod
+    def from_integers(cls, status: str, primal=None, dual=None, value=None,
+                      ray=None) -> "LpOutcome":
+        """The outcome whose vectors are the given ``(ints, den)`` pairs and
+        whose objective value is the pair ``value = (n, den)``, each den > 0."""
+        outcome = cls.__new__(cls)
+        outcome._store(status, primal, dual, value, ray)
+        return outcome
+
+    def _store(self, status, primal, dual, value, ray) -> None:
+        set_ = object.__setattr__
+        set_(self, "status", status)
+        set_(self, "int_primal", primal)
+        set_(self, "int_dual", dual)
+        set_(self, "int_value", value)
+        set_(self, "int_ray", ray)
+
+    @cached_property
+    def primal(self) -> Optional[tuple[Fraction, ...]]:
+        return None if self.int_primal is None else fractions_over(*self.int_primal)
+
+    @cached_property
+    def dual(self) -> Optional[tuple[Fraction, ...]]:
+        return None if self.int_dual is None else fractions_over(*self.int_dual)
+
+    @cached_property
+    def objective_value(self) -> Optional[Fraction]:
+        return None if self.int_value is None else Fraction(*self.int_value)
+
+    @cached_property
+    def ray(self) -> Optional[tuple[Fraction, ...]]:
+        return None if self.int_ray is None else fractions_over(*self.int_ray)
+
+
+def _integers(values) -> Optional[tuple[tuple[int, ...], int]]:
+    """Rationals as the pair ``(ints, den)`` of ``to_integers``; None stays None."""
+    if values is None:
+        return None
+    ints, den = to_integers(as_fractions(values))
+    return tuple(ints), den
+
+
+def _lowest(pair, what: str) -> tuple[tuple[int, ...], int]:
+    """The pair ``(ints, s)``, for an integer scale s > 0, divided by
+    ``gcd(s, *ints)``; ``what`` names it in a ``StructureError``."""
+    try:
+        ints, s = pair
+    except (TypeError, ValueError):
+        raise StructureError(f"{what} is not an (integers, scale) pair") from None
+    if type(s) is not int or s <= 0:
+        raise StructureError(f"{what} has scale {s!r}, expected an integer > 0")
+    try:
+        g = gcd(s, *ints)
+    except TypeError:
+        raise StructureError(f"{what} has an entry that is not an integer") from None
+    return (tuple([a // g for a in ints]), s // g) if g > 1 else (tuple(ints), s)
 
 
 class _Simplex:
@@ -194,7 +274,8 @@ class _Simplex:
     scalings keep every sign Bland's rule reads and every ratio order the
     ratio test reads, so the pivot path is that of the rational tableau.
     The ``min`` and row-flip signs fold into integer numerators, and each
-    returned number is built as one ``Fraction`` on the way out.
+    returned vector is its integers over ``d``, or over ``d·cden`` for the
+    duals and the objective value: no ``Fraction`` is built.
     """
 
     def __init__(self, problem: LpProblem) -> None:
@@ -254,7 +335,7 @@ class _Simplex:
 
     def _objective_costs(self, problem: LpProblem) -> tuple[list[int], int]:
         """Phase two's (integer costs per variable, denominator)."""
-        ints, den = to_integers(problem.objective)
+        ints, den = problem.int_objective
         sense = -1 if problem.sense == MINIMIZE else 1
         costs = [sense * sign * c for c, sign in zip(ints, self.sign)]
         return costs + [0] * (self.ncols - self.n_struct), den
@@ -369,10 +450,11 @@ class _Simplex:
 
     # --- extraction -------------------------------------------------------
 
-    def _dual_values(self, negate: bool) -> tuple[Fraction, ...]:
-        """Multipliers for all problem rows, read off the reduced costs at
-        each row's slack or artificial (0 while it is basic); ``negate`` (a
-        ``min`` objective) and a flipped row each negate one."""
+    def _dual_values(self, negate: bool) -> tuple[tuple[int, ...], int]:
+        """Multipliers for all problem rows, as integers over ``d·cden``, read
+        off the reduced costs at each row's slack or artificial (0 while it
+        is basic); ``negate`` (a ``min`` objective) and a flipped row each
+        negate one."""
         z, d, costs = self.z, self.d, self.costs
         den = d * self.cden
         stored = {v: j for j, v in enumerate(self.nonbasic)}
@@ -381,20 +463,21 @@ class _Simplex:
             col = self.ident_col[k]
             j = stored.get(col)
             yk = self.col_scale[col] * (d * costs[col] - (0 if j is None else z[j]))
-            y.append(Fraction(-yk if self.flipped[k] != negate else yk, den) if yk else _ZERO)
-        return tuple(y)
+            y.append(-yk if self.flipped[k] != negate else yk)
+        return tuple(y), den
 
-    def _structural_point(self) -> list[int]:
-        """Basic structural values, times d."""
+    def _structural_point(self) -> tuple[tuple[int, ...], int]:
+        """Basic structural values, as integers over d."""
         xs = [0] * self.n_struct
         for row, col in zip(self.T, self.basis):
             if col < self.n_struct:
                 xs[col] = self.sign[col] * row[-1]
-        return xs
+        return tuple(xs), self.d
 
-    def _ray(self, enter: int) -> list[int]:
-        """Recession direction of the entering variable, times d; a slack
-        column of a row scaled by s_k is s_k times the unscaled slack."""
+    def _ray(self, enter: int) -> tuple[tuple[int, ...], int]:
+        """Recession direction of the entering variable, as integers over d;
+        a slack column of a row scaled by s_k is s_k times the unscaled
+        slack."""
         scale = self.col_scale[enter]
         j = self.nonbasic.index(enter)
         ray = [0] * self.n_struct
@@ -403,10 +486,7 @@ class _Simplex:
         for row, col in zip(self.T, self.basis):
             if col < self.n_struct:
                 ray[col] = -self.sign[col] * row[j] * scale
-        return ray
-
-    def _to_original(self, xs) -> tuple[Fraction, ...]:
-        return tuple([Fraction(v, self.d) if v else _ZERO for v in xs])
+        return tuple(ray), self.d
 
 
 def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int, sign: int) -> list[int]:
@@ -422,23 +502,22 @@ def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int, sign: int)
 
 
 def solve(problem: LpProblem) -> LpOutcome:
-    """Solve exactly; deterministic for a fixed input."""
+    """Solve exactly; deterministic for a fixed input.  Builds no
+    ``Fraction``: the outcome holds integers (``LpOutcome``)."""
     sx = _Simplex(problem)
     farkas = sx._phase_one()
     if farkas is not None:
-        return LpOutcome(status=INFEASIBLE, dual=farkas)
+        return LpOutcome.from_integers(INFEASIBLE, dual=farkas)
 
     status, enter = sx._run_phase(sx._objective_costs(problem), sx.first_art)
     if status == UNBOUNDED:
-        base = sx._to_original(sx._structural_point())
-        ray = sx._to_original(sx._ray(enter))
-        return LpOutcome(status=UNBOUNDED, primal=base, ray=ray)
+        return LpOutcome.from_integers(UNBOUNDED, primal=sx._structural_point(),
+                                       ray=sx._ray(enter))
 
-    primal = sx._to_original(sx._structural_point())
     minimize = problem.sense == MINIMIZE
-    value = Fraction(sx.z[-1] if minimize else -sx.z[-1], sx.d * sx.cden)
-    return LpOutcome(status=OPTIMAL, primal=primal, dual=sx._dual_values(minimize),
-                     objective_value=value)
+    value = (sx.z[-1] if minimize else -sx.z[-1], sx.d * sx.cden)
+    return LpOutcome.from_integers(OPTIMAL, primal=sx._structural_point(),
+                                   dual=sx._dual_values(minimize), value=value)
 
 
 def feasible(problem: LpProblem) -> bool:

@@ -41,10 +41,13 @@ one denominator per column and one for the rhs, as integers over one
 scale (``lp.LpProblem.from_integers``): the node LPs from the columns, the
 budget LP from the gains.  ``superreplication_price`` carries each cell's
 price bottom-up as an integer pair, keys each node by its children's pairs
-over their lcm, and poses a class's LP on those integers.  ``Fraction``s
-are built from the integers only for what a route returns (gains,
-residuals, measures, prices and holdings), the payoff cone's span and the
-LPs' objectives.
+over their lcm, and poses a class's LP on those integers.  Each LP's
+objective is handed over as integers too, each route reads its LP's
+outcome as integers over one denominator (``lp.LpOutcome.int_primal``,
+``int_dual``, ``int_value``, ``int_ray``), and the payoff cone holds the
+gains' integers (``PolyhedralCone.from_integers``).  ``Fraction``s are
+built from the integers only for what a route returns: gains, residuals,
+measures, prices and holdings.
 
 A node's answers depend only on its cone of one-step gains, and scaling an
 asset's increments by a positive factor leaves that cone unchanged.  So
@@ -284,12 +287,10 @@ def payoff_cone(model: MarketModel) -> PolyhedralCone:
     widened to "payoff or anything below it": the set whose intersection
     with V₊ must be {0} for the market to be arbitrage-free, and the cone
     ``separation`` separates.  Every gain is its ``span`` once, zero gains
-    included, in ``_gains``' order; it has no generators.
+    included, in ``_gains``' order, as ``_gains``' integer pair; it has no
+    generators.
     """
-    space = model.space
-    return PolyhedralCone(space, (), [
-        RandomVariable(space, [Fraction(v, den) if v else _ZERO for v in ints])
-        for ints, den in _built(model, _gains).values()])
+    return PolyhedralCone.from_integers(model.space, (), _built(model, _gains).values())
 
 
 @dataclass(frozen=True)
@@ -417,26 +418,25 @@ def _one_step(node: _Node, values, den, /, **data) -> lp.LpOutcome:
     y·b = the optimum.  They are then a martingale measure on the kept
     children, so every (α, holdings) that superhedges b has
     α = Σ_j y_j·(α + holdings·Δ_j) ≥ y·b (weak duality), and the optimum is
-    the least one-step price.  With y as integers w over d, each of these
-    is one integer sum: y·b is Σ_j w_j·b_j over d·den.  Otherwise
-    ``InternalInconsistency``.  Either raise carries ``data`` and the
-    outcome."""
+    the least one-step price.  With y as the outcome's integers w over d,
+    each of these is one integer sum: y·b is Σ_j w_j·b_j over d·den.
+    Otherwise ``InternalInconsistency``.  Either raise carries ``data`` and
+    the outcome."""
     kept = [j for j, v in enumerate(values) if type(v) is not float]
     E = len(node.columns)
     b = [values[j] for j in kept]
     columns = [([1] * len(kept), 1), *[([ints[j] for j in kept], d) for ints, d in node.columns]]
     rows = _int_rows(columns, b, den)
-    outcome = lp.solve(lp.LpProblem.from_integers([_ONE] + [_ZERO] * E, rows,
+    outcome = lp.solve(lp.LpProblem.from_integers(([1] + [0] * E, 1), rows,
                                                   [">="] * len(rows),
                                                   free=range(E + 1), sense="min"))
     if outcome.status == lp.INFEASIBLE:
         raise InternalInconsistency("superreplication LP cannot be infeasible",
                                     outcome=outcome, **data)
     if outcome.status == lp.OPTIMAL:
-        y = outcome.dual
-        w, d = to_integers(y)
-        on, od = outcome.objective_value.as_integer_ratio()
-        if not (len(y) == len(kept) and all(v >= 0 for v in w) and sum(w) == d
+        w, d = outcome.int_dual
+        on, od = outcome.int_value
+        if not (len(w) == len(kept) and all(v >= 0 for v in w) and sum(w) == d
                 and not any(sum([v * col[j] for v, j in zip(w, kept)])
                             for col, _ in node.columns)
                 and sum([v * x for v, x in zip(w, b)]) * od == on * d * den):
@@ -493,18 +493,21 @@ def check_na(model: MarketModel) -> NaResult:
         if node.market != i or not node.columns:
             continue
         # each child's floor row, payoff ≥ 0, then its cap row, payoff ≤ 1: the
-        # floor row's integers with the rhs 1 over their own scale
+        # floor row's integers with the rhs 1 over their own scale; the
+        # objective, the total payoff, is the floor rows' sum
+        floors = _int_rows(node.columns, [0] * len(node.children), 1)
         rows = []
-        for ints, s in _int_rows(node.columns, [0] * len(node.children), 1):
+        for ints, s in floors:
             rows += [(ints, s), ([*ints[:-1], s], s)]
-        objective = [Fraction(sum(ints), den) for ints, den in node.columns]
+        objective = ([sum(column) for column in zip(*[ints[:-1] for ints, _ in floors])],
+                     floors[0][1])
         problem = lp.LpProblem.from_integers(objective, rows, [">=", "<="] * len(node.children),
                                              free=range(len(node.columns)))
         outcome = lp.solve(problem)
         if outcome.status != lp.OPTIMAL:
             raise InternalInconsistency("arbitrage LP must be bounded and feasible",
                                         model=model, outcome=outcome)
-        if outcome.objective_value != 0:
+        if outcome.int_value[0] != 0:
             strategy = _strategy_from_coefficients([(node, outcome.primal)])
             return NaResult(_verified_arbitrage(model, strategy))
     return NaResult()
@@ -527,7 +530,7 @@ def martingale_residuals(model: MarketModel,
     if measure.space != model.space:
         raise StructureError("measure on a different sample space")
     steps = _built(model, _build_steps)
-    weights, den = to_integers(measure.weights)
+    weights, den = measure._int_weights
     mass = [weights]  # over den; the cells at T are the outcomes, in order
     for kids, _ in reversed(steps[1:]):
         below = mass[-1]
@@ -585,9 +588,10 @@ def find_emm(model: MarketModel) -> EmmResult:
     optimum, as at every node of a CRR or trinomial tree.  Where it has
     several, its own solve could end at another: phase one weights each
     row's artificial variable by that row's scale, and the two nodes' rows
-    differ in scale.  Each representative's weights are integers over one
-    denominator, so the measure is carried down the tree as integer pairs,
-    one product per cell, and each outcome is one ``Fraction`` at the end.
+    differ in scale.  Each representative's weights are the LP's primal
+    integers over one denominator, so the measure is carried down the tree
+    as integer pairs, one product per cell, and each outcome is one
+    ``Fraction`` at the end.
     """
     nodes = _built(model, _build_nodes)
     steps = {}  # per representative, its weights q as integers over one denominator
@@ -597,14 +601,16 @@ def find_emm(model: MarketModel) -> EmmResult:
         k = len(node.children)
         rows = [([1] * k + [k, 1], 1)]
         rows += [([*ints, sum(ints), 0], den) for ints, den in node.columns]
-        objective = [_ZERO] * k + [_ONE]
+        objective = ([0] * k + [1], 1)
         outcome = lp.solve(lp.LpProblem.from_integers(objective, rows, ["=="] * len(rows)))
-        if outcome.status != lp.OPTIMAL or outcome.objective_value <= 0:
+        if outcome.status != lp.OPTIMAL or outcome.int_value[0] <= 0:
             multipliers = outcome.dual[1:1 + len(node.columns)]
             strategy = _strategy_from_coefficients([(node, multipliers)])
             return EmmResult(arbitrage=_verified_arbitrage(model, strategy))
-        *s, m = outcome.primal
-        steps[i] = to_integers([m + v for v in s])
+        (*s, m), d = outcome.int_primal
+        q = [m + v for v in s]
+        g = math.gcd(d, *q)
+        steps[i] = [v // g for v in q], d // g
     parts = model.filtration.partitions
     # each cell's weight is n/d, as the pair (n, d)
     weights = [[(1, 1)]] + [[(0, 1)] * len(cells) for cells in parts[1:]]
@@ -666,7 +672,8 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
     Each cell's price is carried as an integer pair (n, d) in lowest terms,
     −inf as the one float, from the payoff's values up: a node's shape key
     is read off its children's pairs over their lcm, the first node of a
-    class hands ``_one_step`` those integers, and the root's price is one
+    class hands ``_one_step`` those integers and reads α and the holdings
+    off its outcome as integer pairs, and the root's price is one
     ``Fraction``.  The hedge is checked on integers too:
     with α = an/ad, each outcome's gain g/s from ``_gain_ints`` and its
     payoff pn/pd, α + g/s ≥ pn/pd is (an·s + g·ad)·pd ≥ pn·ad·s.
@@ -702,13 +709,13 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         unit = classes.get(key)
         if unit is None:
             outcome = _one_step(nodes[node.market], values, den, model=model, payoff=payoff)
-            alpha, *holdings = outcome.primal
-            if outcome.status == lp.OPTIMAL:
-                alpha = outcome.objective_value
-            (n, d), *holdings = [x.as_integer_ratio() for x in (alpha, *holdings)]
+            (alpha, *holdings), hd = outcome.int_primal
+            n, d = outcome.int_value if outcome.status == lp.OPTIMAL else (alpha, hd)
+            # the ray's integers alone: its denominator cancels in the hedge's step·ray
+            ray = None if outcome.int_ray is None else outcome.int_ray[0]
             # (den·α − least)/g and den·h/g, left unreduced: each node reduces its own
-            unit = classes[key] = (outcome.ray, [(den * n - least * d, d * g),
-                                                 *[(den * n, d * g) for n, d in holdings]])
+            unit = classes[key] = (ray, [(den * n - least * d, d * g),
+                                         *[(den * h, hd * g) for h in holdings]])
         ray, ((n, d), *_) = unit
         prices[node.t - 1][node.cell] = (-math.inf if ray is not None
                                          else _lowest(least * d + g * n, den * d))
@@ -755,8 +762,7 @@ def in_budget_set(model: MarketModel, x: RandomVariable, alpha) -> bool:
         raise StructureError("budget level must be >= 0")
     if not x.is_nonneg:
         return False
-    _, problem = _budget_problem(model, [_ZERO] * len(x.values),
-                                 [v - alpha for v in x.values])
+    _, problem = _budget_problem(model, None, to_integers([v - alpha for v in x.values]))
     return lp.feasible(problem)
 
 
@@ -821,8 +827,9 @@ def check_na1(model: MarketModel) -> bool:
             values = [-1] * k
             values[c] = 0
             outcome = _one_step(node, values, 1, model=model, node=node)
-            if outcome.status == lp.OPTIMAL and outcome.objective_value > -1:
-                covered = [done or y > 0 for done, y in zip(covered, outcome.dual)]
+            # an optimum n/d > −1, for d > 0, is n > −d
+            if outcome.status == lp.OPTIMAL and outcome.int_value[0] > -outcome.int_value[1]:
+                covered = [done or y > 0 for done, y in zip(covered, outcome.int_dual[0])]
                 continue
             # π_v(1_c) ≤ 0: the holdings of the primal, or of the ray, are an arbitrage
             failing = outcome.primal if outcome.status == lp.OPTIMAL else outcome.ray
@@ -832,56 +839,62 @@ def check_na1(model: MarketModel) -> bool:
 
 
 def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProblem]:
-    """ℬ_α's one LP form: maximize Σ_i weights_i·gain(ξ)_i over free
+    """ℬ_α's one LP form: maximize Σ_i w_i·gain(ξ)_i over free
     coefficients ξ, one per nonzero elementary gain, subject to
     gain(ξ)_i ≥ rhs_i on every outcome i: with rhs x − α, whether x ∈ ℬ_α;
     with rhs −1, the ceiling of ℬ₁, whose maximal points are 1 + gain(ξ)
     (``_budget_ceiling``).  A row's rhs −1 is flipped to a ``<=`` row with
     rhs 1, so the ceiling starts on a slack basis and has no phase one.
+    The weights w and the rhs are each given as integers over one
+    denominator, the weights as None for membership, which has no
+    objective.
 
     Rows come from the gains' integers (``_int_rows``), and a gain's
-    objective entry is one integer sum, a ``Fraction`` over the weights'
-    denominator times the gain's.  Returns the coefficients' ``_gains``
-    keys, in column order, and the LP."""
+    objective entry is one integer sum, Σ_i w_i·ints_i over the weights'
+    denominator times the gain's, lifted to the lcm of the gains'
+    denominators.  Returns the coefficients' ``_gains`` keys, in column
+    order, and the LP."""
     gains = {key: g for key, g in _built(model, _gains).items() if any(g[0])}
-    if any(weights):
-        wints, wden = to_integers(weights)
-        objective = [Fraction(sum([w * v for w, v in zip(wints, ints) if v]), wden * den)
-                     for ints, den in gains.values()]
-    else:  # membership has no objective: its zero weights skip a sum per gain
-        objective = [_ZERO] * len(gains)
-    rows = _int_rows(gains.values(), *to_integers(rhs))
+    if weights is None:  # membership skips a sum per gain
+        objective = ([0] * len(gains), 1)
+    else:
+        wints, wden = weights
+        big = math.lcm(*[den for _, den in gains.values()])
+        objective = ([sum([w * v for w, v in zip(wints, ints) if v]) * (big // den)
+                      for ints, den in gains.values()], wden * big)
+    rows = _int_rows(gains.values(), *rhs)
     problem = lp.LpProblem.from_integers(objective, rows, [">="] * len(rows),
                                          free=range(len(gains)))
     return list(gains), problem
 
 
 def _budget_ceiling(model: MarketModel, weights) -> lp.LpOutcome:
-    """The ceiling of ℬ₁ under weights w > 0, posed, solved and certified:
-    maximize Σ_i w_i·gain(ξ)_i subject to gain(ξ) ≥ −1, the whole-market
-    twin of ``_one_step``.  ξ = 0 is feasible, so an infeasible outcome raises.
+    """The ceiling of ℬ₁ under weights w > 0, given as integers over one
+    denominator, posed, solved and certified: maximize Σ_i w_i·gain(ξ)_i
+    subject to gain(ξ) ≥ −1, the whole-market twin of ``_one_step``.  ξ = 0
+    is feasible, so an infeasible outcome raises.
 
     An unbounded LP's ray gains ≥ 0 with a positive weighted total: an
     arbitrage (``_verified_arbitrage``).  An optimal LP's duals y satisfy
     Σ_i (w_i − y_i)·g_i = 0 for every gain g, so w − y, normalized, must be
     an EMM (``_verified_emm``); then y ≤ 0 and −Σy = the optimum give
     Σ w·gain(ξ) = Σ y·gain(ξ) ≤ −Σy for every feasible ξ (the dual bound).
-    With w as integers over wd and y as integers v over d, the EMM's weights
-    are w·d − v·wd and the bound is one integer sum.  Every raise is an
-    ``InternalInconsistency`` carrying the model."""
-    keys, problem = _budget_problem(model, weights, [-_ONE] * len(model.space))
+    With w as integers over wd and y as the outcome's integers v over d, the
+    EMM's weights are w·d − v·wd and the bound is one integer sum.  Every
+    raise is an ``InternalInconsistency`` carrying the model."""
+    keys, problem = _budget_problem(model, weights, ([-1] * len(model.space), 1))
     outcome = lp.solve(problem)
     if outcome.status == lp.UNBOUNDED:
         _verified_arbitrage(model, Strategy(zip(keys, outcome.ray)))
     elif outcome.status != lp.OPTIMAL:  # ξ = 0 is feasible
         raise InternalInconsistency("budget LP cannot be infeasible", model=model, outcome=outcome)
     else:
-        (wints, wd), (ints, d) = to_integers(weights), to_integers(outcome.dual)
+        (wints, wd), (ints, d) = weights, outcome.int_dual
         emm = [w * d - v * wd for w, v in zip(wints, ints)]
         total = sum(emm)
         # a zero total cannot be normalized: left over d·wd, Measure rejects it
         _verified_emm(model, [Fraction(q, total or d * wd) for q in emm])
-        on, od = outcome.objective_value.as_integer_ratio()
+        on, od = outcome.int_value
         if any(v > 0 for v in ints) or -sum(ints) * od != on * d:
             raise InternalInconsistency("budget ceiling failed re-verification",
                                         model=model, outcome=outcome)
@@ -891,7 +904,7 @@ def _budget_ceiling(model: MarketModel, weights) -> lp.LpOutcome:
 def check_nupbr(model: MarketModel) -> bool:
     """Boundedness of the unit budget set {x ≥ 0 : x ≤ 1 + gain}: whether its
     ceiling under unit weights is finite, as ``_budget_ceiling`` certifies."""
-    return _budget_ceiling(model, [_ONE] * len(model.space)).status == lp.OPTIMAL
+    return _budget_ceiling(model, ([1] * len(model.space), 1)).status == lp.OPTIMAL
 
 
 def emm_budget(model: MarketModel, measure: Measure) -> Price:
@@ -903,5 +916,5 @@ def emm_budget(model: MarketModel, measure: Measure) -> Price:
         raise StructureError("measure on a different sample space")
     if not measure.is_equivalent:
         raise StructureError("budget bound requires an equivalent measure")
-    outcome = _budget_ceiling(model, measure.weights)
+    outcome = _budget_ceiling(model, measure._int_weights)
     return math.inf if outcome.status == lp.UNBOUNDED else _ONE + outcome.objective_value

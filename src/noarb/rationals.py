@@ -6,10 +6,12 @@ always lowest terms, positive denominator).  No sum of rational products
 is summed as ``Fraction``s, which reduce by a gcd per term: over
 ``Fraction``s it is one ``dot``, and where a route already holds its
 numbers as integers over a common denominator (``to_integers``), as
-``lp``'s rows and tableau, ``lattice``'s sums to 1 and ``market``'s
-increments, tree walks, LP rows and dual checks do, it is one integer sum,
-and a ``Fraction`` is built only for a number that the route hands on.
-A rational is written in ASCII digits only.
+``lp``'s rows, objective, tableau and outcomes, the payoff cone's vectors,
+``lattice``'s sums to 1, ``separation``'s checks and ``market``'s
+increments, tree walks, LP rows and certificate checks do, it is one
+integer sum, and a ``Fraction`` is built only for a number that is handed
+on or read (``fractions_over``).  A rational is written in ASCII digits
+only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Sequence
 
 from .errors import StructureError
 
+_ZERO = Fraction(0)
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
@@ -91,6 +94,11 @@ def to_integers(values) -> tuple[list[int], int]:
     ratios = [v.as_integer_ratio() for v in values]
     den = lcm(*[q for _, q in ratios])
     return [p * (den // q) for p, q in ratios], den
+
+
+def fractions_over(ints, den: int) -> tuple[Fraction, ...]:
+    """Each integer over ``den`` > 0 as a ``Fraction``: ``to_integers``' inverse."""
+    return tuple([Fraction(a, den) if a else _ZERO for a in ints])
 
 
 def dot(a: Sequence, x: Sequence) -> Fraction:

@@ -1,7 +1,7 @@
 """Constructive separators for polyhedral payoff cones.
 
 On a finite outcome space the dual of V is V itself, so a separating
-functional is a vector acting by ``rationals.dot``, and separation becomes a
+functional is a vector acting by the dot product, and separation becomes a
 small LP: find nonnegative coefficients that are nonpositive on every cone
 generator and zero on its span, yet positive at a target.  A strictly
 positive separator, scaled to unit mass, is an equivalent probability
@@ -9,20 +9,24 @@ measure; it is assembled the way a countable dense family would be in
 general spaces: separate each outcome indicator, normalize, average.  When
 only its existence matters, one separator that is positive at several
 outcomes stands in for all of them (exhaustion).  All certificates are
-re-verified by exact substitution before being returned.
+re-verified by exact substitution before being returned.  Each check is
+an integer sum: the cone's vectors are integers over one denominator each
+(``PolyhedralCone.int_generators`` and ``int_span``), as are the LP's
+primal and duals (``lp.LpOutcome``) and each separator's mass, so a
+``Fraction`` is built only for a separator or a measure that is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import lp
 from .cones import PolyhedralCone
 from .errors import InternalInconsistency, StructureError
 from .lattice import Measure, RandomVariable
-from .rationals import dot, to_integers
+from .rationals import fractions_over, to_integers
 
 
 @dataclass(frozen=True)
@@ -33,28 +37,38 @@ class StrictSeparation:
     violating: Optional[RandomVariable] = None
 
 
-def _is_separating(cone: PolyhedralCone, coefficients: tuple[Fraction, ...]) -> bool:
-    """f ≥ 0, f·g ≤ 0 on every generator and f·h = 0 on every span element."""
-    return (all(c >= 0 for c in coefficients)
-            and all(dot(coefficients, g.values) <= 0 for g in cone.generators)
-            and not any(dot(coefficients, h.values) for h in cone.span))
+def _dot(a, b) -> int:
+    return sum([x * y for x, y in zip(a, b)])
 
 
-def _dominates(cone: PolyhedralCone, multipliers: tuple[Fraction, ...],
-               target: RandomVariable) -> bool:
+def _is_separating(cone: PolyhedralCone, f) -> bool:
+    """f ≥ 0, f·g ≤ 0 on every generator and f·h = 0 on every span element,
+    for f given as integers over a positive denominator, which no sign
+    reads."""
+    return (all(c >= 0 for c in f)
+            and all(_dot(f, g) <= 0 for g, _ in cone.int_generators)
+            and not any(_dot(f, h) for h, _ in cone.int_span))
+
+
+def _dominates(cone: PolyhedralCone, multipliers, den: int, target, tden: int) -> bool:
     """Σ_g μ_g·g + Σ_h ν_h·h ≥ target on every outcome, with μ ≥ 0 on the
     generator rows and ν_h = μ⁺ − μ⁻ free, from span element h's row pair:
     the target is that cone point minus a nonnegative vector, so it lies in
-    the cone."""
-    k = len(cone.generators)
+    the cone.  The multipliers are integers over ``den`` > 0 and the target
+    integers over ``tden`` > 0; each vector v = ints/s is lifted to the lcm
+    L of the used vectors' s and ``tden``, so each outcome compares one
+    integer sum Σ m·(L/s)·ints with den·(L/tden)·t."""
+    k = len(cone.int_generators)
     mu, pairs = multipliers[:k], multipliers[k:]
     if any(m < 0 for m in mu):
         return False
-    nu = [plus - minus if minus else plus for plus, minus in zip(pairs[::2], pairs[1::2])]
-    used = [(m, v.values) for m, v in zip([*mu, *nu], [*cone.generators, *cone.span]) if m]
-    weights = [m for m, _ in used]
-    return all(dot(weights, [values[i] for _, values in used]) >= t
-               for i, t in enumerate(target.values))
+    nu = [plus - minus for plus, minus in zip(pairs[::2], pairs[1::2])]
+    used = [(m, v) for m, v in zip([*mu, *nu], [*cone.int_generators, *cone.int_span]) if m]
+    big = lcm(tden, *[s for _, (_, s) in used])
+    lifted = [(m * (big // s), ints) for m, (ints, s) in used]
+    scale = den * (big // tden)
+    return all(sum([m * ints[i] for m, ints in lifted]) >= scale * t
+               for i, t in enumerate(target))
 
 
 def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[RandomVariable]:
@@ -64,8 +78,8 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
 
     The LP maximizes f·target over f ≥ 0 subject to f·g ≤ 0 for each
     generator g, the two rows h·f ≤ 0 and −h·f ≤ 0 for each span element h,
-    and f·target ≤ 1; each row is handed to ``lp`` as integers, a span
-    element's pair negated in integers.  Positivity comes for free because
+    and f·target ≤ 1; each row is handed to ``lp`` as the cone's integers, a
+    span element's pair negated in integers.  Positivity comes for free because
     the cone contains −V₊, but the LP's variables are nonnegative too, and it
     is re-checked on the way out, with f·h = 0 on the span.  A None is checked
     too: at optimum 0 the generator rows' duals μ ≥ 0, and each span pair's
@@ -76,31 +90,30 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
         raise StructureError("target on a different sample space")
     if not target.is_nonneg or target.is_zero:
         raise StructureError("separation target must be nonnegative and nonzero")
-    rows = []
-    for g in cone.generators:
-        ints, s = to_integers(g.values)
-        rows.append(([*ints, 0], s))
-    for h in cone.span:
-        ints, s = to_integers(h.values)
+    rows = [([*ints, 0], s) for ints, s in cone.int_generators]
+    for ints, s in cone.int_span:
         rows.append(([*ints, 0], s))
         rows.append(([-a for a in ints] + [0], s))
-    ints, s = to_integers(target.values)
-    rows.append(([*ints, s], s))  # f·target ≤ 1
-    problem = lp.LpProblem.from_integers(target.values, rows, ["<="] * len(rows))
+    t, tden = to_integers(target.values)
+    rows.append(([*t, tden], tden))  # f·target ≤ 1
+    problem = lp.LpProblem.from_integers((t, tden), rows, ["<="] * len(rows))
     outcome = lp.solve(problem)
     if outcome.status != lp.OPTIMAL:
         raise InternalInconsistency("separation LP must have optimum 0 or 1",
                                     cone=cone, target=target, outcome=outcome)
-    if outcome.objective_value == 0:
-        if not _dominates(cone, outcome.dual[:-1], target):
+    value, vden = outcome.int_value
+    if value == 0:
+        multipliers, den = outcome.int_dual
+        if not _dominates(cone, multipliers[:-1], den, t, tden):
             raise InternalInconsistency("dominating cone point failed re-verification",
                                         cone=cone, target=target, outcome=outcome)
         return None
-    if outcome.objective_value != 1:
+    if value != vden:
         raise InternalInconsistency("separation LP produced a value other than 0 or 1",
                                     cone=cone, target=target, outcome=outcome)
     separator = RandomVariable(cone.space, outcome.primal)
-    if not _is_separating(cone, separator.values) or dot(separator.values, target.values) != 1:
+    f, fden = outcome.int_primal
+    if not _is_separating(cone, f) or _dot(f, t) != fden * tden:  # f·target = 1
         raise InternalInconsistency("separator failed re-verification",
                                     cone=cone, target=target, separator=separator)
     return separator
@@ -151,12 +164,17 @@ def strict_separator_exists(cone: PolyhedralCone) -> bool:
 
 def _verified_average(cone: PolyhedralCone, parts: list[RandomVariable]) -> Measure:
     """The average of ``parts``, each divided by its sum (its ℓ¹ norm, as each
-    part is nonnegative), checked to be equivalent and separating."""
-    masses = [to_integers(f.values) for f in parts]  # a part's mass is sum(ints) / den
-    weights = [Fraction(den, sum(ints) * len(parts)) for ints, den in masses]
-    avg = [dot(weights, column) for column in zip(*[f.values for f in parts])]
-    measure = Measure(cone.space, avg)
-    if not measure.is_equivalent or not _is_separating(cone, measure.weights):
+    part is nonnegative), checked to be equivalent and separating.  A part
+    f = ints/den over its mass sum(ints)/den is ints/sum(ints), so the
+    average is Σ_f ints·(L/sum(ints)) over k·L, for the k parts and L the
+    lcm of their sums: one integer sum per outcome."""
+    ints = [to_integers(f.values)[0] for f in parts]
+    masses = [sum(v) for v in ints]
+    big = lcm(*masses)
+    avg = [sum(column) for column in zip(*[[a * (big // m) for a in v]
+                                           for v, m in zip(ints, masses)])]
+    measure = Measure(cone.space, fractions_over(avg, len(parts) * big))
+    if not measure.is_equivalent or not _is_separating(cone, avg):
         raise InternalInconsistency("averaged separator failed re-verification",
                                     cone=cone, measure=measure)
     return measure

@@ -243,7 +243,22 @@ OTHER = SampleSpace(["a", "b"], [F(1, 3), F(2, 3)])
     (lambda: cone_member(PolyhedralCone(TWO, []), OTHER.zero()),
      "point lives on a different sample space"),
     (lambda: semisolid_member(SemiSolidSet(TWO, []), TWO.zero(), 0), "scale must be > 0"),
-], ids=["cone-generator", "semisolid-generator", "member-point", "scale"])
+    (lambda: PolyhedralCone.from_integers(TWO, [((1,), 1)]), "one integer per outcome"),
+    (lambda: PolyhedralCone.from_integers(TWO, [], [((1, 1), 0)]), "one integer per outcome"),
+    (lambda: PolyhedralCone.from_integers(TWO, [((1, 1), F(1))]), "one integer per outcome"),
+], ids=["cone-generator", "semisolid-generator", "member-point", "scale", "integer-length",
+        "integer-zero-scale", "integer-fraction-scale"])
 def test_input_validation_raises(call, message):
     with pytest.raises(StructureError, match=message):
         call()
+
+
+def test_a_cone_holds_its_vectors_as_integers():
+    """The constructor converts each vector to integers over its lcm once;
+    ``from_integers`` on those pairs gives the same cone, whose vectors are
+    built back on first read."""
+    gens, span = [TWO.variable([1, F(-1, 2)])], [TWO.variable([F(2, 3), 0])]
+    cone = PolyhedralCone(TWO, gens, span)
+    assert cone.int_generators == (((2, -1), 2),) and cone.int_span == (((2, 0), 3),)
+    again = PolyhedralCone.from_integers(TWO, cone.int_generators, cone.int_span)
+    assert again == cone and again.generators == tuple(gens) and again.span == tuple(span)

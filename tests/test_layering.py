@@ -39,3 +39,13 @@ def test_the_import_reader_names_each_imported_module():
     assert noarb_modules_imported("separation") == {
         "lp", "cones", "errors", "lattice", "rationals"}
     assert noarb_modules_imported("concepts") == {"errors", "market", "separation"}
+
+
+def test_separation_sums_integers():
+    """``separation``'s checks sum the cone's and the LP outcome's integers,
+    so it takes no ``rationals.dot``."""
+    source = Path(noarb.__file__).parent / "separation.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "rationals" for alias in node.names}
+    assert names and "dot" not in names

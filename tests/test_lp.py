@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from noarb import fileio, lab, lp, market, separation
+from noarb import fileio, lab, lp, market, rationals, separation
 from noarb.errors import StructureError
 
 import global_routes
@@ -481,7 +481,7 @@ def test_stored_columns_restate_the_basis_inverse(monkeypatch):
 
 def every_other_free(problems):
     """The problems with every other variable, from the second, made free."""
-    return [lp.LpProblem.from_integers(p.objective, p.int_rows, p.relations, sense=p.sense,
+    return [lp.LpProblem.from_integers(p.int_objective, p.int_rows, p.relations, sense=p.sense,
                                        free=range(1, p.num_vars, 2))
             for p in problems]
 
@@ -790,8 +790,8 @@ def test_integer_rows_restate_the_fraction_rows(problem):
 
 
 def test_each_row_becomes_integers_once_per_solve(monkeypatch):
-    """The constructor converts each row once; ``solve`` then converts only
-    the objective and ``feasible`` nothing: the tableau reads the stored
+    """The constructor converts each row and the objective once; ``solve``
+    and ``feasible`` then convert nothing: the tableau reads the stored
     integers.  ``from_integers`` converts no row."""
     calls = []
     to_integers = lp.to_integers
@@ -804,39 +804,73 @@ def test_each_row_becomes_integers_once_per_solve(monkeypatch):
     p = lp.LpProblem([1, F(1, 2)], [[1, 1], [F(1, 3), -1], [1, 0]], ["<=", ">=", "=="],
                      [4, F(-1, 2), F(3, 2)], sense="min")
     rows = [[*row, b] for row, b in zip(p.rows, p.rhs)]
-    assert sorted(calls) == sorted(rows)
+    assert sorted(calls) == sorted([*rows, list(p.objective)])
     calls.clear()
     assert lp.solve(p).status == lp.OPTIMAL
-    assert calls == [list(p.objective)]
-    calls.clear()
+    assert calls == []
     assert lp.feasible(p)
     assert calls == []
-    lp.LpProblem.from_integers(p.objective, p.int_rows, p.relations, sense=p.sense)
+    lp.LpProblem.from_integers(p.int_objective, p.int_rows, p.relations, sense=p.sense)
     assert calls == []
+
+
+def test_solve_builds_no_fraction_until_a_view_is_read(monkeypatch):
+    """``solve`` returns integers: on each seeded LP, as drawn and with
+    every other variable free, it builds no ``Fraction`` until a rational
+    view of its outcome is read, and each integer view, over its
+    denominator, is its ``Fraction`` view."""
+    problems = [*oracles.seeded_lps(), *every_other_free(oracles.seeded_lps())]
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return F(*args)
+
+    for module in (lp, rationals):  # the views are built by ``rationals.fractions_over``
+        monkeypatch.setattr(module, "Fraction", counted)
+    outcomes = [lp.solve(p) for p in problems]
+    assert built == []
+    for out in outcomes:
+        for ints, view in [(out.int_primal, out.primal), (out.int_dual, out.dual),
+                           (out.int_ray, out.ray)]:
+            assert (ints is None) == (view is None)
+            if ints is not None:
+                values, den = ints
+                assert den > 0 and tuple([F(v, den) for v in values]) == view
+        assert (out.int_value is None) == (out.objective_value is None)
+        if out.int_value is not None:
+            assert out.int_value[1] > 0 and F(*out.int_value) == out.objective_value
+    assert built
+    statuses = {out.status for out in outcomes}
+    assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
 
 
 def test_integer_entry_point_poses_the_same_problem():
     """``from_integers`` on each seeded LP's stored pairs gives the problem
-    the rational constructor gave, and so the same outcome; each row given
-    at k times its lowest terms is divided back by the gcd, which keeps
-    each artificial's phase-one cost −1/s and so the pivot path."""
+    the rational constructor gave, and so the same outcome; each row and
+    the objective given at k times its lowest terms are divided back by the
+    gcd, which keeps each artificial's phase-one cost −1/s and so the pivot
+    path."""
     rng = random.Random(7)
     for problem in oracles.seeded_lps():
         outcome = lp.solve(problem)
         for k in (1, rng.randint(2, 9)):
             rows = [([k * a for a in ints], k * s) for ints, s in problem.int_rows]
-            given = lp.LpProblem.from_integers(problem.objective, rows, problem.relations,
-                                               free=problem.free, sense=problem.sense)
+            ints, den = problem.int_objective
+            given = lp.LpProblem.from_integers(([k * c for c in ints], k * den), rows,
+                                               problem.relations, free=problem.free,
+                                               sense=problem.sense)
             assert given == problem and hash(given) == hash(problem)
             assert (given.rows, given.rhs) == (problem.rows, problem.rhs)
             assert lp.solve(given) == outcome
 
 
 def test_stored_rows_are_in_lowest_terms():
-    """Each stored pair has a positive scale, in lowest terms with its
-    integers, and reads back as its rational row."""
-    p = lp.LpProblem.from_integers([1, 1], [([4, 6, 2], 8), ([0, 0, 0], 5), ([-3, 0, 3], 3)],
-                                   ["<=", ">=", "=="])
+    """Each stored pair, the objective's too, has a positive scale, in
+    lowest terms with its integers, and reads back as its rational row."""
+    p = lp.LpProblem.from_integers(([2, 2], 2), [([4, 6, 2], 8), ([0, 0, 0], 5),
+                                                 ([-3, 0, 3], 3)], ["<=", ">=", "=="])
+    assert p.int_objective == ((1, 1), 1) and p.objective == (F(1), F(1))
     assert p.int_rows == (((2, 3, 1), 4), ((0, 0, 0), 1), ((-1, 0, 1), 1))
     assert p.rows == ((F(1, 2), F(3, 4)), (F(0), F(0)), (F(-1), F(0)))
     assert p.rhs == (F(1, 4), F(0), F(1))
@@ -857,7 +891,19 @@ def test_stored_rows_are_in_lowest_terms():
         "relation", "relation-count", "fraction-entry", "float-entry"])
 def test_integer_entry_point_validation(rows, relations, message):
     with pytest.raises(StructureError, match=message):
-        lp.LpProblem.from_integers([1], rows, relations)
+        lp.LpProblem.from_integers(([1], 1), rows, relations)
+
+
+@pytest.mark.parametrize("objective, rows, message", [
+    (([1], 0), [([1, 1], 1)], "objective has scale 0, expected an integer > 0"),
+    (([F(1, 2)], 1), [([1, 1], 1)], "objective has an entry that is not an integer"),
+    ([1], [([1, 1], 1)], r"objective is not an \(integers, scale\) pair"),
+    (([1], 1), [[1, 1, 1]], r"row 0 is not an \(integers, scale\) pair"),
+    (([1, 2], 1), [([1, 1], 1)], "row 0 has 1 coefficients, expected 2"),
+], ids=["objective-scale", "objective-entry", "objective-shape", "row-shape", "objective-length"])
+def test_integer_objective_validation(objective, rows, message):
+    with pytest.raises(StructureError, match=message):
+        lp.LpProblem.from_integers(objective, rows, ["<="])
 
 
 def test_feasible_agrees_with_solve():

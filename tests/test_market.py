@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from noarb import lab, lp, market
+from noarb import lab, lattice, lp, market
 from noarb.cli import main
 from noarb.concepts import full_verdict
 from noarb.errors import InternalInconsistency, StructureError
@@ -248,6 +248,25 @@ def test_emm_digest():
 
 EMM_FOUND = 147
 EMM_DIGEST = "895a977de9590621478b4cd5129a4bbcb754060a5bfc209f1d2ba31f8554ad7a"
+
+
+def test_a_verified_emm_takes_one_lcm_pass_over_its_weights(monkeypatch):
+    """``_verified_emm`` brings the 2^T weights of a CRR tree to one
+    denominator once, for ``Measure``'s mass check: ``martingale_residuals``
+    reads those integers off the measure."""
+    model, _ = crr_tree(10)
+    converted = []
+
+    def counted(values):
+        converted.append(list(values))
+        return to_integers(converted[-1])
+
+    for module in (lattice, market):
+        monkeypatch.setattr(module, "to_integers", counted)
+    measure = find_emm(model).measure
+    assert len(measure.weights) == 1024
+    assert converted.count(list(measure.weights)) == 1
+    assert measure._int_weights == to_integers(measure.weights)
 
 
 def test_emm_budget_non_emm_exceeds_one(binomial):

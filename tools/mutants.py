@@ -44,6 +44,10 @@ TARGETS = {
     "lp._satisfies": ["tests/test_lp.py"],
     "lp._dual_objective": ["tests/test_lp.py"],
     "separation._verified_average": ["tests/test_separation.py"],
+    "separation._dominates": ["tests/test_separation.py"],
+    "separation._is_separating": ["tests/test_separation.py"],
+    "market._one_step": ["tests/test_market.py"],
+    "market._budget_ceiling": ["tests/test_market.py"],
 }
 
 _SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
