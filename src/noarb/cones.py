@@ -14,6 +14,16 @@ library needs:
 
 Both sets are closed polyhedra, so every infimum below is attained and the
 boundary convention ``gauge(x) ≤ 1  ⟺  x ∈ B`` is exact.
+
+Both sets hold their vectors as integers over one denominator each, and
+every LP here is posed on those integers (``lp.LpProblem.from_integers``).
+The gauge and the semi-solid membership are each solved as the LP dual of
+the covering problem Σ λ_g·g ≥ x: one ``<=`` row per generator, every rhs
+≥ 0, so the tableau starts on its slacks and needs no phase one.  Each of
+their answers is certified by substitution on the outcome's integers
+before it is returned, from the LP's primal, duals or ray, without
+trusting ``lp``; a failed check, or a status the LP cannot have, raises
+``InternalInconsistency`` carrying the set.
 """
 
 from __future__ import annotations
@@ -68,9 +78,8 @@ class PolyhedralCone:
         set_(self, "space", space)
         set_(self, "generators", gens)
         set_(self, "span", span)
-        for name, vectors in (("int_generators", gens), ("int_span", span)):
-            pairs = [to_integers(v.values) for v in vectors]
-            set_(self, name, tuple([(tuple(ints), den) for ints, den in pairs]))
+        set_(self, "int_generators", _integers(gens))
+        set_(self, "int_span", _integers(span))
 
     @classmethod
     def from_integers(cls, space: SampleSpace, generators, span=()) -> "PolyhedralCone":
@@ -99,7 +108,12 @@ class PolyhedralCone:
 
 @dataclass(frozen=True)
 class SemiSolidSet:
-    """Downward closure in V₊ of the sub-convex hull of nonnegative generators."""
+    """Downward closure in V₊ of the sub-convex hull of nonnegative generators.
+
+    Each generator is also held as integers over one positive denominator,
+    in ``int_generators``: one pair ``(ints, den)`` per generator, as
+    ``PolyhedralCone`` holds its vectors.  The gauge and membership LPs are
+    posed, and their answers checked, on these integers."""
 
     space: SampleSpace
     generators: tuple[RandomVariable, ...]
@@ -113,6 +127,13 @@ class SemiSolidSet:
                 raise StructureError("semi-solid sets require nonnegative generators")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "int_generators", _integers(gens))
+
+
+def _integers(vectors) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each vector's values as the pair ``(ints, den)`` of ``to_integers``."""
+    pairs = [to_integers(v.values) for v in vectors]
+    return tuple([(tuple(ints), den) for ints, den in pairs])
 
 
 def _check_space(container, x: RandomVariable) -> None:
@@ -123,54 +144,135 @@ def _check_space(container, x: RandomVariable) -> None:
 def cone_member(cone: PolyhedralCone, x: RandomVariable) -> bool:
     """Decide x = Σ λ_g·g + Σ ν_h·h − w with λ ≥ 0, ν free and w ≥ 0, that
     is Σ λ_g·g + Σ ν_h·h ≥ x: one column per generator and one free column
-    per span element."""
+    per span element, each row on the cone's integers and x's."""
     _check_space(cone, x)
-    vectors = (*cone.generators, *cone.span)
-    rows = [[v.values[i] for v in vectors] for i in range(len(cone.space))]
-    problem = lp.LpProblem([0] * len(vectors), rows, [">="] * len(rows), list(x.values),
-                           free=range(len(cone.generators), len(vectors)))
+    columns = (*cone.int_generators, *cone.int_span)
+    rows = lp.rows_from_columns(columns, *to_integers(x.values))
+    problem = lp.LpProblem.from_integers(([0] * len(columns), 1), rows, [">="] * len(rows),
+                                         free=range(len(cone.int_generators), len(columns)))
     return lp.feasible(problem)
 
 
+def _capped(gens, y, cap: int) -> bool:
+    """Whether y ≥ 0 and g·y ≤ cap/d for every generator g, for y and cap
+    integers over one d > 0: with g's integers over its den, each is one
+    integer sum over y's nonzero entries, ints·y ≤ den·cap."""
+    if any([v < 0 for v in y]):
+        return False
+    held = [(i, v) for i, v in enumerate(y) if v]
+    return all([sum([ints[i] * v for i, v in held]) <= den * cap for ints, den in gens])
+
+
+def _covers(gens, lam, ld: int, xints, xden: int) -> bool:
+    """Whether the multipliers λ, integers over ``ld`` > 0, are ≥ 0, one
+    per generator, with Σ λ_g·g ≥ x on every outcome, for x's integers
+    over ``xden``: then x ≤ Σ λ_g·g lies in (Σλ)·B.  Over the lcm L of the
+    generators' denominators, each outcome is one integer sum,
+    Σ_g λ_g·g_ω·(L/den_g)·xden ≥ x_ω·ld·L."""
+    if len(lam) != len(gens) or any([v < 0 for v in lam]):
+        return False
+    big = math.lcm(*[den for _, den in gens])
+    weighted = [(v * (big // den) * xden, ints) for v, (ints, den) in zip(lam, gens) if v]
+    return all([sum([w * ints[i] for w, ints in weighted]) >= x * ld * big
+                for i, x in enumerate(xints)])
+
+
 def semisolid_member(bset: SemiSolidSet, x: RandomVariable, scale=1) -> bool:
-    """Decide x ∈ scale·B: x ≥ 0 and x ≤ Σ λ_g·g with λ ≥ 0, Σ λ_g ≤ scale."""
+    """Decide x ∈ scale·B: x ≥ 0 and x ≤ Σ λ_g·g with λ ≥ 0, Σ λ_g ≤ scale.
+
+    For x ≥ 0 this is the LP dual of maximize x·y − scale·μ over y ≥ 0,
+    μ ≥ 0 subject to g·y ≤ μ for every generator g, whose rows all have
+    rhs 0, so it starts on its slacks.  The LP is homogeneous, so its
+    optimum is 0, exactly when x ∈ scale·B, or it is unbounded; y = 0,
+    μ = 0 is feasible, so an infeasible outcome raises.  Either answer is
+    certified on the outcome's integers:
+
+    * at optimum 0, the row duals λ are a membership witness: λ ≥ 0,
+      Σ λ_g·g ≥ x and Σ λ ≤ scale (``_covers``);
+    * when unbounded, the ray (y, μ) is a Farkas certificate: y ≥ 0, μ ≥ 0,
+      g·y ≤ μ for every g (``_capped``) and x·y > scale·μ, while every
+      λ ≥ 0 with Σ λ_g·g ≥ x and Σ λ ≤ scale would give
+      x·y ≤ Σ λ_g·(g·y) ≤ scale·μ.
+
+    Otherwise ``InternalInconsistency``, carrying ``bset``, x, the scale and
+    the outcome.
+    """
     _check_space(bset, x)
     scale = as_fraction(scale)
     if scale <= 0:
         raise StructureError("scale must be > 0")
     if not x.is_nonneg:
         return False
-    gens = bset.generators
-    n = len(bset.space)
-    rows = [[g.values[i] for g in gens] for i in range(n)]
-    rows.append([Fraction(1)] * len(gens))
-    rels = [">="] * n + ["<="]
-    rhs = list(x.values) + [scale]
-    problem = lp.LpProblem([0] * len(gens), rows, rels, rhs)
-    return lp.feasible(problem)
+    gens = bset.int_generators
+    xints, xden = to_integers(x.values)
+    sn, sd = scale.as_integer_ratio()
+    big = math.lcm(xden, sd)
+    objective = ([v * (big // xden) for v in xints] + [-sn * (big // sd)], big)
+    rows = [([*ints, -den, 0], den) for ints, den in gens]  # g·y − μ ≤ 0, times den
+    outcome = lp.solve(lp.LpProblem.from_integers(objective, rows, ["<="] * len(rows)))
+    data = dict(bset=bset, x=x, scale=scale, outcome=outcome)
+    if outcome.status == lp.INFEASIBLE:
+        raise InternalInconsistency("membership LP cannot be infeasible", **data)
+    if outcome.status == lp.OPTIMAL:
+        lam, ld = outcome.int_dual
+        # Σλ/ld ≤ sn/sd
+        if (outcome.int_value[0] == 0 and _covers(gens, lam, ld, xints, xden)
+                and sum(lam) * sd <= sn * ld):
+            return True
+    else:
+        (*y, mu), _ = outcome.int_ray
+        # x·y/xden > s·μ, over the ray's denominator
+        if (len(y) == len(xints) and mu >= 0 and _capped(gens, y, mu)
+                and sum([a * v for a, v in zip(xints, y)]) * sd > sn * mu * xden):
+            return False
+    raise InternalInconsistency("semi-solid membership failed re-verification", **data)
 
 
 def minkowski(bset: SemiSolidSet, x: RandomVariable) -> Gauge:
     """Gauge of B at x: the least α ≥ 0 with x ∈ αB, or +inf when there is none.
 
-    Computed as min Σ λ_g subject to 0 ≤ x ≤ Σ λ_g·g, λ ≥ 0; the minimum is
-    attained because B is a closed polyhedron (never unbounded: Σ λ ≥ 0).
-    Read as the minimal superreplication price of x out of the budget set B.
+    The least α is min Σ λ_g subject to Σ λ_g·g ≥ x, λ ≥ 0, attained
+    because B is a closed polyhedron; read as the minimal superreplication
+    price of x out of the budget set B.  For x ≥ 0 it is solved as its LP
+    dual: maximize x·y over y ≥ 0 subject to g·y ≤ 1 for every generator g.
+    Every row has rhs 1, so the LP starts on its slacks, and y = 0 is
+    feasible, so an infeasible outcome raises.  Either answer is certified
+    on the outcome's integers:
+
+    * at an optimum v, the primal y is ≥ 0 with g·y ≤ 1 for every g
+      (``_capped``) and x·y = v, so by weak duality every α with x ∈ αB is
+      ≥ v; the row duals λ are ≥ 0 with Σ λ_g·g ≥ x (``_covers``) and
+      Σ λ = v, so x ∈ v·B, and the gauge is v;
+    * when unbounded, the ray r is ≥ 0 with g·r ≤ 0 for every g and
+      x·r > 0, while every λ ≥ 0 with Σ λ_g·g ≥ x would give
+      x·r ≤ Σ λ_g·(g·r) ≤ 0: no α has x ∈ αB, and the gauge is +inf.
+
+    Otherwise ``InternalInconsistency``, carrying ``bset``, x and the
+    outcome.
     """
     _check_space(bset, x)
     if not x.is_nonneg:
         return math.inf
-    gens = bset.generators
-    n = len(bset.space)
-    rows = [[g.values[i] for g in gens] for i in range(n)]
-    problem = lp.LpProblem([1] * len(gens), rows, [">="] * n, list(x.values), sense="min")
-    outcome = lp.solve(problem)
-    if outcome.status == lp.UNBOUNDED:  # min Σ λ over λ ≥ 0
-        raise InternalInconsistency("gauge LP cannot be unbounded",
-                                    bset=bset, x=x, outcome=outcome)
-    if outcome.status != lp.OPTIMAL:
-        return math.inf
-    return outcome.objective_value
+    gens = bset.int_generators
+    xints, xden = to_integers(x.values)
+    rows = [([*ints, den], den) for ints, den in gens]  # g·y ≤ 1, times den
+    outcome = lp.solve(lp.LpProblem.from_integers((xints, xden), rows, ["<="] * len(rows)))
+    data = dict(bset=bset, x=x, outcome=outcome)
+    if outcome.status == lp.INFEASIBLE:
+        raise InternalInconsistency("gauge LP cannot be infeasible", **data)
+    if outcome.status == lp.OPTIMAL:
+        (y, d), (lam, ld), (on, od) = outcome.int_primal, outcome.int_dual, outcome.int_value
+        # x·y/(xden·d) = on/od and Σλ/ld = on/od
+        if (len(y) == len(xints) and _capped(gens, y, d)
+                and sum([a * v for a, v in zip(xints, y)]) * od == on * xden * d
+                and _covers(gens, lam, ld, xints, xden) and sum(lam) * od == on * ld):
+            return Fraction(on, od)
+    else:
+        r, _ = outcome.int_ray
+        if (len(r) == len(xints) and _capped(gens, r, 0)
+                and sum([a * v for a, v in zip(xints, r)]) > 0):
+            return math.inf
+    raise InternalInconsistency("gauge failed re-verification", **data)
 
 
 def sup_norm(bset: SemiSolidSet) -> Fraction:

@@ -23,7 +23,8 @@ with each variable nonnegative or free.  A bound x_j ≤ u is a row like any
 other.  ``LpProblem`` stores each row one way, as its coefficients and rhs
 in integers over one positive scale in lowest terms, the form the tableau
 starts from, and its objective as integers over one denominator: a caller
-holding integers hands them over with ``LpProblem.from_integers``, and one
+holding integers hands them over with ``LpProblem.from_integers``, with
+rows built from integer columns by ``rows_from_columns``, and one
 holding rationals converts each row and the objective once in the
 constructor.  ``LpOutcome`` is the same on the way out: it holds each
 vector as integers over one denominator, which a route can check as they
@@ -233,6 +234,16 @@ def _integers(values) -> Optional[tuple[tuple[int, ...], int]]:
         return None
     ints, den = to_integers(as_fractions(values))
     return tuple(ints), den
+
+
+def rows_from_columns(columns, b, den) -> list[tuple[list[int], int]]:
+    """The rows of an LP whose columns are given as (integers, denominator)
+    pairs and whose rhs is the integers ``b`` over ``den``: row j holds each
+    column's j-th entry, then b[j], as integers over the lcm of all the
+    denominators, with that lcm, for ``LpProblem.from_integers``."""
+    s = lcm(den, *[d for _, d in columns])
+    lifted = [[v * (s // d) for v in ints] for ints, d in columns]
+    return [([*row, v], s) for *row, v in zip(*lifted, [v * (s // den) for v in b])]
 
 
 def _lowest(pair, what: str) -> tuple[tuple[int, ...], int]:

@@ -36,18 +36,19 @@ following an LP's ray reads its wealth off.  ``martingale_residuals`` sums
 the measure's mass bottom-up as integers and takes each residual as one
 integer sum over a node's children, a ``Fraction`` only where it is not 0.
 A node's columns and the elementary gains stay the steps' integers, and
-every LP row is posed by one builder, ``_int_rows``, from integers over
-one denominator per column and one for the rhs, as integers over one
-scale (``lp.LpProblem.from_integers``): the node LPs from the columns, the
-budget LP from the gains.  ``superreplication_price`` carries each cell's
-price bottom-up as an integer pair, keys each node by its children's pairs
-over their lcm, and poses a class's LP on those integers.  Each LP's
-objective is handed over as integers too, each route reads its LP's
-outcome as integers over one denominator (``lp.LpOutcome.int_primal``,
-``int_dual``, ``int_value``, ``int_ray``), and the payoff cone holds the
-gains' integers (``PolyhedralCone.from_integers``).  ``Fraction``s are
-built from the integers only for what a route returns: gains, residuals,
-measures, prices and holdings.
+every LP row is posed by one builder, ``lp.rows_from_columns``, from
+integers over one denominator per column and one for the rhs, as integers
+over one scale (``lp.LpProblem.from_integers``): the node LPs from the
+columns, the budget LP from the gains.  ``superreplication_price`` carries
+each cell's price bottom-up as an integer pair, keys each node by its
+children's pairs over their lcm, and poses a class's LP on those integers.
+Each LP's objective is handed over as integers too, each route reads its
+LP's outcome as integers over one denominator (``lp.LpOutcome.int_primal``,
+``int_dual``, ``int_value``, ``int_ray``), the arbitrage check takes an
+LP's holdings as those integers (``_verified_arbitrage``), and the payoff
+cone holds the gains' integers (``PolyhedralCone.from_integers``).
+``Fraction``s are built from the integers only for what a route returns:
+gains, residuals, measures, prices and holdings.
 
 A node's answers depend only on its cone of one-step gains, and scaling an
 asset's increments by a positive factor leaves that cone unchanged.  So
@@ -219,14 +220,16 @@ def terminal_gain(model: MarketModel, strategy: Strategy) -> RandomVariable:
     check of a strategy against a model: a key that names no (t, asset, cell
     at t−1) of the model raises ``StructureError``.  Each outcome is one
     ``Fraction`` of ``_gain_ints``' integer pair."""
-    gain, scale = _gain_ints(model, strategy)
+    gain, scale = _gain_ints(model, strategy.holdings)
     return RandomVariable(model.space, [Fraction(n, d) for n, d in zip(gain, scale)])
 
 
-def _gain_ints(model: MarketModel, strategy: Strategy) -> tuple[list[int], list[int]]:
-    """``terminal_gain`` as integers: each outcome's gain is n/d for the
-    lists (n, d), in outcome order, every d > 0; the same ``StructureError``
-    on a bad key.
+def _gain_ints(model: MarketModel, holdings, den: int = 1) -> tuple[list[int], list[int]]:
+    """``terminal_gain`` of the holdings ``((t, asset, cell), units)``, each
+    units an int or a ``Fraction`` over ``den`` > 0, as integers: each
+    outcome's gain is n/d for the lists (n, d), in outcome order, every
+    d > 0; the same ``StructureError`` on a bad key.  A ``Strategy``'s
+    holdings are ``Fraction``s over 1, an LP's integers over its ``den``.
 
     Walked top-down through the tree, one node at a time, on the steps'
     integer increments: the children of a node share one denominator, the
@@ -235,8 +238,8 @@ def _gain_ints(model: MarketModel, strategy: Strategy) -> tuple[list[int], list[
     parent's rescaled plus Σ_a holdings·ΔS.  The cells at T are the
     outcomes, in order."""
     parts, assets = model.filtration.partitions, model.assets
-    held: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (t, a, c), h in strategy.holdings:
+    held: dict[tuple[int, int], list] = {}
+    for (t, a, c), h in holdings:
         if not (0 < t < len(parts) and 0 <= a < len(assets) and 0 <= c < len(parts[t - 1])):
             raise StructureError(
                 f"strategy key {(t, a, c)} names no (t, asset, cell) of the model")
@@ -247,8 +250,9 @@ def _gain_ints(model: MarketModel, strategy: Strategy) -> tuple[list[int], list[
         for k, children in enumerate(kids):
             n, d, terms = gain[k], scale[k], []
             if (t, k) in held:
-                # h·ΔS = h.numerator·ints / (h.denominator·den) for each held asset
-                terms = [(moves[a][0], h.numerator, h.denominator * moves[a][1])
+                # h·ΔS = h.numerator·ints / (h.denominator·den·step) for each
+                # held asset, whose increments are ints over step
+                terms = [(moves[a][0], h.numerator, h.denominator * den * moves[a][1])
                          for a, h in held[t, k]]
                 lifted = math.lcm(d, *[q for _, _, q in terms])
                 n, d = n * (lifted // d), lifted
@@ -393,23 +397,14 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _int_rows(columns, b, den) -> list[tuple[list[int], int]]:
-    """The rows of an LP whose columns are given as (integers, denominator)
-    pairs and whose rhs is the integers ``b`` over ``den``: row j holds each
-    column's j-th entry, then b[j], as integers over the lcm of all the
-    denominators, with that lcm, for ``lp.LpProblem.from_integers``."""
-    s = math.lcm(den, *[d for _, d in columns])
-    lifted = [[v * (s // d) for v in ints] for ints, d in columns]
-    return [([*row, v], s) for *row, v in zip(*lifted, [v * (s // den) for v in b])]
-
-
 def _one_step(node: _Node, values, den, /, **data) -> lp.LpOutcome:
     """The node's one-step superhedging LP, posed, solved and certified:
     minimize α over (α, holdings) with α + holdings·increment_j ≥ values[j]/den
     on every child j, for integer values over one ``den`` > 0.  A child
     valued −inf, the one float a value takes, constrains nothing, so it gets
     no row; a type test tells it apart.  Every row is handed to ``lp`` over
-    the lcm of the node's denominators and ``den`` (``_int_rows``).
+    the lcm of the node's denominators and ``den``
+    (``lp.rows_from_columns``).
 
     α = max of the values with no holdings is feasible, so an infeasible
     outcome raises ``InternalInconsistency``.  An optimal one is certified
@@ -426,7 +421,7 @@ def _one_step(node: _Node, values, den, /, **data) -> lp.LpOutcome:
     E = len(node.columns)
     b = [values[j] for j in kept]
     columns = [([1] * len(kept), 1), *[([ints[j] for j in kept], d) for ints, d in node.columns]]
-    rows = _int_rows(columns, b, den)
+    rows = lp.rows_from_columns(columns, b, den)
     outcome = lp.solve(lp.LpProblem.from_integers(([1] + [0] * E, 1), rows,
                                                   [">="] * len(rows),
                                                   free=range(E + 1), sense="min"))
@@ -445,24 +440,31 @@ def _one_step(node: _Node, values, den, /, **data) -> lp.LpOutcome:
     return outcome
 
 
+def _keyed(placed) -> list:
+    """The ``((t, asset, cell), units)`` pairs of holdings ``coefficients``
+    in the moving assets of ``node``, for each (node, coefficients) pair of
+    ``placed``."""
+    return [((node.t, a, node.cell), coef) for node, coefficients in placed
+            for a, coef in zip(node.assets, coefficients)]
+
+
 def _strategy_from_coefficients(placed) -> Strategy:
-    """Holdings ``coefficients`` in the moving assets of ``node``, for each
-    (node, coefficients) pair of ``placed``."""
-    return Strategy({(node.t, a, node.cell): coef for node, coefficients in placed
-                     for a, coef in zip(node.assets, coefficients)})
+    """The ``Strategy`` of ``_keyed(placed)``."""
+    return Strategy(_keyed(placed))
 
 
-def _verified_arbitrage(model, strategy: Strategy) -> Strategy:
-    """``strategy``, checked to gain ≥ 0 and ≠ 0: the one check of an
-    arbitrage.  Decided on ``_gain_ints``' numerators, whose denominators
-    are positive; the gain is built as a ``RandomVariable`` only for the
-    ``payoff`` of the raise."""
-    gain, _ = _gain_ints(model, strategy)
+def _verified_arbitrage(model, holdings, den: int = 1) -> None:
+    """Check that the holdings ``((t, asset, cell), units)`` over ``den``
+    (``_gain_ints``) gain ≥ 0 and ≠ 0: the one check of an arbitrage.
+    Decided on ``_gain_ints``' numerators, whose denominators are positive;
+    a ``Strategy`` and its gain are built only for the raise."""
+    holdings = list(holdings)
+    gain, _ = _gain_ints(model, holdings, den)
     if not any(gain) or any(n < 0 for n in gain):
+        strategy = Strategy({key: Fraction(h, den) for key, h in holdings})
         raise InternalInconsistency("arbitrage witness failed re-verification",
                                     model=model, strategy=strategy,
                                     payoff=terminal_gain(model, strategy))
-    return strategy
 
 
 @dataclass(frozen=True)
@@ -495,7 +497,7 @@ def check_na(model: MarketModel) -> NaResult:
         # each child's floor row, payoff ≥ 0, then its cap row, payoff ≤ 1: the
         # floor row's integers with the rhs 1 over their own scale; the
         # objective, the total payoff, is the floor rows' sum
-        floors = _int_rows(node.columns, [0] * len(node.children), 1)
+        floors = lp.rows_from_columns(node.columns, [0] * len(node.children), 1)
         rows = []
         for ints, s in floors:
             rows += [(ints, s), ([*ints[:-1], s], s)]
@@ -509,7 +511,8 @@ def check_na(model: MarketModel) -> NaResult:
                                         model=model, outcome=outcome)
         if outcome.int_value[0] != 0:
             strategy = _strategy_from_coefficients([(node, outcome.primal)])
-            return NaResult(_verified_arbitrage(model, strategy))
+            _verified_arbitrage(model, strategy.holdings)
+            return NaResult(strategy)
     return NaResult()
 
 
@@ -606,7 +609,8 @@ def find_emm(model: MarketModel) -> EmmResult:
         if outcome.status != lp.OPTIMAL or outcome.int_value[0] <= 0:
             multipliers = outcome.dual[1:1 + len(node.columns)]
             strategy = _strategy_from_coefficients([(node, multipliers)])
-            return EmmResult(arbitrage=_verified_arbitrage(model, strategy))
+            _verified_arbitrage(model, strategy.holdings)
+            return EmmResult(arbitrage=strategy)
         (*s, m), d = outcome.int_primal
         q = [m + v for v in s]
         g = math.gcd(d, *q)
@@ -736,7 +740,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
             # so one walk serves every node at t
             if walked != node.t:
                 walked = node.t
-                gain, scale = _gain_ints(model, _strategy_from_coefficients(held))
+                gain, scale = _gain_ints(model, _keyed(held))
             o = parts[node.t - 1][node.cell][0]
             w = alpha + Fraction(gain[o], scale[o])
             step = max(_ZERO, (Fraction(least * d + g * n, den * d) - w) / -ray[0])
@@ -745,7 +749,7 @@ def superreplication_price(model: MarketModel, payoff: RandomVariable) -> Superr
         held.append((node, holdings))
     hedge = _strategy_from_coefficients(held)
     # α + gain/s ≥ pn/pd, times ad·s·pd > 0, on every outcome
-    gain, scale = _gain_ints(model, hedge)
+    gain, scale = _gain_ints(model, hedge.holdings)
     if not all((an * s + v * ad) * pd >= pn * ad * s
                for v, s, (pn, pd) in zip(gain, scale, prices[-1])):
         raise InternalInconsistency("superreplication hedge failed re-verification",
@@ -832,8 +836,8 @@ def check_na1(model: MarketModel) -> bool:
                 covered = [done or y > 0 for done, y in zip(covered, outcome.int_dual[0])]
                 continue
             # π_v(1_c) ≤ 0: the holdings of the primal, or of the ray, are an arbitrage
-            failing = outcome.primal if outcome.status == lp.OPTIMAL else outcome.ray
-            _verified_arbitrage(model, _strategy_from_coefficients([(node, failing[1:])]))
+            ints, d = outcome.int_primal if outcome.status == lp.OPTIMAL else outcome.int_ray
+            _verified_arbitrage(model, _keyed([(node, ints[1:])]), d)
             return False
     return True
 
@@ -849,9 +853,9 @@ def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProble
     denominator, the weights as None for membership, which has no
     objective.
 
-    Rows come from the gains' integers (``_int_rows``), and a gain's
-    objective entry is one integer sum, Σ_i w_i·ints_i over the weights'
-    denominator times the gain's, lifted to the lcm of the gains'
+    Rows come from the gains' integers (``lp.rows_from_columns``), and a
+    gain's objective entry is one integer sum, Σ_i w_i·ints_i over the
+    weights' denominator times the gain's, lifted to the lcm of the gains'
     denominators.  Returns the coefficients' ``_gains`` keys, in column
     order, and the LP."""
     gains = {key: g for key, g in _built(model, _gains).items() if any(g[0])}
@@ -862,7 +866,7 @@ def _budget_problem(model: MarketModel, weights, rhs) -> tuple[list, lp.LpProble
         big = math.lcm(*[den for _, den in gains.values()])
         objective = ([sum([w * v for w, v in zip(wints, ints) if v]) * (big // den)
                       for ints, den in gains.values()], wden * big)
-    rows = _int_rows(gains.values(), *rhs)
+    rows = lp.rows_from_columns(gains.values(), *rhs)
     problem = lp.LpProblem.from_integers(objective, rows, [">="] * len(rows),
                                          free=range(len(gains)))
     return list(gains), problem
@@ -885,7 +889,7 @@ def _budget_ceiling(model: MarketModel, weights) -> lp.LpOutcome:
     keys, problem = _budget_problem(model, weights, ([-1] * len(model.space), 1))
     outcome = lp.solve(problem)
     if outcome.status == lp.UNBOUNDED:
-        _verified_arbitrage(model, Strategy(zip(keys, outcome.ray)))
+        _verified_arbitrage(model, zip(keys, outcome.int_ray[0]), outcome.int_ray[1])
     elif outcome.status != lp.OPTIMAL:  # ξ = 0 is feasible
         raise InternalInconsistency("budget LP cannot be infeasible", model=model, outcome=outcome)
     else:

@@ -10,8 +10,11 @@ indicator through the library's own ``superreplication_price``, the way
 ``noarb.market`` decided NA₁ before it read it off one-step child-indicator
 prices.  ``budget_ceiling`` is the unit budget set's LP with a variable per
 outcome, the form ``noarb.market`` posed NUPBR and the budget bound in
-before it solved over the strategy coefficients alone.  The tests run these
-against the library's routes: they must agree on every verdict and price.
+before it solved over the strategy coefficients alone.  ``primal_gauge``
+and ``primal_member`` are the Minkowski gauge and the semi-solid membership
+in the primal form, one row per outcome, that ``noarb.cones`` posed them in
+before it solved their duals.  The tests run these against the library's
+routes: they must agree on every verdict and price.
 Witnesses are checked here by direct substitution, as in the library.
 """
 
@@ -214,3 +217,30 @@ def full_verdict(model) -> ConceptVerdicts:
         separator_exists=strict_separator(payoff_cone(model)).measure is not None,
         arbitrage=na.arbitrage,
     )
+
+
+def primal_gauge(bset, x):
+    """The gauge of ``bset`` at x in its primal form, min Σ λ_g subject to
+    Σ λ_g·g ≥ x, λ ≥ 0, posed on rationals with one ``>=`` row per outcome
+    (phase one starts on their artificials): +inf when x is not ≥ 0 or the
+    LP is infeasible.  ``cones.minkowski`` solves its LP dual instead."""
+    if not x.is_nonneg:
+        return math.inf
+    gens, n = bset.generators, len(bset.space)
+    rows = [[g.values[i] for g in gens] for i in range(n)]
+    outcome = lp.solve(lp.LpProblem([1] * len(gens), rows, [">="] * n, list(x.values),
+                                    sense="min"))
+    assert outcome.status != lp.UNBOUNDED  # Σ λ ≥ 0
+    return outcome.objective_value if outcome.status == lp.OPTIMAL else math.inf
+
+
+def primal_member(bset, x, scale):
+    """x ∈ scale·B in its primal form: x ≥ 0 and the feasibility of
+    Σ λ_g·g ≥ x, Σ λ_g ≤ scale over λ ≥ 0, posed on rationals.
+    ``cones.semisolid_member`` solves a homogeneous dual LP instead."""
+    if not x.is_nonneg:
+        return False
+    gens, n = bset.generators, len(bset.space)
+    rows = [[g.values[i] for g in gens] for i in range(n)] + [[Fraction(1)] * len(gens)]
+    return lp.feasible(lp.LpProblem([0] * len(gens), rows, [">="] * n + ["<="],
+                                    [*x.values, scale]))

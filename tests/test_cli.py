@@ -337,13 +337,22 @@ def assert_counterexample_dumped(captured, message):
 
 
 def test_exit_3_prints_the_semisolid_set(monkeypatch, capsys):
-    """An unbounded gauge LP raises in ``cones.minkowski`` with the
-    semi-solid set, which goes to stderr as a cone file."""
+    """An infeasible gauge LP (its y = 0 is feasible) raises in
+    ``cones.minkowski`` with the semi-solid set, which goes to stderr as a
+    cone file."""
     from noarb import lp
 
-    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=lp.UNBOUNDED))
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=lp.INFEASIBLE))
     assert main(["counterexample", "--n", "3"]) == 3
-    assert_counterexample_dumped(capsys.readouterr(), "gauge LP cannot be unbounded")
+    assert_counterexample_dumped(capsys.readouterr(), "gauge LP cannot be infeasible")
+
+
+def test_counterexample_at_the_truncation_cap(capsys):
+    """``counterexample --n 200``, the largest truncation the CLI takes,
+    answers with the exact least indicator gauge 1/200."""
+    assert main(["--json", "counterexample", "--n", "200"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["min_indicator_gauge"] == "1/200" and report["zero_set_trivial"] is True
 
 
 def test_emm_weights_off_mass_1_exit_3(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -19,6 +20,8 @@ from noarb.cones import (
 from noarb.errors import InternalInconsistency, StructureError
 from noarb.lattice import RandomVariable, SampleSpace
 from noarb.market import payoff_cone
+
+from global_routes import primal_gauge, primal_member
 
 TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 
@@ -63,15 +66,124 @@ def test_minkowski_infinite_off_support():
     assert zero_set_trivial(B)
 
 
-def test_minkowski_rejects_an_unbounded_gauge_lp(monkeypatch):
-    """min Σ λ over λ ≥ 0 is bounded below by 0, so an unbounded gauge LP is
-    the solver's fault, not a missing gauge: it raises, carrying the set."""
+def test_minkowski_rejects_an_infeasible_gauge_lp(monkeypatch):
+    """The gauge LP, max x·y over y ≥ 0 with g·y ≤ 1, is feasible at y = 0,
+    so an infeasible one is the solver's fault, not a missing gauge: it
+    raises, carrying the set."""
     space, B = counterexample_set(3)
     x = space.indicator("w2")
-    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=lp.UNBOUNDED))
-    with pytest.raises(InternalInconsistency, match="cannot be unbounded") as caught:
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=lp.INFEASIBLE))
+    with pytest.raises(InternalInconsistency, match="gauge LP cannot be infeasible") as caught:
         minkowski(B, x)
     assert caught.value.data["bset"] == B and caught.value.data["x"] == x
+
+
+def test_semisolid_member_rejects_an_infeasible_membership_lp(monkeypatch):
+    """The membership LP is feasible at y = 0, μ = 0, so an infeasible one
+    raises, carrying the set."""
+    space, B = counterexample_set(3)
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=lp.INFEASIBLE))
+    with pytest.raises(InternalInconsistency, match="membership LP cannot be infeasible") as caught:
+        semisolid_member(B, space.indicator("w2"), 1)
+    assert caught.value.data["bset"] == B
+
+
+def _instance(name):
+    """(set, point, route, answer) of one named certificate instance.
+
+    On counterexample_set(3), generators k·e_k: the gauge LP at e_2 is
+    optimal at y = (0, 1/2, 0) with duals λ = (0, 1/2, 0) and optimum 1/2;
+    membership of e_2 in 1·B is optimal at 0 with duals (0, 1/2, 0), and
+    in (1/4)·B unbounded along the ray (y, μ) = (0, 1/2, 0, 1).  On TWO,
+    the gauge LP of {(1, 0)} at (0, 1) is unbounded along (0, 1), and
+    (1/2, 1) is not in (1/2)·B for B = {(1, 1), (1, 0)}."""
+    space, B = counterexample_set(3)
+    e2 = space.indicator("w2")
+    return {
+        "gauge": (B, e2, minkowski, F(1, 2)),
+        "off-support": (SemiSolidSet(TWO, [TWO.variable([1, 0])]), TWO.variable([0, 1]),
+                        minkowski, math.inf),
+        "member": (B, e2, semisolid_member, True),
+        "outside": (B, e2, lambda bset, x: semisolid_member(bset, x, F(1, 4)), False),
+        "outside-two": (SemiSolidSet(TWO, [TWO.variable([1, 1]), TWO.variable([1, 0])]),
+                        TWO.variable([F(1, 2), 1]),
+                        lambda bset, x: semisolid_member(bset, x, F(1, 2)), False),
+    }[name]
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("gauge", dict(primal=(0, F(1, 4), 0))),       # feasible, but x·y = 1/4 below the optimum
+    ("gauge", dict(primal=(0, 1, 0))),             # 2·y_2 > 1 and x·y = 1
+    ("gauge", dict(primal=(F(-1, 2), F(1, 2), 0))),  # x·y = 1/2 and g·y ≤ 1, but y_1 < 0
+    ("gauge", dict(dual=(0, F(1, 4), 0))),         # 2·λ_2 < 1 = x_2, and Σλ below the optimum
+    ("gauge", dict(dual=(1, F(1, 2), 0))),         # covers x, but Σλ = 3/2
+    ("gauge", dict(dual=(F(-1, 2), F(1, 2), F(1, 2)))),  # Σλ = 1/2, but λ_1 < 0
+    ("gauge", dict(objective_value=1)),
+    ("off-support", dict(ray=(1, 1))),             # g·r = 1 > 0
+    ("off-support", dict(ray=(-1, 1))),            # g·r ≤ 0 and x·r > 0, but r_1 < 0
+    ("off-support", dict(ray=(0, 0))),             # x·r = 0
+    ("member", dict(dual=(0, F(1, 4), 0))),        # 2·λ_2 < 1 = x_2
+    ("member", dict(dual=(0, 2, 0))),              # covers x, but Σλ = 2 > 1
+    ("member", dict(dual=(0, 1))),                 # one multiplier short
+    ("member", dict(objective_value=1)),
+    ("outside", dict(ray=(0, F(1, 2), 0, 2))),     # x·y = s·μ
+    ("outside", dict(ray=(0, 1, 0, 1))),           # g_2·y = 2 > μ
+    ("outside", dict(ray=(0, F(1, 2), 0, -1))),    # μ < 0
+    ("outside", dict(ray=(-1, F(1, 2), 0, 1))),    # y_1 < 0
+    # (1, 1) − (1/2)·(1, 0) covers (1/2, 1) with Σλ = 1/2, but λ_2 < 0
+    ("outside-two", dict(status=lp.OPTIMAL, dual=(1, F(-1, 2)), objective_value=0)),
+], ids=["gauge-primal-below", "gauge-primal-infeasible", "gauge-primal-negative",
+        "gauge-dual-short", "gauge-dual-over", "gauge-dual-negative", "gauge-optimum",
+        "gauge-ray-generator", "gauge-ray-negative", "gauge-ray-zero",
+        "member-dual-short", "member-dual-over", "member-dual-length", "member-optimum",
+        "member-ray-gain", "member-ray-generator", "member-ray-mu", "member-ray-negative",
+        "member-dual-negative"])
+def test_a_corrupted_certificate_raises_with_the_set(name, changes, monkeypatch):
+    """Each gauge and membership answer is checked on its LP's own primal,
+    duals, optimum or ray: one corrupted entry raises
+    ``InternalInconsistency`` carrying the set, never an answer."""
+    bset, x, route, answer = _instance(name)
+    assert route(bset, x) == answer  # the uncorrupted outcome passes its check
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve",
+                        lambda problem: dataclasses.replace(solve(problem), **changes))
+    with pytest.raises(InternalInconsistency, match="failed re-verification") as caught:
+        route(bset, x)
+    assert caught.value.data["bset"] == bset and caught.value.data["x"] == x
+
+
+def test_gauge_and_membership_equal_the_primal_lps():
+    """On 2000 seeded instances, each gauge equals the primal min Σ λ LP's
+    optimum (+inf where it is infeasible), and each membership the primal
+    feasibility LP's verdict, exactly: the dual forms change no answer."""
+    rng = random.Random(38)
+    gauges, members = [], []
+    for _ in range(2000):
+        B = lab.random_semisolid(rng)
+        space = B.space
+        draw = rng.random()
+        if draw < 0.4:
+            x = lab.random_member(rng, B)
+        elif draw < 0.9:
+            x = lab.random_point(rng, space)
+        elif draw < 0.95:
+            x = space.zero()
+        else:  # one negative entry
+            x = RandomVariable(space, [-v if i == 0 else v for i, v in
+                                       enumerate(lab.random_point(rng, space).values)])
+        gauge = minkowski(B, x)
+        assert gauge == primal_gauge(B, x), (B, x)
+        gauges.append(gauge)
+        scales = [F(rng.randint(1, 8), rng.randint(1, 4))]
+        if gauge not in (0, math.inf):
+            scales += [gauge, gauge * F(7, 8)]
+        for scale in scales:
+            member = semisolid_member(B, x, scale)
+            assert member == primal_member(B, x, scale), (B, x, scale)
+            members.append(member)
+    finite = [g for g in gauges if g != math.inf]
+    assert 300 < len(finite) < 1700 and 0 < finite.count(0) < len(finite)  # all kinds pinned
+    assert 0.2 < sum(members) / len(members) < 0.8
 
 
 def test_sup_norm():
@@ -206,6 +318,30 @@ def test_cone_member_matches_the_identity_block_reference():
         assert verdict == cone_member_reference(cone, x), (cone, x)
         verdicts.append(verdict)
     assert 50 < sum(verdicts) < 350  # both verdicts are pinned
+
+
+def test_cone_member_poses_the_rational_constructors_lp(monkeypatch):
+    """``cone_member`` poses its LP from the cone's integers; it is the LP
+    the rational constructor builds from the vectors' values, row for row."""
+    rng = random.Random(22)
+    posed = []
+    feasible = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda problem: posed.append(problem) or feasible(problem))
+    for _ in range(100):
+        space = SampleSpace.uniform(rng.randint(1, 4))
+
+        def vector():
+            return RandomVariable(space, [F(rng.randint(-4, 4), rng.randint(1, 3))
+                                          for _ in space.outcomes])
+
+        gens, span = [vector() for _ in range(rng.randint(0, 3))], [vector()] * rng.randint(0, 2)
+        x = vector()
+        cone_member(PolyhedralCone(space, gens, span), x)
+        vectors = (*gens, *span)
+        rows = [[v.values[i] for v in vectors] for i in range(len(space))]
+        assert posed[-1] == lp.LpProblem([0] * len(vectors), rows, [">="] * len(rows),
+                                         list(x.values),
+                                         free=range(len(gens), len(vectors)))
 
 
 def test_cone_member_on_a_span_matches_its_generator_pairs():

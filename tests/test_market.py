@@ -996,7 +996,7 @@ def test_hedge_short_by_a_tiny_amount_on_one_outcome_raises(binomial, monkeypatc
 def test_arbitrage_check_rejects_a_gain_that_is_zero_or_dips_below(model, strategy):
     with pytest.raises(InternalInconsistency,
                        match="arbitrage witness failed re-verification") as caught:
-        market._verified_arbitrage(model, strategy)
+        market._verified_arbitrage(model, strategy.holdings)
     assert caught.value.data["payoff"] == terminal_gain(model, strategy)
     assert caught.value.data["strategy"] == strategy
 
@@ -1004,8 +1004,24 @@ def test_arbitrage_check_rejects_a_gain_that_is_zero_or_dips_below(model, strate
 def test_arbitrage_check_accepts_a_tiny_gain_that_is_zero_elsewhere():
     # S moves 1 -> 2, 1 or 1: TINY of it gains (TINY, 0, 0), ≥ 0 and ≠ 0
     model = one_period_model([2, 1, 1])
-    strategy = Strategy({(1, 0, 0): TINY})
-    assert market._verified_arbitrage(model, strategy) is strategy
+    market._verified_arbitrage(model, Strategy({(1, 0, 0): TINY}).holdings)
+
+
+def test_arbitrage_check_reads_integer_holdings_over_one_denominator():
+    """An LP's holdings reach the check as integers over its denominator,
+    with no ``Strategy``; one is built only for the raise, equal to the
+    same holdings as ``Fraction``s."""
+    key = (1, 0, 0)
+    # S moves 1 -> 2, 1 or 1: 3/7 of it gains (3/7, 0, 0)
+    market._verified_arbitrage(one_period_model([2, 1, 1]), [(key, 3)], 7)
+    model = one_period_model([2, 1, F(1, 2)])  # S moves 1 -> 2, 1 or 1/2
+    with pytest.raises(InternalInconsistency,
+                       match="arbitrage witness failed re-verification") as caught:
+        market._verified_arbitrage(model, [(key, -3)], 7)
+    assert caught.value.data["strategy"] == Strategy({key: F(-3, 7)})
+    assert caught.value.data["payoff"] == model.space.variable([F(-3, 7), 0, F(3, 14)])
+    assert market._gain_ints(model, [(key, -3)], 7) == market._gain_ints(
+        model, Strategy({key: F(-3, 7)}).holdings)
 
 
 def test_one_outcome_zero_horizon():

@@ -48,6 +48,11 @@ TARGETS = {
     "separation._is_separating": ["tests/test_separation.py"],
     "market._one_step": ["tests/test_market.py"],
     "market._budget_ceiling": ["tests/test_market.py"],
+    "market._verified_arbitrage": ["tests/test_market.py"],
+    "cones.minkowski": ["tests/test_cones.py"],
+    "cones.semisolid_member": ["tests/test_cones.py"],
+    "cones._capped": ["tests/test_cones.py"],
+    "cones._covers": ["tests/test_cones.py"],
 }
 
 _SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
