@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 from .cones import (SemiSolidSet, minkowski, semisolid_member, sup_norm, sup_squared_norm,
                     zero_set_trivial)
 from .errors import InternalInconsistency, StructureError
@@ -46,7 +47,11 @@ def build_counterexample(truncation: int) -> SemiSolidSet:
     if truncation < 1:
         raise StructureError("truncation must be a positive integer")
     space = SampleSpace.uniform(truncation)
-    gens = [space.indicator(space.outcomes[k]).scale(k + 1) for k in range(truncation)]
+    gens = []
+    for k in range(truncation):
+        values = [_ZERO] * truncation
+        values[k] = Fraction(k + 1)
+        gens.append(RandomVariable(space, values))
     return SemiSolidSet(space, gens)
 
 
@@ -209,10 +214,12 @@ class _Harness:
         self.report = report
         self.instance = 0
 
-    def check(self, lemma: str, condition: bool, detail: str) -> None:
+    def check(self, lemma: str, condition: bool, detail: Callable[[], str]) -> None:
+        """Count one check of ``lemma``; a failed one records ``detail()``,
+        which is built only then."""
         self.report.checks[lemma] = self.report.checks.get(lemma, 0) + 1
         if not condition:
-            self.report.violations.append(Violation(lemma, self.instance, detail))
+            self.report.violations.append(Violation(lemma, self.instance, detail()))
 
 
 def verify_lemma_suite(seed: int, instances: int, self_test: bool = False) -> LemmaSuiteReport:
@@ -243,11 +250,11 @@ def verify_lemma_suite(seed: int, instances: int, self_test: bool = False) -> Le
 def _check_semisolid_laws(h: _Harness, rng, bset: SemiSolidSet, sabotage: bool = False) -> None:
     space = bset.space
     zero = space.zero()
-    h.check("gauge-zero", minkowski(bset, zero) == 0, "gauge(0) != 0")
+    h.check("gauge-zero", minkowski(bset, zero) == 0, lambda: "gauge(0) != 0")
 
     x = random_member(rng, bset)
     gauge_x = minkowski(bset, x)
-    h.check("gauge-inside", gauge_x <= 1, f"member {x} has gauge {gauge_x} > 1")
+    h.check("gauge-inside", gauge_x <= 1, lambda: f"member {x} has gauge {gauge_x} > 1")
 
     y = random_point(rng, space)
     gauge_y = minkowski(bset, y)
@@ -256,40 +263,40 @@ def _check_semisolid_laws(h: _Harness, rng, bset: SemiSolidSet, sabotage: bool =
         member_y = not member_y
     if not member_y:
         h.check("gauge-outside", gauge_y >= 1,
-                f"non-member {y} has gauge {gauge_y} < 1")
+                lambda: f"non-member {y} has gauge {gauge_y} < 1")
     else:
-        h.check("gauge-inside", gauge_y <= 1, f"member {y} has gauge {gauge_y} > 1")
+        h.check("gauge-inside", gauge_y <= 1, lambda: f"member {y} has gauge {gauge_y} > 1")
 
     alpha = Fraction(rng.randint(1, 9), 10)
     h.check("level-sets", semisolid_member(bset, y, alpha) == (gauge_y <= alpha),
-            f"membership at level {alpha} disagrees with gauge {gauge_y} for {y}")
+            lambda: f"membership at level {alpha} disagrees with gauge {gauge_y} for {y}")
 
     factor = Fraction(rng.randint(1, 8), rng.randint(1, 4))
     scaled = minkowski(bset, x.scale(factor))
     expected = math.inf if gauge_x == math.inf else factor * gauge_x
     h.check("gauge-homogeneous", scaled == expected,
-            f"gauge({factor}·x) = {scaled}, expected {expected}")
+            lambda: f"gauge({factor}·x) = {scaled}, expected {expected}")
 
     below = RandomVariable(space, [v * Fraction(rng.randint(0, 4), 4) for v in x.values])
     h.check("semi-solid", semisolid_member(bset, below, 1),
-            f"downward point {below} of member {x} not a member")
+            lambda: f"downward point {below} of member {x} not a member")
     gauge_below = minkowski(bset, below)
     h.check("gauge-monotone", gauge_below <= gauge_x,
-            f"gauge({below}) = {gauge_below} > gauge({x}) = {gauge_x}")
+            lambda: f"gauge({below}) = {gauge_below} > gauge({x}) = {gauge_x}")
 
     other = random_member(rng, bset)
     mid = RandomVariable(space, [(a + b) / 2 for a, b in zip(x.values, other.values)])
     h.check("convexity", semisolid_member(bset, mid, 1),
-            f"midpoint {mid} of members escaped the set")
+            lambda: f"midpoint {mid} of members escaped the set")
 
     # finitely many generators make B bounded, so its scaled copies meet only in 0
     h.check("trivial-intersection", zero_set_trivial(bset),
-            "scaled copies of a finitely generated set meet outside 0")
+            lambda: "scaled copies of a finitely generated set meet outside 0")
     if 0 < gauge_y < math.inf:
         h.check("trivial-intersection", not semisolid_member(bset, y, gauge_y / 2),
-                f"{y} inside level {gauge_y}/2 below its gauge")
+                lambda: f"{y} inside level {gauge_y}/2 below its gauge")
         h.check("level-sets", semisolid_member(bset, y, gauge_y),
-                f"gauge of {y} is not attained")
+                lambda: f"gauge of {y} is not attained")
 
 
 def _check_budget_scaling(h: _Harness, rng, model: MarketModel) -> None:
@@ -299,8 +306,8 @@ def _check_budget_scaling(h: _Harness, rng, model: MarketModel) -> None:
     lhs = in_budget_set(model, x, alpha)
     rhs = in_budget_set(model, x.scale(1 / alpha), 1)
     h.check("budget-scaling", lhs == rhs,
-            f"x in B_{alpha} is {lhs} but x/{alpha} in B_1 is {rhs} for {x}")
+            lambda: f"x in B_{alpha} is {lhs} but x/{alpha} in B_1 is {rhs} for {x}")
     if in_budget_set(model, x, 0):
         level = Fraction(rng.randint(1, 6), rng.randint(1, 3))
         h.check("budget-zero-inclusion", in_budget_set(model, x, level),
-                f"zero-wealth dominated {x} escaped B_{level}")
+                lambda: f"zero-wealth dominated {x} escaped B_{level}")

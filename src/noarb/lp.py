@@ -12,7 +12,11 @@ lowest basic variable index), and every answer is certified: optimal
 outcomes carry exact duals with zero duality gap, infeasible outcomes carry
 a Farkas vector, unbounded outcomes carry a feasible point plus an
 improving recession ray.  Identical inputs always produce identical
-outcomes, including the chosen vertex.
+outcomes, including the chosen vertex.  The problems are tiny, a few rows
+and variables each, so the fixed cost of a solve is kept to one pass:
+``from_integers`` checks and reduces each row in one loop, the tableau is
+set up in one pass over the rows, and phase one runs only when some row
+starts on an artificial variable.
 ``solve`` returns the one outcome type, ``LpOutcome``.  ``feasible`` is the
 bare phase-one predicate; a membership witness or Farkas vector comes from
 ``solve`` on the same problem with a zero objective, where phase two enters
@@ -105,35 +109,33 @@ class LpProblem:
         (ints, s)``, and whose row i, given as the pair ``(ints, s)``, reads
         ``ints[:-1]·x / s {relation} ints[-1] / s``, each for an integer
         scale s > 0; each pair is divided by ``gcd(s, *ints)``."""
-        int_rows = [_lowest(row, f"row {i}") for i, row in enumerate(rows)]
+        int_rows = _lowest([*rows, objective])
         problem = cls.__new__(cls)
-        problem._store(_lowest(objective, "objective"), int_rows, relations, free, sense)
+        problem._store(int_rows.pop(), int_rows, relations, free, sense)
         return problem
 
     def _store(self, int_objective, int_rows, relations, free, sense) -> None:
-        """Set every field and check the shape, the one check of both
+        """Check the shape and set every field, the one check of both
         entry points."""
-        set_ = object.__setattr__
-        set_(self, "int_objective", int_objective)
         n = len(int_objective[0])
-        set_(self, "int_rows", tuple(int_rows))
-        set_(self, "relations", tuple(relations))
-        m = len(self.int_rows)
-        if len(self.relations) != m:
-            raise StructureError(f"{m} rows but {len(self.relations)} relations")
-        for i, (ints, _) in enumerate(self.int_rows):
-            if len(ints) != n + 1:
-                raise StructureError(f"row {i} has {len(ints) - 1} coefficients, expected {n}")
-        for rel in self.relations:
-            if rel not in _RELATIONS:
-                raise StructureError(f"unknown relation {rel!r}")
-        free = tuple(free)
-        if not all([type(v) is int and 0 <= v < n for v in free]):
-            raise StructureError(f"free variables must be indices in range({n})")
-        set_(self, "free", frozenset(free))
+        int_rows, relations, free = tuple(int_rows), tuple(relations), tuple(free)
+        m = len(int_rows)
+        if len(relations) != m:
+            raise StructureError(f"{m} rows but {len(relations)} relations")
+        for row in int_rows:
+            if len(row[0]) != n + 1:  # the first such row: an equal one would fail first
+                raise StructureError(f"row {int_rows.index(row)} has {len(row[0]) - 1} "
+                                     f"coefficients, expected {n}")
+        if relations.count(LE) + relations.count(EQ) + relations.count(GE) != m:
+            rel = next(rel for rel in relations if rel not in _RELATIONS)
+            raise StructureError(f"unknown relation {rel!r}")
+        for v in free:
+            if type(v) is not int or not 0 <= v < n:
+                raise StructureError(f"free variables must be indices in range({n})")
         if sense not in (MAXIMIZE, MINIMIZE):
             raise StructureError(f"sense must be {MAXIMIZE!r} or {MINIMIZE!r}")
-        set_(self, "sense", sense)
+        self.__dict__.update(int_objective=int_objective, int_rows=int_rows,
+                             relations=relations, free=frozenset(free), sense=sense)
 
     @cached_property
     def objective(self) -> tuple[Fraction, ...]:
@@ -204,12 +206,8 @@ class LpOutcome:
         return outcome
 
     def _store(self, status, primal, dual, value, ray) -> None:
-        set_ = object.__setattr__
-        set_(self, "status", status)
-        set_(self, "int_primal", primal)
-        set_(self, "int_dual", dual)
-        set_(self, "int_value", value)
-        set_(self, "int_ray", ray)
+        self.__dict__.update(status=status, int_primal=primal, int_dual=dual,
+                             int_value=value, int_ray=ray)
 
     @cached_property
     def primal(self) -> Optional[tuple[Fraction, ...]]:
@@ -246,20 +244,31 @@ def rows_from_columns(columns, b, den) -> list[tuple[list[int], int]]:
     return [([*row, v], s) for *row, v in zip(*lifted, [v * (s // den) for v in b])]
 
 
-def _lowest(pair, what: str) -> tuple[tuple[int, ...], int]:
-    """The pair ``(ints, s)``, for an integer scale s > 0, divided by
-    ``gcd(s, *ints)``; ``what`` names it in a ``StructureError``."""
-    try:
-        ints, s = pair
-    except (TypeError, ValueError):
-        raise StructureError(f"{what} is not an (integers, scale) pair") from None
-    if type(s) is not int or s <= 0:
-        raise StructureError(f"{what} has scale {s!r}, expected an integer > 0")
-    try:
-        g = gcd(s, *ints)
-    except TypeError:
-        raise StructureError(f"{what} has an entry that is not an integer") from None
-    return (tuple([a // g for a in ints]), s // g) if g > 1 else (tuple(ints), s)
+def _lowest(pairs) -> list[tuple[tuple[int, ...], int]]:
+    """Each pair ``(ints, s)``, for an integer scale s > 0, divided by
+    ``gcd(s, *ints)``; a ``StructureError`` names pair i ``row i``, and the
+    last one, given after the rows, ``objective``."""
+    lowest = []
+    for pair in pairs:
+        try:
+            ints, s = pair
+        except (TypeError, ValueError):
+            error = "is not an (integers, scale) pair"
+            break
+        if type(s) is not int or s <= 0:
+            error = f"has scale {s!r}, expected an integer > 0"
+            break
+        try:
+            g = gcd(s, *ints)
+        except TypeError:
+            error = "has an entry that is not an integer"
+            break
+        lowest.append((tuple(ints), s) if g == 1 else (tuple([a // g for a in ints]), s // g))
+    else:
+        return lowest
+    i = len(lowest)  # the pair that failed
+    what = "objective" if i == len(pairs) - 1 else f"row {i}"
+    raise StructureError(f"{what} {error}")
 
 
 class _Simplex:
@@ -287,62 +296,72 @@ class _Simplex:
     The ``min`` and row-flip signs fold into integer numerators, and each
     returned vector is its integers over ``d``, or over ``d·cden`` for the
     duals and the objective value: no ``Fraction`` is built.
+
+    The set-up is one pass over the rows: each row's flip and its slack,
+    surplus or artificial are decided together, and the surplus columns
+    are padded in only when some row has one, so a problem whose rows all
+    start on slacks copies each row once.  Phase one runs only when some
+    row starts on an artificial.
     """
 
     def __init__(self, problem: LpProblem) -> None:
-        m = problem.num_rows
-        int_rows = problem.int_rows
-
-        n_struct = problem.num_vars
-        self.free = problem.free
-        self.sign = [1] * n_struct
-
-        # normalize rows to nonnegative rhs; also flip ≥ rows with zero rhs:
-        # as ≤ rows they start on a slack basis, which keeps artificial
-        # variables out of the hot paths
-        flipped = [ints[-1] < 0 or (ints[-1] == 0 and rel == GE)
-                   for (ints, _), rel in zip(int_rows, problem.relations)]
-        # +1 slack, -1 surplus, 0 none
-        slack_sign = [0 if rel == EQ else (1 if (rel == LE) != flip else -1)
-                      for rel, flip in zip(problem.relations, flipped)]
-        n_slack = m - slack_sign.count(0)
-        self.first_art = n_struct + n_slack
-        total = self.first_art + m - slack_sign.count(1)
+        n_struct = len(problem.int_objective[0])
+        T: list[list[int]] = []
+        flipped: list[bool] = []
+        ident_col: list = []
+        slack_scale: list[int] = []  # per slack or surplus column, in row order
+        art_rows: list[int] = []     # per artificial column, its row
+        art_scale: list[int] = []
+        surplus: list[tuple[int, int]] = []  # (row, its surplus column)
+        for k, ((ints, s), rel) in enumerate(zip(problem.int_rows, problem.relations)):
+            # normalize rows to nonnegative rhs; also flip ≥ rows with zero rhs:
+            # as ≤ rows they start on a slack basis, which keeps artificial
+            # variables out of the hot paths
+            if ints[-1] < 0 or (ints[-1] == 0 and rel == GE):
+                T.append([-a for a in ints])
+                flipped.append(True)
+                on_slack = rel == GE
+            else:
+                T.append(list(ints))
+                flipped.append(False)
+                on_slack = rel == LE
+            if on_slack:
+                ident_col.append(n_struct + len(slack_scale))
+                slack_scale.append(s)
+                continue
+            if rel != EQ:  # its surplus is stored, its artificial starts basic
+                surplus.append((k, n_struct + len(slack_scale)))
+                slack_scale.append(s)
+            art_rows.append(k)
+            art_scale.append(s)
+            ident_col.append(None)
+        # the artificials are numbered after every slack and surplus
+        self.first_art = first_art = n_struct + len(slack_scale)
+        for col, k in enumerate(art_rows, start=first_art):
+            ident_col[k] = col
 
         # each row's integers, a -1 in its own surplus column, its rhs; its
         # slack or artificial starts basic, in a column scaled by the row's scale
-        pad = [0] * slack_sign.count(-1)
-        T: list[list[int]] = []
-        ident_col: list[int] = []
-        col_scale = [1] * total
         nonbasic = list(range(n_struct))
-        scol, acol = n_struct, self.first_art
-        for (ints, s), sign, flip in zip(int_rows, slack_sign, flipped):
-            row = [-a for a in ints] if flip else list(ints)
-            if pad:
+        if surplus:
+            pad = [0] * len(surplus)
+            for row in T:
                 row[-1:-1] = pad
-            if sign:
-                if sign < 0:
-                    row[len(nonbasic)] = -1
-                    nonbasic.append(scol)
-                col_scale[scol] = s
-                scol += 1
-            if sign <= 0:
-                col_scale[acol] = s
-                acol += 1
-            ident_col.append(acol - 1 if sign <= 0 else scol - 1)
-            T.append(row)
+            for k, col in surplus:
+                T[k][len(nonbasic)] = -1
+                nonbasic.append(col)
 
         self.T = T
         self.d = 1
         self.basis = list(ident_col)
         self.nonbasic = nonbasic
         self.ident_col = ident_col
-        self.col_scale = col_scale
+        self.col_scale = [1] * n_struct + slack_scale + art_scale
         self.flipped = flipped
-        self.m = m
+        self.free = problem.free
+        self.sign = [1] * n_struct
         self.n_struct = n_struct
-        self.ncols = total
+        self.ncols = first_art + len(art_scale)
 
     def _objective_costs(self, problem: LpProblem) -> tuple[list[int], int]:
         """Phase two's (integer costs per variable, denominator)."""
@@ -361,7 +380,9 @@ class _Simplex:
         every entry is a minor of the integer start tableau; column ``j``
         then holds the leaving variable, whose column was ``d·e_r``: ``d``
         in row ``r`` and ``−f`` in each other row and in ``z``, each times
-        the pivot row's sign (the exchange of Avis's lrs, 2000)."""
+        the pivot row's sign (the exchange of Avis's lrs, 2000).  A row
+        with f = 0 only takes the factor p/d, so it stays as it is when
+        p = d."""
         T, d = self.T, self.d
         prow = T[r]
         p = prow[j]
@@ -370,10 +391,17 @@ class _Simplex:
             # the negated pivot row states the same equation and keeps d > 0
             prow = T[r] = [-q for q in prow]
             p, sign = -p, -1
+        T.append(self.z)  # the reduced costs take the rows' step
         for i, row in enumerate(T):
-            if i != r:
-                T[i] = _edmonds(row, prow, p, d, j, sign)
-        self.z = _edmonds(self.z, prow, p, d, j, sign)
+            if i == r:
+                continue
+            f = row[j]
+            if f:
+                row = T[i] = [(p * a - f * q) // d for a, q in zip(row, prow)]
+                row[j] = -sign * f
+            elif p != d:
+                T[i] = [p * a // d for a in row]
+        self.z = T.pop()
         prow[j] = sign * d
         self.d = p
         self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
@@ -407,8 +435,10 @@ class _Simplex:
             z = self.z
             enter, var = -1, entering_limit
             for j, v in enumerate(nonbasic):
-                if v < var and (z[j] > 0 or (z[j] < 0 and v in free)):
-                    enter, var = j, v
+                if v < var:
+                    c = z[j]
+                    if c > 0 or (c < 0 and v in free):
+                        enter, var = j, v
             if enter < 0:
                 return OPTIMAL, None
             if z[enter] < 0:
@@ -429,8 +459,9 @@ class _Simplex:
             self._pivot(leave, enter)
 
     def _phase_one(self):
-        """Feasibility phase; returns None when feasible, else Farkas data."""
-        if all(col < self.first_art for col in self.basis):
+        """Feasibility phase; returns None when feasible, else Farkas data.
+        It runs only when some row starts on an artificial."""
+        if self.first_art == self.ncols:
             return None
         # artificial i costs -1/s_i: its column is scaled by s_i
         scales = self.col_scale[self.first_art:]
@@ -466,16 +497,14 @@ class _Simplex:
         off the reduced costs at each row's slack or artificial (0 while it
         is basic); ``negate`` (a ``min`` objective) and a flipped row each
         negate one."""
-        z, d, costs = self.z, self.d, self.costs
-        den = d * self.cden
-        stored = {v: j for j, v in enumerate(self.nonbasic)}
+        z, d, costs, col_scale = self.z, self.d, self.costs, self.col_scale
+        stored = dict(zip(self.nonbasic, range(len(self.nonbasic))))
         y = []
-        for k in range(self.m):
-            col = self.ident_col[k]
+        for col, flip in zip(self.ident_col, self.flipped):
             j = stored.get(col)
-            yk = self.col_scale[col] * (d * costs[col] - (0 if j is None else z[j]))
-            y.append(-yk if self.flipped[k] != negate else yk)
-        return tuple(y), den
+            yk = col_scale[col] * (d * costs[col] - (0 if j is None else z[j]))
+            y.append(-yk if flip != negate else yk)
+        return tuple(y), d * self.cden
 
     def _structural_point(self) -> tuple[tuple[int, ...], int]:
         """Basic structural values, as integers over d."""
@@ -498,18 +527,6 @@ class _Simplex:
             if col < self.n_struct:
                 ray[col] = -self.sign[col] * row[j] * scale
         return tuple(ray), self.d
-
-
-def _edmonds(row: list[int], prow: list[int], p: int, d: int, j: int, sign: int) -> list[int]:
-    """Eliminate stored column j from row with pivot row prow (pivot p > 0)
-    under common denominator d, the division exact; column j then holds the
-    leaving variable's entry, ``-sign·f``."""
-    f = row[j]
-    if f:
-        new = [(p * a - f * q) // d for a, q in zip(row, prow)]
-        new[j] = -sign * f
-        return new
-    return [p * a // d for a in row]
 
 
 def solve(problem: LpProblem) -> LpOutcome:

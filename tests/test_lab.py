@@ -79,6 +79,24 @@ def test_lemma_suite_detects_injected_violation():
     assert "violation" in report.summary()
 
 
+def test_lemma_suite_formats_a_detail_only_when_a_check_fails(monkeypatch):
+    """A passing check formats nothing; the self-test's one failing check
+    formats its point and gauge into the detail."""
+    formatted = []
+    to_str = lab.RandomVariable.__str__
+
+    def counted(x):
+        formatted.append(x)
+        return to_str(x)
+
+    monkeypatch.setattr(lab.RandomVariable, "__str__", counted)
+    assert lab.verify_lemma_suite(seed=1, instances=10).passed
+    assert formatted == []
+    report = lab.verify_lemma_suite(seed=0, instances=5, self_test=True)
+    [violation] = report.violations
+    assert len(formatted) == 1 and str(formatted[0]) in violation.detail
+
+
 def test_lemma_suite_rejects_zero_instances():
     with pytest.raises(StructureError):
         lab.verify_lemma_suite(seed=0, instances=0)

@@ -378,6 +378,59 @@ def test_pivot_path_digest(monkeypatch):
     assert outcome_digest(corpus) == CORPUS_DIGEST
 
 
+def starts_on_an_artificial(problem):
+    """Whether some row starts on an artificial: an ``==`` row, or an
+    inequality whose slack would start negative (a ≥ row with zero rhs is
+    flipped to a ≤ row and starts on its slack)."""
+    return any(rel == lp.EQ or (rel == lp.GE and ints[-1] > 0) or (rel == lp.LE and ints[-1] < 0)
+               for (ints, _), rel in zip(problem.int_rows, problem.relations))
+
+
+def test_pivot_counts_pin_the_pivot_path(monkeypatch):
+    """The digests pin outcomes; these totals pin how many pivots the
+    seeded LPs, as drawn and with every other variable free, and the corpus
+    LPs take to reach them.  Phase one runs on a tableau exactly when some
+    row starts on an artificial."""
+    init, phase_one = lp._Simplex.__init__, lp._Simplex._phase_one
+    pivot, run_phase = lp._Simplex._pivot, lp._Simplex._run_phase
+    seen = {"pivots": 0, "in_phase_one": False, "tableaux": []}
+
+    def start(sx, problem):
+        init(sx, problem)
+        seen["tableaux"].append([starts_on_an_artificial(problem), False])
+
+    def first_phase(sx):
+        seen["in_phase_one"] = True
+        try:
+            return phase_one(sx)
+        finally:
+            seen["in_phase_one"] = False
+
+    def counted(sx, r, j):
+        seen["pivots"] += 1
+        pivot(sx, r, j)
+
+    def phase(sx, costs, entering_limit):
+        seen["tableaux"][-1][1] |= seen["in_phase_one"]
+        return run_phase(sx, costs, entering_limit)
+
+    for name, method in [("__init__", start), ("_phase_one", first_phase),
+                         ("_pivot", counted), ("_run_phase", phase)]:
+        monkeypatch.setattr(lp._Simplex, name, method)
+    totals = []
+    for solve_all in (lambda: [lp.solve(p) for p in oracles.seeded_lps()],
+                      lambda: [lp.solve(p) for p in every_other_free(oracles.seeded_lps())],
+                      lambda: corpus_outcomes(monkeypatch)):
+        seen["pivots"] = 0
+        solve_all()
+        totals.append(seen["pivots"])
+    assert totals == [1172, 1641, 1607]
+    tableaux = seen["tableaux"]
+    assert len(tableaux) == 500 + 500 + 626
+    assert all(artificial == ran for artificial, ran in tableaux)
+    assert 0 < sum(artificial for artificial, _ in tableaux) < len(tableaux)
+
+
 SEEDED_DIGEST = "58e0f74769c8baddc392be57e5fd68f3d32c2c01e9c02ef4087c2738bc69a4ce"
 CORPUS_DIGEST = "f896e9b109c3b50666292c098f3f41737944c876b534216fd36dc35566464b95"
 FREE_DIGEST = "0f086b04b3cc8744a8eeb18252a7ac7510aba72ab2ad8f75b6dcb954326dbc43"

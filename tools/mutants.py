@@ -41,6 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: The targets, each with the test modules that run against it.
 TARGETS = {
     "lp.LpProblem._store": ["tests/test_lp.py"],
+    "lp._lowest": ["tests/test_lp.py"],
+    "lp._Simplex.__init__": ["tests/test_lp.py"],
     "lp._satisfies": ["tests/test_lp.py"],
     "lp._dual_objective": ["tests/test_lp.py"],
     "separation._verified_average": ["tests/test_separation.py"],
