@@ -25,7 +25,6 @@ from noarb import (
     separate_at,
     strict_separator,
 )
-from noarb.rationals import dot
 
 space = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 
@@ -36,7 +35,7 @@ cone = PolyhedralCone(space, [g])
 # separate the direction (1, 1): positive weights, nonpositive on the cone
 f = separate_at(cone, space.variable([1, 1]))
 print("separator at (1,1):", tuple(map(str, f.values)))
-print("  action on the generator:", dot(f.values, g.values), "<= 0")
+print("  action on the generator:", sum(a * b for a, b in zip(f.values, g.values)), "<= 0")
 
 # separation fails exactly on cone members; (1, 0) is outside, so it works
 print("is (1,0) in the cone:", cone_member(cone, space.variable([1, 0])))

@@ -37,7 +37,7 @@ from typing import Sequence, Union
 from . import lp
 from .errors import InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
-from .rationals import as_fraction, dot, fractions_over, to_integers
+from .rationals import as_fraction, fractions_over, to_integers
 
 Gauge = Union[Fraction, float]  # exact value, or math.inf when nothing dominates x
 
@@ -132,8 +132,7 @@ class SemiSolidSet:
 
 def _integers(vectors) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Each vector's values as the pair ``(ints, den)`` of ``to_integers``."""
-    pairs = [to_integers(v.values) for v in vectors]
-    return tuple([(tuple(ints), den) for ints, den in pairs])
+    return tuple([to_integers(v.values) for v in vectors])
 
 
 def _check_space(container, x: RandomVariable) -> None:
@@ -153,7 +152,7 @@ def cone_member(cone: PolyhedralCone, x: RandomVariable) -> bool:
     return lp.feasible(problem)
 
 
-def _capped(gens, y, cap: int) -> bool:
+def capped(gens, y, cap: int) -> bool:
     """Whether y ≥ 0 and g·y ≤ cap/d for every generator g, for y and cap
     integers over one d > 0: with g's integers over its den, each is one
     integer sum over y's nonzero entries, ints·y ≤ den·cap."""
@@ -163,13 +162,15 @@ def _capped(gens, y, cap: int) -> bool:
     return all([sum([ints[i] * v for i, v in held]) <= den * cap for ints, den in gens])
 
 
-def _covers(gens, lam, ld: int, xints, xden: int) -> bool:
-    """Whether the multipliers λ, integers over ``ld`` > 0, are ≥ 0, one
-    per generator, with Σ λ_g·g ≥ x on every outcome, for x's integers
-    over ``xden``: then x ≤ Σ λ_g·g lies in (Σλ)·B.  Over the lcm L of the
-    generators' denominators, each outcome is one integer sum,
+def covers(gens, lam, ld: int, xints, xden: int) -> bool:
+    """Whether the multipliers λ, integers over ``ld`` > 0, one per vector
+    g of ``gens``, have Σ λ_g·g ≥ x on every outcome, for x's integers over
+    ``xden``.  The callers check λ's signs: with λ ≥ 0, x lies in (Σλ)·B
+    for a set's generators, and with λ ≥ 0 on a cone's generators and
+    free on its span, x lies in the cone.  Over the lcm L of the vectors'
+    denominators, each outcome is one integer sum,
     Σ_g λ_g·g_ω·(L/den_g)·xden ≥ x_ω·ld·L."""
-    if len(lam) != len(gens) or any([v < 0 for v in lam]):
+    if len(lam) != len(gens):
         return False
     big = math.lcm(*[den for _, den in gens])
     weighted = [(v * (big // den) * xden, ints) for v, (ints, den) in zip(lam, gens) if v]
@@ -188,9 +189,9 @@ def semisolid_member(bset: SemiSolidSet, x: RandomVariable, scale=1) -> bool:
     certified on the outcome's integers:
 
     * at optimum 0, the row duals λ are a membership witness: λ ≥ 0,
-      Σ λ_g·g ≥ x and Σ λ ≤ scale (``_covers``);
+      Σ λ_g·g ≥ x (``covers``) and Σ λ ≤ scale;
     * when unbounded, the ray (y, μ) is a Farkas certificate: y ≥ 0, μ ≥ 0,
-      g·y ≤ μ for every g (``_capped``) and x·y > scale·μ, while every
+      g·y ≤ μ for every g (``capped``) and x·y > scale·μ, while every
       λ ≥ 0 with Σ λ_g·g ≥ x and Σ λ ≤ scale would give
       x·y ≤ Σ λ_g·(g·y) ≤ scale·μ.
 
@@ -216,13 +217,13 @@ def semisolid_member(bset: SemiSolidSet, x: RandomVariable, scale=1) -> bool:
     if outcome.status == lp.OPTIMAL:
         lam, ld = outcome.int_dual
         # Σλ/ld ≤ sn/sd
-        if (outcome.int_value[0] == 0 and _covers(gens, lam, ld, xints, xden)
-                and sum(lam) * sd <= sn * ld):
+        if (outcome.int_value[0] == 0 and all([v >= 0 for v in lam])
+                and covers(gens, lam, ld, xints, xden) and sum(lam) * sd <= sn * ld):
             return True
     else:
         (*y, mu), _ = outcome.int_ray
         # x·y/xden > s·μ, over the ray's denominator
-        if (len(y) == len(xints) and mu >= 0 and _capped(gens, y, mu)
+        if (len(y) == len(xints) and mu >= 0 and capped(gens, y, mu)
                 and sum([a * v for a, v in zip(xints, y)]) * sd > sn * mu * xden):
             return False
     raise InternalInconsistency("semi-solid membership failed re-verification", **data)
@@ -240,8 +241,8 @@ def minkowski(bset: SemiSolidSet, x: RandomVariable) -> Gauge:
     on the outcome's integers:
 
     * at an optimum v, the primal y is ≥ 0 with g·y ≤ 1 for every g
-      (``_capped``) and x·y = v, so by weak duality every α with x ∈ αB is
-      ≥ v; the row duals λ are ≥ 0 with Σ λ_g·g ≥ x (``_covers``) and
+      (``capped``) and x·y = v, so by weak duality every α with x ∈ αB is
+      ≥ v; the row duals λ are ≥ 0 with Σ λ_g·g ≥ x (``covers``) and
       Σ λ = v, so x ∈ v·B, and the gauge is v;
     * when unbounded, the ray r is ≥ 0 with g·r ≤ 0 for every g and
       x·r > 0, while every λ ≥ 0 with Σ λ_g·g ≥ x would give
@@ -263,13 +264,14 @@ def minkowski(bset: SemiSolidSet, x: RandomVariable) -> Gauge:
     if outcome.status == lp.OPTIMAL:
         (y, d), (lam, ld), (on, od) = outcome.int_primal, outcome.int_dual, outcome.int_value
         # x·y/(xden·d) = on/od and Σλ/ld = on/od
-        if (len(y) == len(xints) and _capped(gens, y, d)
+        if (len(y) == len(xints) and capped(gens, y, d)
                 and sum([a * v for a, v in zip(xints, y)]) * od == on * xden * d
-                and _covers(gens, lam, ld, xints, xden) and sum(lam) * od == on * ld):
+                and all([v >= 0 for v in lam]) and covers(gens, lam, ld, xints, xden)
+                and sum(lam) * od == on * ld):
             return Fraction(on, od)
     else:
         r, _ = outcome.int_ray
-        if (len(r) == len(xints) and _capped(gens, r, 0)
+        if (len(r) == len(xints) and capped(gens, r, 0)
                 and sum([a * v for a, v in zip(xints, r)]) > 0):
             return math.inf
     raise InternalInconsistency("gauge failed re-verification", **data)
@@ -288,10 +290,8 @@ def sup_squared_norm(bset: SemiSolidSet) -> Fraction:
     max_g ‖g‖, and each generator is itself a member, so the sup is the
     largest generator norm (attained at a vertex).
     """
-    best = _ZERO
-    for g in bset.generators:
-        best = max(best, dot(g.values, g.values))
-    return best
+    return max([Fraction(sum([v * v for v in ints]), den * den)
+                for ints, den in bset.int_generators], default=_ZERO)
 
 
 def zero_set_trivial(bset: SemiSolidSet) -> bool:

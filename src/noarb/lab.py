@@ -30,7 +30,7 @@ from .cones import (SemiSolidSet, minkowski, semisolid_member, sup_norm, sup_squ
 from .errors import InternalInconsistency, StructureError
 from .lattice import RandomVariable, SampleSpace
 from .market import Asset, Filtration, MarketModel, in_budget_set
-from .rationals import dot, format_rational
+from .rationals import format_rational, fractions_over
 
 _ZERO = Fraction(0)
 
@@ -113,12 +113,15 @@ def random_point(rng: random.Random, space: SampleSpace) -> RandomVariable:
 def random_member(rng: random.Random, bset: SemiSolidSet) -> RandomVariable:
     """A guaranteed member: sub-convex combination, then shrink downward."""
     space = bset.space
-    if bset.generators:
-        raw = [rng.randint(0, 5) for _ in bset.generators]
+    if gens := bset.int_generators:
+        raw = [rng.randint(0, 5) for _ in gens]
         total = sum(raw) or 1
-        budget = Fraction(rng.randint(0, 4), 4)
-        lam = [Fraction(w, total) * budget for w in raw]
-        top = [dot(lam, column) for column in zip(*[g.values for g in bset.generators])]
+        quarters = rng.randint(0, 4)  # the budget Σλ, λ_g = raw_g·quarters/(4·total)
+        # Σ_g λ_g·g over the lcm L of the generators' denominators
+        big = math.lcm(*[den for _, den in gens])
+        weighted = [(w * (big // den), ints) for w, (ints, den) in zip(raw, gens) if w]
+        top = fractions_over([quarters * sum([w * ints[i] for w, ints in weighted])
+                              for i in range(len(space))], 4 * total * big)
     else:
         top = space.zero().values
     shrink = [Fraction(rng.randint(0, 4), 4) for _ in space.outcomes]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, as_fractions, dot, to_integers
+from .rationals import as_fraction, as_fractions, to_integers
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -100,7 +100,8 @@ class Measure:
             raise StructureError(f"weights sum to {Fraction(total, den)}, not 1")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", ws)
-        # the mass check's integers, for the routes that sum the weights again
+        # the mass check's integers, for the expectation and the routes that
+        # sum the weights again
         object.__setattr__(self, "_int_weights", (ints, den))
 
     @property
@@ -110,7 +111,8 @@ class Measure:
     def expectation(self, x: RandomVariable) -> Fraction:
         if x.space != self.space:
             raise StructureError("random variable on a different space")
-        return dot(self.weights, x.values)
+        (ws, den), (xs, xden) = self._int_weights, to_integers(x.values)
+        return Fraction(sum([w * v for w, v in zip(ws, xs)]), den * xden)
 
     def density(self) -> tuple[Fraction, ...]:
         """dQ/dℙ per outcome; bounded and strictly positive when equivalent."""

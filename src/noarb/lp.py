@@ -47,7 +47,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import StructureError
-from .rationals import as_fraction, as_fractions, dot, fractions_over, to_integers
+from .rationals import as_fraction, as_fractions, fractions_over, to_integers
 
 LE = "<="
 EQ = "=="
@@ -95,12 +95,8 @@ class LpProblem:
         rhs = as_fractions(rhs)
         if len(rhs) != len(rows):
             raise StructureError(f"{len(rows)} rows but {len(rhs)} rhs entries")
-        int_rows = []
-        for row, b in zip(rows, rhs):
-            ints, s = to_integers([*row, b])
-            int_rows.append((tuple(ints), s))
-        ints, den = to_integers(as_fractions(objective))
-        self._store((tuple(ints), den), int_rows, relations, free, sense)
+        int_rows = [to_integers([*row, b]) for row, b in zip(rows, rhs)]
+        self._store(to_integers(as_fractions(objective)), int_rows, relations, free, sense)
 
     @classmethod
     def from_integers(cls, objective, rows, relations, *,
@@ -228,10 +224,7 @@ class LpOutcome:
 
 def _integers(values) -> Optional[tuple[tuple[int, ...], int]]:
     """Rationals as the pair ``(ints, den)`` of ``to_integers``; None stays None."""
-    if values is None:
-        return None
-    ints, den = to_integers(as_fractions(values))
-    return tuple(ints), den
+    return None if values is None else to_integers(as_fractions(values))
 
 
 def rows_from_columns(columns, b, den) -> list[tuple[list[int], int]]:
@@ -557,69 +550,84 @@ def feasible(problem: LpProblem) -> bool:
 #
 # These re-derive every claim an LpOutcome makes from the problem data alone,
 # so callers can re-verify witnesses without trusting the solver's path.
-# Every row, objective and dual value is one ``rationals.dot``; a row is
-# read as its stored integers, which are its scale s > 0 times the row, so
-# a row compares ints·x with its integer rhs, and a multiplier y_i weighs
-# the integers as y_i/s.
+# Every row, objective and dual value is one integer sum, on the problem's
+# stored integers and the outcome's ``int_*`` pairs; a point given as
+# rationals is taken to integers once.  A row's integers are its scale
+# s > 0 times the row, so a row compares ints·x with its integer rhs times
+# x's denominator, and a multiplier y_i weighs row i's integers as y_i/s_i,
+# lifted to the lcm of the row scales.
 
 def _satisfies(problem: LpProblem, x, homogeneous: bool) -> bool:
-    """Whether x is nonnegative off the free variables and meets every
-    row, against its rhs or, if ``homogeneous``, against 0."""
-    if len(x) != problem.num_vars:
+    """Whether x, integers over a positive denominator, is nonnegative off
+    the free variables and meets every row, against its rhs or, if
+    ``homogeneous``, against 0."""
+    ints, den = x
+    if len(ints) != problem.num_vars:
         return False
-    if any([v < 0 for j, v in enumerate(x) if j not in problem.free]):
+    if any([v < 0 for j, v in enumerate(ints) if j not in problem.free]):
         return False
-    for (ints, _), rel in zip(problem.int_rows, problem.relations):
-        lhs, b = dot(ints[:-1], x), 0 if homogeneous else ints[-1]
+    for (row, _), rel in zip(problem.int_rows, problem.relations):
+        lhs = sum([a * v for a, v in zip(row, ints)])  # stops before the rhs
+        b = 0 if homogeneous else row[-1] * den
         if (lhs > b) if rel == LE else ((lhs < b) if rel == GE else (lhs != b)):
             return False
     return True
 
 
+def _value_at(problem: LpProblem, x) -> Fraction:
+    """c·x for x given as integers over a positive denominator."""
+    (costs, cden), (ints, den) = problem.int_objective, x
+    return Fraction(sum([c * v for c, v in zip(costs, ints, strict=True)]), cden * den)
+
+
 def is_feasible_point(problem: LpProblem, x: Sequence) -> bool:
-    return _satisfies(problem, as_fractions(x), False)
+    return _satisfies(problem, to_integers(as_fractions(x)), False)
 
 
 def objective_value(problem: LpProblem, x: Sequence) -> Fraction:
-    return dot(problem.objective, as_fractions(x))
+    return _value_at(problem, to_integers(as_fractions(x)))
 
 
 def _dual_objective(problem: LpProblem, y, costs, sign: int) -> Optional[Fraction]:
     """rhs·y, when the row multipliers y are dual feasible against ``costs``;
-    None otherwise.
+    None otherwise.  y and ``costs`` are each integers over a positive
+    denominator.
 
     Dual feasible: y has ``sign``'s sign on ≤ rows and the opposite one on ≥
     rows, and each column's y·A_j equals costs_j on a free variable and lies
     on ``sign``'s side of costs_j on a nonnegative one.
     """
-    if len(y) != problem.num_rows:
+    (ys, yden), (cs, cden) = y, costs
+    if len(ys) != problem.num_rows:
         return None
-    for rel, yi in zip(problem.relations, y):
+    for rel, yi in zip(problem.relations, ys):
         if (rel == LE and sign * yi < 0) or (rel == GE and sign * yi > 0):
             return None
-    scaled = [yi / s for yi, (_, s) in zip(y, problem.int_rows)]
-    for j, c in enumerate(costs):
-        slack = dot([ints[j] for ints, _ in problem.int_rows], scaled) - c
+    big = lcm(*[s for _, s in problem.int_rows])
+    weighted = [(yi * (big // s), row) for yi, (row, s) in zip(ys, problem.int_rows) if yi]
+    scale = yden * big  # y·A_j is Σ weighted over it
+    for j, c in enumerate(cs):
+        slack = sum([w * row[j] for w, row in weighted]) * cden - c * scale
         if (slack != 0) if j in problem.free else (sign * slack < 0):
             return None
-    return dot([ints[-1] for ints, _ in problem.int_rows], scaled)
+    return Fraction(sum([w * row[-1] for w, row in weighted]), scale)
 
 
 def check_optimal(problem: LpProblem, outcome: LpOutcome) -> bool:
     """Primal feasibility, dual feasibility and a zero duality gap, exactly."""
-    if outcome.status != OPTIMAL or not is_feasible_point(problem, outcome.primal):
+    if outcome.status != OPTIMAL or not _satisfies(problem, outcome.int_primal, False):
         return False
     value = outcome.objective_value
     sign = 1 if problem.sense == MAXIMIZE else -1
-    return (objective_value(problem, outcome.primal) == value
-            and _dual_objective(problem, outcome.dual, problem.objective, sign) == value)
+    return (_value_at(problem, outcome.int_primal) == value
+            and _dual_objective(problem, outcome.int_dual, problem.int_objective, sign) == value)
 
 
 def check_farkas(problem: LpProblem, outcome: LpOutcome) -> bool:
     """Exact infeasibility proof: row multipliers no feasible point can satisfy."""
     if outcome.status != INFEASIBLE:
         return False
-    total = _dual_objective(problem, outcome.dual, [_ZERO] * problem.num_vars, 1)
+    total = _dual_objective(problem, outcome.int_dual, ([0] * problem.num_vars, 1), 1)
     return total is not None and total < 0
 
 
@@ -627,13 +635,13 @@ def check_ray(problem: LpProblem, outcome: LpOutcome) -> bool:
     """The ray is a recession direction from a feasible point, strictly
     improving: it satisfies the problem with every rhs set to 0 (the
     sign conditions are homogeneous already)."""
-    if outcome.status != UNBOUNDED or outcome.ray is None or outcome.primal is None:
+    if outcome.status != UNBOUNDED or outcome.int_ray is None or outcome.int_primal is None:
         return False
-    if not is_feasible_point(problem, outcome.primal):
+    if not _satisfies(problem, outcome.int_primal, False):
         return False
-    if not _satisfies(problem, outcome.ray, True):
+    if not _satisfies(problem, outcome.int_ray, True):
         return False
-    gain = dot(problem.objective, outcome.ray)
+    gain = _value_at(problem, outcome.int_ray)
     return gain > 0 if problem.sense == MAXIMIZE else gain < 0
 
 

@@ -1,17 +1,16 @@
-"""Exact rational scalars: parsing, formatting, coercion and the dot product.
+"""Exact rational scalars: parsing, formatting, coercion and integer pairs.
 
 This module owns the library's exact-number policy.  Every number the
 library takes or returns is a ``fractions.Fraction`` (arbitrary precision,
 always lowest terms, positive denominator).  No sum of rational products
-is summed as ``Fraction``s, which reduce by a gcd per term: over
-``Fraction``s it is one ``dot``, and where a route already holds its
-numbers as integers over a common denominator (``to_integers``), as
-``lp``'s rows, objective, tableau and outcomes, the payoff cone's vectors,
-``lattice``'s sums to 1, ``separation``'s checks and ``market``'s
-increments, tree walks, LP rows and certificate checks do, it is one
-integer sum, and a ``Fraction`` is built only for a number that is handed
-on or read (``fractions_over``).  A rational is written in ASCII digits
-only.
+is summed as ``Fraction``s, which reduce by a gcd per term: a vector is
+taken once to integers over its least common denominator
+(``to_integers``), and each sum is one integer sum over one denominator.
+``lp``'s rows, objective, tableau, outcomes and checks, the cones' and
+semi-solid sets' vectors, ``lattice``'s weights and ``market``'s
+increments, tree walks and LP rows all hold such pairs, and a ``Fraction``
+is built only for a number that is handed on or read (``fractions_over``).
+A rational is written in ASCII digits only.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .errors import StructureError
 
@@ -89,24 +87,15 @@ def as_fractions(values) -> tuple[Fraction, ...]:
     return tuple([v if type(v) is Fraction else as_fraction(v) for v in values])
 
 
-def to_integers(values) -> tuple[list[int], int]:
-    """Rationals as integers over their least common denominator."""
+def to_integers(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as the pair ``(ints, den)``: integers over their least
+    common denominator."""
     ratios = [v.as_integer_ratio() for v in values]
     den = lcm(*[q for _, q in ratios])
-    return [p * (den // q) for p, q in ratios], den
+    return tuple([p * (den // q) for p, q in ratios]), den
 
 
 def fractions_over(ints, den: int) -> tuple[Fraction, ...]:
     """Each integer over ``den`` > 0 as a ``Fraction``: ``to_integers``' inverse."""
     return tuple([Fraction(a, den) if a else _ZERO for a in ints])
 
-
-def dot(a: Sequence, x: Sequence) -> Fraction:
-    """Σ a_i·x_i exactly, summed as integers over one running denominator (a
-    ``Fraction`` sum reduces by a gcd per term); unequal lengths raise."""
-    num, den = 0, 1
-    for p, q in zip(a, x, strict=True):
-        if p and q:
-            (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
-            num, den = num * pd * qd + pn * qn * den, den * pd * qd
-    return Fraction(num, den)

@@ -9,8 +9,9 @@ measure; it is assembled the way a countable dense family would be in
 general spaces: separate each outcome indicator, normalize, average.  When
 only its existence matters, one separator that is positive at several
 outcomes stands in for all of them (exhaustion).  All certificates are
-re-verified by exact substitution before being returned.  Each check is
-an integer sum: the cone's vectors are integers over one denominator each
+re-verified by exact substitution before being returned, with the cone
+checks of ``cones`` (``capped`` and ``covers``).  Each check is an integer
+sum: the cone's vectors are integers over one denominator each
 (``PolyhedralCone.int_generators`` and ``int_span``), as are the LP's
 primal and duals (``lp.LpOutcome``) and each separator's mass, so a
 ``Fraction`` is built only for a separator or a measure that is returned.
@@ -23,7 +24,7 @@ from math import lcm
 from typing import Optional
 
 from . import lp
-from .cones import PolyhedralCone
+from .cones import PolyhedralCone, capped, covers
 from .errors import InternalInconsistency, StructureError
 from .lattice import Measure, RandomVariable
 from .rationals import fractions_over, to_integers
@@ -37,38 +38,12 @@ class StrictSeparation:
     violating: Optional[RandomVariable] = None
 
 
-def _dot(a, b) -> int:
-    return sum([x * y for x, y in zip(a, b)])
-
-
 def _is_separating(cone: PolyhedralCone, f) -> bool:
-    """f ≥ 0, f·g ≤ 0 on every generator and f·h = 0 on every span element,
-    for f given as integers over a positive denominator, which no sign
-    reads."""
-    return (all(c >= 0 for c in f)
-            and all(_dot(f, g) <= 0 for g, _ in cone.int_generators)
-            and not any(_dot(f, h) for h, _ in cone.int_span))
-
-
-def _dominates(cone: PolyhedralCone, multipliers, den: int, target, tden: int) -> bool:
-    """Σ_g μ_g·g + Σ_h ν_h·h ≥ target on every outcome, with μ ≥ 0 on the
-    generator rows and ν_h = μ⁺ − μ⁻ free, from span element h's row pair:
-    the target is that cone point minus a nonnegative vector, so it lies in
-    the cone.  The multipliers are integers over ``den`` > 0 and the target
-    integers over ``tden`` > 0; each vector v = ints/s is lifted to the lcm
-    L of the used vectors' s and ``tden``, so each outcome compares one
-    integer sum Σ m·(L/s)·ints with den·(L/tden)·t."""
-    k = len(cone.int_generators)
-    mu, pairs = multipliers[:k], multipliers[k:]
-    if any(m < 0 for m in mu):
-        return False
-    nu = [plus - minus for plus, minus in zip(pairs[::2], pairs[1::2])]
-    used = [(m, v) for m, v in zip([*mu, *nu], [*cone.int_generators, *cone.int_span]) if m]
-    big = lcm(tden, *[s for _, (_, s) in used])
-    lifted = [(m * (big // s), ints) for m, (ints, s) in used]
-    scale = den * (big // tden)
-    return all(sum([m * ints[i] for m, ints in lifted]) >= scale * t
-               for i, t in enumerate(target))
+    """f ≥ 0, f·g ≤ 0 on every generator (``capped`` at 0) and f·h = 0 on
+    every span element, for f given as integers over a positive
+    denominator, which no sign reads."""
+    return (capped(cone.int_generators, f, 0)
+            and not any([sum([a * b for a, b in zip(f, h)]) for h, _ in cone.int_span]))
 
 
 def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[RandomVariable]:
@@ -82,9 +57,10 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
     span element's pair negated in integers.  Positivity comes for free because
     the cone contains −V₊, but the LP's variables are nonnegative too, and it
     is re-checked on the way out, with f·h = 0 on the span.  A None is checked
-    too: at optimum 0 the generator rows' duals μ ≥ 0, and each span pair's
-    μ⁺ − μ⁻ as a free ν, satisfy Σ_g μ_g·g + Σ_h ν_h·h ≥ target, a cone
-    point that dominates the target.
+    too: at optimum 0 the generator rows' duals μ are ≥ 0 and, with each
+    span pair's μ⁺ − μ⁻ as a free ν, satisfy Σ_g μ_g·g + Σ_h ν_h·h ≥ target
+    (``covers``): the target is that cone point minus a nonnegative
+    vector, so it lies in the cone.
     """
     if target.space != cone.space:
         raise StructureError("target on a different sample space")
@@ -104,7 +80,11 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
     value, vden = outcome.int_value
     if value == 0:
         multipliers, den = outcome.int_dual
-        if not _dominates(cone, multipliers[:-1], den, t, tden):
+        k = len(cone.int_generators)
+        mu, pairs = multipliers[:k], multipliers[k:-1]
+        nu = [plus - minus for plus, minus in zip(pairs[::2], pairs[1::2])]
+        if (any([m < 0 for m in mu])
+                or not covers((*cone.int_generators, *cone.int_span), [*mu, *nu], den, t, tden)):
             raise InternalInconsistency("dominating cone point failed re-verification",
                                         cone=cone, target=target, outcome=outcome)
         return None
@@ -113,7 +93,8 @@ def separate_at(cone: PolyhedralCone, target: RandomVariable) -> Optional[Random
                                     cone=cone, target=target, outcome=outcome)
     separator = RandomVariable(cone.space, outcome.primal)
     f, fden = outcome.int_primal
-    if not _is_separating(cone, f) or _dot(f, t) != fden * tden:  # f·target = 1
+    # f·target = 1
+    if not _is_separating(cone, f) or sum([a * b for a, b in zip(f, t)]) != fden * tden:
         raise InternalInconsistency("separator failed re-verification",
                                     cone=cone, target=target, separator=separator)
     return separator

@@ -122,3 +122,32 @@ def test_trivial_intersection_check_catches_a_zero_indicator_gauge(monkeypatch):
         monkeypatch.setattr(module, "minkowski", broken)
     report = lab.verify_lemma_suite(seed=0, instances=5)
     assert "trivial-intersection" in {v.lemma for v in report.violations}
+
+
+def fraction_member(rng, bset):
+    """``lab.random_member`` as a sum of ``Fraction`` products: the same
+    draws, with λ_g = raw_g/total · budget and Σ_g λ_g·g per outcome."""
+    space = bset.space
+    if bset.generators:
+        raw = [rng.randint(0, 5) for _ in bset.generators]
+        total = sum(raw) or 1
+        budget = F(rng.randint(0, 4), 4)
+        lam = [F(w, total) * budget for w in raw]
+        top = [sum([l * v for l, v in zip(lam, column)], F(0))
+               for column in zip(*[g.values for g in bset.generators])]
+    else:
+        top = space.zero().values
+    shrink = [F(rng.randint(0, 4), 4) for _ in space.outcomes]
+    return tuple([s * v for s, v in zip(shrink, top)])
+
+
+def test_random_member_is_the_fraction_formula():
+    """On seeded sets, ``random_member``'s integer sum gives the values of
+    the ``Fraction`` formula, and leaves the rng where that formula does."""
+    rng = random.Random(43)
+    for _ in range(300):
+        bset = lab.random_semisolid(rng)
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        assert lab.random_member(rng, bset).values == fraction_member(twin, bset)
+        assert rng.getstate() == twin.getstate()

@@ -1,11 +1,15 @@
 import sys
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from noarb import lp
+from noarb.cones import SemiSolidSet, sup_squared_norm
 from noarb.errors import StructureError
-from noarb.rationals import as_fraction, dot, parse_rational
+from noarb.lattice import Measure, SampleSpace
+from noarb.rationals import as_fraction, parse_rational, to_integers
 
 _MERSENNE_61 = 2 ** 61 - 1
 
@@ -18,32 +22,61 @@ scalars = st.one_of(
 )
 
 
+def fraction_dot(a, x):
+    return sum([F(p) * F(q) for p, q in zip(a, x, strict=True)], F(0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(st.tuples(scalars, scalars), max_size=12))
 @example(pairs=[])
 @example(pairs=[(0, F(1, 3)), (F(-2, 5), 0), (0, 0)])
+@example(pairs=[(F(1, _MERSENNE_61), F(1)), (F(1, 2 ** 31 - 1), F(-1))])
 @example(pairs=[(F(1, _MERSENNE_61), F(-1, 2 ** 31 - 1)), (F(-3, 2 ** 31 - 1), F(5, 7))])
-# a CRR root cell: every weight over 3^10, so every term shares one denominator
-@example(pairs=[(F(2 ** i, 3 ** 10), F((-1) ** i * (i + 1))) for i in range(12)])
-def test_dot_is_the_fraction_sum(pairs):
-    a, x = [p for p, _ in pairs], [q for _, q in pairs]
-    got = dot(a, x)
-    assert type(got) is F
-    assert got == sum([F(p) * F(q) for p, q in pairs], F(0))
+# a CRR root cell: the 10-step terminal law for q = 1/3, every weight over 3^10
+@example(pairs=[(F(comb(10, k) * 2 ** (10 - k), 3 ** 10), F((-1) ** k * (k + 1)))
+                for k in range(11)])
+def test_integer_sums_are_the_fraction_sums(pairs):
+    """Each sum of rational products is one integer sum over one
+    denominator: an LP objective at a point, an expectation and the
+    largest squared norm of a semi-solid set's generators are each the
+    plain ``Fraction`` sum."""
+    a, x = [F(p) for p, _ in pairs], [F(q) for _, q in pairs]
+    got = lp.objective_value(lp.LpProblem(a, [], [], []), x)
+    assert type(got) is F and got == fraction_dot(a, x)
+    if not pairs:
+        return
+    space = SampleSpace.uniform(len(pairs))
+    if mass := sum([abs(p) for p in a]):
+        weights = [abs(p) / mass for p in a]
+        got = Measure(space, weights).expectation(space.variable(x))
+        assert type(got) is F and got == fraction_dot(weights, x)
+    gens = [[abs(p) for p in a], [abs(q) for q in x]]
+    got = sup_squared_norm(SemiSolidSet(space, [space.variable(g) for g in gens]))
+    assert type(got) is F and got == max([fraction_dot(g, g) for g in gens])
 
 
-def test_dot_of_coprime_denominators():
+def test_integer_sums_of_coprime_denominators():
+    """1/p − 1/q for the coprime p = 2^61 − 1 and q = 2^31 − 1 comes back
+    in lowest terms, over p·q."""
     p, q = _MERSENNE_61, 2 ** 31 - 1
-    got = dot([F(1, p), F(1, q)], [F(1), F(-1)])
-    assert got == F(q - p, p * q)
+    got = lp.objective_value(lp.LpProblem([F(1, p), F(1, q)], [], [], []), [1, -1])
     assert (got.numerator, got.denominator) == (q - p, p * q)
+    space = SampleSpace.uniform(2)
+    got = Measure(space, [F(q, p + q), F(p, p + q)]).expectation(
+        space.variable([F(1, q), F(-1, p)]))
+    assert got == 0 and got.denominator == 1
 
 
 @pytest.mark.parametrize("a, x", [([F(1)], [F(1), F(2)]), ([F(1), F(2)], [F(1)]),
                                   ([], [F(0)])])
-def test_dot_rejects_unequal_lengths(a, x):
+def test_objective_value_rejects_unequal_lengths(a, x):
     with pytest.raises(ValueError):
-        dot(a, x)
+        lp.objective_value(lp.LpProblem(a, [], [], []), x)
+
+
+def test_to_integers_is_one_tuple_over_the_least_common_denominator():
+    assert to_integers([F(1, 2), F(-1, 3), 0]) == ((3, -2, 0), 6)
+    assert to_integers([]) == ((), 1)
 
 
 _spaces = st.sampled_from(["", " ", "  ", "\t", "\n", " \t\n "])

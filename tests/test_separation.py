@@ -5,17 +5,22 @@ from fractions import Fraction as F
 import pytest
 
 from noarb import lp, separation
-from noarb.cones import PolyhedralCone, cone_member
+from noarb.cones import PolyhedralCone, cone_member, capped, covers
 from noarb.errors import InternalInconsistency, StructureError
 from noarb.lattice import Measure, SampleSpace
 from noarb.market import find_emm, is_martingale_measure, payoff_cone
-from noarb.rationals import dot
+from noarb.rationals import to_integers
 from noarb.separation import separate_at, strict_separator, strict_separator_exists
 
 from conftest import crr_tree
 
 TWO = SampleSpace(["a", "b"], [F(1, 2), F(1, 2)])
 THREE = SampleSpace(["a", "b", "c"], [F(1, 3)] * 3)
+
+
+def dot(a, x):
+    """Σ a_i·x_i summed as ``Fraction``s: the reference for the integer sums."""
+    return sum([F(p) * F(q) for p, q in zip(a, x, strict=True)], F(0))
 
 
 def orthant_cone(space, generators=()):
@@ -280,3 +285,41 @@ def test_an_average_that_misses_an_outcome_is_an_inconsistency(route, monkeypatc
                         lambda cone, target: separate_at(cone, first))
     with pytest.raises(InternalInconsistency, match="averaged separator failed re-verification"):
         route(orthant_cone(THREE))
+
+
+def test_the_integer_cone_checks_match_the_fraction_reference():
+    """On seeded vectors, ``cones.capped``, ``cones.covers`` and
+    ``_is_separating`` (``capped`` at 0 plus f·h = 0 on the span) give the
+    answers of the same conditions summed as ``Fraction``s, and each
+    answer is seen both ways."""
+    rng = random.Random(41)
+
+    def vector(low=-1):
+        return [F(rng.randint(low, 2), rng.randint(1, 3)) for _ in THREE.outcomes]
+
+    seen = set()
+    for _ in range(400):
+        gens = [vector() for _ in range(rng.randint(0, 3))]
+        span = [vector() for _ in range(rng.randint(0, 2))]
+        cone = PolyhedralCone(THREE, [THREE.variable(g) for g in gens],
+                              [THREE.variable(h) for h in span])
+        vectors = (*cone.int_generators, *cone.int_span)
+        f = vector(low=rng.choice([-1, 0]))
+        fints, fden = to_integers(f)
+        cap = rng.randint(0, 2)  # over fden, as f
+        want = all(v >= 0 for v in f) and all(dot(g, f) <= F(cap, fden) for g in gens)
+        assert capped(cone.int_generators, fints, cap) == want
+        want = (all(v >= 0 for v in f) and all(dot(g, f) <= 0 for g in gens)
+                and all(dot(h, f) == 0 for h in span))
+        assert separation._is_separating(cone, fints) == want
+        seen.add(("separating", want))
+        lam = [F(rng.randint(-1, 3), rng.randint(1, 2)) for _ in vectors]
+        lints, ld = to_integers(lam)
+        target = vector()
+        want = all(dot(lam, column) >= t for column, t in zip(zip(*gens, *span), target))
+        if vectors:
+            assert covers(vectors, lints, ld, *to_integers(target)) == want
+            seen.add(("covers", want))
+        assert not covers(vectors, [*lints, 1], ld, *to_integers(target))
+    assert seen == {(check, answer) for check in ("separating", "covers")
+                    for answer in (False, True)}

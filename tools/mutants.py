@@ -46,15 +46,15 @@ TARGETS = {
     "lp._satisfies": ["tests/test_lp.py"],
     "lp._dual_objective": ["tests/test_lp.py"],
     "separation._verified_average": ["tests/test_separation.py"],
-    "separation._dominates": ["tests/test_separation.py"],
     "separation._is_separating": ["tests/test_separation.py"],
+    "separation.separate_at": ["tests/test_separation.py"],
     "market._one_step": ["tests/test_market.py"],
     "market._budget_ceiling": ["tests/test_market.py"],
     "market._verified_arbitrage": ["tests/test_market.py"],
     "cones.minkowski": ["tests/test_cones.py"],
     "cones.semisolid_member": ["tests/test_cones.py"],
-    "cones._capped": ["tests/test_cones.py"],
-    "cones._covers": ["tests/test_cones.py"],
+    "cones.capped": ["tests/test_cones.py", "tests/test_separation.py"],
+    "cones.covers": ["tests/test_cones.py", "tests/test_separation.py"],
 }
 
 _SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
